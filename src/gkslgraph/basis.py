@@ -56,41 +56,23 @@ def standard_labels(N: int) -> tuple[tuple[int, int], ...]:
     return tuple(labels)
 
 
-@lru_cache(maxsize=None)
 def gellmann_labels(N: int) -> tuple[tuple[int, int], ...]:
     """Ordered labels of the Gell-Mann basis of M_N.
 
     Pairs (i, j), (j, i) for i < j (symmetric then antisymmetric), then the
     diagonal labels (n, n) for n = 1..N-1, then (N, N) which denotes the
-    normalized identity ``I_N/sqrt(N)``.
+    normalized identity ``I_N/sqrt(N)``.  The label order is the standard
+    one, so both bases share every position.
     """
-    if N < 1:
-        raise ValueError(f"dimension must be positive, got {N}")
-    labels: list[tuple[int, int]] = []
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            labels.append((i, j))
-            labels.append((j, i))
-    labels.extend((n, n) for n in range(1, N + 1))
-    return tuple(labels)
-
-
-@lru_cache(maxsize=None)
-def _standard_index(N: int) -> dict[tuple[int, int], int]:
-    return {label: p for p, label in enumerate(standard_labels(N))}
-
-
-@lru_cache(maxsize=None)
-def _gellmann_index(N: int) -> dict[tuple[int, int], int]:
-    return {label: p for p, label in enumerate(gellmann_labels(N))}
+    return standard_labels(N)
 
 
 def standard_position(i: int, j: int, N: int) -> int:
     """0-based position of the label (i, j) in the standard ordering."""
-    try:
-        return _standard_index(N)[(i, j)]
-    except KeyError:
-        raise ValueError(f"label ({i}, {j}) out of range for N={N}") from None
+    pos = _standard_position_array(N)
+    if not (1 <= i <= N and 1 <= j <= N):
+        raise ValueError(f"label ({i}, {j}) out of range for N={N}")
+    return int(pos[i - 1, j - 1])
 
 
 def gellmann_position(i: int, j: int, N: int) -> int:
@@ -98,10 +80,7 @@ def gellmann_position(i: int, j: int, N: int) -> int:
 
     (N, N) is the sentinel label of the normalized identity.
     """
-    try:
-        return _gellmann_index(N)[(i, j)]
-    except KeyError:
-        raise ValueError(f"label ({i}, {j}) out of range for N={N}") from None
+    return standard_position(i, j, N)
 
 
 @lru_cache(maxsize=None)
@@ -110,7 +89,13 @@ def _standard_position_array(N: int) -> np.ndarray:
     pos = np.empty((N, N), dtype=np.intp)
     for p, (i, j) in enumerate(standard_labels(N)):
         pos[i - 1, j - 1] = p
+    pos.setflags(write=False)
     return pos
+
+
+def _standard_flat_order(N: int) -> np.ndarray:
+    """Row-major index (i-1)*N + (j-1) of the label at each standard position."""
+    return np.argsort(_standard_position_array(N).ravel())
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +229,7 @@ def to_standard_coordinates(M: np.ndarray) -> np.ndarray:
     N = M.shape[0]
     if M.shape != (N, N):
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    labels = standard_labels(N)
-    rows = np.array([i - 1 for i, _ in labels])
-    cols = np.array([j - 1 for _, j in labels])
-    return M[rows, cols]
+    return M.reshape(N * N)[_standard_flat_order(N)]
 
 
 def from_standard_coordinates(v: np.ndarray, N: int) -> np.ndarray:
@@ -255,11 +237,7 @@ def from_standard_coordinates(v: np.ndarray, N: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (N * N,):
         raise ValueError(f"expected a vector of length {N * N}, got {v.shape}")
-    labels = standard_labels(N)
-    M = np.zeros((N, N), dtype=np.complex128)
-    for p, (i, j) in enumerate(labels):
-        M[i - 1, j - 1] = v[p]
-    return M
+    return v[_standard_position_array(N)]
 
 
 @lru_cache(maxsize=None)
@@ -270,11 +248,8 @@ def basis_change_matrix(N: int) -> np.ndarray:
     matrices as M_gm = W @ M_std @ W*.  Since <lam_q, E_ij> = conj(lam_q[i, j]),
     the matrix is assembled by direct indexing.  Cached per dimension.
     """
-    lam = _gellmann_stack(N)
-    labels = standard_labels(N)
-    rows = np.array([i - 1 for i, _ in labels])
-    cols = np.array([j - 1 for _, j in labels])
-    W = lam[:, rows, cols].conj()
+    lam = _gellmann_stack(N).reshape(N * N, N * N)
+    W = lam[:, _standard_flat_order(N)].conj()
     W.setflags(write=False)
     return W
 

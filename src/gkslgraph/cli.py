@@ -20,13 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from .basis import DEFAULT_TOL, to_standard_coordinates
-from .digraph import (
-    induced_digraph,
-    scc_decompose,
-    sinks_and_singular_2sinks,
-    to_dot,
-    tscc_stationary_vectors,
-)
+from .digraph import _sink_report, induced_digraph, to_dot, tscc_stationary_vectors
 from .generator import GellMannSpec, canonicalize, gellmann_to_standard, validate
 from .io import (
     SpecParseError,
@@ -64,15 +58,15 @@ def _as_standard(spec):
     return spec
 
 
-def _require_valid(spec, tol: float, input_path) -> None:
-    report = validate(spec, tol)
+def _valid_standard(spec, tol: float, input_path):
+    """The spec over the standard basis; exit 1 unless it validates."""
+    std = _as_standard(spec)
+    report = validate(std, tol)
     if not report.verdict:
         raise _Failure(
-            1,
-            f"{input_path}: generator failed validation "
-            f"(psd_on_traceless={report.psd_on_traceless}, "
-            f"trace_condition={report.trace_condition})",
+            1, f"{input_path}: generator failed validation ({report.summary})"
         )
+    return std
 
 
 def _complex_doc(z: complex) -> list[float]:
@@ -119,16 +113,14 @@ def _cmd_validate(spec, input_path, args, tol):
 
 
 def _cmd_canonicalize(spec, input_path, args, tol):
-    std = _as_standard(spec)
-    _require_valid(std, tol, input_path)
+    std = _valid_standard(spec, tol, input_path)
     canon = canonicalize(std, tol)
     return 0, {"spec": spec_to_document(canon)}, None, []
 
 
 def _cmd_digraph(spec, input_path, args, tol):
     graph = induced_digraph(spec, tol)
-    dec = scc_decompose(graph)
-    report = sinks_and_singular_2sinks(spec, tol)
+    report = _sink_report(spec, graph, tol)
     stationary = tscc_stationary_vectors(graph)
     payload = {
         "vertices": graph.n,
@@ -136,8 +128,8 @@ def _cmd_digraph(spec, input_path, args, tol):
             {"src": src, "dst": dst, "weight": graph.weights[(src, dst)]}
             for src, dst in sorted(graph.weights)
         ],
-        "components": [list(c) for c in dec.components],
-        "terminal": list(dec.terminal),
+        "components": [list(c) for c in graph.scc.components],
+        "terminal": list(graph.scc.terminal),
         "sinks": list(report.sinks),
         "two_sinks": [list(p) for p in report.two_sinks],
         "singular_two_sinks": [list(p) for p in report.singular_two_sinks],
@@ -155,8 +147,7 @@ def _cmd_digraph(spec, input_path, args, tol):
 
 
 def _cmd_kernel(spec, input_path, args, tol):
-    std = _as_standard(spec)
-    _require_valid(std, tol, input_path)
+    std = _valid_standard(spec, tol, input_path)
     try:
         basis = full_kernel(std, tol)
         return 0, _kernel_payload(basis), None, list(basis.diagnostics)
@@ -168,8 +159,7 @@ def _cmd_kernel(spec, input_path, args, tol):
 
 
 def _cmd_eigen(spec, input_path, args, tol):
-    std = _as_standard(spec)
-    _require_valid(std, tol, input_path)
+    std = _valid_standard(spec, tol, input_path)
     try:
         plus, minus = block_eigenpairs(std, args.pair, tol)
     except PreconditionError as exc:
@@ -186,8 +176,7 @@ def _cmd_eigen(spec, input_path, args, tol):
 
 
 def _cmd_check_state(spec, input_path, args, tol):
-    std = _as_standard(spec)
-    _require_valid(std, tol, input_path)
+    std = _valid_standard(spec, tol, input_path)
     state = load_state(args.state)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -203,8 +192,7 @@ def _cmd_oracle(spec, input_path, args, tol):
 
 
 def _cmd_crosscheck(spec, input_path, args, tol):
-    std = _as_standard(spec)
-    _require_valid(std, tol, input_path)
+    std = _valid_standard(spec, tol, input_path)
     oracle = brute_force_kernel(std, tol)
     try:
         analytic = full_kernel(std, tol)

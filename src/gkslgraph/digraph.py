@@ -11,15 +11,18 @@ components.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .basis import (
     DEFAULT_TOL,
+    _standard_position_array,
     convert_block,
-    gellmann_position,
+    pair_block_unitary,
     standard_position,
 )
 from .generator import GellMannSpec, GeneratorSpec
@@ -40,12 +43,17 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class InducedDigraph:
-    """Weighted digraph on vertices 1..n; weights keyed (src, dst)."""
+    """Weighted digraph on vertices 1..n; weights keyed (src, dst).
+
+    The graph is read-only, so its strongly connected structure
+    (:attr:`scc`) is computed once, on first use, and shared by every
+    caller.
+    """
 
     n: int
-    weights: dict[tuple[int, int], float] = field(default_factory=dict)
+    weights: Mapping[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -57,9 +65,14 @@ class InducedDigraph:
                 raise ValueError(f"self-loop at vertex {src} not allowed")
             if not w > 0:
                 raise ValueError(f"edge ({src}, {dst}) has non-positive weight {w}")
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
 
     def successors(self, v: int) -> list[int]:
         return sorted(dst for (src, dst) in self.weights if src == v)
+
+    @cached_property
+    def scc(self) -> SCCDecomposition:
+        return scc_decompose(self)
 
 
 @dataclass
@@ -117,16 +130,46 @@ class SinkReport:
 def _pair_gamma_block(
     spec: GeneratorSpec | GellMannSpec, k: int, ell: int
 ) -> np.ndarray:
-    """The 2x2 coefficient block over labels ((k, ell), (ell, k)), k < ell."""
+    """The 2x2 coefficient block over labels ((k, ell), (ell, k)), k < ell.
+
+    Both bases place the pair at the same two positions.
+    """
+    p = [standard_position(k, ell, spec.N), standard_position(ell, k, spec.N)]
+    if isinstance(spec, GellMannSpec):
+        return convert_block(spec.C[np.ix_(p, p)], "c-to-gamma")
+    return spec.gamma[np.ix_(p, p)]
+
+
+def _rate_table(spec: GeneratorSpec | GellMannSpec) -> np.ndarray:
+    """R[i-1, j-1] = Re gamma_{ij,ij}, the transfer rate j -> i; zero diagonal."""
     N = spec.N
     if isinstance(spec, GellMannSpec):
-        p1 = gellmann_position(k, ell, N)
-        p2 = gellmann_position(ell, k, N)
-        blk = spec.C[np.ix_([p1, p2], [p1, p2])]
-        return convert_block(blk, "c-to-gamma")
-    p1 = standard_position(k, ell, N)
-    p2 = standard_position(ell, k, N)
-    return spec.gamma[np.ix_([p1, p2], [p1, p2])]
+        P = N * (N - 1) // 2
+        t = np.arange(P)
+        blocks = spec.C[: 2 * P, : 2 * P].reshape(P, 2, P, 2)[t, :, t, :]
+        U = pair_block_unitary()
+        gamma_blocks = U.conj().T @ blocks @ U  # convert_block on every pair
+        rates = np.zeros(N * N)
+        rates[: 2 * P] = np.diagonal(gamma_blocks, axis1=1, axis2=2).real.ravel()
+    else:
+        rates = np.diagonal(spec.gamma).real
+    R = rates[_standard_position_array(N)]
+    np.fill_diagonal(R, 0.0)
+    return R
+
+
+def _singularity_checks(
+    spec: GeneratorSpec | GellMannSpec, k: int, ell: int, tol: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(value, threshold) of the two tests that make the pair block singular.
+
+    Rate symmetry ``|g_kl - g_lk|`` and block singularity ``|det|``, with
+    thresholds tol and tol**2 scaled by the block magnitude.
+    """
+    blk = _pair_gamma_block(spec, k, ell)
+    scale = max(1.0, float(np.abs(blk).max()))
+    det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
+    return (abs(blk[0, 0] - blk[1, 1]), tol * scale), (abs(det), tol * scale**2)
 
 
 def induced_digraph(
@@ -139,16 +182,16 @@ def induced_digraph(
     round-off) are dropped.
     """
     N = spec.N
+    R = _rate_table(spec)
     weights: dict[tuple[int, int], float] = {}
+    # Edges go in pair order, j -> i before i -> j: the order of the weights
+    # fixes the float summation order of the stationary vectors.
     for i in range(1, N + 1):
         for j in range(i + 1, N + 1):
-            blk = _pair_gamma_block(spec, i, j)
-            g_ij = float(blk[0, 0].real)  # rate j -> i, label (i, j)
-            g_ji = float(blk[1, 1].real)  # rate i -> j, label (j, i)
-            if g_ij > tol:
-                weights[(j, i)] = g_ij
-            if g_ji > tol:
-                weights[(i, j)] = g_ji
+            if R[i - 1, j - 1] > tol:
+                weights[(j, i)] = float(R[i - 1, j - 1])
+            if R[j - 1, i - 1] > tol:
+                weights[(i, j)] = float(R[j - 1, i - 1])
     return InducedDigraph(n=N, weights=weights)
 
 
@@ -303,10 +346,7 @@ def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:
     negatives) and normalized to a distribution supported on the component.
     """
     out: list[StationaryVector] = []
-    dec = scc_decompose(graph)
-    for comp, term in zip(dec.components, dec.terminal):
-        if not term:
-            continue
+    for comp in graph.scc.terminal_components():
         tilde = np.array([rooted_spanning_weight(graph, comp, v) for v in comp])
         tilde = np.clip(tilde, 0.0, None)
         lam = float(tilde.sum())
@@ -338,25 +378,24 @@ def sinks_and_singular_2sinks(
     symmetric (gamma_kl == gamma_lk) and has vanishing determinant, both
     within tol scaled by the block magnitude.
     """
-    graph = induced_digraph(spec, tol)
-    dec = scc_decompose(graph)
+    return _sink_report(spec, induced_digraph(spec, tol), tol)
+
+
+def _sink_report(
+    spec: GeneratorSpec | GellMannSpec, graph: InducedDigraph, tol: float
+) -> SinkReport:
+    """:func:`sinks_and_singular_2sinks` on the already induced digraph."""
     sinks: list[int] = []
     two: list[tuple[int, int]] = []
     singular: list[tuple[int, int]] = []
-    for comp, term in zip(dec.components, dec.terminal):
-        if not term:
-            continue
+    for comp in graph.scc.terminal_components():
         if len(comp) == 1:
             sinks.append(comp[0])
         elif len(comp) == 2:
-            k, ell = comp
-            two.append((k, ell))
-            blk = _pair_gamma_block(spec, k, ell)
-            scale_b = max(1.0, float(np.abs(blk).max()))
-            symmetric = abs(blk[0, 0] - blk[1, 1]) <= tol * scale_b
-            det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-            if symmetric and abs(det) <= tol * scale_b**2:
-                singular.append((k, ell))
+            two.append(comp)
+            checks = _singularity_checks(spec, comp[0], comp[1], tol)
+            if all(value <= threshold for value, threshold in checks):
+                singular.append(comp)
     return SinkReport(
         sinks=tuple(sinks),
         two_sinks=tuple(two),
@@ -378,16 +417,12 @@ def to_dot(graph: InducedDigraph, sink_report: SinkReport | None = None) -> str:
     are marked ``singular2sink="true"`` and dashed.  Weights are emitted
     with 17 significant digits.
     """
-    dec = scc_decompose(graph)
+    dec = graph.scc
     if sink_report is not None:
         sinks = set(sink_report.sinks)
         singular = set(sink_report.singular_two_sinks)
     else:
-        sinks = {
-            comp[0]
-            for comp, term in zip(dec.components, dec.terminal)
-            if term and len(comp) == 1
-        }
+        sinks = {c[0] for c in dec.terminal_components() if len(c) == 1}
         singular = set()
     singular_edges = set()
     for k, ell in singular:

@@ -29,6 +29,7 @@ import numpy as np
 from .basis import (
     DEFAULT_TOL,
     _gellmann_stack,
+    _standard_flat_order,
     _standard_position_array,
     basis_change_matrix,
     gellmann_labels,
@@ -157,6 +158,14 @@ class ValidationReport:
     def verdict(self) -> bool:
         return self.psd_on_traceless and self.trace_condition
 
+    @property
+    def summary(self) -> str:
+        """Both check outcomes, as quoted by every invalid-generator error."""
+        return (
+            f"psd_on_traceless={self.psd_on_traceless}, "
+            f"trace_condition={self.trace_condition}"
+        )
+
 
 @dataclass(frozen=True)
 class PairBlockClassification:
@@ -166,13 +175,17 @@ class PairBlockClassification:
     neither distinct off-diagonal pairs to each other nor the off-diagonal
     sector to the diagonal sector; ``h_diagonal`` holds when H is diagonal.
     The ``max_*`` fields report the largest violating magnitudes (zero when
-    the respective test passes exactly).
+    the respective test passes exactly), and the ``*_threshold`` fields the
+    scale-adjusted tolerances they are held to, ``tol * max(1, max|gamma|)``
+    and ``tol * max(1, max|H|)``.
     """
 
     is_pair_block_diagonal: bool
     h_diagonal: bool
     max_block_violation: float
     max_h_violation: float
+    block_threshold: float
+    h_threshold: float
 
 
 # ---------------------------------------------------------------------------
@@ -244,10 +257,7 @@ def superoperator(spec: GeneratorSpec) -> np.ndarray:
         + T
         - 0.5 * (np.kron(M, eye) + np.kron(eye, M.T))
     )
-    pos = _standard_position_array(N)
-    perm = np.empty(N * N, dtype=np.intp)
-    rows, cols = np.nonzero(np.ones((N, N), dtype=bool))
-    perm[pos[rows, cols]] = rows * N + cols
+    perm = _standard_flat_order(N)
     return S_vec[np.ix_(perm, perm)]
 
 
@@ -280,8 +290,7 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     if B.size == 0:
         psd_ok = True
     else:
-        scale_b = max(1.0, float(np.abs(B).max()))
-        herm_ok = float(np.abs(B - B.conj().T).max()) <= tol * scale_b
+        herm_ok = is_hermitian(B, tol)
         evals = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
         eig_ok = float(evals.min()) >= -tol * max(1.0, float(evals.max()))
         psd_ok = herm_ok and eig_ok
@@ -322,11 +331,7 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     """
     report = validate(spec, tol)
     if not report.verdict:
-        raise ValueError(
-            "cannot canonicalize an invalid generator: "
-            f"psd_on_traceless={report.psd_on_traceless}, "
-            f"trace_condition={report.trace_condition}"
-        )
+        raise ValueError(f"cannot canonicalize an invalid generator: {report.summary}")
     N = spec.N
     W = basis_change_matrix(N)
     C = W @ spec.gamma @ W.conj().T
@@ -337,10 +342,9 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     H_new = H_new - (np.trace(H_new).real / N) * np.eye(N)
     H_new = (H_new + H_new.conj().T) / 2.0
 
-    Cc = C.copy()
-    Cc[-1, :] = 0.0
-    Cc[:, -1] = 0.0
-    gamma_new = W.conj().T @ Cc @ W
+    C[-1, :] = 0.0
+    C[:, -1] = 0.0
+    gamma_new = W.conj().T @ C @ W
     return GeneratorSpec(H=H_new, gamma=gamma_new)
 
 
@@ -380,6 +384,8 @@ def classify_pair_block_diagonal(
         h_diagonal=max_h <= scale_h,
         max_block_violation=max_block,
         max_h_violation=max_h,
+        block_threshold=scale_g,
+        h_threshold=scale_h,
     )
 
 

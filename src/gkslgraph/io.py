@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import standard_position
+from .basis import _standard_position_array, standard_position
 from .generator import GellMannSpec, GeneratorSpec
 
 __all__ = [
@@ -156,11 +156,8 @@ def parse_spec_document(doc) -> GeneratorSpec | GellMannSpec:
             M[np.ix_([p1, p2], [p1, p2])] = block
         if "diag" in gamma_doc:
             D = _parse_cmatrix(gamma_doc["diag"], N, N, "gamma.diag")
-            for i in range(1, N + 1):
-                for j in range(1, N + 1):
-                    M[standard_position(i, i, N), standard_position(j, j, N)] = D[
-                        i - 1, j - 1
-                    ]
+            d = np.diagonal(_standard_position_array(N))
+            M[np.ix_(d, d)] = D
     else:
         raise SpecParseError(
             f'gamma.format: expected "dense" or "blocks", got {fmt!r}'

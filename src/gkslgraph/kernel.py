@@ -23,21 +23,29 @@ import scipy.linalg
 from .basis import (
     DEFAULT_TOL,
     from_standard_coordinates,
+    is_psd,
     matrix_unit,
     standard_position,
     to_standard_coordinates,
-    basis_change_matrix,
     gellmann_labels,
 )
-from .digraph import induced_digraph, tscc_stationary_vectors, undirected_components
+from .digraph import (
+    _rate_table,
+    _singularity_checks,
+    induced_digraph,
+    tscc_stationary_vectors,
+    undirected_components,
+)
 from .generator import (
     GellMannSpec,
     GeneratorSpec,
+    PairBlockClassification,
     apply_generator,
     canonicalize,
     classify_pair_block_diagonal,
     gellmann_to_standard,
     identity_preserving,
+    standard_to_gellmann,
     superoperator,
     validate,
 )
@@ -146,51 +154,69 @@ class ConsistencyReport:
 # ---------------------------------------------------------------------------
 
 
-def _prepared(spec: GeneratorSpec, tol: float) -> GeneratorSpec:
-    """Validate, canonicalize, and check the block-diagonal hypotheses."""
-    report = validate(spec, tol)
-    if not report.verdict:
-        raise PreconditionError(
-            "generator failed validation "
-            f"(psd_on_traceless={report.psd_on_traceless}, "
-            f"trace_condition={report.trace_condition})"
-        )
-    canon = canonicalize(spec, tol)
-    cls = classify_pair_block_diagonal(canon, tol)
+@dataclass(frozen=True)
+class _Prepared:
+    """A validated canonical spec with what its pair-block analysis reads."""
+
+    canon: GeneratorSpec
+    tol: float
+    cls: PairBlockClassification  # of canon, with its two thresholds
+    rates: np.ndarray  # _rate_table(canon)
+
+
+def _require_pair_block_diagonal(
+    spec: GeneratorSpec, tol: float, qualifier: str
+) -> PairBlockClassification:
+    """PreconditionError unless gamma is pair-block diagonal and H diagonal.
+
+    ``qualifier`` prefixes the matrix names in the message.
+    """
+    cls = classify_pair_block_diagonal(spec, tol)
     if not cls.is_pair_block_diagonal:
         raise PreconditionError(
-            "canonicalized coefficient matrix is not pair-block diagonal "
+            f"{qualifier}coefficient matrix is not pair-block diagonal "
             f"(max off-block magnitude {cls.max_block_violation:.3e})"
         )
     if not cls.h_diagonal:
         raise PreconditionError(
-            "canonicalized Hamiltonian is not diagonal "
+            f"{qualifier}Hamiltonian is not diagonal "
             f"(max off-diagonal magnitude {cls.max_h_violation:.3e})"
         )
-    return canon
+    return cls
 
 
-def _named_entries(spec: GeneratorSpec, k: int, ell: int) -> dict[str, complex]:
-    """The coefficient entries entering the (k, l) pair block analysis."""
+def _prepared(spec: GeneratorSpec, tol: float) -> _Prepared:
+    """Validate, canonicalize, and check the block-diagonal hypotheses."""
+    report = validate(spec, tol)
+    if not report.verdict:
+        raise PreconditionError(f"generator failed validation ({report.summary})")
+    canon = canonicalize(spec, tol)
+    return _Prepared(
+        canon=canon,
+        tol=tol,
+        cls=_require_pair_block_diagonal(canon, tol, "canonicalized "),
+        rates=_rate_table(canon),
+    )
+
+
+def _named_entries(
+    spec: GeneratorSpec, R: np.ndarray, k: int, ell: int
+) -> dict[str, complex]:
+    """The coefficient entries entering the (k, l) pair block analysis.
+
+    ``R`` is the rate table of the spec; the out-rates of k and l are the
+    columns of R without the rate inside the pair.
+    """
     N = spec.N
     G = spec.gamma
     p1 = standard_position(k, ell, N)
     p2 = standard_position(ell, k, N)
     dk = standard_position(k, k, N)
     dl = standard_position(ell, ell, N)
-    out_k = 0.0
-    out_l = 0.0
-    max_out_k = 0.0
-    max_out_l = 0.0
-    for i in range(1, N + 1):
-        if i in (k, ell):
-            continue
-        w_k = float(G[standard_position(i, k, N), standard_position(i, k, N)].real)
-        w_l = float(G[standard_position(i, ell, N), standard_position(i, ell, N)].real)
-        out_k += w_k
-        out_l += w_l
-        max_out_k = max(max_out_k, w_k)
-        max_out_l = max(max_out_l, w_l)
+    out_k = R[:, k - 1].copy()
+    out_k[ell - 1] = 0.0
+    out_l = R[:, ell - 1].copy()
+    out_l[k - 1] = 0.0
     return {
         "g_kl": G[p1, p1],  # gamma_kl: rate l -> k
         "g_lk": G[p2, p2],  # gamma_lk: rate k -> l
@@ -200,18 +226,21 @@ def _named_entries(spec: GeneratorSpec, k: int, ell: int) -> dict[str, complex]:
         "g_ll": G[dl, dl],
         "g_kkll": G[dk, dl],
         "g_llkk": G[dl, dk],
-        "out_k": out_k,
-        "out_l": out_l,
-        "max_out_k": max_out_k,
-        "max_out_l": max_out_l,
+        "out_k": float(out_k.sum()),
+        "out_l": float(out_l.sum()),
+        "max_out_k": float(out_k.max()),
+        "max_out_l": float(out_l.max()),
         "h_k": spec.H[k - 1, k - 1].real,
         "h_l": spec.H[ell - 1, ell - 1].real,
     }
 
 
-def _check_pair(k: int, ell: int, N: int) -> None:
+def _ordered_pair(pair: tuple[int, int], N: int) -> tuple[int, int]:
+    """The level pair as (k, l) with k < l; ValueError if it is not a pair."""
+    k, ell = pair
     if not (1 <= k <= N and 1 <= ell <= N and k != ell):
         raise ValueError(f"invalid level pair ({k}, {ell}) for N={N}")
+    return min(k, ell), max(k, ell)
 
 
 # ---------------------------------------------------------------------------
@@ -288,23 +317,10 @@ def block_eigenpairs(
     block the pair (E_kl, E_lk) itself is returned.  Matrices are unit HS
     norm with the leading coefficient phased real-positive.
     """
-    cls = classify_pair_block_diagonal(spec, tol)
-    if not cls.is_pair_block_diagonal:
-        raise PreconditionError(
-            "coefficient matrix is not pair-block diagonal "
-            f"(max off-block magnitude {cls.max_block_violation:.3e})"
-        )
-    if not cls.h_diagonal:
-        raise PreconditionError(
-            "Hamiltonian is not diagonal "
-            f"(max off-diagonal magnitude {cls.max_h_violation:.3e})"
-        )
-    k, ell = pair
+    _require_pair_block_diagonal(spec, tol, "")
     N = spec.N
-    _check_pair(k, ell, N)
-    if k > ell:
-        k, ell = ell, k
-    entries = _named_entries(spec, k, ell)
+    k, ell = _ordered_pair(pair, N)
+    entries = _named_entries(spec, _rate_table(spec), k, ell)
     c, D, p, q = _block_operator(entries)
     s = np.sqrt(complex(D * D + p * q))
 
@@ -347,11 +363,12 @@ def _margin_notes(
 
 
 def _block_analysis(
-    canon: GeneratorSpec, k: int, ell: int, tol: float
+    prep: _Prepared, k: int, ell: int
 ) -> tuple[list[KernelElement], list[str]]:
     """Kernel contribution of one pair block of a prepared (canonical) spec."""
+    canon, tol = prep.canon, prep.tol
     N = canon.N
-    e = _named_entries(canon, k, ell)
+    e = _named_entries(canon, prep.rates, k, ell)
     notes: list[str] = []
     where = f"pair ({k}, {ell})"
 
@@ -365,12 +382,11 @@ def _block_analysis(
     if not ((sink_k and sink_l) or (two_cycle and terminal_pair)):
         return [], notes
 
-    scale_h = tol * max(1.0, float(np.abs(canon.H).max()))
-    scale_g = tol * max(1.0, float(np.abs(canon.gamma).max()))
     h_ok = _margin_notes(
         notes, f"{where}: level splitting |h_k - h_l|",
-        abs(e["h_k"] - e["h_l"]), scale_h,
+        abs(e["h_k"] - e["h_l"]), prep.cls.h_threshold,
     )
+    scale_g = prep.cls.block_threshold
     g_ok = True
     for label, value in (
         ("dephasing match |g_kk - g_ll|", abs(e["g_kk"] - e["g_ll"])),
@@ -391,18 +407,9 @@ def _block_analysis(
 
     # Terminal 2-cycle: needs a symmetric singular block on top of the
     # shared conditions.
-    p1 = standard_position(k, ell, N)
-    p2 = standard_position(ell, k, N)
-    blk = canon.gamma[np.ix_([p1, p2], [p1, p2])]
-    scale_b = max(1.0, float(np.abs(blk).max()))
-    sym_ok = _margin_notes(
-        notes, f"{where}: rate symmetry |g_kl - g_lk|",
-        abs(e["g_kl"] - e["g_lk"]), tol * scale_b,
-    )
-    det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-    det_ok = _margin_notes(
-        notes, f"{where}: block singularity |det|", abs(det), tol * scale_b**2
-    )
+    symmetry, singularity = _singularity_checks(canon, k, ell, tol)
+    sym_ok = _margin_notes(notes, f"{where}: rate symmetry |g_kl - g_lk|", *symmetry)
+    det_ok = _margin_notes(notes, f"{where}: block singularity |det|", *singularity)
     if sym_ok and det_ok and h_ok and g_ok:
         gbar = 0.5 * (g_kl + g_lk)
         v = _unit_pair_matrix(e["p"], gbar, k, ell, N)
@@ -423,12 +430,9 @@ def block_kernel(
     matching splittings and dephasing; one arises on a singular terminal
     2-cycle; otherwise none.
     """
-    canon = _prepared(spec, tol)
-    k, ell = pair
-    _check_pair(k, ell, canon.N)
-    if k > ell:
-        k, ell = ell, k
-    elements, _ = _block_analysis(canon, k, ell, tol)
+    prep = _prepared(spec, tol)
+    k, ell = _ordered_pair(pair, spec.N)
+    elements, _ = _block_analysis(prep, k, ell)
     return elements
 
 
@@ -446,13 +450,13 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
     Diagnostics report conditions that held or failed within a decade of
     the tolerance.
     """
-    canon = _prepared(spec, tol)
-    N = canon.N
-    elements = list(diagonal_kernel(canon, tol))
+    prep = _prepared(spec, tol)
+    N = spec.N
+    elements = list(diagonal_kernel(prep.canon, tol))
     diagnostics: list[str] = []
     for k in range(1, N + 1):
         for ell in range(k + 1, N + 1):
-            els, notes = _block_analysis(canon, k, ell, tol)
+            els, notes = _block_analysis(prep, k, ell)
             elements.extend(els)
             diagnostics.extend(notes)
     return KernelBasis(
@@ -467,14 +471,8 @@ def brute_force_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelB
     relative threshold tol; elements are HS-orthonormal and carry no
     structural tags.
     """
-    S = superoperator(spec)
-    _, s, vh = np.linalg.svd(S)
-    if s.size:
-        rank = int(np.count_nonzero(s > tol * s[0]))
-    else:
-        rank = 0
     elements = []
-    for row in vh[rank:].conj():
+    for row in _null_space(superoperator(spec), tol):
         elements.append(
             KernelElement(
                 matrix=from_standard_coordinates(row, spec.N),
@@ -483,6 +481,16 @@ def brute_force_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelB
             )
         )
     return KernelBasis(elements=tuple(elements), method="oracle")
+
+
+def _null_space(S: np.ndarray, tol: float) -> np.ndarray:
+    """Conjugated trailing right-singular rows of S, rank at relative tol."""
+    _, s, vh = np.linalg.svd(S)
+    if s.size:
+        rank = int(np.count_nonzero(s > tol * s[0]))
+    else:
+        rank = 0
+    return vh[rank:].conj()
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +508,8 @@ def k_operator(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KOperatorSpec:
     """
     if not identity_preserving(spec, tol):
         raise PreconditionError("generator does not preserve the identity")
-    canon = canonicalize(spec, tol)
-    N = canon.N
-    W = basis_change_matrix(N)
-    C = (W @ canon.gamma @ W.conj().T)[:-1, :-1]
+    C = standard_to_gellmann(spec, tol).C
+    N = spec.N
     Ch = (C + C.conj().T) / 2.0
     w, V = np.linalg.eigh(Ch)
     thr = tol * max(1.0, float(w.max()) if w.size else 0.0)
@@ -561,9 +567,7 @@ def consistency_and_bound(
     report = validate(spec, tol)
     if not report.verdict:
         raise ValueError(
-            "consistency bound requires a valid generator "
-            f"(psd_on_traceless={report.psd_on_traceless}, "
-            f"trace_condition={report.trace_condition})"
+            f"consistency bound requires a valid generator ({report.summary})"
         )
     N = spec.N
     graph = induced_digraph(spec, tol)
@@ -578,7 +582,7 @@ def consistency_and_bound(
                 consistent = False
 
     S = superoperator(spec)
-    nullity = brute_force_kernel(spec, tol).dimension
+    nullity = len(_null_space(S, tol))
     scale_s = tol * max(1.0, float(np.abs(S).max()))
     projection_check = True
     for comp in comps:
@@ -628,24 +632,15 @@ def verify_invariant(
     report = validate(spec, tol)
     if not report.verdict:
         raise ValueError(
-            "verify_invariant requires a valid generator "
-            f"(psd_on_traceless={report.psd_on_traceless}, "
-            f"trace_condition={report.trace_condition})"
+            f"verify_invariant requires a valid generator ({report.summary})"
         )
     rho = np.asarray(rho, dtype=np.complex128)
     N = spec.N
     if rho.shape != (N, N):
         raise ValueError(f"state must have shape {(N, N)}, got {rho.shape}")
 
-    herm = float(np.abs(rho - rho.conj().T).max()) <= tol * max(
-        1.0, float(np.abs(rho).max())
-    )
     unit_trace = abs(complex(np.trace(rho)) - 1.0) <= max(tol, 1e-9)
-    positive = True
-    if herm:
-        evals = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-        positive = float(evals.min()) >= -tol * max(1.0, float(evals.max()))
-    if not (herm and unit_trace and positive):
+    if not (is_psd(rho, tol) and unit_trace):
         warnings.warn(
             "rho is not a state (hermitian/trace/positivity check failed); "
             "checking invariance anyway",

@@ -133,6 +133,10 @@ def test_scc_with_transient_part():
     # component {1,2} reaches both; {3,4} only itself
     assert dec.reachable[0] == frozenset({0, 1})
     assert dec.reachable[1] == frozenset({1})
+    # the graph is read-only and decomposes itself once
+    assert g.scc == dec and g.scc is g.scc
+    with pytest.raises(TypeError):
+        g.weights[(1, 3)] = 1.0
 
 
 def test_scc_against_networkx_oracle():
