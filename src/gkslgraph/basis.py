@@ -14,8 +14,9 @@ throughout the package:
 
 Both orderings are bijections between labels and positions 0..N**2-1, and
 they share the off-diagonal ("O") sector positions, so the change-of-basis
-matrix is block diagonal: one 2x2 block per (i, j) pair and one N x N block
-on the diagonal ("D") sector.
+matrix W is block diagonal: one 2x2 block per (i, j) pair and one N x N block
+on the diagonal ("D") sector.  Conjugation by W is computed from those
+blocks in O(N^4) time, never as a dense N**2 x N**2 product (O(N^6)).
 
 All public indices are 1-based, matching the usual physics notation for
 matrix units; array positions are 0-based.
@@ -203,8 +204,19 @@ def is_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
         return False
     if A.size == 0:
         return True
-    scale = max(1.0, float(np.abs(A).max()))
-    return float(np.abs(A - A.conj().T).max()) <= tol * scale
+    skew, magnitude = _hermitian_margin([A])
+    return skew <= tol * max(1.0, magnitude)
+
+
+def _hermitian_margin(blocks) -> tuple[float, float]:
+    """(max|A - A*|, max|A|) over square matrices or stacks of them.
+
+    For the diagonal blocks of a block-diagonal matrix this equals the
+    pair for the whole matrix, whose other entries are zero.
+    """
+    skew = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b in blocks)
+    magnitude = max(float(np.abs(b).max()) for b in blocks)
+    return skew, magnitude
 
 
 def is_psd(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -254,6 +266,89 @@ def basis_change_matrix(N: int) -> np.ndarray:
     return W
 
 
+def _butterfly(x: np.ndarray, y: np.ndarray) -> None:
+    """(x, y) <- (x + y, x - y) in place, with no temporary of their size."""
+    x += y
+    y *= -2.0
+    y += x
+
+
+def _conjugate_by_w(A: np.ndarray, inverse: bool) -> np.ndarray:
+    """Overwrite A with ``W A W*``, or with ``W* A W`` when ``inverse``.
+
+    A is a writable complex N**2 x N**2 array.  The product is taken from
+    the blocks of W in O(N^4) time, with no temporary of A's size.  The
+    pair block factors as ``U = diag(u) H2``, with ``H2 = [[1, 1], [1, -1]]``
+    and u the first column of U: each pair of rows, then of columns, is
+    combined by H2 as a sum and a difference in place and scaled by u (or
+    u*), and the last N rows, then columns, are multiplied by the N x N
+    diagonal-sector block of W.  The result equals the dense product up to
+    rounding, for every A.  Returns A.
+    """
+    N = math.isqrt(A.shape[0])
+    R = N * N - N
+    u = pair_block_unitary()[:, 0]
+    D = basis_change_matrix(N)[R:, R:]
+    row_e, row_o = A[0:R:2], A[1:R:2]
+    col_e, col_o = A[:, 0:R:2], A[:, 1:R:2]
+    if inverse:  # rows by U* = H2 diag(u*), columns by U = diag(u) H2
+        row_e *= u[0].conj()
+        row_o *= u[1].conj()
+        _butterfly(row_e, row_o)
+        A[R:] = D.conj().T @ A[R:]
+        col_e *= u[0]
+        col_o *= u[1]
+        _butterfly(col_e, col_o)
+        A[:, R:] = A[:, R:] @ D
+    else:  # rows by U = diag(u) H2, columns by U* = H2 diag(u*)
+        _butterfly(row_e, row_o)
+        row_e *= u[0]
+        row_o *= u[1]
+        A[R:] = D @ A[R:]
+        _butterfly(col_e, col_o)
+        col_e *= u[0].conj()
+        col_o *= u[1].conj()
+        A[:, R:] = A[:, R:] @ D.conj().T
+    return A
+
+
+def _pair_blocks(M: np.ndarray, N: int) -> np.ndarray:
+    """The 2x2 diagonal blocks of M's pair sector, as a (P, 2, 2) array.
+
+    M is indexed by the label order (standard or Gell-Mann, which agree) or
+    a leading part of it; its first R = N**2 - N rows and columns hold the
+    P = R/2 pairs.
+    """
+    P = (N * N - N) // 2
+    t = np.arange(P)
+    return M[: 2 * P, : 2 * P].reshape(P, 2, P, 2)[t, :, t, :]
+
+
+#: Pair rows per band of :func:`_max_off_block`'s scan.
+_SCAN_BAND_PAIRS = 32
+
+
+def _max_off_block(M: np.ndarray, N: int) -> float:
+    """Largest |M[a, b]| outside the pair blocks and the diagonal-sector block.
+
+    M is laid out as for :func:`_pair_blocks`; its rows and columns past R
+    form one square diagonal-sector block.  The result is 0 exactly when M
+    has the pair-block zero pattern.  The pair sector is scanned one band of
+    rows at a time, so no R x R temporary is made.
+    """
+    R = N * N - N
+    if R == 0:
+        return 0.0
+    P = R // 2
+    worst = [np.abs(M[:R, R:]).max(), np.abs(M[R:, :R]).max()]
+    for t0 in range(0, P, _SCAN_BAND_PAIRS):
+        t = np.arange(t0, min(P, t0 + _SCAN_BAND_PAIRS))
+        band = np.abs(M[2 * t0 : 2 * (t[-1] + 1), :R]).reshape(t.size, 2, P, 2)
+        band[np.arange(t.size), :, t, :] = 0.0
+        worst.append(band.max())
+    return float(np.max(worst))
+
+
 def operator_basis_change(M: np.ndarray, source: str, target: str) -> np.ndarray:
     """Re-express an operator-on-matrices matrix M in another ordered basis.
 
@@ -274,10 +369,7 @@ def operator_basis_change(M: np.ndarray, source: str, target: str) -> np.ndarray
             raise ValueError(f"unknown basis ordering {name!r}")
     if source == target:
         return M.copy()
-    W = basis_change_matrix(N)
-    if source == "standard":  # -> gellmann
-        return W @ M @ W.conj().T
-    return W.conj().T @ M @ W  # gellmann -> standard
+    return _conjugate_by_w(M.copy(), inverse=source == "gellmann")
 
 
 @lru_cache(maxsize=None)

@@ -162,7 +162,7 @@ def _cmd_eigen(spec, input_path, args, tol):
     std = _valid_standard(spec, tol, input_path)
     try:
         plus, minus = block_eigenpairs(std, args.pair, tol)
-    except PreconditionError as exc:
+    except ValueError as exc:  # a PreconditionError, or no such level pair
         raise _Failure(1, f"{input_path}: {exc}") from exc
     payload = {
         "pair": list(args.pair),
@@ -177,10 +177,16 @@ def _cmd_eigen(spec, input_path, args, tol):
 
 def _cmd_check_state(spec, input_path, args, tol):
     std = _valid_standard(spec, tol, input_path)
-    state = load_state(args.state)
+    try:
+        state = load_state(args.state)
+    except (OSError, SpecParseError) as exc:
+        raise _Failure(1, f"{args.state}: {exc}") from exc
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        invariant = verify_invariant(std, state, args.times, tol)
+        try:
+            invariant = verify_invariant(std, state, args.times, tol)
+        except ValueError as exc:  # the state's shape: std validated above
+            raise _Failure(1, f"{args.state}: {exc}") from exc
     diagnostics = [str(w.message) for w in caught]
     payload = {"invariant": invariant, "times": list(args.times)}
     return 0, payload, None, diagnostics

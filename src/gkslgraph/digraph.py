@@ -20,6 +20,7 @@ import numpy as np
 
 from .basis import (
     DEFAULT_TOL,
+    _pair_blocks,
     _standard_position_array,
     convert_block,
     pair_block_unitary,
@@ -144,13 +145,11 @@ def _rate_table(spec: GeneratorSpec | GellMannSpec) -> np.ndarray:
     """R[i-1, j-1] = Re gamma_{ij,ij}, the transfer rate j -> i; zero diagonal."""
     N = spec.N
     if isinstance(spec, GellMannSpec):
-        P = N * (N - 1) // 2
-        t = np.arange(P)
-        blocks = spec.C[: 2 * P, : 2 * P].reshape(P, 2, P, 2)[t, :, t, :]
         U = pair_block_unitary()
-        gamma_blocks = U.conj().T @ blocks @ U  # convert_block on every pair
+        # convert_block on every pair
+        gamma_blocks = U.conj().T @ _pair_blocks(spec.C, N) @ U
         rates = np.zeros(N * N)
-        rates[: 2 * P] = np.diagonal(gamma_blocks, axis1=1, axis2=2).real.ravel()
+        rates[: N * N - N] = np.diagonal(gamma_blocks, axis1=1, axis2=2).real.ravel()
     else:
         rates = np.diagonal(spec.gamma).real
     R = rates[_standard_position_array(N)]

@@ -28,10 +28,13 @@ import numpy as np
 
 from .basis import (
     DEFAULT_TOL,
+    _conjugate_by_w,
     _gellmann_stack,
+    _hermitian_margin,
+    _max_off_block,
+    _pair_blocks,
     _standard_flat_order,
     _standard_position_array,
-    basis_change_matrix,
     gellmann_labels,
     is_hermitian,
     matrix_unit,
@@ -280,18 +283,35 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
        equivalent to compatibility of the dissipative trace terms.
 
     Tolerances are adjusted by the largest magnitude entry involved.
+
+    Cost: ``O(N^4)`` for the basis change (from the blocks of W), plus the
+    spectrum of B.  When every entry of B outside its P 2x2 pair blocks and
+    its (N-1) x (N-1) diagonal-sector block is exactly 0, as for a
+    pair-block-diagonal gamma, the spectrum is taken block by block: one
+    batched ``eigvalsh`` of the pairs and one of the diagonal-sector block,
+    ``O(N^3)``.  Any other B gets one dense ``eigvalsh``, ``O(N^6)``.  The
+    identity row and column are outside B, so they do not affect the choice.
     """
     N = spec.N
-    W = basis_change_matrix(N)
-    C = W @ spec.gamma @ W.conj().T
+    C = _conjugate_by_w(np.array(spec.gamma), inverse=False)
     B = C[:-1, :-1]
 
     offending: float | None = None
+    b_max = 0.0
     if B.size == 0:
         psd_ok = True
     else:
-        herm_ok = is_hermitian(B, tol)
-        evals = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
+        if _max_off_block(B, N) == 0.0:
+            R = N * N - N
+            blocks = (_pair_blocks(B, N), B[R:, R:][None])
+        else:
+            blocks = (B[None],)
+        skew, b_max = _hermitian_margin(blocks)
+        herm_ok = skew <= tol * max(1.0, b_max)  # is_hermitian's rule on B
+        evals = np.concatenate([
+            np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).ravel()
+            for b in blocks
+        ])
         eig_ok = float(evals.min()) >= -tol * max(1.0, float(evals.max()))
         psd_ok = herm_ok and eig_ok
         if not eig_ok:
@@ -302,8 +322,9 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     if mismatch.size == 0:
         trace_ok = True
     else:
-        scale_c = max(1.0, float(np.abs(C).max()))
-        trace_ok = float(mismatch.max()) <= tol * scale_c
+        # max|C|: B's maximum, then the identity row and column.
+        c_max = max(b_max, np.abs(C[-1]).max(), np.abs(C[:, -1]).max())
+        trace_ok = float(mismatch.max()) <= tol * max(1.0, float(c_max))
         if not trace_ok:
             witness = gellmann_labels(N)[int(mismatch.argmax())]
 
@@ -333,8 +354,7 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     if not report.verdict:
         raise ValueError(f"cannot canonicalize an invalid generator: {report.summary}")
     N = spec.N
-    W = basis_change_matrix(N)
-    C = W @ spec.gamma @ W.conj().T
+    C = _conjugate_by_w(np.array(spec.gamma), inverse=False)
 
     lam = _gellmann_stack(N)
     coeffs = (C[-1, :-1] - C[:-1, -1]).imag / (2.0 * math.sqrt(N))
@@ -344,8 +364,7 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
 
     C[-1, :] = 0.0
     C[:, -1] = 0.0
-    gamma_new = W.conj().T @ C @ W
-    return GeneratorSpec(H=H_new, gamma=gamma_new)
+    return GeneratorSpec(H=H_new, gamma=_conjugate_by_w(C, inverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -365,15 +384,14 @@ def classify_pair_block_diagonal(
     N = spec.N
     R = N * N - N
     G = spec.gamma
-    scale_g = tol * max(1.0, float(np.abs(G).max()))
-
-    resid = np.array(G[:R, :R], copy=True)
-    for t in range(0, R, 2):
-        resid[t : t + 2, t : t + 2] = 0.0
-    violations = [float(np.abs(resid).max()) if resid.size else 0.0]
-    violations.append(float(np.abs(G[:R, R:]).max()) if R else 0.0)
-    violations.append(float(np.abs(G[R:, :R]).max()) if R else 0.0)
-    max_block = max(violations)
+    max_block = _max_off_block(G, N)
+    # max|gamma| from the scan and the blocks it skips, with no N^4 temporary.
+    g_max = np.max([
+        max_block,
+        np.abs(_pair_blocks(G, N)).max(initial=0.0),
+        np.abs(G[R:, R:]).max(),
+    ])
+    scale_g = tol * max(1.0, float(g_max))
 
     H_off = spec.H - np.diag(np.diag(spec.H))
     max_h = float(np.abs(H_off).max()) if H_off.size else 0.0
@@ -441,10 +459,8 @@ def standard_to_gellmann(
     canonicalized first (raising ``ValueError`` if it does not validate).
     """
     canon = canonicalize(spec, tol)
-    N = canon.N
-    W = basis_change_matrix(N)
-    C = (W @ canon.gamma @ W.conj().T)[:-1, :-1]
-    return GellMannSpec(H=canon.H, C=C)
+    C = _conjugate_by_w(np.array(canon.gamma), inverse=False)
+    return GellMannSpec(H=canon.H, C=C[:-1, :-1])
 
 
 def gellmann_to_standard(gm: GellMannSpec) -> GeneratorSpec:
@@ -452,9 +468,7 @@ def gellmann_to_standard(gm: GellMannSpec) -> GeneratorSpec:
     N = gm.N
     C_full = np.zeros((N * N, N * N), dtype=np.complex128)
     C_full[:-1, :-1] = gm.C
-    W = basis_change_matrix(N)
-    gamma = W.conj().T @ C_full @ W
-    return GeneratorSpec(H=gm.H, gamma=gamma)
+    return GeneratorSpec(H=gm.H, gamma=_conjugate_by_w(C_full, inverse=True))
 
 
 # ---------------------------------------------------------------------------

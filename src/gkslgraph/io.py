@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,40 @@ def _parse_complex(value, where: str) -> complex:
     )
 
 
+def _numeric_cmatrix(value, rows: int, cols: int) -> np.ndarray | None:
+    """The rows x cols matrix of [re, im] pairs in ``value``, or None if malformed.
+
+    Types and lengths are checked exactly (rows of entries that are lists,
+    numbers that are int or float, never bool or str) before numpy converts
+    the numbers at once; numpy alone would accept numeric strings and
+    booleans.
+    """
+    if type(value) is not list or len(value) != rows:
+        return None
+    if not _lists_of_length(value, cols):
+        return None
+    entries = list(chain.from_iterable(value))
+    if not _lists_of_length(entries, 2):
+        return None
+    numbers = list(chain.from_iterable(entries))
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        flat = np.fromiter(numbers, dtype=np.float64, count=len(numbers))
+    except OverflowError:  # an int beyond float range
+        return None
+    return flat.view(np.complex128).reshape(rows, cols)
+
+
+def _lists_of_length(items, length: int) -> bool:
+    return set(map(type, items)) <= {list} and set(map(len, items)) <= {length}
+
+
 def _parse_cmatrix(value, rows: int, cols: int, where: str) -> np.ndarray:
+    fast = _numeric_cmatrix(value, rows, cols)
+    if fast is not None:
+        return fast
+    # Walk the entries to name the first bad field in the error.
     if not isinstance(value, list) or len(value) != rows:
         raise SpecParseError(f"{where}: expected {rows} rows")
     out = np.zeros((rows, cols), dtype=np.complex128)

@@ -20,7 +20,11 @@ from gkslgraph import (
     GellMannSpec,
     GeneratorSpec,
     InducedDigraph,
+    ValidationReport,
+    basis_change_matrix,
     gellmann,
+    gellmann_labels,
+    is_hermitian,
     lindblad_dissipator,
     matrix_unit,
     standard_labels,
@@ -54,6 +58,63 @@ def reference_superoperator(spec: GeneratorSpec) -> np.ndarray:
                     out = out + 0.5 * coeff * lindblad_dissipator(i, j, k, ell, E)
         S[:, col] = to_standard_coordinates(out)
     return S
+
+
+# ---------------------------------------------------------------------------
+# dense basis-change references
+# ---------------------------------------------------------------------------
+
+
+def reference_validate(spec: GeneratorSpec, tol: float = 1e-9) -> ValidationReport:
+    """``validate`` by dense products with W and one dense ``eigvalsh``.
+
+    The O(N^6) route: ``C = W gamma W*`` as two N**2 x N**2 products and the
+    spectrum of the whole traceless block, with the same rules and
+    tolerances as the library.
+    """
+    N = spec.N
+    W = basis_change_matrix(N)
+    C = W @ spec.gamma @ W.conj().T
+    B = C[:-1, :-1]
+    offending = None
+    psd_ok = True
+    if B.size:
+        evals = np.linalg.eigvalsh((B + B.conj().T) / 2.0)
+        eig_ok = float(evals.min()) >= -tol * max(1.0, float(evals.max()))
+        psd_ok = is_hermitian(B, tol) and eig_ok
+        if not eig_ok:
+            offending = float(evals.min())
+    witness = None
+    trace_ok = True
+    mismatch = np.abs(C[-1, :-1].real - C[:-1, -1].real)
+    if mismatch.size:
+        trace_ok = float(mismatch.max()) <= tol * max(1.0, float(np.abs(C).max()))
+        if not trace_ok:
+            witness = gellmann_labels(N)[int(mismatch.argmax())]
+    return ValidationReport(psd_ok, trace_ok, offending, witness)
+
+
+def reference_max_off_block(gamma: np.ndarray, N: int) -> float:
+    """Largest off-pair-block magnitude, by zeroing the blocks in a full copy."""
+    R = N * N - N
+    resid = np.array(gamma[:R, :R], copy=True)
+    for t in range(0, R, 2):
+        resid[t : t + 2, t : t + 2] = 0.0
+    violations = [float(np.abs(resid).max()) if resid.size else 0.0]
+    violations.append(float(np.abs(gamma[:R, R:]).max()) if R else 0.0)
+    violations.append(float(np.abs(gamma[R:, :R]).max()) if R else 0.0)
+    return max(violations)
+
+
+def random_pair_block_matrix(rng: np.random.Generator, N: int) -> np.ndarray:
+    """Random complex N**2 x N**2 matrix with the pair-block zero pattern."""
+    n = N * N
+    R = n - N
+    M = np.zeros((n, n), dtype=complex)
+    for t in range(0, R, 2):
+        M[t : t + 2, t : t + 2] = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    M[R:, R:] = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
+    return M
 
 
 # ---------------------------------------------------------------------------

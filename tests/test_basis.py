@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
-from helpers import random_hermitian
+from gkslgraph.basis import _max_off_block
+from helpers import random_hermitian, random_pair_block_matrix
 
 RT2 = np.sqrt(2.0)
 
@@ -199,6 +200,30 @@ def test_operator_basis_change_round_trip():
         assert np.max(np.abs(back - M)) < 1e-12
         same = gk.operator_basis_change(M, "standard", "standard")
         assert np.max(np.abs(same - M)) < 1e-14
+
+
+@pytest.mark.parametrize("N", range(1, 8))
+@pytest.mark.parametrize("pattern", ["dense", "pair-block"])
+def test_operator_basis_change_matches_dense_products(N, pattern):
+    # The conjugation is computed from the blocks of W; the dense products
+    # with the full W are the reference.
+    rng = np.random.default_rng(40 + N)
+    n = N * N
+    W = gk.basis_change_matrix(N)
+    for _ in range(3):
+        if pattern == "dense":
+            M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        else:
+            M = random_pair_block_matrix(rng, N)
+        scale = np.max(np.abs(M))
+        to_gm = gk.operator_basis_change(M, "standard", "gellmann")
+        to_std = gk.operator_basis_change(M, "gellmann", "standard")
+        assert np.max(np.abs(to_gm - W @ M @ W.conj().T)) <= 1e-13 * scale
+        assert np.max(np.abs(to_std - W.conj().T @ M @ W)) <= 1e-13 * scale
+        if pattern == "pair-block":
+            # W is block diagonal, so the zero pattern survives exactly.
+            assert _max_off_block(to_gm, N) == 0.0
+            assert _max_off_block(to_std, N) == 0.0
 
 
 def test_operator_basis_change_rejects_unknown_names():

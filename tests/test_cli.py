@@ -62,6 +62,47 @@ def test_parse_rejects_bool_as_number():
         parse_spec_document(doc)
 
 
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+         "H[0][0][0]: expected a number, got bool"),
+        ([[[1.0, 0.0], ["0", 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+         "H[0][1][0]: expected a number, got str"),
+        ([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]], "H[1]: expected 2 entries"),
+        ([[[1.0, 0.0], [0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+         "H[0][1]: expected a [re, im] pair"),
+        ([[[1.0, 0.0], 0.5], [[0.0, 0.0], [1.0, 0.0]]],
+         "H[0][1]: expected a [re, im] pair"),
+        ([[[1.0, 0.0], [0.0, 0.0]], "row"], "H[1]: expected 2 entries"),
+        ("matrix", "H: expected 2 rows"),
+    ],
+    ids=["bool", "string", "ragged", "short-entry", "number-entry", "string-row",
+         "non-list"],
+)
+def test_parse_matrix_errors_name_the_field(matrix, message):
+    # The messages are pinned byte for byte: a matrix that fails the
+    # vectorized conversion is walked entry by entry to name the field.
+    doc = {
+        "N": 2,
+        "H": matrix,
+        "gamma": {"format": "dense", "matrix": [[[0, 0]] * 4 for _ in range(4)]},
+    }
+    with pytest.raises(gk.SpecParseError) as info:
+        parse_spec_document(doc)
+    assert str(info.value) == message
+
+
+def test_parse_matrix_keeps_ints_and_floats():
+    doc = {
+        "N": 2,
+        "H": [[[1, 0], [0.5, -2]], [[0.5, 2], [-3, 0.0]]],
+        "gamma": {"format": "dense", "matrix": [[[0, 0]] * 4 for _ in range(4)]},
+    }
+    spec = parse_spec_document(doc)
+    assert np.array_equal(spec.H, [[1.0, 0.5 - 2j], [0.5 + 2j, -3.0]])
+
+
 def test_parse_blocks_duplicate_pair(golden_dir):
     doc = json.loads((golden_dir / "superposition.spec.json").read_text())
     doc["gamma"]["pairs"].append(doc["gamma"]["pairs"][0])
@@ -277,6 +318,16 @@ def test_eigen_pinned_pair(capsys, golden_dir):
     assert doc["minus"]["mu"] == [pytest.approx(-2.0), pytest.approx(0.0, abs=1e-12)]
 
 
+@pytest.mark.parametrize("pair", ["1,9", "2,2"])
+def test_eigen_rejects_invalid_level_pair(capsys, golden_dir, pair):
+    spec_path = golden_dir / "superposition.spec.json"
+    code, out, err = run_cli(["eigen", str(spec_path), "--pair", pair], capsys)
+    assert code == 1
+    assert out == ""
+    k, ell = pair.split(",")
+    assert err == f"error: {spec_path}: invalid level pair ({k}, {ell}) for N=3\n"
+
+
 def test_eigen_rejects_non_block_spec(tmp_path, capsys):
     rng = np.random.default_rng(56)
     path = write_spec(tmp_path / "dense.json", random_valid_spec(rng, 2))
@@ -303,6 +354,63 @@ def test_check_state_invariant(tmp_path, capsys, golden_dir):
     assert doc["invariant"] is True
     assert doc["times"] == [0.5, 1.0, 5.0]
     assert doc["diagnostics"] == []
+
+
+def _write_state(path, rho):
+    path.write_text(dump_json({"matrix": gk.matrix_to_document(rho)}) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "state, message",
+    [
+        (None, "No such file or directory"),
+        ('{"matrix": [[[1, 0], [0]], [[0, 0], [0, 0]]]}',
+         "matrix[0][1]: expected a [re, im] pair"),
+        ('{"matrix": [[[1, 0], [0, 0]]]}', "matrix[0]: expected 1 entries"),
+        (np.eye(2) / 2.0, "state must have shape (3, 3), got (2, 2)"),
+    ],
+    ids=["missing", "malformed", "ragged", "wrong-shape"],
+)
+def test_check_state_bad_state_file(tmp_path, capsys, golden_dir, state, message):
+    state_path = tmp_path / "state.json"
+    if isinstance(state, str):
+        state_path.write_text(state)
+    elif state is not None:
+        _write_state(state_path, state)
+    code, out, err = run_cli(
+        [
+            "check-state", str(golden_dir / "superposition.spec.json"),
+            "--state", str(state_path), "--times", "1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {state_path}: ")
+    assert message in err
+
+
+def test_batch_check_state_continues_past_a_bad_state(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_spec(in_dir / "a_two_levels.json", pair_block_spec(2, np.zeros((2, 2)), {}))
+    write_spec(in_dir / "b_superposition.json", superposition_decay_spec())
+    psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    state_path = _write_state(tmp_path / "state.json", np.outer(psi, psi))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(
+        [
+            "check-state", str(in_dir), "--batch", "--out", str(out_dir),
+            "--state", state_path, "--times", "1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert f"error: {state_path}: state must have shape (2, 2), got (3, 3)" in err
+    assert not (out_dir / "a_two_levels.check-state.json").exists()
+    doc = json.loads((out_dir / "b_superposition.check-state.json").read_text())
+    assert doc["invariant"] is True
 
 
 def test_check_state_non_state_diagnostic(tmp_path, capsys, golden_dir):

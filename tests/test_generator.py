@@ -10,9 +10,13 @@ from helpers import (
     dephasing_ladder_spec,
     pair_block_spec,
     random_hermitian,
+    random_identity_preserving_spec,
+    random_pbd_spec,
     random_psd,
     random_valid_spec,
+    reference_max_off_block,
     reference_superoperator,
+    reference_validate,
     superposition_decay_spec,
 )
 
@@ -228,6 +232,104 @@ def test_validate_scales_with_magnitude():
     spec = random_valid_spec(rng, 3)
     big = gk.GeneratorSpec(H=spec.H, gamma=1e12 * spec.gamma)
     assert gk.validate(big).verdict
+
+
+def _validation_cases(rng, N):
+    """Valid, invalid and pair-block specs of dimension N, by name."""
+    n = N * N
+    R = n - N
+    C = np.zeros((n, n), dtype=complex)
+    C[:-1, :-1] = random_psd(rng, n - 1)
+    C[-1, : n - 1] = rng.normal(size=n - 1)  # real identity-row mismatch
+    coupled = np.array(random_pbd_spec(rng, N).gamma)
+    coupled[:R, R:] = 1e-3  # pair sector to diagonal sector
+    return {
+        "dense valid": random_valid_spec(rng, N),
+        "dense indefinite": gk.GeneratorSpec(
+            H=random_hermitian(rng, N), gamma=random_hermitian(rng, n)
+        ),
+        "pair-block": random_pbd_spec(rng, N),
+        "pair-block indefinite": pair_block_spec(
+            N,
+            np.zeros((N, N)),
+            {(1, 2): np.array([[0.0, 1.5], [1.5, 0.2]])},
+            diag=random_hermitian(rng, N),
+        ),
+        "identity-preserving": random_identity_preserving_spec(rng, N),
+        "trace mismatch": gk.GeneratorSpec(
+            H=np.zeros((N, N)),
+            gamma=gk.operator_basis_change(C, "gellmann", "standard"),
+        ),
+        "pair-block sector coupling": gk.GeneratorSpec(H=np.zeros((N, N)), gamma=coupled),
+    }
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_validate_matches_dense_reference(N):
+    rng = np.random.default_rng(90 + N)
+    for _ in range(4):
+        for name, spec in _validation_cases(rng, N).items():
+            got = gk.validate(spec)
+            ref = reference_validate(spec)
+            assert got.psd_on_traceless == ref.psd_on_traceless, name
+            assert got.trace_condition == ref.trace_condition, name
+            assert got.trace_witness == ref.trace_witness, name
+            if ref.offending_eigenvalue is None:
+                assert got.offending_eigenvalue is None, name
+            else:
+                assert got.offending_eigenvalue == pytest.approx(
+                    ref.offending_eigenvalue, rel=1e-12
+                ), name
+
+
+def _recorded_eigvalsh_shapes(monkeypatch):
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    return shapes
+
+
+def test_validate_takes_the_spectrum_block_by_block(monkeypatch):
+    shapes = _recorded_eigvalsh_shapes(monkeypatch)
+    rng = np.random.default_rng(95)
+    spec = random_pbd_spec(rng, 4)
+    gk.validate(spec)
+    assert shapes == [(6, 2, 2), (1, 3, 3)]
+    shapes.clear()
+    gk.validate(random_valid_spec(rng, 4))
+    assert shapes == [(1, 15, 15)]
+
+
+def test_validate_off_block_entry_forces_the_dense_spectrum(monkeypatch):
+    # One off-block entry of B, however small, leaves the pair-block zero
+    # pattern: the spectrum is then the dense one.
+    shapes = _recorded_eigvalsh_shapes(monkeypatch)
+    N = 3
+    R = N * N - N
+    C = np.zeros((N * N - 1, N * N - 1), dtype=complex)
+    for t in range(0, R, 2):
+        C[t : t + 2, t : t + 2] = random_psd(np.random.default_rng(96 + t), 2)
+    C[R:, R:] = np.diag([0.5, 0.25])
+    C[0, R] = 1e-300
+    spec = gk.gellmann_to_standard(gk.GellMannSpec(H=np.zeros((N, N)), C=C))
+    report = gk.validate(spec)
+    assert shapes == [(1, 8, 8)]
+    assert report == reference_validate(spec)
+    assert report.verdict
+
+
+def test_classify_max_block_violation_matches_full_copy_scan():
+    rng = np.random.default_rng(97)
+    for N in (2, 3, 5, 9):
+        for spec in (random_pbd_spec(rng, N), random_valid_spec(rng, N)):
+            cls = gk.classify_pair_block_diagonal(spec)
+            assert cls.max_block_violation == reference_max_off_block(spec.gamma, N)
+            assert cls.block_threshold == 1e-9 * max(1.0, float(np.abs(spec.gamma).max()))
 
 
 # ---------------------------------------------------------------------------
