@@ -145,12 +145,6 @@ def gellmann(i: int, j: int, N: int) -> np.ndarray:
     return out / math.sqrt(n * (n + 1))
 
 
-@lru_cache(maxsize=None)
-def _gellmann_stack(N: int) -> np.ndarray:
-    """All Gell-Mann matrices stacked along axis 0, in ordering."""
-    return np.stack([gellmann(i, j, N) for (i, j) in gellmann_labels(N)])
-
-
 def expand_standard_in_gellmann(i: int, j: int, N: int) -> np.ndarray:
     """Coefficients c (length N**2, Gell-Mann ordering) with E_ij = sum c_q lam_q.
 
@@ -252,18 +246,24 @@ def from_standard_coordinates(v: np.ndarray, N: int) -> np.ndarray:
     return v[_standard_position_array(N)]
 
 
-@lru_cache(maxsize=None)
 def basis_change_matrix(N: int) -> np.ndarray:
     """Unitary W with W[q, p] = <lam_q, E_p> (Gell-Mann rows, standard columns).
 
     Coordinate vectors transform as v_gm = W @ v_std, and coefficient/operator
     matrices as M_gm = W @ M_std @ W*.  Since <lam_q, E_ij> = conj(lam_q[i, j]),
-    the matrix is assembled by direct indexing.  Cached per dimension.
+    row q is conj(lam_q) read in standard order.  This dense form is the
+    reference; the package conjugates by W's blocks (:func:`_conjugate_by_w`).
     """
-    lam = _gellmann_stack(N).reshape(N * N, N * N)
-    W = lam[:, _standard_flat_order(N)].conj()
-    W.setflags(write=False)
-    return W
+    lam = np.stack([gellmann(i, j, N) for (i, j) in gellmann_labels(N)])
+    return lam.reshape(N * N, N * N)[:, _standard_flat_order(N)].conj()
+
+
+@lru_cache(maxsize=None)
+def _diagonal_block(N: int) -> np.ndarray:
+    """W's N x N diagonal-sector block ``W[R:, R:]``: row n is conj(diag(lam_nn))."""
+    D = np.stack([np.diag(gellmann(n, n, N)) for n in range(1, N + 1)]).conj()
+    D.setflags(write=False)
+    return D
 
 
 def _butterfly(x: np.ndarray, y: np.ndarray) -> None:
@@ -288,7 +288,7 @@ def _conjugate_by_w(A: np.ndarray, inverse: bool) -> np.ndarray:
     N = math.isqrt(A.shape[0])
     R = N * N - N
     u = pair_block_unitary()[:, 0]
-    D = basis_change_matrix(N)[R:, R:]
+    D = _diagonal_block(N)
     row_e, row_o = A[0:R:2], A[1:R:2]
     col_e, col_o = A[:, 0:R:2], A[:, 1:R:2]
     if inverse:  # rows by U* = H2 diag(u*), columns by U = diag(u) H2

@@ -11,6 +11,7 @@ into a failure.  Usage errors follow argparse conventions.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import warnings
@@ -268,6 +269,17 @@ def _times_arg(text: str) -> list[float]:
     return times
 
 
+def _tol_arg(text: str) -> float:
+    """A tolerance: a finite number, zero or more."""
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -285,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tol",
-        type=float,
+        type=_tol_arg,
         default=None,
         help="numeric tolerance (default: GKSLGRAPH_TOL env var, then 1e-9)",
     )
@@ -353,9 +365,9 @@ def _resolve_tol(args) -> float:
     env = os.environ.get("GKSLGRAPH_TOL")
     if env is not None and env != "":
         try:
-            return float(env)
-        except ValueError:
-            raise _Failure(1, f"GKSLGRAPH_TOL is not a number: {env!r}") from None
+            return _tol_arg(env)
+        except argparse.ArgumentTypeError as exc:
+            raise _Failure(1, f"GKSLGRAPH_TOL: {exc}") from None
     return DEFAULT_TOL
 
 
@@ -375,9 +387,7 @@ def _process(command, input_path, args, tol):
     """Load and dispatch; returns (code, envelope doc, dot text or None)."""
     try:
         spec = load_spec(input_path)
-    except FileNotFoundError as exc:
-        raise _Failure(1, f"{input_path}: {exc}") from exc
-    except SpecParseError as exc:
+    except (OSError, SpecParseError) as exc:
         raise _Failure(1, f"{input_path}: {exc}") from exc
     code, payload, dot, diagnostics = _HANDLERS[command](spec, input_path, args, tol)
     return code, _envelope(command, input_path, tol, payload, diagnostics), dot

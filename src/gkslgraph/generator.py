@@ -13,15 +13,14 @@ This parametrization always produces a trace-preserving map; ``Gamma`` is
 generator (completely positive semigroup) exactly when the coefficient
 matrix, re-expressed in the Gell-Mann basis, is positive semidefinite on
 the traceless sector and satisfies a trace-compatibility condition between
-the identity row and column; :func:`validate` checks both, and
-:func:`canonicalize` moves the identity row/column into the Hamiltonian,
-yielding an equivalent generator with ``Gamma`` supported on the traceless
-sector only.
+the identity row and column; :func:`validate` checks both.  Jump operators
+may have a trace: :func:`canonicalize` projects the identity direction
+``v = (1/sqrt N) sum_n e_(n,n)`` out of ``Gamma`` on both sides and moves
+what it carried into ``H``, all in the standard basis.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +28,12 @@ import numpy as np
 from .basis import (
     DEFAULT_TOL,
     _conjugate_by_w,
-    _gellmann_stack,
     _hermitian_margin,
     _max_off_block,
     _pair_blocks,
     _standard_flat_order,
     _standard_position_array,
+    from_standard_coordinates,
     gellmann_labels,
     is_hermitian,
     matrix_unit,
@@ -337,16 +336,16 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
 
 
 def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec:
-    """Equivalent generator with the identity row/column of C removed.
+    """Equivalent generator whose jump operators are traceless.
 
-    Writing ``C = W gamma W*``, the identity row and column of C act on
-    states purely as a commutator, so they can be absorbed into the
-    Hamiltonian: with ``c_q = Im(C[-1, q] - C[q, -1]) / (2 sqrt(N))`` the
-    new Hamiltonian is ``H + sum_q c_q lam_q`` (then shifted traceless),
-    and the returned coefficient matrix is C with its last row and column
-    zeroed, conjugated back to the standard ordering.  The generator's
-    action is unchanged; the result satisfies ``Gamma'(I) = 0`` and maps
-    into traceless matrices exactly.
+    The identity direction is ``v = (1/sqrt N) sum_n e_(n,n)`` in standard
+    coordinates; its row and column of ``C = W gamma W*`` act on states as a
+    commutator.  So, with no basis change, ``gamma' = (I - v v^T) gamma
+    (I - v v^T)``: each diagonal-sector row and column loses its mean over
+    that sector, and the pair sector passes through unchanged.  What v
+    carried moves into ``H' = H + (M - M*) / (4iN)``, shifted traceless and
+    Hermitized, with ``M[i, j] = sum_n (gamma[(n,n), (j,i)] - gamma[(i,j), (n,n)])``.
+    The action is unchanged and ``Gamma'(I) = 0``.  ``O(N^3)`` past validation.
 
     Raises ``ValueError`` if the spec does not validate.
     """
@@ -354,17 +353,17 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     if not report.verdict:
         raise ValueError(f"cannot canonicalize an invalid generator: {report.summary}")
     N = spec.N
-    C = _conjugate_by_w(np.array(spec.gamma), inverse=False)
-
-    lam = _gellmann_stack(N)
-    coeffs = (C[-1, :-1] - C[:-1, -1]).imag / (2.0 * math.sqrt(N))
-    H_new = spec.H + np.einsum("q,qab->ab", coeffs, lam[:-1])
+    R = N * N - N
+    gamma = np.array(spec.gamma)
+    from_diag = gamma[R:].sum(axis=0)  # at label (i, j): sum_n gamma[(n,n), (i,j)]
+    into_diag = gamma[:, R:].sum(axis=1)  # at label (i, j): sum_n gamma[(i,j), (n,n)]
+    M = from_standard_coordinates(from_diag, N).T - from_standard_coordinates(into_diag, N)
+    H_new = spec.H + (M - M.conj().T) / (4j * N)
     H_new = H_new - (np.trace(H_new).real / N) * np.eye(N)
     H_new = (H_new + H_new.conj().T) / 2.0
-
-    C[-1, :] = 0.0
-    C[:, -1] = 0.0
-    return GeneratorSpec(H=H_new, gamma=_conjugate_by_w(C, inverse=True))
+    gamma[R:] -= from_diag / N
+    gamma[:, R:] -= gamma[:, R:].mean(axis=1, keepdims=True)
+    return GeneratorSpec(H=H_new, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

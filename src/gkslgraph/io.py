@@ -220,9 +220,10 @@ def parse_state_document(doc) -> np.ndarray:
 
 
 def _load_document(path: str | Path):
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise SpecParseError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"{path}: invalid JSON ({exc})") from exc
 

@@ -24,6 +24,7 @@ from gkslgraph import (
     basis_change_matrix,
     gellmann,
     gellmann_labels,
+    gellmann_position,
     is_hermitian,
     lindblad_dissipator,
     matrix_unit,
@@ -92,6 +93,32 @@ def reference_validate(spec: GeneratorSpec, tol: float = 1e-9) -> ValidationRepo
         if not trace_ok:
             witness = gellmann_labels(N)[int(mismatch.argmax())]
     return ValidationReport(psd_ok, trace_ok, offending, witness)
+
+
+def reference_canonicalize(spec: GeneratorSpec, tol: float = 1e-9) -> GeneratorSpec:
+    """``canonicalize`` as a round trip through the Gell-Mann basis.
+
+    ``C = W gamma W*`` by dense products; the identity row and column of C
+    are absorbed into the Hamiltonian as ``sum_q c_q lam_q`` with
+    ``c_q = Im(C[-1, q] - C[q, -1]) / (2 sqrt N)`` (then shifted traceless
+    and Hermitized), zeroed, and C is conjugated back to the standard
+    ordering.
+    """
+    report = reference_validate(spec, tol)
+    if not report.verdict:
+        raise ValueError(f"cannot canonicalize an invalid generator: {report.summary}")
+    N = spec.N
+    W = basis_change_matrix(N)
+    C = W @ spec.gamma @ W.conj().T
+    coeffs = (C[-1, :-1] - C[:-1, -1]).imag / (2.0 * math.sqrt(N))
+    H_new = spec.H.copy()
+    for c, (i, j) in zip(coeffs, gellmann_labels(N)[:-1]):
+        H_new = H_new + c * gellmann(i, j, N)
+    H_new = H_new - (np.trace(H_new).real / N) * np.eye(N)
+    H_new = (H_new + H_new.conj().T) / 2.0
+    C[-1, :] = 0.0
+    C[:, -1] = 0.0
+    return GeneratorSpec(H=H_new, gamma=W.conj().T @ C @ W)
 
 
 def reference_max_off_block(gamma: np.ndarray, N: int) -> float:
@@ -308,7 +335,8 @@ def random_pbd_spec(rng: np.random.Generator, N: int) -> GeneratorSpec:
         h = rng.uniform(-2.0, 2.0, size=N)
     H = np.diag(h).astype(complex)
 
-    sinks = {int(v) for v in rng.choice(np.arange(1, N + 1), size=rng.integers(0, 3), replace=False)}
+    n_sinks = rng.integers(0, min(3, N + 1))
+    sinks = {int(v) for v in rng.choice(np.arange(1, N + 1), size=n_sinks, replace=False)}
 
     blocks: dict[tuple[int, int], np.ndarray] = {}
     for i in range(1, N + 1):
@@ -358,6 +386,34 @@ def random_identity_preserving_spec(rng: np.random.Generator, N: int) -> Generat
     from gkslgraph import gellmann_to_standard
 
     return gellmann_to_standard(gm)
+
+
+def identity_coupled_spec(
+    rng: np.random.Generator, N: int, coupling: complex
+) -> GeneratorSpec:
+    """Valid spec whose only sector coupling runs through the identity direction.
+
+    Built in the Gell-Mann basis: random PSD 2x2 pair blocks and a random
+    PSD diagonal-sector block on the traceless part, and an identity row
+    and column that touch the one pair label lam_12,
+    ``C[-1, p] = coupling`` and ``C[p, -1] = conj(coupling)``.  In the
+    standard basis this couples the pair (1, 2) to the diagonal sector, so
+    gamma is not pair-block diagonal, but its canonical form is.
+    Canonicalization moves ``Im(coupling)/sqrt(N) * lam_12`` into the
+    diagonal Hamiltonian, which stays diagonal only for real ``coupling``.
+    """
+    n = N * N
+    R = n - N
+    C = np.zeros((n, n), dtype=complex)
+    for t in range(0, R, 2):
+        C[t : t + 2, t : t + 2] = random_psd(rng, 2)
+    C[R:-1, R:-1] = random_psd(rng, N - 1)
+    p = gellmann_position(1, 2, N)
+    C[-1, p] = coupling
+    C[p, -1] = np.conj(coupling)
+    W = basis_change_matrix(N)
+    H = np.diag(rng.uniform(-2.0, 2.0, size=N)).astype(complex)
+    return GeneratorSpec(H=H, gamma=W.conj().T @ C @ W)
 
 
 def random_consistent_spec(

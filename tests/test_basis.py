@@ -1,10 +1,12 @@
 """Basis-layer tests: orderings, matrix units, orthonormal basis, transforms."""
 
+import sys
+
 import numpy as np
 import pytest
 
 import gkslgraph as gk
-from gkslgraph.basis import _max_off_block
+from gkslgraph.basis import _diagonal_block, _max_off_block
 from helpers import random_hermitian, random_pair_block_matrix
 
 RT2 = np.sqrt(2.0)
@@ -164,6 +166,24 @@ def test_basis_change_matrix_is_overlap_table(N):
         for p, (i, j) in enumerate(gk.standard_labels(N)):
             ip = gk.hs_inner(lam, gk.matrix_unit(i, j, N))
             assert abs(W[q, p] - ip) < 1e-13
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_diagonal_block_is_the_diagonal_sector_of_w(N):
+    R = N * N - N
+    assert _diagonal_block(N).tobytes() == gk.basis_change_matrix(N)[R:, R:].tobytes()
+
+
+def test_no_cached_table_grows_past_n_squared():
+    # Every per-N cache of the package holds O(N^2) entries, never N^4.
+    N = 5
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "gkslgraph":
+            continue
+        for attr, fn in vars(module).items():
+            if hasattr(fn, "cache_info") and fn.__module__ == name:
+                table = fn(N) if fn.__wrapped__.__code__.co_argcount else fn()
+                assert np.size(table) <= 2 * N * N, f"{name}.{attr}"
 
 
 def test_basis_change_transforms_coordinates():

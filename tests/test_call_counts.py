@@ -8,7 +8,7 @@ import sys
 from collections import Counter
 
 import gkslgraph as gk
-from gkslgraph import cli, digraph, generator
+from gkslgraph import basis, cli, digraph, generator
 from helpers import sink_menagerie_spec
 
 
@@ -40,3 +40,12 @@ def test_consistency_bound_builds_the_superoperator_once(monkeypatch):
     counts = count_calls(monkeypatch, generator.superoperator)
     gk.consistency_and_bound(sink_menagerie_spec())
     assert counts == {"superoperator": 1}
+
+
+def test_kernel_command_conjugates_by_w_only_to_validate(monkeypatch, tmp_path, golden_dir):
+    # One conjugation per validate call (3 per kernel command); canonicalize
+    # works in the standard basis and conjugates by W not at all.
+    counts = count_calls(monkeypatch, basis._conjugate_by_w, generator.validate)
+    spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
+    assert cli.main(["kernel", str(spec), "--out", str(tmp_path / "k.json")]) == 0
+    assert counts == {"_conjugate_by_w": 3, "validate": 3}

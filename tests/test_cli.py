@@ -12,6 +12,7 @@ from gkslgraph.cli import main as cli_main
 from gkslgraph.io import dump_json, parse_spec_document, spec_to_document
 from helpers import (
     dephasing_ladder_spec,
+    identity_coupled_spec,
     pair_block_spec,
     random_valid_spec,
     sink_menagerie_spec,
@@ -230,6 +231,19 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert "nope.json" in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_spec_exit_code(tmp_path, capsys, kind):
+    path = tmp_path / "spec.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"N": 1, "H": "\xff"}')
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_canonicalize_output_reparses(tmp_path, capsys, golden_dir):
     code, out, _ = run_cli(["canonicalize", str(golden_dir / "ladder.spec.json")], capsys)
     assert code == 0
@@ -307,6 +321,19 @@ def test_kernel_fallback_and_strict(tmp_path, capsys):
     assert json.loads(out2)["method"] == "oracle"
 
 
+@pytest.mark.parametrize("coupling, method", [(0.3, "analytic"), (0.3 - 0.2j, "oracle")])
+def test_kernel_on_identity_coupled_spec(tmp_path, capsys, coupling, method):
+    spec = identity_coupled_spec(np.random.default_rng(0), 4, coupling)
+    code, out, _ = run_cli(["kernel", write_spec(tmp_path / "s.json", spec)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["method"] == method
+    if method == "oracle":
+        assert doc["fallback_reason"].startswith("canonicalized Hamiltonian is not diagonal")
+    else:
+        assert "fallback_reason" not in doc
+
+
 def test_eigen_pinned_pair(capsys, golden_dir):
     code, out, _ = run_cli(
         ["eigen", str(golden_dir / "superposition.spec.json"), "--pair", "1,2"], capsys
@@ -369,12 +396,15 @@ def _write_state(path, rho):
          "matrix[0][1]: expected a [re, im] pair"),
         ('{"matrix": [[[1, 0], [0, 0]]]}', "matrix[0]: expected 1 entries"),
         (np.eye(2) / 2.0, "state must have shape (3, 3), got (2, 2)"),
+        (b'{"matrix": "\xff"}', "not UTF-8 text"),
     ],
-    ids=["missing", "malformed", "ragged", "wrong-shape"],
+    ids=["missing", "malformed", "ragged", "wrong-shape", "not-utf8"],
 )
 def test_check_state_bad_state_file(tmp_path, capsys, golden_dir, state, message):
     state_path = tmp_path / "state.json"
-    if isinstance(state, str):
+    if isinstance(state, bytes):
+        state_path.write_bytes(state)
+    elif isinstance(state, str):
         state_path.write_text(state)
     elif state is not None:
         _write_state(state_path, state)
@@ -491,6 +521,32 @@ def test_tol_env_malformed(monkeypatch, capsys, golden_dir):
     assert "GKSLGRAPH_TOL" in err
 
 
+def test_tol_zero_is_allowed(capsys, golden_dir):
+    code, out, _ = run_cli(
+        ["validate", str(golden_dir / "ladder.spec.json"), "--tol", "0"], capsys
+    )
+    assert code == 0
+    assert json.loads(out)["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1"])
+def test_tol_flag_rejects_non_finite_or_negative(capsys, golden_dir, value):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["kernel", str(golden_dir / "superposition.spec.json"), f"--tol={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --tol: expected a finite number >= 0, got {value!r}" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_tol_env_rejects_non_finite_or_negative(monkeypatch, capsys, golden_dir, value):
+    monkeypatch.setenv("GKSLGRAPH_TOL", value)
+    code, out, err = run_cli(["kernel", str(golden_dir / "superposition.spec.json")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: GKSLGRAPH_TOL: expected a finite number >= 0, got {value!r}\n"
+
+
 # ---------------------------------------------------------------------------
 # batch mode
 # ---------------------------------------------------------------------------
@@ -520,6 +576,21 @@ def test_batch_continues_past_failures(tmp_path, capsys):
     assert code == 1  # worst failure wins, good file still processed
     assert (out_dir / "good.kernel.json").exists()
     assert "broken.json" in err
+
+
+def test_batch_continues_past_unreadable_inputs(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_spec(in_dir / "a.json", superposition_decay_spec())
+    (in_dir / "b.json").mkdir()
+    (in_dir / "b2.json").write_bytes(b"{\xff}")
+    write_spec(in_dir / "c.json", superposition_decay_spec())
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(["kernel", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.kernel.json", "c.kernel.json"]
+    assert f"error: {in_dir / 'b.json'}: " in err
+    assert f"error: {in_dir / 'b2.json'}: " in err
 
 
 def test_batch_digraph_writes_dot(tmp_path, capsys):

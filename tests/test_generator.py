@@ -16,6 +16,7 @@ from helpers import (
     random_valid_spec,
     reference_max_off_block,
     reference_superoperator,
+    reference_canonicalize,
     reference_validate,
     superposition_decay_spec,
 )
@@ -406,6 +407,23 @@ def test_canonicalize_rejects_invalid_spec():
     spec = pair_block_spec(2, np.zeros((2, 2)), {(1, 2): np.array([[0.0, 1.0], [1.0, 0.0]])})
     with pytest.raises(ValueError):
         gk.canonicalize(spec)
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_canonicalize_matches_gellmann_round_trip(N):
+    rng = np.random.default_rng(40 + N)
+    R = N * N - N
+    for make in (random_valid_spec, random_pbd_spec, random_identity_preserving_spec):
+        for _ in range(3):
+            spec = make(rng, N)
+            canon = gk.canonicalize(spec)
+            ref = reference_canonicalize(spec)
+            g_max = float(np.abs(spec.gamma).max())
+            h_max = max(g_max, float(np.abs(spec.H).max()))
+            assert np.abs(canon.gamma - ref.gamma).max() <= 1e-13 * g_max
+            assert np.abs(canon.H - ref.H).max() <= 1e-13 * h_max
+            # the pair sector passes through bit for bit
+            assert canon.gamma[:R, :R].tobytes() == spec.gamma[:R, :R].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import scipy.linalg
 import gkslgraph as gk
 from helpers import (
     dephasing_ladder_spec,
+    identity_coupled_spec,
     max_principal_angle,
     pair_block_spec,
     random_density_matrix,
@@ -500,3 +501,31 @@ def test_coherence_sector_negative_without_hamiltonian():
         assert np.max(np.abs(block - block.conj().T)) < 1e-10
         evals = np.linalg.eigvalsh((block + block.conj().T) / 2.0)
         assert evals.max() <= 1e-9 * max(1.0, abs(evals.min()))
+
+
+# ---------------------------------------------------------------------------
+# sector coupling through the identity direction only
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_identity_coupled_spec_takes_the_analytic_route(seed):
+    # Not pair-block diagonal as given, pair-block diagonal once the
+    # identity row and column are moved into H.
+    spec = identity_coupled_spec(np.random.default_rng(seed), 4, 0.3)
+    assert not gk.classify_pair_block_diagonal(spec).is_pair_block_diagonal
+    assert gk.classify_pair_block_diagonal(gk.canonicalize(spec)).is_pair_block_diagonal
+    analytic = gk.full_kernel(spec)
+    oracle = gk.brute_force_kernel(spec)
+    assert analytic.method == "analytic"
+    assert analytic.dimension == oracle.dimension
+    assert max_principal_angle(kernel_matrices(analytic), kernel_matrices(oracle)) < 1e-7
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("coupling", [0.3 - 0.2j, 0.3 + 0.2j])
+def test_identity_coupling_with_imaginary_part_leaves_h_off_diagonal(seed, coupling):
+    spec = identity_coupled_spec(np.random.default_rng(seed), 4, coupling)
+    message = "canonicalized Hamiltonian is not diagonal"
+    with pytest.raises(gk.PreconditionError, match=message):
+        gk.full_kernel(spec)
