@@ -266,6 +266,8 @@ def _times_arg(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("times must be comma-separated numbers") from None
     if not times:
         raise argparse.ArgumentTypeError("at least one time is required")
+    if not all(map(math.isfinite, times)):
+        raise argparse.ArgumentTypeError(f"times must be finite, got {text!r}")
     return times
 
 

@@ -324,16 +324,25 @@ def rooted_spanning_weight(
     comp = tuple(sorted(set(component)))
     if root not in comp:
         raise ValueError(f"root {root} is not in the component {comp}")
-    k = len(comp)
-    if k == 1:
-        return 1.0
+    return _rooted_minor_weight(_subgraph_laplacian(graph, comp), comp.index(root))
+
+
+def _subgraph_laplacian(graph: InducedDigraph, comp: tuple[int, ...]) -> np.ndarray:
+    """Column-Laplacian of the subgraph induced on the sorted vertices ``comp``."""
     pos = {v: t for t, v in enumerate(comp)}
-    L = np.zeros((k, k))
+    L = np.zeros((len(comp), len(comp)))
     for (src, dst), w in graph.weights.items():
         if src in pos and dst in pos:
             L[pos[dst], pos[src]] += w
             L[pos[src], pos[src]] -= w
-    r = pos[root]
+    return L
+
+
+def _rooted_minor_weight(L: np.ndarray, r: int) -> float:
+    """``(-1)**(k-1)`` times the minor of the k x k Laplacian L without row and column r."""
+    k = L.shape[0]
+    if k == 1:
+        return 1.0
     minor = np.delete(np.delete(L, r, axis=0), r, axis=1)
     return float((-1.0) ** (k - 1) * np.linalg.det(minor))
 
@@ -341,12 +350,15 @@ def rooted_spanning_weight(
 def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:
     """One stationary population per terminal SCC, via rooted tree weights.
 
-    Weights are clamped at zero (determinant round-off can produce tiny
-    negatives) and normalized to a distribution supported on the component.
+    The subgraph Laplacian of each component is built once and every
+    root's minor taken from it.  Weights are clamped at zero (determinant
+    round-off can produce tiny negatives) and normalized to a distribution
+    supported on the component.
     """
     out: list[StationaryVector] = []
     for comp in graph.scc.terminal_components():
-        tilde = np.array([rooted_spanning_weight(graph, comp, v) for v in comp])
+        L = _subgraph_laplacian(graph, comp)
+        tilde = np.array([_rooted_minor_weight(L, r) for r in range(len(comp))])
         tilde = np.clip(tilde, 0.0, None)
         lam = float(tilde.sum())
         rho = np.zeros(graph.n)

@@ -59,8 +59,11 @@ __all__ = [
 
 
 def _frozen_array(obj, value: np.ndarray, field: str) -> None:
-    value = np.array(value, dtype=np.complex128, copy=True)
-    value.setflags(write=False)
+    """Store a read-only complex array: kept if it is one that owns its data, else copied."""
+    value = np.asarray(value, dtype=np.complex128)
+    if value.flags.writeable or not value.flags.owndata:
+        value = value.copy()
+        value.setflags(write=False)
     object.__setattr__(obj, field, value)
 
 
@@ -363,6 +366,7 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     H_new = (H_new + H_new.conj().T) / 2.0
     gamma[R:] -= from_diag / N
     gamma[:, R:] -= gamma[:, R:].mean(axis=1, keepdims=True)
+    gamma.setflags(write=False)  # the spec keeps this array instead of a copy
     return GeneratorSpec(H=H_new, gamma=gamma)
 
 
@@ -467,7 +471,9 @@ def gellmann_to_standard(gm: GellMannSpec) -> GeneratorSpec:
     N = gm.N
     C_full = np.zeros((N * N, N * N), dtype=np.complex128)
     C_full[:-1, :-1] = gm.C
-    return GeneratorSpec(H=gm.H, gamma=_conjugate_by_w(C_full, inverse=True))
+    gamma = _conjugate_by_w(C_full, inverse=True)
+    gamma.setflags(write=False)  # the spec keeps this array instead of a copy
+    return GeneratorSpec(H=gm.H, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

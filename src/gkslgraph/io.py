@@ -53,7 +53,13 @@ def _require_number(value, where: str) -> float:
         raise SpecParseError(
             f"{where}: expected a number, got {type(value).__name__}"
         )
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SpecParseError(f"{where}: expected a finite number, got {number!r}")
+    return number
 
 
 def _require_int(value, where: str) -> int:
@@ -79,7 +85,8 @@ def _numeric_cmatrix(value, rows: int, cols: int) -> np.ndarray | None:
     Types and lengths are checked exactly (rows of entries that are lists,
     numbers that are int or float, never bool or str) before numpy converts
     the numbers at once; numpy alone would accept numeric strings and
-    booleans.
+    booleans.  Non-finite numbers (JSON's ``NaN`` and ``Infinity``) also
+    give None.
     """
     if type(value) is not list or len(value) != rows:
         return None
@@ -94,6 +101,8 @@ def _numeric_cmatrix(value, rows: int, cols: int) -> np.ndarray | None:
     try:
         flat = np.fromiter(numbers, dtype=np.float64, count=len(numbers))
     except OverflowError:  # an int beyond float range
+        return None
+    if not np.isfinite(flat).all():
         return None
     return flat.view(np.complex128).reshape(rows, cols)
 
@@ -192,6 +201,7 @@ def parse_spec_document(doc) -> GeneratorSpec | GellMannSpec:
             D = _parse_cmatrix(gamma_doc["diag"], N, N, "gamma.diag")
             d = np.diagonal(_standard_position_array(N))
             M[np.ix_(d, d)] = D
+        M.setflags(write=False)  # the spec keeps this array instead of a copy
     else:
         raise SpecParseError(
             f'gamma.format: expected "dense" or "blocks", got {fmt!r}'

@@ -4,8 +4,10 @@ For generators whose coefficient matrix is pair-block diagonal and whose
 Hamiltonian is diagonal (after canonicalization), the kernel of L splits
 into a diagonal sector — stationary populations of the induced digraph,
 one per terminal SCC — and independent 2x2 blocks over the off-diagonal
-pairs (E_kl, E_lk), each contributing zero, one, or two kernel elements
-according to sink structure.  ``full_kernel`` assembles the exact basis
+pairs (E_kl, E_lk).  Only two kinds of pair can carry kernel elements:
+a pair of sinks (up to two elements) and a terminal 2-cycle (up to one),
+both terminal SCCs of the induced digraph.  ``full_kernel`` reads these
+pairs off the digraph of the canonical spec and assembles the exact basis
 this way; ``brute_force_kernel`` computes the same space numerically from
 the superoperator and serves as an independent cross-check.
 """
@@ -16,12 +18,14 @@ import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 import scipy.linalg
 
 from .basis import (
     DEFAULT_TOL,
+    _standard_position_array,
     from_standard_coordinates,
     is_psd,
     matrix_unit,
@@ -30,8 +34,9 @@ from .basis import (
     gellmann_labels,
 )
 from .digraph import (
-    _rate_table,
+    InducedDigraph,
     _singularity_checks,
+    _sink_report,
     induced_digraph,
     tscc_stationary_vectors,
     undirected_components,
@@ -161,7 +166,7 @@ class _Prepared:
     canon: GeneratorSpec
     tol: float
     cls: PairBlockClassification  # of canon, with its two thresholds
-    rates: np.ndarray  # _rate_table(canon)
+    graph: InducedDigraph  # induced_digraph(canon, tol)
 
 
 def _require_pair_block_diagonal(
@@ -195,44 +200,20 @@ def _prepared(spec: GeneratorSpec, tol: float) -> _Prepared:
         canon=canon,
         tol=tol,
         cls=_require_pair_block_diagonal(canon, tol, "canonicalized "),
-        rates=_rate_table(canon),
+        graph=induced_digraph(canon, tol),
     )
 
 
-def _named_entries(
-    spec: GeneratorSpec, R: np.ndarray, k: int, ell: int
-) -> dict[str, complex]:
-    """The coefficient entries entering the (k, l) pair block analysis.
+def _kernel_pairs(prep: _Prepared) -> dict[tuple[int, int], bool]:
+    """The pairs (k, l), k < l, that can carry kernel elements, in sorted order.
 
-    ``R`` is the rate table of the spec; the out-rates of k and l are the
-    columns of R without the rate inside the pair.
+    Each maps to whether it is a terminal 2-cycle; the others are pairs of
+    sinks.  No other pair block is singular on the canonical spec.
     """
-    N = spec.N
-    G = spec.gamma
-    p1 = standard_position(k, ell, N)
-    p2 = standard_position(ell, k, N)
-    dk = standard_position(k, k, N)
-    dl = standard_position(ell, ell, N)
-    out_k = R[:, k - 1].copy()
-    out_k[ell - 1] = 0.0
-    out_l = R[:, ell - 1].copy()
-    out_l[k - 1] = 0.0
-    return {
-        "g_kl": G[p1, p1],  # gamma_kl: rate l -> k
-        "g_lk": G[p2, p2],  # gamma_lk: rate k -> l
-        "p": G[p1, p2],  # gamma_{kl,lk}
-        "q": G[p2, p1],  # gamma_{lk,kl}
-        "g_kk": G[dk, dk],
-        "g_ll": G[dl, dl],
-        "g_kkll": G[dk, dl],
-        "g_llkk": G[dl, dk],
-        "out_k": float(out_k.sum()),
-        "out_l": float(out_l.sum()),
-        "max_out_k": float(out_k.max()),
-        "max_out_l": float(out_l.max()),
-        "h_k": spec.H[k - 1, k - 1].real,
-        "h_l": spec.H[ell - 1, ell - 1].real,
-    }
+    report = _sink_report(prep.canon, prep.graph, prep.tol)
+    pairs = dict.fromkeys(combinations(report.sinks, 2), False)
+    pairs.update(dict.fromkeys(report.two_sinks, True))
+    return dict(sorted(pairs.items()))
 
 
 def _ordered_pair(pair: tuple[int, int], N: int) -> tuple[int, int]:
@@ -257,17 +238,19 @@ def diagonal_kernel(
     (in particular for pair-block-diagonal coefficient matrices); on the
     diagonal sector itself they are exact for every generator.
     """
-    graph = induced_digraph(spec, tol)
-    out = []
-    for sv in tscc_stationary_vectors(graph):
-        out.append(
-            KernelElement(
-                matrix=np.diag(sv.rho).astype(np.complex128),
-                tag="diagonal",
-                support=sv.component,
-            )
+    return _diagonal_elements(induced_digraph(spec, tol))
+
+
+def _diagonal_elements(graph: InducedDigraph) -> list[KernelElement]:
+    """:func:`diagonal_kernel` on the already induced digraph."""
+    return [
+        KernelElement(
+            matrix=np.diag(sv.rho).astype(np.complex128),
+            tag="diagonal",
+            support=sv.component,
         )
-    return out
+        for sv in tscc_stationary_vectors(graph)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -275,20 +258,35 @@ def diagonal_kernel(
 # ---------------------------------------------------------------------------
 
 
-def _block_operator(entries: dict[str, complex]) -> tuple[complex, complex, complex, complex]:
+def _out_rate_sum(spec: GeneratorSpec, j: int, other: int) -> float:
+    """Total rate out of level j to every level but ``other``."""
+    column = np.diagonal(spec.gamma).real[_standard_position_array(spec.N)[:, j - 1]]
+    column[[j - 1, other - 1]] = 0.0
+    return float(column.sum())
+
+
+def _block_operator(
+    spec: GeneratorSpec, k: int, ell: int
+) -> tuple[complex, complex, complex, complex]:
     """(c, D, p, q) with the block action c*I + [[D, p], [q, -D]] on (E_kl, E_lk)."""
-    c = 0.5 * (entries["g_kkll"] + entries["g_llkk"]) - 0.5 * (
-        entries["g_kk"]
-        + entries["g_ll"]
-        + entries["g_kl"]
-        + entries["g_lk"]
-        + entries["out_k"]
-        + entries["out_l"]
+    N = spec.N
+    G = spec.gamma
+    p1 = standard_position(k, ell, N)
+    p2 = standard_position(ell, k, N)
+    dk = standard_position(k, k, N)
+    dl = standard_position(ell, ell, N)
+    c = 0.5 * (G[dk, dl] + G[dl, dk]) - 0.5 * (
+        G[dk, dk]
+        + G[dl, dl]
+        + G[p1, p1]  # gamma_kl: rate l -> k
+        + G[p2, p2]  # gamma_lk: rate k -> l
+        + _out_rate_sum(spec, k, ell)
+        + _out_rate_sum(spec, ell, k)
     )
-    D = 0.5 * (entries["g_kkll"] - entries["g_llkk"]) - 1j * (
-        entries["h_k"] - entries["h_l"]
+    D = 0.5 * (G[dk, dl] - G[dl, dk]) - 1j * (
+        spec.H[k - 1, k - 1].real - spec.H[ell - 1, ell - 1].real
     )
-    return c, D, entries["p"], entries["q"]
+    return c, D, G[p1, p2], G[p2, p1]
 
 
 def _unit_pair_matrix(x: complex, y: complex, k: int, ell: int, N: int) -> np.ndarray:
@@ -320,8 +318,7 @@ def block_eigenpairs(
     _require_pair_block_diagonal(spec, tol, "")
     N = spec.N
     k, ell = _ordered_pair(pair, N)
-    entries = _named_entries(spec, _rate_table(spec), k, ell)
-    c, D, p, q = _block_operator(entries)
+    c, D, p, q = _block_operator(spec, k, ell)
     s = np.sqrt(complex(D * D + p * q))
 
     pairs = []
@@ -363,60 +360,55 @@ def _margin_notes(
 
 
 def _block_analysis(
-    prep: _Prepared, k: int, ell: int
+    prep: _Prepared, k: int, ell: int, two_sink: bool
 ) -> tuple[list[KernelElement], list[str]]:
-    """Kernel contribution of one pair block of a prepared (canonical) spec."""
+    """Kernel contribution of a pair of sinks, or of a terminal 2-cycle.
+
+    ``(k, ell)`` is one of :func:`_kernel_pairs`; ``two_sink`` says which
+    kind it is.
+    """
     canon, tol = prep.canon, prep.tol
     N = canon.N
-    e = _named_entries(canon, prep.rates, k, ell)
+    G = canon.gamma
+    dk = standard_position(k, k, N)
+    dl = standard_position(ell, ell, N)
     notes: list[str] = []
     where = f"pair ({k}, {ell})"
 
-    g_kl = float(e["g_kl"].real)
-    g_lk = float(e["g_lk"].real)
-    sink_k = max(e["max_out_k"], g_lk) <= tol
-    sink_l = max(e["max_out_l"], g_kl) <= tol
-    two_cycle = g_kl > tol and g_lk > tol
-    terminal_pair = e["max_out_k"] <= tol and e["max_out_l"] <= tol
-
-    if not ((sink_k and sink_l) or (two_cycle and terminal_pair)):
-        return [], notes
-
     h_ok = _margin_notes(
         notes, f"{where}: level splitting |h_k - h_l|",
-        abs(e["h_k"] - e["h_l"]), prep.cls.h_threshold,
+        abs(canon.H[k - 1, k - 1].real - canon.H[ell - 1, ell - 1].real),
+        prep.cls.h_threshold,
     )
     scale_g = prep.cls.block_threshold
     g_ok = True
     for label, value in (
-        ("dephasing match |g_kk - g_ll|", abs(e["g_kk"] - e["g_ll"])),
-        ("cross term match |g_kkll - g_kk|", abs(e["g_kkll"] - e["g_kk"])),
-        ("cross term match |g_llkk - g_kk|", abs(e["g_llkk"] - e["g_kk"])),
+        ("dephasing match |g_kk - g_ll|", abs(G[dk, dk] - G[dl, dl])),
+        ("cross term match |g_kkll - g_kk|", abs(G[dk, dl] - G[dk, dk])),
+        ("cross term match |g_llkk - g_kk|", abs(G[dl, dk] - G[dk, dk])),
     ):
         g_ok = _margin_notes(notes, f"{where}: {label}", value, scale_g) and g_ok
 
-    if sink_k and sink_l:
-        if h_ok and g_ok:
-            return [
-                KernelElement(matrix=matrix_unit(k, ell, N), tag="sink-pair",
-                              support=(k, ell)),
-                KernelElement(matrix=matrix_unit(ell, k, N), tag="sink-pair",
-                              support=(k, ell)),
-            ], notes
-        return [], notes
+    if not two_sink:
+        if not (h_ok and g_ok):
+            return [], notes
+        return [
+            KernelElement(matrix=matrix_unit(a, b, N), tag="sink-pair", support=(k, ell))
+            for a, b in ((k, ell), (ell, k))
+        ], notes
 
     # Terminal 2-cycle: needs a symmetric singular block on top of the
     # shared conditions.
     symmetry, singularity = _singularity_checks(canon, k, ell, tol)
     sym_ok = _margin_notes(notes, f"{where}: rate symmetry |g_kl - g_lk|", *symmetry)
     det_ok = _margin_notes(notes, f"{where}: block singularity |det|", *singularity)
-    if sym_ok and det_ok and h_ok and g_ok:
-        gbar = 0.5 * (g_kl + g_lk)
-        v = _unit_pair_matrix(e["p"], gbar, k, ell, N)
-        return [
-            KernelElement(matrix=v, tag="singular-2-sink", support=(k, ell))
-        ], notes
-    return [], notes
+    if not (sym_ok and det_ok and h_ok and g_ok):
+        return [], notes
+    p1 = standard_position(k, ell, N)
+    p2 = standard_position(ell, k, N)
+    gbar = 0.5 * (float(G[p1, p1].real) + float(G[p2, p2].real))
+    v = _unit_pair_matrix(G[p1, p2], gbar, k, ell, N)
+    return [KernelElement(matrix=v, tag="singular-2-sink", support=(k, ell))], notes
 
 
 def block_kernel(
@@ -432,7 +424,10 @@ def block_kernel(
     """
     prep = _prepared(spec, tol)
     k, ell = _ordered_pair(pair, spec.N)
-    elements, _ = _block_analysis(prep, k, ell)
+    two_sink = _kernel_pairs(prep).get((k, ell))
+    if two_sink is None:
+        return []
+    elements, _ = _block_analysis(prep, k, ell, two_sink)
     return elements
 
 
@@ -445,20 +440,20 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
     """Exact kernel basis of L from graph structure and pair blocks.
 
     Validates and canonicalizes, requires the canonical form pair-block
-    diagonal with diagonal H (PreconditionError otherwise), then collects
-    the diagonal stationary elements followed by the per-pair elements.
-    Diagnostics report conditions that held or failed within a decade of
-    the tolerance.
+    diagonal with diagonal H (PreconditionError otherwise), and induces
+    its digraph once.  The elements are the diagonal stationary elements,
+    one per terminal SCC, followed by the elements of each pair of sinks
+    and each terminal 2-cycle, in sorted pair order; no other pair block
+    is visited.  Diagnostics report conditions that held or failed within
+    a decade of the tolerance.
     """
     prep = _prepared(spec, tol)
-    N = spec.N
-    elements = list(diagonal_kernel(prep.canon, tol))
+    elements = _diagonal_elements(prep.graph)
     diagnostics: list[str] = []
-    for k in range(1, N + 1):
-        for ell in range(k + 1, N + 1):
-            els, notes = _block_analysis(prep, k, ell)
-            elements.extend(els)
-            diagnostics.extend(notes)
+    for (k, ell), two_sink in _kernel_pairs(prep).items():
+        els, notes = _block_analysis(prep, k, ell, two_sink)
+        elements.extend(els)
+        diagnostics.extend(notes)
     return KernelBasis(
         elements=tuple(elements), method="analytic", diagnostics=tuple(diagnostics)
     )
@@ -622,12 +617,13 @@ def verify_invariant(
 ) -> bool:
     """Check that rho is invariant, both infinitesimally and under exp(tL).
 
-    The generator must validate (ValueError otherwise).  If rho is not a
-    state (Hermitian, positive, unit trace within tol) a UserWarning is
-    issued but the invariance check still runs.  Returns True iff
-    ``|L(rho)|_F <= GENERATOR_RESIDUAL_TOL`` and the vectorized drift
-    ``|exp(t S) vec(rho) - vec(rho)|_2 <= EVOLUTION_DRIFT_TOL`` at every
-    requested time.
+    The generator must validate and every time must be finite (ValueError
+    otherwise).  If rho is not a state (Hermitian, positive, unit trace
+    within tol) a UserWarning is issued but the invariance check still
+    runs.  Returns True iff ``|L(rho)|_F <= GENERATOR_RESIDUAL_TOL`` and
+    the vectorized drift ``|exp(t S) vec(rho) - vec(rho)|_2 <=
+    EVOLUTION_DRIFT_TOL`` at every requested time; a NaN residual or drift
+    fails.
     """
     report = validate(spec, tol)
     if not report.verdict:
@@ -638,6 +634,9 @@ def verify_invariant(
     N = spec.N
     if rho.shape != (N, N):
         raise ValueError(f"state must have shape {(N, N)}, got {rho.shape}")
+    times = list(times)
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"evolution times must be finite, got {times}")
 
     unit_trace = abs(complex(np.trace(rho)) - 1.0) <= max(tol, 1e-9)
     if not (is_psd(rho, tol) and unit_trace):
@@ -649,12 +648,12 @@ def verify_invariant(
         )
 
     residual = float(np.linalg.norm(apply_generator(spec, rho)))
-    if residual > GENERATOR_RESIDUAL_TOL:
+    if not residual <= GENERATOR_RESIDUAL_TOL:
         return False
     S = superoperator(spec)
     v = to_standard_coordinates(rho)
     for t in times:
         drift = float(np.linalg.norm(scipy.linalg.expm(t * S) @ v - v))
-        if drift > EVOLUTION_DRIFT_TOL:
+        if not drift <= EVOLUTION_DRIFT_TOL:
             return False
     return True

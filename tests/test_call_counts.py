@@ -49,3 +49,25 @@ def test_kernel_command_conjugates_by_w_only_to_validate(monkeypatch, tmp_path, 
     spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
     assert cli.main(["kernel", str(spec), "--out", str(tmp_path / "k.json")]) == 0
     assert counts == {"_conjugate_by_w": 3, "validate": 3}
+
+
+def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path, golden_dir):
+    # The pair-block analysis reads sinks and terminal 2-cycles off the one
+    # digraph that also gives the diagonal kernel elements.
+    counts = count_calls(
+        monkeypatch,
+        digraph._rate_table,
+        digraph.induced_digraph,
+        digraph.scc_decompose,
+        basis._conjugate_by_w,
+        generator.validate,
+    )
+    spec = golden_dir / "superposition.spec.json"
+    assert cli.main(["kernel", str(spec), "--out", str(tmp_path / "k.json")]) == 0
+    assert counts == {
+        "_rate_table": 1,
+        "induced_digraph": 1,
+        "scc_decompose": 1,
+        "_conjugate_by_w": 3,
+        "validate": 3,
+    }

@@ -104,6 +104,67 @@ def test_parse_matrix_keeps_ints_and_floats():
     assert np.array_equal(spec.H, [[1.0, 0.5 - 2j], [0.5 + 2j, -3.0]])
 
 
+def _zero_cmatrix(n):
+    return [[[0, 0]] * n for _ in range(n)]
+
+
+@pytest.mark.parametrize(
+    "number, shown",
+    [(float("nan"), "nan"), (float("inf"), "inf"), (-float("inf"), "-inf"), (10**400, "inf")],
+    ids=["nan", "inf", "-inf", "huge-int"],
+)
+@pytest.mark.parametrize("field", ["H", "dense", "block", "diag"])
+def test_parse_rejects_non_finite_numbers(golden_dir, field, number, shown):
+    if field == "dense":
+        doc = {"N": 2, "H": _zero_cmatrix(2),
+               "gamma": {"format": "dense", "matrix": _zero_cmatrix(4)}}
+    else:
+        doc = json.loads((golden_dir / "superposition.spec.json").read_text())
+        doc["gamma"]["diag"] = _zero_cmatrix(3)
+    matrix, where = {
+        "H": (lambda: doc["H"], "H"),
+        "dense": (lambda: doc["gamma"]["matrix"], "gamma.matrix"),
+        "block": (lambda: doc["gamma"]["pairs"][0]["block"], "gamma.pairs[0].block"),
+        "diag": (lambda: doc["gamma"]["diag"], "gamma.diag"),
+    }[field]
+    matrix()[1][0] = [0, number]
+    with pytest.raises(gk.SpecParseError) as info:
+        parse_spec_document(doc)
+    assert str(info.value) == f"{where}[1][0][1]: expected a finite number, got {shown}"
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle", "digraph", "kernel"])
+def test_non_finite_spec_file_exits_1(tmp_path, capsys, golden_dir, command):
+    # Python's json reads the NaN literal; the spec file must still fail.
+    doc = json.loads((golden_dir / "superposition.spec.json").read_text())
+    doc["gamma"]["pairs"][1]["block"][0][0] = [float("nan"), 0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    assert "NaN" in path.read_text()
+    code, out, err = run_cli([command, str(path), "--out", str(tmp_path / "o")], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"error: {path}: gamma.pairs[1].block[0][0][0]: "
+        "expected a finite number, got nan\n"
+    )
+
+
+def test_batch_continues_past_a_non_finite_spec(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_spec(in_dir / "a.json", superposition_decay_spec())
+    text = (in_dir / "a.json").read_text()
+    (in_dir / "b.json").write_text(text.replace("[1, 0]", "[Infinity, 0]", 1))
+    write_spec(in_dir / "c.json", dephasing_ladder_spec())
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(["kernel", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.kernel.json", "c.kernel.json"]
+    assert f"error: {in_dir / 'b.json'}: " in err
+    assert "expected a finite number, got inf" in err
+
+
 def test_parse_blocks_duplicate_pair(golden_dir):
     doc = json.loads((golden_dir / "superposition.spec.json").read_text())
     doc["gamma"]["pairs"].append(doc["gamma"]["pairs"][0])
@@ -419,6 +480,40 @@ def test_check_state_bad_state_file(tmp_path, capsys, golden_dir, state, message
     assert out == ""
     assert err.startswith(f"error: {state_path}: ")
     assert message in err
+
+
+def test_check_state_rejects_a_non_finite_state(tmp_path, capsys, golden_dir):
+    state_path = tmp_path / "state.json"
+    rho = [[[0.5, 0], [0.5, 0], [0, 0]], [[0.5, 0], [float("nan"), 0], [0, 0]],
+           [[0, 0], [0, 0], [0, 0]]]
+    state_path.write_text(json.dumps({"matrix": rho}))
+    code, out, err = run_cli(
+        [
+            "check-state", str(golden_dir / "superposition.spec.json"),
+            "--state", str(state_path), "--times", "1",
+        ],
+        capsys,
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {state_path}: matrix[1][1][0]: expected a finite number, got nan\n"
+
+
+@pytest.mark.parametrize("times", ["nan", "inf", "1,-inf"])
+def test_check_state_rejects_non_finite_times(tmp_path, capsys, golden_dir, times):
+    psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    state_path = _write_state(tmp_path / "state.json", np.outer(psi, psi))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(
+            [
+                "check-state", str(golden_dir / "superposition.spec.json"),
+                "--state", state_path, "--times", times,
+            ]
+        )
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --times: times must be finite, got {times!r}" in captured.err
 
 
 def test_batch_check_state_continues_past_a_bad_state(tmp_path, capsys):

@@ -198,6 +198,21 @@ def test_rooted_spanning_weight_against_enumeration():
             assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
 
 
+def test_stationary_weights_equal_per_root_spanning_weights():
+    # One Laplacian per terminal component gives the same bytes as building
+    # it again for every root.
+    rng = np.random.default_rng(36)
+    for trial in range(200):
+        n = int(rng.integers(1, 9))
+        g = random_digraph(rng, n, p=float(rng.uniform(0.1, 0.8)))
+        for sv in gk.tscc_stationary_vectors(g):
+            expected = tuple(
+                max(gk.rooted_spanning_weight(g, sv.component, root), 0.0)
+                for root in sv.component
+            )
+            assert sv.rho_tilde == expected
+
+
 def test_stationary_vectors_menagerie_pinned():
     g = gk.induced_digraph(sink_menagerie_spec())
     vecs = gk.tscc_stationary_vectors(g)

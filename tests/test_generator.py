@@ -58,6 +58,36 @@ def test_spec_copies_input_arrays():
     assert spec.gamma[0, 0] == 0.0
 
 
+def test_spec_copies_read_only_views():
+    base = np.zeros((4, 4), dtype=complex)
+    view = base[:]
+    view.setflags(write=False)
+    spec = gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=view)
+    base[0, 0] = 5.0
+    assert spec.gamma is not view
+    assert spec.gamma[0, 0] == 0.0
+    assert spec.gamma.flags.owndata and not spec.gamma.flags.writeable
+
+
+def test_spec_keeps_a_frozen_array_that_owns_its_data():
+    g = np.zeros((4, 4), dtype=complex)
+    g.setflags(write=False)
+    spec = gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=g)
+    assert spec.gamma is g
+    gm = gk.GellMannSpec(H=np.zeros((2, 2)), C=np.zeros((3, 3)))
+    assert gk.GellMannSpec(H=gm.H, C=gm.C).C is gm.C
+
+
+def test_fresh_gamma_is_handed_over_frozen(golden_dir):
+    for spec in (
+        gk.canonicalize(superposition_decay_spec()),
+        gk.load_spec(golden_dir / "superposition.spec.json"),
+        gk.gellmann_to_standard(gk.standard_to_gellmann(superposition_decay_spec())),
+    ):
+        assert spec.gamma.flags.owndata and not spec.gamma.flags.writeable
+        assert gk.GeneratorSpec(H=spec.H, gamma=spec.gamma).gamma is spec.gamma
+
+
 def test_gellmann_spec_shape_checks():
     with pytest.raises(ValueError):
         gk.GellMannSpec(H=np.zeros((2, 2)), C=np.zeros((4, 4)))  # needs 3x3

@@ -199,6 +199,53 @@ def test_block_kernel_dephasing_mismatch_blocks_element():
     assert len(gk.block_kernel(spec2, (1, 2))) == 2
 
 
+def _pair_elements(elements, pair):
+    return [
+        (el.tag, el.matrix.tobytes())
+        for el in elements
+        if el.support == pair and el.tag != "diagonal"
+    ]
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_block_kernel_matches_full_kernel_on_every_pair(N):
+    rng = np.random.default_rng(600 + N)
+    specs = [random_pbd_spec(rng, N) for _ in range(20)] if N < 8 else []
+    if N == 3:
+        specs += [dephasing_ladder_spec(), superposition_decay_spec()]
+    if N == 8:
+        specs += [sink_menagerie_spec(), sink_menagerie_spec(equal_h=True)]
+    for spec in specs:
+        elements = gk.full_kernel(spec).elements
+        for k in range(1, N + 1):
+            for ell in range(k + 1, N + 1):
+                expected = _pair_elements(elements, (k, ell))
+                for pair in ((k, ell), (ell, k)):
+                    got = _pair_elements(gk.block_kernel(spec, pair), (k, ell))
+                    assert got == expected
+
+
+def test_block_analysis_visits_only_sink_pairs_and_two_sinks(monkeypatch):
+    from gkslgraph import kernel
+
+    visited = []
+    analyse = kernel._block_analysis
+
+    def recording(prep, k, ell, two_sink):
+        visited.append((k, ell, two_sink))
+        return analyse(prep, k, ell, two_sink)
+
+    monkeypatch.setattr(kernel, "_block_analysis", recording)
+    gk.full_kernel(sink_menagerie_spec())
+    # sinks 1, 2, 3; the terminal 2-cycle (4, 5); {6, 7, 8} has no pair.
+    assert visited == [(1, 2, False), (1, 3, False), (2, 3, False), (4, 5, True)]
+    visited.clear()
+    assert gk.block_kernel(sink_menagerie_spec(), (7, 6)) == []
+    assert visited == []
+    gk.full_kernel(dephasing_ladder_spec())  # every level a sink
+    assert visited == [(1, 2, False), (1, 3, False), (2, 3, False)]
+
+
 # ---------------------------------------------------------------------------
 # near-threshold diagnostics
 # ---------------------------------------------------------------------------
@@ -438,6 +485,22 @@ def test_verify_invariant_gates_on_validity_and_shape():
     good = superposition_decay_spec()
     with pytest.raises(ValueError):
         gk.verify_invariant(good, np.eye(2) / 2.0, times=(1.0,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_verify_invariant_rejects_non_finite_times(bad):
+    spec = superposition_decay_spec()
+    psi = np.array([1.0, 1.0, 0.0]) / RT2
+    with pytest.raises(ValueError, match="evolution times must be finite"):
+        gk.verify_invariant(spec, np.outer(psi, psi), times=(1.0, bad))
+
+
+def test_verify_invariant_fails_on_a_nan_residual():
+    spec = superposition_decay_spec()
+    rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
+    rho[0, 1] = np.nan
+    with pytest.warns(UserWarning):
+        assert not gk.verify_invariant(spec, rho, times=(1.0,))
 
 
 # ---------------------------------------------------------------------------
