@@ -3,9 +3,10 @@
 Every command reads a spec JSON file (or a directory of them with
 ``--batch``) and emits a JSON result envelope carrying the command name,
 input path, input SHA-256, tolerance, payload, and diagnostics.  Exit
-codes: 0 on success, 1 for invalid or unparseable specs (and crosscheck
-disagreement), 2 when ``--strict`` turns an analytic-precondition fallback
-into a failure.  Usage errors follow argparse conventions.
+codes: 0 on success, 1 for invalid or unparseable specs and outputs that
+cannot be written (and crosscheck disagreement), 2 when ``--strict`` turns
+an analytic-precondition fallback into a failure.  Usage errors follow
+argparse conventions.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import scipy.linalg
 
 from .basis import DEFAULT_TOL, to_standard_coordinates
 from .digraph import _sink_report, induced_digraph, to_dot, tscc_stationary_vectors
-from .generator import GellMannSpec, canonicalize, gellmann_to_standard, validate
+from .generator import canonicalize, validate
 from .io import (
     SpecParseError,
     dump_json,
@@ -53,21 +54,13 @@ class _Failure(Exception):
         self.message = message
 
 
-def _as_standard(spec):
-    if isinstance(spec, GellMannSpec):
-        return gellmann_to_standard(spec)
-    return spec
-
-
-def _valid_standard(spec, tol: float, input_path):
-    """The spec over the standard basis; exit 1 unless it validates."""
-    std = _as_standard(spec)
-    report = validate(std, tol)
+def _require_valid(spec, tol: float, input_path) -> None:
+    """Exit 1 unless the spec validates."""
+    report = validate(spec, tol)
     if not report.verdict:
         raise _Failure(
             1, f"{input_path}: generator failed validation ({report.summary})"
         )
-    return std
 
 
 def _complex_doc(z: complex) -> list[float]:
@@ -100,7 +93,7 @@ def _coordinate_stack(basis, N: int) -> np.ndarray:
 
 
 def _cmd_validate(spec, input_path, args, tol):
-    report = validate(_as_standard(spec), tol)
+    report = validate(spec, tol)
     payload = {
         "verdict": report.verdict,
         "psd_on_traceless": report.psd_on_traceless,
@@ -114,8 +107,8 @@ def _cmd_validate(spec, input_path, args, tol):
 
 
 def _cmd_canonicalize(spec, input_path, args, tol):
-    std = _valid_standard(spec, tol, input_path)
-    canon = canonicalize(std, tol)
+    _require_valid(spec, tol, input_path)
+    canon = canonicalize(spec, tol)
     return 0, {"spec": spec_to_document(canon)}, None, []
 
 
@@ -148,21 +141,21 @@ def _cmd_digraph(spec, input_path, args, tol):
 
 
 def _cmd_kernel(spec, input_path, args, tol):
-    std = _valid_standard(spec, tol, input_path)
+    _require_valid(spec, tol, input_path)
     try:
-        basis = full_kernel(std, tol)
+        basis = full_kernel(spec, tol)
         return 0, _kernel_payload(basis), None, list(basis.diagnostics)
     except PreconditionError as exc:
-        basis = brute_force_kernel(std, tol)
+        basis = brute_force_kernel(spec, tol)
         payload = _kernel_payload(basis)
         payload["fallback_reason"] = str(exc)
         return (2 if args.strict else 0), payload, None, []
 
 
 def _cmd_eigen(spec, input_path, args, tol):
-    std = _valid_standard(spec, tol, input_path)
+    _require_valid(spec, tol, input_path)
     try:
-        plus, minus = block_eigenpairs(std, args.pair, tol)
+        plus, minus = block_eigenpairs(spec, args.pair, tol)
     except ValueError as exc:  # a PreconditionError, or no such level pair
         raise _Failure(1, f"{input_path}: {exc}") from exc
     payload = {
@@ -177,7 +170,7 @@ def _cmd_eigen(spec, input_path, args, tol):
 
 
 def _cmd_check_state(spec, input_path, args, tol):
-    std = _valid_standard(spec, tol, input_path)
+    _require_valid(spec, tol, input_path)
     try:
         state = load_state(args.state)
     except (OSError, SpecParseError) as exc:
@@ -185,8 +178,8 @@ def _cmd_check_state(spec, input_path, args, tol):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            invariant = verify_invariant(std, state, args.times, tol)
-        except ValueError as exc:  # the state's shape: std validated above
+            invariant = verify_invariant(spec, state, args.times, tol)
+        except ValueError as exc:  # the state's shape: spec validated above
             raise _Failure(1, f"{args.state}: {exc}") from exc
     diagnostics = [str(w.message) for w in caught]
     payload = {"invariant": invariant, "times": list(args.times)}
@@ -194,15 +187,15 @@ def _cmd_check_state(spec, input_path, args, tol):
 
 
 def _cmd_oracle(spec, input_path, args, tol):
-    basis = brute_force_kernel(_as_standard(spec), tol)
+    basis = brute_force_kernel(spec, tol)
     return 0, _kernel_payload(basis), None, []
 
 
 def _cmd_crosscheck(spec, input_path, args, tol):
-    std = _valid_standard(spec, tol, input_path)
-    oracle = brute_force_kernel(std, tol)
+    _require_valid(spec, tol, input_path)
+    oracle = brute_force_kernel(spec, tol)
     try:
-        analytic = full_kernel(std, tol)
+        analytic = full_kernel(spec, tol)
     except PreconditionError as exc:
         payload = {
             "analytic_available": False,
@@ -213,7 +206,7 @@ def _cmd_crosscheck(spec, input_path, args, tol):
     angle = None
     if analytic.dimension and oracle.dimension:
         angles = scipy.linalg.subspace_angles(
-            _coordinate_stack(analytic, std.N), _coordinate_stack(oracle, std.N)
+            _coordinate_stack(analytic, spec.N), _coordinate_stack(oracle, spec.N)
         )
         angle = float(angles.max()) if angles.size else 0.0
     agree = (
@@ -395,22 +388,29 @@ def _process(command, input_path, args, tol):
     return code, _envelope(command, input_path, tol, payload, diagnostics), dot
 
 
+def _write(path: Path, text: str) -> None:
+    """Write text to path; exit 1 naming the path if it cannot be written."""
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise _Failure(1, f"{path}: {exc.strerror or exc}") from exc
+
+
 def _run_single(args, tol, parser) -> int:
     if args.command == "digraph" and not args.out:
         parser.error("digraph requires --out for the DOT file")
     input_path = Path(args.input)
     try:
         code, doc, dot = _process(args.command, input_path, args, tol)
+        text = dump_json(doc) + "\n"
+        if args.command == "digraph":
+            _write(Path(args.out), dot)
+        elif args.out:
+            _write(Path(args.out), text)
     except _Failure as failure:
         print(f"error: {failure.message}", file=sys.stderr)
         return failure.code
-    text = dump_json(doc) + "\n"
-    if args.command == "digraph":
-        Path(args.out).write_text(dot)
-        sys.stdout.write(text)
-    elif args.out:
-        Path(args.out).write_text(text)
-    else:
+    if args.command == "digraph" or not args.out:
         sys.stdout.write(text)
     return code
 
@@ -423,19 +423,23 @@ def _run_batch(args, tol, parser) -> int:
         print(f"error: {in_dir}: not a directory", file=sys.stderr)
         return 1
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     worst = 0
     for input_path in sorted(in_dir.glob("*.json")):
+        stem = input_path.stem
         try:
             code, doc, dot = _process(args.command, input_path, args, tol)
+            _write(out_dir / f"{stem}.{args.command}.json", dump_json(doc) + "\n")
+            if args.command == "digraph":
+                _write(out_dir / f"{stem}.dot", dot)
         except _Failure as failure:
             print(f"error: {failure.message}", file=sys.stderr)
             worst = max(worst, failure.code)
             continue
-        stem = input_path.stem
-        (out_dir / f"{stem}.{args.command}.json").write_text(dump_json(doc) + "\n")
-        if args.command == "digraph":
-            (out_dir / f"{stem}.dot").write_text(dot)
         worst = max(worst, code)
     return worst
 

@@ -18,15 +18,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .basis import (
-    DEFAULT_TOL,
-    _pair_blocks,
-    _standard_position_array,
-    convert_block,
-    pair_block_unitary,
-    standard_position,
-)
-from .generator import GellMannSpec, GeneratorSpec
+from .basis import DEFAULT_TOL, _standard_position_array, standard_position
+from .generator import GeneratorSpec
 
 __all__ = [
     "InducedDigraph",
@@ -128,52 +121,30 @@ class SinkReport:
 # ---------------------------------------------------------------------------
 
 
-def _pair_gamma_block(
-    spec: GeneratorSpec | GellMannSpec, k: int, ell: int
-) -> np.ndarray:
-    """The 2x2 coefficient block over labels ((k, ell), (ell, k)), k < ell.
-
-    Both bases place the pair at the same two positions.
-    """
-    p = [standard_position(k, ell, spec.N), standard_position(ell, k, spec.N)]
-    if isinstance(spec, GellMannSpec):
-        return convert_block(spec.C[np.ix_(p, p)], "c-to-gamma")
-    return spec.gamma[np.ix_(p, p)]
-
-
-def _rate_table(spec: GeneratorSpec | GellMannSpec) -> np.ndarray:
+def _rate_table(spec: GeneratorSpec) -> np.ndarray:
     """R[i-1, j-1] = Re gamma_{ij,ij}, the transfer rate j -> i; zero diagonal."""
-    N = spec.N
-    if isinstance(spec, GellMannSpec):
-        U = pair_block_unitary()
-        # convert_block on every pair
-        gamma_blocks = U.conj().T @ _pair_blocks(spec.C, N) @ U
-        rates = np.zeros(N * N)
-        rates[: N * N - N] = np.diagonal(gamma_blocks, axis1=1, axis2=2).real.ravel()
-    else:
-        rates = np.diagonal(spec.gamma).real
-    R = rates[_standard_position_array(N)]
+    R = np.diagonal(spec.gamma).real[_standard_position_array(spec.N)]
     np.fill_diagonal(R, 0.0)
     return R
 
 
 def _singularity_checks(
-    spec: GeneratorSpec | GellMannSpec, k: int, ell: int, tol: float
+    spec: GeneratorSpec, k: int, ell: int, tol: float
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """(value, threshold) of the two tests that make the pair block singular.
 
-    Rate symmetry ``|g_kl - g_lk|`` and block singularity ``|det|``, with
+    The block is gamma over labels ((k, ell), (ell, k)), k < ell.  Rate
+    symmetry ``|g_kl - g_lk|`` and block singularity ``|det|``, with
     thresholds tol and tol**2 scaled by the block magnitude.
     """
-    blk = _pair_gamma_block(spec, k, ell)
+    p = [standard_position(k, ell, spec.N), standard_position(ell, k, spec.N)]
+    blk = spec.gamma[np.ix_(p, p)]
     scale = max(1.0, float(np.abs(blk).max()))
     det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
     return (abs(blk[0, 0] - blk[1, 1]), tol * scale), (abs(det), tol * scale**2)
 
 
-def induced_digraph(
-    spec: GeneratorSpec | GellMannSpec, tol: float = DEFAULT_TOL
-) -> InducedDigraph:
+def induced_digraph(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> InducedDigraph:
     """Build the induced digraph: edge j -> i iff gamma_ij > tol.
 
     The threshold is absolute — an edge is a strictly positive transfer
@@ -381,7 +352,7 @@ def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:
 
 
 def sinks_and_singular_2sinks(
-    spec: GeneratorSpec | GellMannSpec, tol: float = DEFAULT_TOL
+    spec: GeneratorSpec, tol: float = DEFAULT_TOL
 ) -> SinkReport:
     """Classify the terminal components of size one and two.
 
@@ -392,9 +363,7 @@ def sinks_and_singular_2sinks(
     return _sink_report(spec, induced_digraph(spec, tol), tol)
 
 
-def _sink_report(
-    spec: GeneratorSpec | GellMannSpec, graph: InducedDigraph, tol: float
-) -> SinkReport:
+def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> SinkReport:
     """:func:`sinks_and_singular_2sinks` on the already induced digraph."""
     sinks: list[int] = []
     two: list[tuple[int, int]] = []

@@ -59,12 +59,44 @@ __all__ = [
 
 
 def _frozen_array(obj, value: np.ndarray, field: str) -> None:
-    """Store a read-only complex array: kept if it is one that owns its data, else copied."""
+    """Store a read-only complex array, copied unless nothing can write to it.
+
+    A read-only array is kept if it owns its data, or if its data belongs
+    to a read-only array that owns it (a view of a frozen buffer).
+    """
     value = np.asarray(value, dtype=np.complex128)
-    if value.flags.writeable or not value.flags.owndata:
+    owner = value if value.flags.owndata else value.base
+    if (
+        value.flags.writeable
+        or not isinstance(owner, np.ndarray)
+        or not owner.flags.owndata
+        or owner.flags.writeable
+    ):
         value = value.copy()
         value.setflags(write=False)
     object.__setattr__(obj, field, value)
+
+
+def _store_checked(spec, name: str, dropped: int) -> None:
+    """Check and store ``spec.H`` and the coefficient matrix ``spec.<name>``.
+
+    H must be square, non-empty and Hermitian; the coefficient matrix must
+    be d x d with ``d = N**2 - dropped`` (``dropped`` identity labels).
+    """
+    H = np.asarray(spec.H, dtype=np.complex128)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"H must be square, got shape {H.shape}")
+    N = H.shape[0]
+    if N < 1:
+        raise ValueError("H must be at least 1x1")
+    M = np.asarray(getattr(spec, name), dtype=np.complex128)
+    d = N * N - dropped
+    if M.shape != (d, d):
+        raise ValueError(f"{name} must have shape {(d, d)} for N={N}, got {M.shape}")
+    if not is_hermitian(H):
+        raise ValueError("H must be Hermitian")
+    _frozen_array(spec, H, "H")
+    _frozen_array(spec, M, name)
 
 
 @dataclass(frozen=True)
@@ -83,22 +115,7 @@ class GeneratorSpec:
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        H = np.asarray(self.H, dtype=np.complex128)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError(f"H must be square, got shape {H.shape}")
-        N = H.shape[0]
-        if N < 1:
-            raise ValueError("H must be at least 1x1")
-        gamma = np.asarray(self.gamma, dtype=np.complex128)
-        if gamma.shape != (N * N, N * N):
-            raise ValueError(
-                f"gamma must have shape {(N * N, N * N)} for N={N}, "
-                f"got {gamma.shape}"
-            )
-        if not is_hermitian(H):
-            raise ValueError("H must be Hermitian")
-        _frozen_array(self, H, "H")
-        _frozen_array(self, gamma, "gamma")
+        _store_checked(self, "gamma", 0)
 
     @property
     def N(self) -> int:
@@ -108,6 +125,10 @@ class GeneratorSpec:
 @dataclass(frozen=True)
 class GellMannSpec:
     """A canonical generator over the traceless Gell-Mann sector.
+
+    The form that :func:`standard_to_gellmann` returns and the K operator
+    of ``kernel.k_operator`` takes; every analysis routine reads a
+    :class:`GeneratorSpec`, so convert with :func:`gellmann_to_standard`.
 
     Attributes
     ----------
@@ -122,22 +143,7 @@ class GellMannSpec:
     C: np.ndarray
 
     def __post_init__(self) -> None:
-        H = np.asarray(self.H, dtype=np.complex128)
-        if H.ndim != 2 or H.shape[0] != H.shape[1]:
-            raise ValueError(f"H must be square, got shape {H.shape}")
-        N = H.shape[0]
-        if N < 1:
-            raise ValueError("H must be at least 1x1")
-        C = np.asarray(self.C, dtype=np.complex128)
-        d = N * N - 1
-        if C.shape != (d, d):
-            raise ValueError(
-                f"C must have shape {(d, d)} for N={N}, got {C.shape}"
-            )
-        if not is_hermitian(H):
-            raise ValueError("H must be Hermitian")
-        _frozen_array(self, H, "H")
-        _frozen_array(self, C, "C")
+        _store_checked(self, "C", 1)
 
     @property
     def N(self) -> int:

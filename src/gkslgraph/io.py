@@ -4,9 +4,11 @@ Complex entries are encoded as two-element ``[re, im]`` arrays throughout.
 A spec document carries the dimension, the basis ordering of the
 coefficient matrix ("standard" or "gellmann"), the Hamiltonian, and the
 coefficient matrix either dense or (standard basis only) as a list of 2x2
-pair blocks plus a diagonal-sector matrix.  Parsing is strict: unknown
-fields, malformed entries, and duplicate pair blocks are rejected with the
-offending field path in the message.
+pair blocks plus a diagonal-sector matrix.  A "gellmann" document is
+checked as a :class:`GellMannSpec` and converted to the standard basis as
+it is read, so every parsed spec is a :class:`GeneratorSpec`.  Parsing is
+strict: unknown fields, malformed entries, and duplicate pair blocks are
+rejected with the offending field path in the message.
 
 Emission is hand-rolled so that every float is written with 17 significant
 digits (exact binary round-trip), which the stdlib serializer does not
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import _standard_position_array, standard_position
-from .generator import GellMannSpec, GeneratorSpec
+from .generator import GellMannSpec, GeneratorSpec, gellmann_to_standard
 
 __all__ = [
     "SpecParseError",
@@ -104,6 +106,7 @@ def _numeric_cmatrix(value, rows: int, cols: int) -> np.ndarray | None:
         return None
     if not np.isfinite(flat).all():
         return None
+    flat.setflags(write=False)  # a spec keeps the view instead of a copy
     return flat.view(np.complex128).reshape(rows, cols)
 
 
@@ -133,8 +136,8 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
         raise SpecParseError(f"{where}: unknown field(s) {unknown}")
 
 
-def parse_spec_document(doc) -> GeneratorSpec | GellMannSpec:
-    """Parse a spec document into a generator over its declared basis."""
+def parse_spec_document(doc) -> GeneratorSpec:
+    """Parse a spec document into a generator over the standard basis."""
     if not isinstance(doc, dict):
         raise SpecParseError("top level: expected an object")
     _reject_unknown(doc, {"N", "basis", "H", "gamma"}, "top level")
@@ -210,7 +213,7 @@ def parse_spec_document(doc) -> GeneratorSpec | GellMannSpec:
     try:
         if basis == "standard":
             return GeneratorSpec(H=H, gamma=M)
-        return GellMannSpec(H=H, C=M)
+        return gellmann_to_standard(GellMannSpec(H=H, C=M))
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
 
@@ -238,7 +241,7 @@ def _load_document(path: str | Path):
         raise SpecParseError(f"{path}: invalid JSON ({exc})") from exc
 
 
-def load_spec(path: str | Path) -> GeneratorSpec | GellMannSpec:
+def load_spec(path: str | Path) -> GeneratorSpec:
     return parse_spec_document(_load_document(path))
 
 
@@ -263,15 +266,8 @@ def matrix_to_document(M: np.ndarray) -> list:
     ]
 
 
-def spec_to_document(spec: GeneratorSpec | GellMannSpec) -> dict:
-    """Dense re-parseable document over the spec's own basis ordering."""
-    if isinstance(spec, GellMannSpec):
-        return {
-            "N": spec.N,
-            "basis": "gellmann",
-            "H": matrix_to_document(spec.H),
-            "gamma": {"format": "dense", "matrix": matrix_to_document(spec.C)},
-        }
+def spec_to_document(spec: GeneratorSpec) -> dict:
+    """Dense re-parseable document over the standard basis."""
     return {
         "N": spec.N,
         "basis": "standard",

@@ -25,7 +25,6 @@ import scipy.linalg
 
 from .basis import (
     DEFAULT_TOL,
-    _standard_position_array,
     from_standard_coordinates,
     is_psd,
     matrix_unit,
@@ -35,6 +34,7 @@ from .basis import (
 )
 from .digraph import (
     InducedDigraph,
+    _rate_table,
     _singularity_checks,
     _sink_report,
     induced_digraph,
@@ -229,9 +229,7 @@ def _ordered_pair(pair: tuple[int, int], N: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def diagonal_kernel(
-    spec: GeneratorSpec | GellMannSpec, tol: float = DEFAULT_TOL
-) -> list[KernelElement]:
+def diagonal_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> list[KernelElement]:
     """Stationary diagonal matrices, one per terminal SCC of the induced digraph.
 
     These lie in ker L whenever the generator preserves the diagonal sector
@@ -258,13 +256,6 @@ def _diagonal_elements(graph: InducedDigraph) -> list[KernelElement]:
 # ---------------------------------------------------------------------------
 
 
-def _out_rate_sum(spec: GeneratorSpec, j: int, other: int) -> float:
-    """Total rate out of level j to every level but ``other``."""
-    column = np.diagonal(spec.gamma).real[_standard_position_array(spec.N)[:, j - 1]]
-    column[[j - 1, other - 1]] = 0.0
-    return float(column.sum())
-
-
 def _block_operator(
     spec: GeneratorSpec, k: int, ell: int
 ) -> tuple[complex, complex, complex, complex]:
@@ -275,13 +266,18 @@ def _block_operator(
     p2 = standard_position(ell, k, N)
     dk = standard_position(k, k, N)
     dl = standard_position(ell, ell, N)
+    # Columns k and l of the rate table: the rates out of each level, with
+    # the rate to its partner zeroed (it enters as G[p1, p1] or G[p2, p2]).
+    R = _rate_table(spec)
+    out_k, out_l = R[:, k - 1].copy(), R[:, ell - 1].copy()
+    out_k[ell - 1] = out_l[k - 1] = 0.0
     c = 0.5 * (G[dk, dl] + G[dl, dk]) - 0.5 * (
         G[dk, dk]
         + G[dl, dl]
         + G[p1, p1]  # gamma_kl: rate l -> k
         + G[p2, p2]  # gamma_lk: rate k -> l
-        + _out_rate_sum(spec, k, ell)
-        + _out_rate_sum(spec, ell, k)
+        + float(out_k.sum())
+        + float(out_l.sum())
     )
     D = 0.5 * (G[dk, dl] - G[dl, dk]) - 1j * (
         spec.H[k - 1, k - 1].real - spec.H[ell - 1, ell - 1].real

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -22,11 +23,13 @@ from gkslgraph import (
     InducedDigraph,
     ValidationReport,
     basis_change_matrix,
+    dump_json,
     gellmann,
     gellmann_labels,
     gellmann_position,
     is_hermitian,
     lindblad_dissipator,
+    matrix_to_document,
     matrix_unit,
     standard_labels,
     standard_position,
@@ -246,6 +249,43 @@ def pair_block_spec(N, H, blocks, diag=None) -> GeneratorSpec:
         dpos = [standard_position(n, n, N) for n in range(1, N + 1)]
         g[np.ix_(dpos, dpos)] = np.asarray(diag, dtype=complex)
     return GeneratorSpec(H=np.asarray(H, dtype=complex), gamma=g)
+
+
+def gellmann_document(gm: GellMannSpec) -> dict:
+    """Dense spec document of ``gm`` over the traceless Gell-Mann labels."""
+    return {
+        "N": gm.N,
+        "basis": "gellmann",
+        "H": matrix_to_document(gm.H),
+        "gamma": {"format": "dense", "matrix": matrix_to_document(gm.C)},
+    }
+
+
+#: Every CLI command.
+COMMANDS = (
+    "validate", "canonicalize", "digraph", "kernel",
+    "eigen", "check-state", "oracle", "crosscheck",
+)
+
+
+def command_argv(command: str, spec_path, workdir, N: int) -> list[str]:
+    """CLI arguments that run ``command`` on one N-level spec file.
+
+    ``digraph`` writes its DOT file to ``workdir/<stem>.dot``, ``eigen``
+    takes the pair (1, 2), and ``check-state`` tests the maximally mixed
+    state, written to ``workdir``.
+    """
+    spec_path, workdir = Path(spec_path), Path(workdir)
+    argv = [command, str(spec_path)]
+    if command == "digraph":
+        argv += ["--out", str(workdir / f"{spec_path.stem}.dot")]
+    elif command == "eigen":
+        argv += ["--pair", "1,2"]
+    elif command == "check-state":
+        state = workdir / f"mixed{N}.state.json"
+        state.write_text(dump_json({"matrix": matrix_to_document(np.eye(N) / N)}) + "\n")
+        argv += ["--state", str(state), "--times", "0.5,2"]
+    return argv
 
 
 def superposition_decay_spec(a: float = 1.0, b: float = 0.75, c: float = 0.5) -> GeneratorSpec:

@@ -7,9 +7,11 @@ holds a reference to it, so calls through any import path are seen.
 import sys
 from collections import Counter
 
+import pytest
+
 import gkslgraph as gk
 from gkslgraph import basis, cli, digraph, generator
-from helpers import sink_menagerie_spec
+from helpers import COMMANDS, command_argv, gellmann_document, sink_menagerie_spec
 
 
 def count_calls(monkeypatch, *functions) -> Counter:
@@ -71,3 +73,14 @@ def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path
         "_conjugate_by_w": 3,
         "validate": 3,
     }
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_gellmann_file_is_converted_once(monkeypatch, tmp_path, capsys, command):
+    # The parser converts a Gell-Mann document; no command converts again.
+    gm = gk.standard_to_gellmann(sink_menagerie_spec())
+    path = tmp_path / "menagerie.json"
+    path.write_text(gk.dump_json(gellmann_document(gm)) + "\n")
+    counts = count_calls(monkeypatch, generator.gellmann_to_standard)
+    assert cli.main(command_argv(command, path, tmp_path, gm.N)) == 0
+    assert counts == {"gellmann_to_standard": 1}

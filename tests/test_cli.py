@@ -3,6 +3,7 @@
 import hashlib
 import json
 import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +12,13 @@ import gkslgraph as gk
 from gkslgraph.cli import main as cli_main
 from gkslgraph.io import dump_json, parse_spec_document, spec_to_document
 from helpers import (
+    COMMANDS,
+    command_argv,
     dephasing_ladder_spec,
+    gellmann_document,
     identity_coupled_spec,
     pair_block_spec,
+    random_pbd_spec,
     random_valid_spec,
     sink_menagerie_spec,
     superposition_decay_spec,
@@ -188,19 +193,20 @@ def test_parse_blocks_rejected_over_gellmann_basis(golden_dir):
 
 
 def test_parse_dense_gellmann_size():
-    # over the orthonormal basis the dense matrix drops the identity label
-    N = 2
-    doc = {
-        "N": N,
-        "basis": "gellmann",
-        "H": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
-        "gamma": {"format": "dense", "matrix": [[[1, 0], [0, 0], [0, 0]],
-                                                 [[0, 0], [0, 0], [0, 0]],
-                                                 [[0, 0], [0, 0], [0, 0]]]},
-    }
-    gm = parse_spec_document(doc)
-    assert isinstance(gm, gk.GellMannSpec)
-    assert gm.C.shape == (3, 3)
+    # Over the orthonormal basis the dense matrix drops the identity label;
+    # the parser converts it to the standard basis as it reads it.
+    gm = gk.standard_to_gellmann(random_valid_spec(np.random.default_rng(19), 3))
+    doc = json.loads(dump_json(gellmann_document(gm)))
+    assert len(doc["gamma"]["matrix"]) == 8
+    spec = parse_spec_document(doc)
+    assert type(spec) is gk.GeneratorSpec
+    assert spec.gamma.shape == (9, 9)
+    want = gk.gellmann_to_standard(gk.GellMannSpec(H=gm.H, C=gm.C))
+    assert np.array_equal(spec.H, want.H)
+    assert np.array_equal(spec.gamma, want.gamma)
+    doc["gamma"]["matrix"] = _zero_cmatrix(9)  # the standard size
+    with pytest.raises(gk.SpecParseError, match=r"^gamma\.matrix: expected 8 rows$"):
+        parse_spec_document(doc)
 
 
 def test_parse_wraps_constructor_errors():
@@ -220,6 +226,34 @@ def test_spec_document_round_trip():
     back = parse_spec_document(json.loads(dump_json(doc)))
     assert np.array_equal(back.H, spec.H)
     assert np.array_equal(back.gamma, spec.gamma)
+
+
+def _run_normalized(command, path, workdir, N, capsys):
+    """Exit code, stdout, stderr and DOT text, with the input path and hash masked."""
+    code, out, err = run_cli(command_argv(command, path, workdir, N), capsys)
+    dot = (workdir / f"{path.stem}.dot").read_text() if command == "digraph" else None
+    mask = (str(path), "SPEC"), (gk.file_sha256(path), "SHA256")
+    for old, new in mask:
+        out, err = out.replace(old, new), err.replace(old, new)
+    return code, out, err, dot
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_gellmann_file_reads_as_its_converted_spec(tmp_path, capsys, command):
+    # Every command, digraph included, reads the gamma a Gell-Mann document
+    # converts to: the payload equals that of the standard document of the
+    # converted spec, byte for byte.
+    specs = [random_valid_spec(np.random.default_rng(s), 2 + s % 3) for s in range(3)]
+    specs += [random_pbd_spec(np.random.default_rng(s), 3 + s % 3) for s in range(3)]
+    specs.append(sink_menagerie_spec())
+    for t, spec in enumerate(specs):
+        gm = gk.standard_to_gellmann(spec)
+        gm_path = tmp_path / f"s{t}.gellmann.json"
+        gm_path.write_text(dump_json(gellmann_document(gm)) + "\n")
+        std_path = Path(write_spec(tmp_path / f"s{t}.standard.json", gk.gellmann_to_standard(gm)))
+        got = _run_normalized(command, gm_path, tmp_path, spec.N, capsys)
+        want = _run_normalized(command, std_path, tmp_path, spec.N, capsys)
+        assert got == want, f"spec {t}"
 
 
 def test_dump_json_formatting():
@@ -275,6 +309,50 @@ def test_validate_writes_to_out_file(tmp_path, capsys, golden_dir):
     assert code == 0
     assert out == ""  # JSON went to the file instead
     assert json.loads(out_file.read_text())["verdict"] is True
+
+
+def test_out_that_is_a_directory_exits_1(tmp_path, capsys, golden_dir):
+    spec_path = golden_dir / "superposition.spec.json"
+    code, out, err = run_cli(["kernel", str(spec_path), "--out", str(tmp_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {tmp_path}: Is a directory\n"
+
+
+def test_digraph_out_in_a_missing_directory_exits_1(tmp_path, capsys, golden_dir):
+    spec_path = golden_dir / "menagerie.spec.json"
+    dot_path = tmp_path / "missing" / "g.dot"
+    code, out, err = run_cli(["digraph", str(spec_path), "--out", str(dot_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {dot_path}: No such file or directory\n"
+
+
+def test_batch_out_that_is_a_file_exits_1(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_spec(in_dir / "a.json", superposition_decay_spec())
+    out_file = tmp_path / "out"
+    out_file.write_text("taken\n")
+    code, out, err = run_cli(["kernel", str(in_dir), "--batch", "--out", str(out_file)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {out_file}: File exists\n"
+    assert out_file.read_text() == "taken\n"
+
+
+def test_batch_continues_past_an_unwritable_result(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for stem in "abc":
+        write_spec(in_dir / f"{stem}.json", sink_menagerie_spec())
+    out_dir = tmp_path / "out"
+    (out_dir / "b.digraph.json").mkdir(parents=True)
+    (out_dir / "c.dot").mkdir()
+    code, out, err = run_cli(["digraph", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {out_dir / 'b.digraph.json'}: Is a directory\n"
+        f"error: {out_dir / 'c.dot'}: Is a directory\n"
+    )
+    assert (out_dir / "a.dot").exists() and (out_dir / "c.digraph.json").is_file()
 
 
 def test_parse_failure_exit_code(tmp_path, capsys):

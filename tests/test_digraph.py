@@ -7,6 +7,7 @@ import pytest
 import gkslgraph as gk
 from helpers import (
     enumerate_in_tree_weight,
+    gellmann_document,
     pair_block_spec,
     random_digraph,
     random_valid_spec,
@@ -72,12 +73,16 @@ def test_induced_digraph_ignores_offdiagonal_block_entries():
 
 
 def test_induced_digraph_gellmann_route_agrees():
+    # A Gell-Mann document is converted to the standard basis as it is
+    # parsed, so its digraph is that of the converted spec, exactly.
     rng = np.random.default_rng(31)
     spec = random_valid_spec(rng, 3)
     gm = gk.standard_to_gellmann(spec)
+    g_gm = gk.induced_digraph(gk.parse_spec_document(gellmann_document(gm)))
+    g_conv = gk.induced_digraph(gk.gellmann_to_standard(gm))
+    assert g_gm.n == g_conv.n == 3
+    assert dict(g_gm.weights) == dict(g_conv.weights)
     g_std = gk.induced_digraph(gk.canonicalize(spec))
-    g_gm = gk.induced_digraph(gm)
-    assert g_std.n == g_gm.n
     assert set(g_std.weights) == set(g_gm.weights)
     for key, w in g_std.weights.items():
         assert g_gm.weights[key] == pytest.approx(w, rel=1e-9)

@@ -78,6 +78,27 @@ def test_spec_keeps_a_frozen_array_that_owns_its_data():
     assert gk.GellMannSpec(H=gm.H, C=gm.C).C is gm.C
 
 
+def test_spec_keeps_a_read_only_view_of_a_frozen_array():
+    base = np.zeros(32)
+    base.setflags(write=False)
+    view = base.view(np.complex128).reshape(4, 4)
+    spec = gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=view)
+    assert spec.gamma is view
+
+
+def test_load_spec_keeps_the_parsed_dense_gamma(tmp_path):
+    # The dense matrix is a complex view of the parser's frozen float buffer;
+    # the spec keeps that view instead of copying its N^4 entries.
+    path = tmp_path / "dense.json"
+    path.write_text(gk.dump_json(gk.spec_to_document(superposition_decay_spec())))
+    spec = gk.load_spec(path)
+    assert not spec.gamma.flags.owndata and not spec.gamma.flags.writeable
+    buffer = spec.gamma.base
+    assert buffer.dtype == np.float64 and buffer.size == 2 * 9 * 9
+    assert buffer.flags.owndata and not buffer.flags.writeable
+    assert np.array_equal(spec.gamma, superposition_decay_spec().gamma)
+
+
 def test_fresh_gamma_is_handed_over_frozen(golden_dir):
     for spec in (
         gk.canonicalize(superposition_decay_spec()),

@@ -7,6 +7,7 @@ import scipy.linalg
 import gkslgraph as gk
 from helpers import (
     dephasing_ladder_spec,
+    gellmann_document,
     identity_coupled_spec,
     max_principal_angle,
     pair_block_spec,
@@ -49,11 +50,15 @@ def test_diagonal_kernel_menagerie_count():
 
 
 def test_diagonal_kernel_accepts_gellmann_spec():
+    # A Gell-Mann document, parsed, gives the converted spec's elements exactly.
     spec = superposition_decay_spec()
     gm = gk.standard_to_gellmann(spec)
+    els_gm = gk.diagonal_kernel(gk.parse_spec_document(gellmann_document(gm)))
+    els_conv = gk.diagonal_kernel(gk.gellmann_to_standard(gm))
     els_std = gk.diagonal_kernel(spec)
-    els_gm = gk.diagonal_kernel(gm)
-    assert len(els_gm) == len(els_std) == 1
+    assert len(els_gm) == len(els_conv) == len(els_std) == 1
+    assert els_gm[0].support == els_conv[0].support
+    assert np.array_equal(els_gm[0].matrix, els_conv[0].matrix)
     assert np.max(np.abs(els_gm[0].matrix - els_std[0].matrix)) < 1e-9
 
 
