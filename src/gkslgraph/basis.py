@@ -312,6 +312,17 @@ def _conjugate_by_w(A: np.ndarray, inverse: bool) -> np.ndarray:
     return A
 
 
+def _pair_block(M: np.ndarray, k: int, ell: int, N: int) -> np.ndarray:
+    """The 2x2 view of M over the labels (k, ell), (ell, k), for k < ell.
+
+    M is indexed by the label order.  The two labels sit at adjacent
+    positions, so the block is a slice of M and a write through it lands
+    in M.  The diagonal labels come last: their block is ``M[-N:, -N:]``.
+    """
+    p = standard_position(k, ell, N)
+    return M[p : p + 2, p : p + 2]
+
+
 def _pair_blocks(M: np.ndarray, N: int) -> np.ndarray:
     """The 2x2 diagonal blocks of M's pair sector, as a (P, 2, 2) array.
 

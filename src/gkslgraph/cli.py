@@ -23,7 +23,7 @@ import scipy.linalg
 
 from .basis import DEFAULT_TOL, to_standard_coordinates
 from .digraph import _sink_report, induced_digraph, to_dot, tscc_stationary_vectors
-from .generator import canonicalize, validate
+from .generator import InvalidGeneratorError, _require_valid, canonicalize, validate
 from .io import (
     SpecParseError,
     dump_json,
@@ -52,15 +52,6 @@ class _Failure(Exception):
         super().__init__(message)
         self.code = code
         self.message = message
-
-
-def _require_valid(spec, tol: float, input_path) -> None:
-    """Exit 1 unless the spec validates."""
-    report = validate(spec, tol)
-    if not report.verdict:
-        raise _Failure(
-            1, f"{input_path}: generator failed validation ({report.summary})"
-        )
 
 
 def _complex_doc(z: complex) -> list[float]:
@@ -107,7 +98,6 @@ def _cmd_validate(spec, input_path, args, tol):
 
 
 def _cmd_canonicalize(spec, input_path, args, tol):
-    _require_valid(spec, tol, input_path)
     canon = canonicalize(spec, tol)
     return 0, {"spec": spec_to_document(canon)}, None, []
 
@@ -141,7 +131,7 @@ def _cmd_digraph(spec, input_path, args, tol):
 
 
 def _cmd_kernel(spec, input_path, args, tol):
-    _require_valid(spec, tol, input_path)
+    _require_valid(spec, tol)
     try:
         basis = full_kernel(spec, tol)
         return 0, _kernel_payload(basis), None, list(basis.diagnostics)
@@ -153,7 +143,7 @@ def _cmd_kernel(spec, input_path, args, tol):
 
 
 def _cmd_eigen(spec, input_path, args, tol):
-    _require_valid(spec, tol, input_path)
+    _require_valid(spec, tol)
     try:
         plus, minus = block_eigenpairs(spec, args.pair, tol)
     except ValueError as exc:  # a PreconditionError, or no such level pair
@@ -170,7 +160,6 @@ def _cmd_eigen(spec, input_path, args, tol):
 
 
 def _cmd_check_state(spec, input_path, args, tol):
-    _require_valid(spec, tol, input_path)
     try:
         state = load_state(args.state)
     except (OSError, SpecParseError) as exc:
@@ -179,7 +168,9 @@ def _cmd_check_state(spec, input_path, args, tol):
         warnings.simplefilter("always")
         try:
             invariant = verify_invariant(spec, state, args.times, tol)
-        except ValueError as exc:  # the state's shape: spec validated above
+        except InvalidGeneratorError:
+            raise  # reported against the spec by _process
+        except ValueError as exc:  # the state's shape
             raise _Failure(1, f"{args.state}: {exc}") from exc
     diagnostics = [str(w.message) for w in caught]
     payload = {"invariant": invariant, "times": list(args.times)}
@@ -192,7 +183,7 @@ def _cmd_oracle(spec, input_path, args, tol):
 
 
 def _cmd_crosscheck(spec, input_path, args, tol):
-    _require_valid(spec, tol, input_path)
+    _require_valid(spec, tol)
     oracle = brute_force_kernel(spec, tol)
     try:
         analytic = full_kernel(spec, tol)
@@ -384,7 +375,11 @@ def _process(command, input_path, args, tol):
         spec = load_spec(input_path)
     except (OSError, SpecParseError) as exc:
         raise _Failure(1, f"{input_path}: {exc}") from exc
-    code, payload, dot, diagnostics = _HANDLERS[command](spec, input_path, args, tol)
+    handler = _HANDLERS[command]
+    try:
+        code, payload, dot, diagnostics = handler(spec, input_path, args, tol)
+    except InvalidGeneratorError as exc:
+        raise _Failure(1, f"{input_path}: {exc}") from exc
     return code, _envelope(command, input_path, tol, payload, diagnostics), dot
 
 

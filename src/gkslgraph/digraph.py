@@ -7,6 +7,12 @@ rate exceeds a threshold.  Restricted to the diagonal matrix sector, every
 generator acts as the column-Laplacian of this digraph, so invariant
 populations are matrix-tree sums over its terminal strongly connected
 components.
+
+One iterative Tarjan pass gives every component structure: the strongly
+connected components, their reachability (read off Tarjan's completion
+order) and, on the symmetrized graph, the undirected components.  One
+builder makes every Laplacian; the stationary vectors read each terminal
+component's block of the Laplacian of the whole graph.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .basis import DEFAULT_TOL, _standard_position_array, standard_position
+from .basis import DEFAULT_TOL, _pair_block, _standard_position_array
 from .generator import GeneratorSpec
 
 __all__ = [
@@ -137,8 +143,7 @@ def _singularity_checks(
     symmetry ``|g_kl - g_lk|`` and block singularity ``|det|``, with
     thresholds tol and tol**2 scaled by the block magnitude.
     """
-    p = [standard_position(k, ell, spec.N), standard_position(ell, k, spec.N)]
-    blk = spec.gamma[np.ix_(p, p)]
+    blk = _pair_block(spec.gamma, k, ell, spec.N)
     scale = max(1.0, float(np.abs(blk).max()))
     det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
     return (abs(blk[0, 0] - blk[1, 1]), tol * scale), (abs(det), tol * scale**2)
@@ -167,11 +172,7 @@ def induced_digraph(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> InducedDig
 
 def laplacian(graph: InducedDigraph) -> np.ndarray:
     """Column-Laplacian: L[i-1, j-1] = w(j -> i), columns summing to zero."""
-    L = np.zeros((graph.n, graph.n))
-    for (src, dst), w in graph.weights.items():
-        L[dst - 1, src - 1] += w
-        L[src - 1, src - 1] -= w
-    return L
+    return _subgraph_laplacian(graph, tuple(range(1, graph.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +180,13 @@ def laplacian(graph: InducedDigraph) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def scc_decompose(graph: InducedDigraph) -> SCCDecomposition:
-    """Tarjan's algorithm (iterative), plus condensation reachability."""
-    n = graph.n
-    adj: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
-    for src, dst in sorted(graph.weights):
-        adj[src].append(dst)
+def _tarjan(n: int, adj: Mapping[int, Iterable[int]]) -> list[tuple[int, ...]]:
+    """Strongly connected components of a digraph on 1..n, in completion order.
 
+    ``adj[v]`` holds the successors of v.  Tarjan's algorithm, iterative;
+    each component is a sorted vertex tuple.  A component completes only
+    after every component it reaches.
+    """
     index: dict[int, int] = {}
     low: dict[int, int] = {}
     onstack: set[int] = set()
@@ -227,55 +228,42 @@ def scc_decompose(graph: InducedDigraph) -> SCCDecomposition:
                     if u == v:
                         break
                 comps.append(tuple(sorted(comp)))
+    return comps
 
-    comps.sort(key=lambda c: c[0])
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    cond_adj: list[set[int]] = [set() for _ in comps]
+
+def scc_decompose(graph: InducedDigraph) -> SCCDecomposition:
+    """Tarjan's algorithm, with reachability read off its completion order.
+
+    Each component completes after every component it reaches, so its
+    reachable set is itself joined with the sets of its successors.
+    """
+    adj: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
     for src, dst in graph.weights:
-        a, b = comp_of[src], comp_of[dst]
-        if a != b:
-            cond_adj[a].add(b)
-
-    reach: list[frozenset[int]] = []
-    for k in range(len(comps)):
-        seen = {k}
-        frontier = [k]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in cond_adj[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        reach.append(frozenset(seen))
-
-    terminal = tuple(r == frozenset({k}) for k, r in enumerate(reach))
+        adj[src].append(dst)
+    done = _tarjan(graph.n, adj)
+    comps = sorted(done)
+    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
+    reach: dict[int, frozenset[int]] = {}
+    for comp in done:
+        k = comp_of[comp[0]]
+        reach[k] = frozenset({k}).union(
+            *(reach[comp_of[w]] for v in comp for w in adj[v] if comp_of[w] != k)
+        )
+    reachable = tuple(reach[k] for k in range(len(comps)))
     return SCCDecomposition(
-        components=tuple(comps), terminal=terminal, reachable=tuple(reach)
+        components=tuple(comps),
+        terminal=tuple(r == {k} for k, r in enumerate(reachable)),
+        reachable=reachable,
     )
 
 
 def undirected_components(graph: InducedDigraph) -> tuple[tuple[int, ...], ...]:
     """Connected components of the symmetrized graph, as sorted tuples."""
-    nbrs: dict[int, set[int]] = {v: set() for v in range(1, graph.n + 1)}
+    adj: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
     for src, dst in graph.weights:
-        nbrs[src].add(dst)
-        nbrs[dst].add(src)
-    seen: set[int] = set()
-    comps: list[tuple[int, ...]] = []
-    for v in range(1, graph.n + 1):
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in nbrs[cur]:
-                if nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        seen |= comp
-        comps.append(tuple(sorted(comp)))
-    return tuple(comps)
+        adj[src].append(dst)
+        adj[dst].append(src)
+    return tuple(sorted(_tarjan(graph.n, adj)))
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +309,17 @@ def _rooted_minor_weight(L: np.ndarray, r: int) -> float:
 def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:
     """One stationary population per terminal SCC, via rooted tree weights.
 
-    The subgraph Laplacian of each component is built once and every
-    root's minor taken from it.  Weights are clamped at zero (determinant
-    round-off can produce tiny negatives) and normalized to a distribution
-    supported on the component.
+    The Laplacian of the graph is built once.  No edge leaves a terminal
+    component, so its block of that Laplacian is its subgraph Laplacian,
+    and every root's minor is taken from it.  Weights are clamped at zero
+    (determinant round-off can produce tiny negatives) and normalized to a
+    distribution supported on the component.
     """
+    full = laplacian(graph)
     out: list[StationaryVector] = []
     for comp in graph.scc.terminal_components():
-        L = _subgraph_laplacian(graph, comp)
+        rows = [v - 1 for v in comp]
+        L = full[np.ix_(rows, rows)]
         tilde = np.array([_rooted_minor_weight(L, r) for r in range(len(comp))])
         tilde = np.clip(tilde, 0.0, None)
         lam = float(tilde.sum())

@@ -42,6 +42,7 @@ from .basis import (
 __all__ = [
     "GeneratorSpec",
     "GellMannSpec",
+    "InvalidGeneratorError",
     "ValidationReport",
     "PairBlockClassification",
     "apply_generator",
@@ -58,23 +59,26 @@ __all__ = [
 ]
 
 
-def _frozen_array(obj, value: np.ndarray, field: str) -> None:
-    """Store a read-only complex array, copied unless nothing can write to it.
+def _frozen_array(value) -> np.ndarray:
+    """``value`` as a read-only complex array, copied unless nothing can write to it.
 
-    A read-only array is kept if it owns its data, or if its data belongs
-    to a read-only array that owns it (a view of a frozen buffer).
+    Kept without a copy: the array that the complex conversion made (from
+    a list or an array of another dtype), a read-only array that owns its
+    data, and a read-only view of a read-only array that owns its data (a
+    view of a frozen buffer).
     """
-    value = np.asarray(value, dtype=np.complex128)
-    owner = value if value.flags.owndata else value.base
-    if (
-        value.flags.writeable
+    array = np.asarray(value, dtype=np.complex128)
+    converted = array is not value and isinstance(value, (np.ndarray, list, tuple))
+    owner = array if array.flags.owndata else array.base
+    if not (converted and array.flags.owndata) and (
+        array.flags.writeable
         or not isinstance(owner, np.ndarray)
         or not owner.flags.owndata
         or owner.flags.writeable
     ):
-        value = value.copy()
-        value.setflags(write=False)
-    object.__setattr__(obj, field, value)
+        array = array.copy()
+    array.setflags(write=False)
+    return array
 
 
 def _store_checked(spec, name: str, dropped: int) -> None:
@@ -83,20 +87,20 @@ def _store_checked(spec, name: str, dropped: int) -> None:
     H must be square, non-empty and Hermitian; the coefficient matrix must
     be d x d with ``d = N**2 - dropped`` (``dropped`` identity labels).
     """
-    H = np.asarray(spec.H, dtype=np.complex128)
+    H = _frozen_array(spec.H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"H must be square, got shape {H.shape}")
     N = H.shape[0]
     if N < 1:
         raise ValueError("H must be at least 1x1")
-    M = np.asarray(getattr(spec, name), dtype=np.complex128)
+    M = _frozen_array(getattr(spec, name))
     d = N * N - dropped
     if M.shape != (d, d):
         raise ValueError(f"{name} must have shape {(d, d)} for N={N}, got {M.shape}")
     if not is_hermitian(H):
         raise ValueError("H must be Hermitian")
-    _frozen_array(spec, H, "H")
-    _frozen_array(spec, M, name)
+    object.__setattr__(spec, "H", H)
+    object.__setattr__(spec, name, M)
 
 
 @dataclass(frozen=True)
@@ -176,6 +180,14 @@ class ValidationReport:
             f"psd_on_traceless={self.psd_on_traceless}, "
             f"trace_condition={self.trace_condition}"
         )
+
+
+class InvalidGeneratorError(ValueError):
+    """The generator failed :func:`validate`; ``report`` holds the outcome."""
+
+    def __init__(self, report: ValidationReport):
+        super().__init__(f"generator failed validation ({report.summary})")
+        self.report = report
 
 
 @dataclass(frozen=True)
@@ -344,6 +356,13 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     )
 
 
+def _require_valid(spec: GeneratorSpec, tol: float) -> None:
+    """Raise :class:`InvalidGeneratorError` unless the spec validates."""
+    report = validate(spec, tol)
+    if not report.verdict:
+        raise InvalidGeneratorError(report)
+
+
 def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec:
     """Equivalent generator whose jump operators are traceless.
 
@@ -356,11 +375,9 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     Hermitized, with ``M[i, j] = sum_n (gamma[(n,n), (j,i)] - gamma[(i,j), (n,n)])``.
     The action is unchanged and ``Gamma'(I) = 0``.  ``O(N^3)`` past validation.
 
-    Raises ``ValueError`` if the spec does not validate.
+    Raises :class:`InvalidGeneratorError` if the spec does not validate.
     """
-    report = validate(spec, tol)
-    if not report.verdict:
-        raise ValueError(f"cannot canonicalize an invalid generator: {report.summary}")
+    _require_valid(spec, tol)
     N = spec.N
     R = N * N - N
     gamma = np.array(spec.gamma)
@@ -465,7 +482,8 @@ def standard_to_gellmann(
     """Canonicalize, then truncate the coefficient matrix to the traceless block.
 
     The truncation is lossless only for canonical generators, so the spec is
-    canonicalized first (raising ``ValueError`` if it does not validate).
+    canonicalized first (raising :class:`InvalidGeneratorError` if it does not
+    validate).
     """
     canon = canonicalize(spec, tol)
     C = _conjugate_by_w(np.array(canon.gamma), inverse=False)

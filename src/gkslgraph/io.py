@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import _standard_position_array, standard_position
+from .basis import _pair_block
 from .generator import GellMannSpec, GeneratorSpec, gellmann_to_standard
 
 __all__ = [
@@ -197,13 +197,9 @@ def parse_spec_document(doc) -> GeneratorSpec:
                 raise SpecParseError(f"{where}: duplicate pair ({i}, {j})")
             seen.add((i, j))
             block = _parse_cmatrix(pdoc["block"], 2, 2, f"{where}.block")
-            p1 = standard_position(i, j, N)
-            p2 = standard_position(j, i, N)
-            M[np.ix_([p1, p2], [p1, p2])] = block
+            _pair_block(M, i, j, N)[...] = block
         if "diag" in gamma_doc:
-            D = _parse_cmatrix(gamma_doc["diag"], N, N, "gamma.diag")
-            d = np.diagonal(_standard_position_array(N))
-            M[np.ix_(d, d)] = D
+            M[-N:, -N:] = _parse_cmatrix(gamma_doc["diag"], N, N, "gamma.diag")
         M.setflags(write=False)  # the spec keeps this array instead of a copy
     else:
         raise SpecParseError(

@@ -25,10 +25,10 @@ import scipy.linalg
 
 from .basis import (
     DEFAULT_TOL,
+    _pair_block,
     from_standard_coordinates,
     is_psd,
     matrix_unit,
-    standard_position,
     to_standard_coordinates,
     gellmann_labels,
 )
@@ -45,6 +45,7 @@ from .generator import (
     GellMannSpec,
     GeneratorSpec,
     PairBlockClassification,
+    _require_valid,
     apply_generator,
     canonicalize,
     classify_pair_block_diagonal,
@@ -260,29 +261,24 @@ def _block_operator(
     spec: GeneratorSpec, k: int, ell: int
 ) -> tuple[complex, complex, complex, complex]:
     """(c, D, p, q) with the block action c*I + [[D, p], [q, -D]] on (E_kl, E_lk)."""
-    N = spec.N
-    G = spec.gamma
-    p1 = standard_position(k, ell, N)
-    p2 = standard_position(ell, k, N)
-    dk = standard_position(k, k, N)
-    dl = standard_position(ell, ell, N)
+    blk = _pair_block(spec.gamma, k, ell, spec.N)
+    G = spec.gamma[-spec.N :, -spec.N :]  # the diagonal-sector block
+    a, b = k - 1, ell - 1
     # Columns k and l of the rate table: the rates out of each level, with
-    # the rate to its partner zeroed (it enters as G[p1, p1] or G[p2, p2]).
+    # the rate to its partner zeroed (it enters as blk[0, 0] or blk[1, 1]).
     R = _rate_table(spec)
-    out_k, out_l = R[:, k - 1].copy(), R[:, ell - 1].copy()
-    out_k[ell - 1] = out_l[k - 1] = 0.0
-    c = 0.5 * (G[dk, dl] + G[dl, dk]) - 0.5 * (
-        G[dk, dk]
-        + G[dl, dl]
-        + G[p1, p1]  # gamma_kl: rate l -> k
-        + G[p2, p2]  # gamma_lk: rate k -> l
+    out_k, out_l = R[:, a].copy(), R[:, b].copy()
+    out_k[b] = out_l[a] = 0.0
+    c = 0.5 * (G[a, b] + G[b, a]) - 0.5 * (
+        G[a, a]
+        + G[b, b]
+        + blk[0, 0]  # gamma_kl: rate l -> k
+        + blk[1, 1]  # gamma_lk: rate k -> l
         + float(out_k.sum())
         + float(out_l.sum())
     )
-    D = 0.5 * (G[dk, dl] - G[dl, dk]) - 1j * (
-        spec.H[k - 1, k - 1].real - spec.H[ell - 1, ell - 1].real
-    )
-    return c, D, G[p1, p2], G[p2, p1]
+    D = 0.5 * (G[a, b] - G[b, a]) - 1j * (spec.H[a, a].real - spec.H[b, b].real)
+    return c, D, blk[0, 1], blk[1, 0]
 
 
 def _unit_pair_matrix(x: complex, y: complex, k: int, ell: int, N: int) -> np.ndarray:
@@ -365,23 +361,22 @@ def _block_analysis(
     """
     canon, tol = prep.canon, prep.tol
     N = canon.N
-    G = canon.gamma
-    dk = standard_position(k, k, N)
-    dl = standard_position(ell, ell, N)
+    G = canon.gamma[-N:, -N:]  # the diagonal-sector block
+    a, b = k - 1, ell - 1
     notes: list[str] = []
     where = f"pair ({k}, {ell})"
 
     h_ok = _margin_notes(
         notes, f"{where}: level splitting |h_k - h_l|",
-        abs(canon.H[k - 1, k - 1].real - canon.H[ell - 1, ell - 1].real),
+        abs(canon.H[a, a].real - canon.H[b, b].real),
         prep.cls.h_threshold,
     )
     scale_g = prep.cls.block_threshold
     g_ok = True
     for label, value in (
-        ("dephasing match |g_kk - g_ll|", abs(G[dk, dk] - G[dl, dl])),
-        ("cross term match |g_kkll - g_kk|", abs(G[dk, dl] - G[dk, dk])),
-        ("cross term match |g_llkk - g_kk|", abs(G[dl, dk] - G[dk, dk])),
+        ("dephasing match |g_kk - g_ll|", abs(G[a, a] - G[b, b])),
+        ("cross term match |g_kkll - g_kk|", abs(G[a, b] - G[a, a])),
+        ("cross term match |g_llkk - g_kk|", abs(G[b, a] - G[a, a])),
     ):
         g_ok = _margin_notes(notes, f"{where}: {label}", value, scale_g) and g_ok
 
@@ -400,10 +395,9 @@ def _block_analysis(
     det_ok = _margin_notes(notes, f"{where}: block singularity |det|", *singularity)
     if not (sym_ok and det_ok and h_ok and g_ok):
         return [], notes
-    p1 = standard_position(k, ell, N)
-    p2 = standard_position(ell, k, N)
-    gbar = 0.5 * (float(G[p1, p1].real) + float(G[p2, p2].real))
-    v = _unit_pair_matrix(G[p1, p2], gbar, k, ell, N)
+    blk = _pair_block(canon.gamma, k, ell, N)
+    gbar = 0.5 * (float(blk[0, 0].real) + float(blk[1, 1].real))
+    v = _unit_pair_matrix(blk[0, 1], gbar, k, ell, N)
     return [KernelElement(matrix=v, tag="singular-2-sink", support=(k, ell))], notes
 
 
@@ -547,19 +541,15 @@ def consistency_and_bound(
 ) -> ConsistencyReport:
     """Component count of the induced graph as a kernel dimension bound.
 
-    The generator must validate (ValueError otherwise).  H is *consistent*
-    when it has no matrix elements between distinct undirected components
-    of the induced digraph; then each component projection is conserved,
-    the component count lower-bounds the oracle nullity (a violation
-    raises RuntimeError — the implementation asserts the bound), and the
-    projection check verifies Tr(P_k L(E_ab)) = 0 for every component k
-    and label (a, b) via superoperator column sums.
+    The generator must validate (InvalidGeneratorError otherwise).  H is
+    *consistent* when it has no matrix elements between distinct undirected
+    components of the induced digraph; then each component projection is
+    conserved, the component count lower-bounds the oracle nullity (a
+    violation raises RuntimeError — the implementation asserts the bound),
+    and the projection check verifies Tr(P_k L(E_ab)) = 0 for every
+    component k and label (a, b) via superoperator column sums.
     """
-    report = validate(spec, tol)
-    if not report.verdict:
-        raise ValueError(
-            f"consistency bound requires a valid generator ({report.summary})"
-        )
+    _require_valid(spec, tol)
     N = spec.N
     graph = induced_digraph(spec, tol)
     comps = undirected_components(graph)
@@ -577,8 +567,7 @@ def consistency_and_bound(
     scale_s = tol * max(1.0, float(np.abs(S).max()))
     projection_check = True
     for comp in comps:
-        diag_rows = [standard_position(i, i, N) for i in comp]
-        col_sums = np.abs(S[diag_rows, :].sum(axis=0))
+        col_sums = np.abs(S[-N:][[i - 1 for i in comp]].sum(axis=0))
         if float(col_sums.max()) > scale_s:
             projection_check = False
 
@@ -613,19 +602,15 @@ def verify_invariant(
 ) -> bool:
     """Check that rho is invariant, both infinitesimally and under exp(tL).
 
-    The generator must validate and every time must be finite (ValueError
-    otherwise).  If rho is not a state (Hermitian, positive, unit trace
-    within tol) a UserWarning is issued but the invariance check still
-    runs.  Returns True iff ``|L(rho)|_F <= GENERATOR_RESIDUAL_TOL`` and
+    The generator must validate (InvalidGeneratorError otherwise), and rho
+    must be N x N and every time finite (ValueError otherwise).  If rho is
+    not a state (Hermitian, positive, unit trace within tol) a UserWarning
+    is issued but the invariance check still runs.  Returns True iff ``|L(rho)|_F <= GENERATOR_RESIDUAL_TOL`` and
     the vectorized drift ``|exp(t S) vec(rho) - vec(rho)|_2 <=
     EVOLUTION_DRIFT_TOL`` at every requested time; a NaN residual or drift
     fails.
     """
-    report = validate(spec, tol)
-    if not report.verdict:
-        raise ValueError(
-            f"verify_invariant requires a valid generator ({report.summary})"
-        )
+    _require_valid(spec, tol)
     rho = np.asarray(rho, dtype=np.complex128)
     N = spec.N
     if rho.shape != (N, N):

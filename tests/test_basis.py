@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
-from gkslgraph.basis import _diagonal_block, _max_off_block
+from gkslgraph.basis import _diagonal_block, _max_off_block, _pair_block
 from helpers import random_hermitian, random_pair_block_matrix
 
 RT2 = np.sqrt(2.0)
@@ -53,6 +53,21 @@ def test_positions_invert_labels(N):
         assert gk.standard_position(i, j, N) == q
     for q, (i, j) in enumerate(gk.gellmann_labels(N)):
         assert gk.gellmann_position(i, j, N) == q
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_pair_block_is_a_view_of_the_labelled_block(N):
+    M = np.arange(N**4, dtype=complex).reshape(N * N, N * N)
+    d = [gk.standard_position(n, n, N) for n in range(1, N + 1)]
+    assert np.array_equal(M[-N:, -N:], M[np.ix_(d, d)])
+    for k in range(1, N + 1):
+        for ell in range(k + 1, N + 1):
+            p = [gk.standard_position(k, ell, N), gk.standard_position(ell, k, N)]
+            assert np.array_equal(_pair_block(M, k, ell, N), M[np.ix_(p, p)])
+            written, expected = M.copy(), M.copy()
+            _pair_block(written, k, ell, N)[...] = -1.0
+            expected[np.ix_(p, p)] = -1.0
+            assert np.array_equal(written, expected)
 
 
 def test_position_rejects_bad_labels():

@@ -53,6 +53,15 @@ def test_kernel_command_conjugates_by_w_only_to_validate(monkeypatch, tmp_path, 
     assert counts == {"_conjugate_by_w": 3, "validate": 3}
 
 
+@pytest.mark.parametrize("command", ["canonicalize", "check-state"])
+def test_command_validates_once(monkeypatch, tmp_path, golden_dir, command):
+    # canonicalize and verify_invariant validate; the command does not again.
+    counts = count_calls(monkeypatch, generator.validate)
+    spec = golden_dir / "superposition.spec.json"
+    assert cli.main(command_argv(command, spec, tmp_path, 3)) == 0
+    assert counts == {"validate": 1}
+
+
 def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path, golden_dir):
     # The pair-block analysis reads sinks and terminal 2-cycles off the one
     # digraph that also gives the diagonal kernel elements.

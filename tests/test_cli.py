@@ -409,6 +409,30 @@ def test_canonicalize_requires_valid(tmp_path, capsys):
     assert "not a valid generator" in err or "valid" in err
 
 
+@pytest.mark.parametrize(
+    "command", ["canonicalize", "kernel", "eigen", "check-state", "crosscheck"]
+)
+def test_invalid_generator_error_line(tmp_path, capsys, command):
+    path = write_spec(tmp_path / "bad.json", INDEFINITE)
+    summary = gk.validate(INDEFINITE).summary
+    code, out, err = run_cli(command_argv(command, path, tmp_path, 2), capsys)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {path}: generator failed validation ({summary})\n"
+
+
+def test_check_state_reports_a_bad_state_file_before_an_invalid_generator(
+    tmp_path, capsys
+):
+    path = write_spec(tmp_path / "bad.json", INDEFINITE)
+    state = tmp_path / "missing.state.json"
+    argv = ["check-state", path, "--state", str(state), "--times", "1"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {state}: ")
+
+
 def test_digraph_requires_out(capsys, golden_dir):
     with pytest.raises(SystemExit) as exc:
         cli_main(["digraph", str(golden_dir / "menagerie.spec.json")])

@@ -158,9 +158,14 @@ def test_scc_against_networkx_oracle():
         assert list(dec.components) == expected
         cond = nx.condensation(G)
         # map our component order onto the networkx condensation nodes
-        for k, comp in enumerate(dec.components):
-            node = cond.graph["mapping"][comp[0]]
+        nodes = [cond.graph["mapping"][comp[0]] for comp in dec.components]
+        ours = {node: k for k, node in enumerate(nodes)}
+        for k, node in enumerate(nodes):
             assert dec.terminal[k] == (cond.out_degree(node) == 0)
+            reached = {node} | nx.descendants(cond, node)
+            assert dec.reachable[k] == frozenset(ours[m] for m in reached)
+        weak = sorted(tuple(sorted(c)) for c in nx.weakly_connected_components(G))
+        assert gk.undirected_components(g) == tuple(weak)
 
 
 def test_undirected_components():

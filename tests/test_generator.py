@@ -1,6 +1,7 @@
 """Generator-layer tests: action, superoperator, validation, canonical form."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,21 @@ def test_spec_copies_input_arrays():
     g[0, 0] = 5.0
     assert spec.H[0, 0] == 0.0
     assert spec.gamma[0, 0] == 0.0
+
+
+def test_spec_freezes_the_converted_array_without_a_copy():
+    # The complex conversion of a real gamma is already a fresh array; the
+    # spec keeps it instead of copying all N^4 entries again.
+    H, gamma = np.zeros((24, 24)), np.zeros((576, 576))
+    tracemalloc.start()
+    try:
+        spec = gk.GeneratorSpec(H=H, gamma=gamma)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * gamma.size * np.dtype(np.complex128).itemsize
+    assert H.flags.writeable and gamma.flags.writeable
+    assert spec.gamma.flags.owndata and not spec.gamma.flags.writeable
 
 
 def test_spec_copies_read_only_views():
@@ -458,6 +474,21 @@ def test_canonicalize_rejects_invalid_spec():
     spec = pair_block_spec(2, np.zeros((2, 2)), {(1, 2): np.array([[0.0, 1.0], [1.0, 0.0]])})
     with pytest.raises(ValueError):
         gk.canonicalize(spec)
+
+
+def test_invalid_generator_error_carries_the_report():
+    spec = pair_block_spec(2, np.zeros((2, 2)), {(1, 2): np.array([[0.0, 1.0], [1.0, 0.0]])})
+    report = gk.validate(spec)
+    assert not report.verdict
+    for call in (
+        lambda: gk.canonicalize(spec),
+        lambda: gk.verify_invariant(spec, np.eye(2) / 2.0, [1.0]),
+        lambda: gk.consistency_and_bound(spec),
+    ):
+        with pytest.raises(gk.InvalidGeneratorError) as info:
+            call()
+        assert str(info.value) == f"generator failed validation ({report.summary})"
+        assert info.value.report == report
 
 
 @pytest.mark.parametrize("N", range(1, 7))
