@@ -3,15 +3,18 @@
 Every command reads a spec JSON file (or a directory of them with
 ``--batch``) and emits a JSON result envelope carrying the command name,
 input path, input SHA-256, tolerance, payload, and diagnostics.  Exit
-codes: 0 on success, 1 for invalid or unparseable specs and outputs that
-cannot be written (and crosscheck disagreement), 2 when ``--strict`` turns
-an analytic-precondition fallback into a failure.  Usage errors follow
+codes: 0 on success, 1 for invalid or unparseable specs, results that hold
+a NaN or infinite number, and outputs that cannot be written (and
+crosscheck disagreement), 2 when ``--strict`` turns an
+analytic-precondition fallback into a failure.  Usage errors follow
 argparse conventions.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import math
 import os
 import sys
@@ -26,11 +29,11 @@ from .digraph import _sink_report, induced_digraph, to_dot, tscc_stationary_vect
 from .generator import InvalidGeneratorError, _require_valid, canonicalize, validate
 from .io import (
     SpecParseError,
+    _decode_document,
     dump_json,
-    file_sha256,
-    load_spec,
     load_state,
     matrix_to_document,
+    parse_spec_document,
     spec_to_document,
 )
 from .kernel import (
@@ -266,7 +269,9 @@ def _tol_arg(text: str) -> float:
     return tol
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "input", help="spec JSON file, or a directory of them with --batch"
@@ -357,22 +362,15 @@ def _resolve_tol(args) -> float:
     return DEFAULT_TOL
 
 
-def _envelope(command, input_path, tol, payload, diagnostics) -> dict:
-    doc = {
-        "command": command,
-        "input": str(input_path),
-        "spec_sha256": file_sha256(input_path),
-        "tolerance": float(tol),
-    }
-    doc.update(payload)
-    doc["diagnostics"] = list(diagnostics)
-    return doc
-
-
 def _process(command, input_path, args, tol):
-    """Load and dispatch; returns (code, envelope doc, dot text or None)."""
+    """Load, dispatch and serialize; returns (code, JSON text, dot text or None).
+
+    The spec file is read once: the envelope's ``spec_sha256`` names the
+    bytes that were parsed.
+    """
     try:
-        spec = load_spec(input_path)
+        data = input_path.read_bytes()
+        spec = parse_spec_document(_decode_document(data, input_path))
     except (OSError, SpecParseError) as exc:
         raise _Failure(1, f"{input_path}: {exc}") from exc
     handler = _HANDLERS[command]
@@ -380,7 +378,19 @@ def _process(command, input_path, args, tol):
         code, payload, dot, diagnostics = handler(spec, input_path, args, tol)
     except InvalidGeneratorError as exc:
         raise _Failure(1, f"{input_path}: {exc}") from exc
-    return code, _envelope(command, input_path, tol, payload, diagnostics), dot
+    doc = {
+        "command": command,
+        "input": str(input_path),
+        "spec_sha256": hashlib.sha256(data).hexdigest(),
+        "tolerance": float(tol),
+        **payload,
+        "diagnostics": list(diagnostics),
+    }
+    try:
+        text = dump_json(doc) + "\n"
+    except ValueError as exc:  # a NaN or infinite number in the result
+        raise _Failure(1, f"{input_path}: cannot write the result as JSON ({exc})") from exc
+    return code, text, dot
 
 
 def _write(path: Path, text: str) -> None:
@@ -396,8 +406,7 @@ def _run_single(args, tol, parser) -> int:
         parser.error("digraph requires --out for the DOT file")
     input_path = Path(args.input)
     try:
-        code, doc, dot = _process(args.command, input_path, args, tol)
-        text = dump_json(doc) + "\n"
+        code, text, dot = _process(args.command, input_path, args, tol)
         if args.command == "digraph":
             _write(Path(args.out), dot)
         elif args.out:
@@ -427,8 +436,8 @@ def _run_batch(args, tol, parser) -> int:
     for input_path in sorted(in_dir.glob("*.json")):
         stem = input_path.stem
         try:
-            code, doc, dot = _process(args.command, input_path, args, tol)
-            _write(out_dir / f"{stem}.{args.command}.json", dump_json(doc) + "\n")
+            code, text, dot = _process(args.command, input_path, args, tol)
+            _write(out_dir / f"{stem}.{args.command}.json", text)
             if args.command == "digraph":
                 _write(out_dir / f"{stem}.dot", dot)
         except _Failure as failure:

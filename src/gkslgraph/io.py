@@ -9,10 +9,6 @@ checked as a :class:`GellMannSpec` and converted to the standard basis as
 it is read, so every parsed spec is a :class:`GeneratorSpec`.  Parsing is
 strict: unknown fields, malformed entries, and duplicate pair blocks are
 rejected with the offending field path in the message.
-
-Emission is hand-rolled so that every float is written with 17 significant
-digits (exact binary round-trip), which the stdlib serializer does not
-offer.
 """
 
 from __future__ import annotations
@@ -228,13 +224,18 @@ def parse_state_document(doc) -> np.ndarray:
     return _parse_cmatrix(value, n, n, "matrix")
 
 
-def _load_document(path: str | Path):
+def _decode_document(data: bytes, path: str | Path):
+    """The JSON document in ``data``, the bytes read from ``path``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(data.decode("utf-8"))
     except UnicodeDecodeError as exc:
         raise SpecParseError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise SpecParseError(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _load_document(path: str | Path):
+    return _decode_document(Path(path).read_bytes(), path)
 
 
 def load_spec(path: str | Path) -> GeneratorSpec:
@@ -257,9 +258,7 @@ def file_sha256(path: str | Path) -> str:
 def matrix_to_document(M: np.ndarray) -> list:
     """Nested [re, im] lists for a complex matrix."""
     M = np.asarray(M, dtype=np.complex128)
-    return [
-        [[float(z.real), float(z.imag)] for z in row] for row in M
-    ]
+    return np.stack((M.real, M.imag), axis=-1).tolist()
 
 
 def spec_to_document(spec: GeneratorSpec) -> dict:
@@ -272,68 +271,6 @@ def spec_to_document(spec: GeneratorSpec) -> dict:
     }
 
 
-def _format_float(v: float) -> str:
-    if not math.isfinite(v):
-        raise ValueError(f"cannot serialize non-finite float {v!r}")
-    if v == 0.0:
-        v = 0.0  # normalize -0.0 so output text re-parses to itself
-    return format(v, ".17g")
-
-
-def _format_scalar(value) -> str:
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, int):
-        return repr(value)
-    if isinstance(value, float):
-        return _format_float(value)
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-def _is_scalar(value) -> bool:
-    return value is None or isinstance(value, (bool, str, int, float))
-
-
-def _emit(value, level: int, out: list[str], indent: int) -> None:
-    pad = " " * (indent * level)
-    inner = " " * (indent * (level + 1))
-    if isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for t, (key, item) in enumerate(value.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be strings, got {key!r}")
-            out.append(f"{inner}{json.dumps(key)}: ")
-            _emit(item, level + 1, out, indent)
-            out.append(",\n" if t < len(value) - 1 else "\n")
-        out.append(pad + "}")
-        return
-    if isinstance(value, (list, tuple)):
-        items = list(value)
-        if not items:
-            out.append("[]")
-            return
-        if all(_is_scalar(item) for item in items):
-            out.append("[" + ", ".join(_format_scalar(item) for item in items) + "]")
-            return
-        out.append("[\n")
-        for t, item in enumerate(items):
-            out.append(inner)
-            _emit(item, level + 1, out, indent)
-            out.append(",\n" if t < len(items) - 1 else "\n")
-        out.append(pad + "]")
-        return
-    out.append(_format_scalar(value))
-
-
-def dump_json(value, indent: int = 2) -> str:
-    """Serialize to JSON with floats at 17 significant digits (no newline)."""
-    out: list[str] = []
-    _emit(value, 0, out, indent)
-    return "".join(out)
+def dump_json(value) -> str:
+    """One line of JSON (no newline); non-finite floats raise ValueError."""
+    return json.dumps(value, allow_nan=False)

@@ -1,14 +1,18 @@
 """CLI and JSON I/O tests: envelopes, exit codes, batch mode, golden files."""
 
+import argparse
 import hashlib
 import json
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gkslgraph as gk
+from gkslgraph import cli
 from gkslgraph.cli import main as cli_main
 from gkslgraph.io import dump_json, parse_spec_document, spec_to_document
 from helpers import (
@@ -159,8 +163,9 @@ def test_batch_continues_past_a_non_finite_spec(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
     write_spec(in_dir / "a.json", superposition_decay_spec())
-    text = (in_dir / "a.json").read_text()
-    (in_dir / "b.json").write_text(text.replace("[1, 0]", "[Infinity, 0]", 1))
+    doc = json.loads((in_dir / "a.json").read_text())
+    doc["gamma"]["matrix"][0][0][0] = float("inf")
+    (in_dir / "b.json").write_text(json.dumps(doc))
     write_spec(in_dir / "c.json", dephasing_ladder_spec())
     out_dir = tmp_path / "out"
     code, _, err = run_cli(["kernel", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
@@ -168,6 +173,127 @@ def test_batch_continues_past_a_non_finite_spec(tmp_path, capsys):
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.kernel.json", "c.kernel.json"]
     assert f"error: {in_dir / 'b.json'}: " in err
     assert "expected a finite number, got inf" in err
+
+
+def _nan_for_stem_a(spec, input_path, args, tol):
+    return 0, {"verdict": float("nan") if input_path.stem == "a" else 1.0}, None, []
+
+
+def test_non_finite_result_exits_1(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "validate", _nan_for_stem_a)
+    path = Path(write_spec(tmp_path / "a.json", superposition_decay_spec()))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}: cannot write the result as JSON (")
+    assert err.count("\n") == 1
+
+
+def test_batch_continues_past_a_non_finite_result(monkeypatch, tmp_path, capsys):
+    monkeypatch.setitem(cli._HANDLERS, "validate", _nan_for_stem_a)
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for stem in "ab":
+        write_spec(in_dir / f"{stem}.json", superposition_decay_spec())
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(["validate", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert [p.name for p in out_dir.iterdir()] == ["b.validate.json"]
+    assert err.startswith(f"error: {in_dir / 'a.json'}: cannot write the result as JSON (")
+
+
+def _directed_cycle_document(N: int, rate: float) -> dict:
+    """Blocks spec of the directed cycle 1 -> 2 -> ... -> N -> 1 at one rate."""
+    pairs = [
+        {"i": k, "j": k + 1, "block": [[[0, 0], [0, 0]], [[0, 0], [rate, 0]]]}
+        for k in range(1, N)
+    ]
+    pairs.append({"i": 1, "j": N, "block": [[[rate, 0], [0, 0]], [[0, 0], [0, 0]]]})
+    return {"N": N, "H": [[[0, 0]] * N] * N, "gamma": {"format": "blocks", "pairs": pairs}}
+
+
+def _run_module(argv) -> subprocess.CompletedProcess:
+    # A child process: pytest turns numpy's overflow RuntimeWarning into an error.
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "gkslgraph", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize("command", ["kernel", "digraph"])
+def test_overflowing_stationary_vector_exits_1_without_traceback(tmp_path, capsys, command):
+    # The matrix-tree weights of a cycle at rate 1e100 overflow and rho is NaN.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_directed_cycle_document(5, 1e100)))
+    code, out, _ = run_cli(["validate", str(path)], capsys)
+    assert code == 0 and json.loads(out)["verdict"] is True
+    dot_path = tmp_path / "cycle.dot"
+    argv = [command, str(path)] + (["--out", str(dot_path)] if command == "digraph" else [])
+    proc = _run_module(argv)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: {path}: cannot write the result as JSON (")
+    assert not dot_path.exists()
+
+
+def test_batch_continues_past_an_overflowing_spec(tmp_path, golden_dir):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    (in_dir / "a.json").write_text(json.dumps(_directed_cycle_document(5, 1e100)))
+    (in_dir / "b.json").write_bytes((golden_dir / "ladder.spec.json").read_bytes())
+    out_dir = tmp_path / "out"
+    proc = _run_module(["kernel", str(in_dir), "--batch", "--out", str(out_dir)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"error: {in_dir / 'a.json'}: " in proc.stderr
+    assert [p.name for p in out_dir.iterdir()] == ["b.kernel.json"]
+
+
+def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys, golden_dir):
+    spec = str(golden_dir / "superposition.spec.json")
+    run_cli(["validate", spec], capsys)  # builds the parser if no test did yet
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs),
+    )
+    state = tmp_path / "state.json"
+    state.write_text(dump_json({"matrix": gk.matrix_to_document(np.eye(3) / 3)}))
+    runs = [
+        (["eigen", spec, "--pair", "1,2"], "pair", [1, 2]),
+        (["check-state", spec, "--state", str(state), "--times", "0.5"], "times", [0.5]),
+        (["validate", spec, "--tol", "1e-6"], "tolerance", 1e-6),
+        (["eigen", spec, "--pair", "2,3"], "pair", [2, 3]),
+        (["validate", spec], "tolerance", 1e-9),
+    ]
+    for argv, key, value in runs:
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0, argv
+        assert json.loads(out)[key] == value, argv
+    assert built == []
+
+
+def test_spec_file_is_read_once_per_command(monkeypatch, capsys, golden_dir):
+    path = golden_dir / "superposition.spec.json"
+    sha = hashlib.sha256(path.read_bytes()).hexdigest()
+    opened = []
+    path_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        if self == path:
+            opened.append(self)
+        return path_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    for command in ("validate", "kernel"):
+        code, out, _ = run_cli([command, str(path)], capsys)
+        assert code == 0
+        assert json.loads(out)["spec_sha256"] == sha
+    assert len(opened) == 2
 
 
 def test_parse_blocks_duplicate_pair(golden_dir):
@@ -258,12 +384,25 @@ def test_gellmann_file_reads_as_its_converted_spec(tmp_path, capsys, command):
 
 def test_dump_json_formatting():
     text = dump_json({"x": 1.0 / 3.0, "flag": True, "none": None, "v": [1.0, 2.0]})
-    assert "0.33333333333333331" in text
     assert '"flag": true' in text
     assert '"none": null' in text
-    assert "[1, 2]" in text  # scalar lists stay on one line
+    assert "\n" not in text  # one line
+
+
+@pytest.mark.parametrize(
+    "x", [0.1, 1.0 / 3.0, 5e-324, 1.7976931348623157e308, -0.0, 2.0**53, 1e-300]
+)
+def test_dump_json_round_trips_every_float_exactly(x):
+    back = json.loads(dump_json({"x": x, "v": [x, -x]}))
+    assert [float.hex(v) for v in (back["x"], *back["v"])] == [
+        float.hex(v) for v in (x, x, -x)
+    ]
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_dump_json_rejects_non_finite_floats(x):
     with pytest.raises(ValueError):
-        dump_json({"x": float("nan")})
+        dump_json({"x": [x]})
 
 
 def test_dump_json_reserializes_byte_identically():
