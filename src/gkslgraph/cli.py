@@ -167,17 +167,14 @@ def _cmd_check_state(spec, input_path, args, tol):
         state = load_state(args.state)
     except (OSError, SpecParseError) as exc:
         raise _Failure(1, f"{args.state}: {exc}") from exc
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            invariant = verify_invariant(spec, state, args.times, tol)
-        except InvalidGeneratorError:
-            raise  # reported against the spec by _process
-        except ValueError as exc:  # the state's shape
-            raise _Failure(1, f"{args.state}: {exc}") from exc
-    diagnostics = [str(w.message) for w in caught]
+    try:
+        invariant = verify_invariant(spec, state, args.times, tol)
+    except InvalidGeneratorError:
+        raise  # reported against the spec by _process
+    except ValueError as exc:  # the state's shape
+        raise _Failure(1, f"{args.state}: {exc}") from exc
     payload = {"invariant": invariant, "times": list(args.times)}
-    return 0, payload, None, diagnostics
+    return 0, payload, None, []
 
 
 def _cmd_oracle(spec, input_path, args, tol):
@@ -366,7 +363,8 @@ def _process(command, input_path, args, tol):
     """Load, dispatch and serialize; returns (code, JSON text, dot text or None).
 
     The spec file is read once: the envelope's ``spec_sha256`` names the
-    bytes that were parsed.
+    bytes that were parsed.  Every warning the command raises is recorded,
+    not printed, and appended to ``diagnostics``; a failure drops them.
     """
     try:
         data = input_path.read_bytes()
@@ -374,17 +372,19 @@ def _process(command, input_path, args, tol):
     except (OSError, SpecParseError) as exc:
         raise _Failure(1, f"{input_path}: {exc}") from exc
     handler = _HANDLERS[command]
-    try:
-        code, payload, dot, diagnostics = handler(spec, input_path, args, tol)
-    except InvalidGeneratorError as exc:
-        raise _Failure(1, f"{input_path}: {exc}") from exc
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code, payload, dot, diagnostics = handler(spec, input_path, args, tol)
+        except InvalidGeneratorError as exc:
+            raise _Failure(1, f"{input_path}: {exc}") from exc
     doc = {
         "command": command,
         "input": str(input_path),
         "spec_sha256": hashlib.sha256(data).hexdigest(),
         "tolerance": float(tol),
         **payload,
-        "diagnostics": list(diagnostics),
+        "diagnostics": [*diagnostics, *(str(w.message) for w in caught)],
     }
     try:
         text = dump_json(doc) + "\n"

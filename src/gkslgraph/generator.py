@@ -284,6 +284,51 @@ def superoperator(spec: GeneratorSpec) -> np.ndarray:
     return S_vec[np.ix_(perm, perm)]
 
 
+def _has_pair_block_pattern(spec: GeneratorSpec) -> bool:
+    """True iff gamma has the pair-block zero pattern and H is diagonal, exactly.
+
+    The exact-zero rule of :func:`validate`'s block route: no threshold.
+    """
+    H = spec.H
+    return _max_off_block(spec.gamma, spec.N) == 0.0 and not np.any(
+        H - np.diag(np.diag(H))
+    )
+
+
+def _block_superoperator(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of :func:`superoperator` for a spec with the pair-block pattern.
+
+    Requires :func:`_has_pair_block_pattern`.  Then L maps the diagonal
+    matrices to themselves and each span of (E_kl, E_lk) to itself, so its
+    superoperator is the direct sum of
+
+    * the N x N diagonal-sector block ``Gam - diag(colsum Gam)``, with
+      ``Gam[i, j] = gamma[(i,j), (i,j)]`` (the rate j -> i for i != j), and
+    * one 2x2 block per pair k < l, over (E_kl, E_lk), in label order: the
+      diagonal is ``gamma[(k,k),(l,l)] - i(h_k - h_l) - (m_k + m_l)/2`` and
+      ``gamma[(l,l),(k,k)] + i(h_k - h_l) - (m_k + m_l)/2`` with
+      ``m = colsum Gam``, and the off-diagonal is that of the pair block
+      of gamma.
+
+    Returns ``(laplacian, pairs)``, of shapes (N, N) and (P, 2, 2).  Built
+    in ``O(N^2)`` from the blocks of gamma.
+    """
+    N = spec.N
+    Gam = np.diagonal(spec.gamma)[_standard_position_array(N)]
+    m = Gam.sum(axis=0)
+    laplacian = Gam - np.diag(m)
+
+    k, ell = np.triu_indices(N, 1)  # pair t is (k[t]+1, ell[t]+1), in label order
+    G = spec.gamma[-N:, -N:]  # the diagonal-sector block
+    h = np.diag(spec.H)
+    split = -1j * (h[k] - h[ell])
+    mean_m = 0.5 * (m[k] + m[ell])
+    pairs = _pair_blocks(spec.gamma, N)  # a new array: the off-diagonals stay
+    pairs[:, 0, 0] = G[k, ell] + split - mean_m
+    pairs[:, 1, 1] = G[ell, k] - split - mean_m
+    return laplacian, pairs
+
+
 # ---------------------------------------------------------------------------
 # Validation and canonical form
 # ---------------------------------------------------------------------------

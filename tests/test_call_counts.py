@@ -4,14 +4,22 @@ Calls are counted by wrapping a function in every gkslgraph module that
 holds a reference to it, so calls through any import path are seen.
 """
 
+import json
 import sys
 from collections import Counter
 
+import numpy as np
 import pytest
 
 import gkslgraph as gk
 from gkslgraph import basis, cli, digraph, generator
-from helpers import COMMANDS, command_argv, gellmann_document, sink_menagerie_spec
+from helpers import (
+    COMMANDS,
+    command_argv,
+    gellmann_document,
+    random_identity_preserving_spec,
+    sink_menagerie_spec,
+)
 
 
 def count_calls(monkeypatch, *functions) -> Counter:
@@ -93,3 +101,29 @@ def test_gellmann_file_is_converted_once(monkeypatch, tmp_path, capsys, command)
     counts = count_calls(monkeypatch, generator.gellmann_to_standard)
     assert cli.main(command_argv(command, path, tmp_path, gm.N)) == 0
     assert counts == {"gellmann_to_standard": 1}
+
+
+def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_path, golden_dir):
+    # The pair-block route evolves the blocks; the state is invariant, so the
+    # evolution runs at every time.
+    psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    state = tmp_path / "state.json"
+    state.write_text(gk.dump_json({"matrix": gk.matrix_to_document(np.outer(psi, psi))}))
+    spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
+    counts = count_calls(monkeypatch, generator.superoperator, generator._block_superoperator)
+    argv = ["check-state", str(spec), "--state", str(state), "--times", "0.5,1,2"]
+    assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
+    assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
+    assert counts == {"_block_superoperator": 1}
+
+
+def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path):
+    # A non-diagonal H: not pair-block.  I/N is invariant, so the evolution runs.
+    spec = random_identity_preserving_spec(np.random.default_rng(60), 3)
+    path = tmp_path / "dense.json"
+    path.write_text(gk.dump_json(gk.spec_to_document(spec)))
+    counts = count_calls(monkeypatch, generator.superoperator, generator._block_superoperator)
+    argv = command_argv("check-state", path, tmp_path, 3) + ["--out", str(tmp_path / "c.json")]
+    assert cli.main(argv) == 0
+    assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
+    assert counts == {"superoperator": 1}

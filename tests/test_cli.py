@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -236,6 +237,33 @@ def test_overflowing_stationary_vector_exits_1_without_traceback(tmp_path, capsy
     assert len(errors) == 1
     assert errors[0].startswith(f"error: {path}: cannot write the result as JSON (")
     assert not dot_path.exists()
+
+
+@pytest.mark.parametrize("command", ["kernel", "digraph"])
+def test_overflow_warnings_stay_off_stderr(tmp_path, command):
+    # numpy warns of the overflowing determinant and the NaN division; the
+    # command records those warnings and stderr holds the error line alone.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_directed_cycle_document(5, 1e100)))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "c.dot")] if command == "digraph" else [])
+    proc = _run_module(argv)
+    assert proc.returncode == 1
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"error: {path}: cannot write the result as JSON (")
+
+
+@pytest.mark.parametrize("command", ["validate", "kernel"])
+def test_warnings_of_any_command_become_diagnostics(monkeypatch, tmp_path, capsys, golden_dir, command):
+    handler = cli._HANDLERS[command]
+
+    def warning_handler(*args):
+        warnings.warn("overflow encountered in det", RuntimeWarning)
+        return handler(*args)
+
+    monkeypatch.setitem(cli._HANDLERS, command, warning_handler)
+    code, out, err = run_cli([command, str(golden_dir / "superposition.spec.json")], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["diagnostics"][-1] == "overflow encountered in det"
 
 
 def test_batch_continues_past_an_overflowing_spec(tmp_path, golden_dir):

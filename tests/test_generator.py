@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
+from gkslgraph import generator
 from helpers import (
     dephasing_ladder_spec,
+    identity_coupled_spec,
     pair_block_spec,
     random_hermitian,
     random_identity_preserving_spec,
@@ -19,6 +21,7 @@ from helpers import (
     reference_superoperator,
     reference_canonicalize,
     reference_validate,
+    sink_menagerie_spec,
     superposition_decay_spec,
 )
 
@@ -221,6 +224,64 @@ def test_superoperator_agrees_with_apply_on_random_inputs():
             via_matrix = gk.from_standard_coordinates(S @ gk.to_standard_coordinates(rho), N)
             direct = gk.apply_generator(spec, rho)
             assert np.max(np.abs(via_matrix - direct)) < 1e-11
+
+
+def _traceful_pair_block_spec(rng, N):
+    """Pair-block spec that is not canonical: its diagonal-sector rows do not sum to 0."""
+    blocks = {(i, j): random_psd(rng, 2) for i in range(1, N + 1) for j in range(i + 1, N + 1)}
+    diag = random_psd(rng, N) + 0.5 * np.ones((N, N))
+    return pair_block_spec(N, np.diag(rng.uniform(-2.0, 2.0, size=N)), blocks, diag=diag)
+
+
+def _block_superoperator_cases():
+    rng = np.random.default_rng(190)
+    for N in range(1, 8):
+        yield f"random_pbd_N{N}", random_pbd_spec(rng, N)
+        yield f"traceful_N{N}", _traceful_pair_block_spec(rng, N)
+    yield "superposition", superposition_decay_spec()
+    yield "menagerie", sink_menagerie_spec()
+    yield "menagerie_equal_h", sink_menagerie_spec(equal_h=True)
+    yield "ladder", dephasing_ladder_spec()
+
+
+@pytest.mark.parametrize("name, spec", list(_block_superoperator_cases()))
+def test_block_superoperator_is_the_block_diagonal_of_the_superoperator(name, spec):
+    N = spec.N
+    R = N * N - N
+    P = R // 2
+    t = np.arange(P)
+    laplacian, pairs = generator._block_superoperator(spec)
+    assert generator._has_pair_block_pattern(spec)
+    assert laplacian.shape == (N, N) and pairs.shape == (P, 2, 2)
+    for S in (gk.superoperator(spec), reference_superoperator(spec)):
+        scale = 1e-14 * np.abs(S).max()
+        assert np.abs(laplacian - S[R:, R:]).max() <= scale
+        dense_pairs = S[:R, :R].reshape(P, 2, P, 2)[t, :, t, :]
+        assert np.abs(pairs - dense_pairs).max(initial=0.0) <= scale
+        # Every other entry is 0: L leaves both sectors and every pair invariant.
+        rest = S.copy()
+        rest[R:, R:] = 0.0
+        rest[:R, :R].reshape(P, 2, P, 2)[t, :, t, :] = 0.0
+        assert not rest.any()
+
+
+def test_traceful_pair_block_spec_is_not_canonical():
+    spec = _traceful_pair_block_spec(np.random.default_rng(191), 4)
+    assert np.abs(spec.gamma[-4:, -4:].sum(axis=1)).min() > 0.1
+    assert np.abs(gk.canonicalize(spec).gamma - spec.gamma).max() > 0.1
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        identity_coupled_spec(np.random.default_rng(192), 3, 0.3),
+        random_valid_spec(np.random.default_rng(193), 3),
+        pair_block_spec(2, np.array([[0.0, 1e-300], [1e-300, 0.0]]), {}, diag=np.eye(2)),
+    ],
+    ids=["identity_coupled", "dense", "tiny_h_coupling"],
+)
+def test_pair_block_pattern_is_exact(spec):
+    assert not generator._has_pair_block_pattern(spec)
 
 
 def test_trace_preservation_any_coefficients():

@@ -1,10 +1,14 @@
 """Kernel-layer tests: closed-form invariant spaces vs. the numeric oracle."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import gkslgraph as gk
+from gkslgraph import generator, kernel
 from helpers import (
     dephasing_ladder_spec,
     gellmann_document,
@@ -506,6 +510,140 @@ def test_verify_invariant_fails_on_a_nan_residual():
     rho[0, 1] = np.nan
     with pytest.warns(UserWarning):
         assert not gk.verify_invariant(spec, rho, times=(1.0,))
+
+
+EXPM_TIMES = (1e-6, 0.5, 1.0, 2.0, 50.0)
+
+
+def _assert_expm_close(E, A, t):
+    """E matches scipy's expm(tA) to 1e-12 relative, per block, above underflow."""
+    for e, a in zip(E, A):
+        ref = scipy.linalg.expm(t * a)
+        assert np.abs(e - ref).max() <= 1e-12 * np.abs(ref).max() + np.finfo(float).tiny
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        np.array([[-0.3 + 0.7j, 0.0], [0.0, -0.3 + 0.7j]]),  # scalar: s = 0, A0 = 0
+        np.array([[0.0, 2.0 + 1.0j], [0.0, 0.0]]),  # nilpotent: s = 0, A0 != 0
+        np.array([[-0.5, 1.0], [-0.25 + 1e-14, -1.5]]),  # s = 1e-7
+        np.array([[-0.5, 1.0], [-0.25 + 1e-6, -1.5]]),  # s = 1e-3
+        np.array([[-1.0, 1.0], [1.0, -1.0]]),  # a terminal 2-cycle: one eigenvalue 0
+        np.array([[-1.0 - 3.0j, 0.5], [0.5, -1.0 + 3.0j]]),  # oscillating: s imaginary
+    ],
+    ids=["scalar", "nilpotent", "s_1e-7", "s_1e-3", "two_cycle", "oscillating"],
+)
+def test_pair_block_expm_matches_scipy(block):
+    for t in EXPM_TIMES:
+        E = kernel._pair_block_expm(block[None], t)
+        assert np.isfinite(E).all()
+        _assert_expm_close(E, block[None], t)
+
+
+def test_pair_block_expm_of_a_nilpotent_block_is_exact():
+    E = kernel._pair_block_expm(np.array([[[0.0, 3.0], [0.0, 0.0]]], dtype=complex), 50.0)
+    assert np.array_equal(E[0], [[1.0, 150.0], [0.0, 1.0]])
+
+
+def _pair_block_stack():
+    rng = np.random.default_rng(480)
+    specs = [superposition_decay_spec(), sink_menagerie_spec(), dephasing_ladder_spec()]
+    specs += [random_pbd_spec(rng, N) for N in range(2, 8) for _ in range(3)]
+    return np.concatenate([generator._block_superoperator(s)[1] for s in specs])
+
+
+@pytest.mark.parametrize("scale", 10.0 ** np.arange(-8, 9))
+def test_pair_block_expm_at_every_rate_scale(scale):
+    A = scale * _pair_block_stack()
+    for t in EXPM_TIMES:
+        E = kernel._pair_block_expm(A, t)
+        assert np.isfinite(E).all()
+        # scipy's scaling and squaring loses digits as |tA| grows (1e-11 at
+        # |tA|_1 ~ 1e3 on these blocks, against 60-digit arithmetic), so it is
+        # the 1e-12 reference only up to |tA|_1 = 100.
+        small = np.abs(t * A).sum(axis=1).max(axis=1) <= 100.0
+        _assert_expm_close(E[small], A[small], t)
+    # Beyond, against the exact exponential of the 2-cycle block a [[-1, 1], [1, -1]]:
+    # (I + P)/2 + e^{-2at} (I - P)/2, P = [[0, 1], [1, 0]].
+    for t in EXPM_TIMES:
+        decay = math.exp(-2.0 * scale * t)
+        exact = 0.5 * np.array([[1 + decay, 1 - decay], [1 - decay, 1 + decay]])
+        E = kernel._pair_block_expm(scale * np.array([[[-1.0, 1.0], [1.0, -1.0]]]), t)
+        assert np.abs(E[0] - exact).max() <= 1e-12 * np.abs(exact).max()
+
+
+def _dense_verify(spec, rho, times):
+    """verify_invariant's rule, evolved by expm of the dense superoperator."""
+    residual = np.linalg.norm(gk.apply_generator(spec, rho))
+    if not residual <= gk.GENERATOR_RESIDUAL_TOL:
+        return False
+    return all(drift <= gk.EVOLUTION_DRIFT_TOL for drift in _dense_drifts(spec, rho, times))
+
+
+def _dense_drifts(spec, rho, times):
+    S = gk.superoperator(spec)
+    v = gk.to_standard_coordinates(rho)
+    return [float(np.linalg.norm(scipy.linalg.expm(t * S) @ v - v)) for t in times]
+
+
+def _invariant_state(spec, rng):
+    """A random invariant state: stationary populations plus kernel coherences."""
+    basis = gk.full_kernel(spec)
+    diagonal = [el.matrix for el in basis.elements if el.tag == "diagonal"]
+    rho = sum(w * m for w, m in zip(rng.dirichlet(np.ones(len(diagonal))), diagonal))
+    for el in basis.elements:
+        if el.tag != "diagonal":
+            z = 0.05 * complex(rng.normal(), rng.normal())
+            rho = rho + z * el.matrix + np.conj(z) * el.matrix.conj().T
+    return rho
+
+
+PARITY_TIMES = (0.5, 1.0, 2.0, 50.0)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_verify_invariant_matches_dense_evolution(seed):
+    rng = np.random.default_rng(4800 + seed)
+    spec = random_pbd_spec(rng, 2 + seed % 6)
+    assert generator._has_pair_block_pattern(spec)
+    rho = _invariant_state(spec, rng)
+    perturbed = rho + 1e-3 * random_hermitian(rng, spec.N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # a coherence may break positivity
+        assert gk.verify_invariant(spec, rho, PARITY_TIMES) is True
+        assert _dense_verify(spec, rho, PARITY_TIMES) is True
+        assert gk.verify_invariant(spec, perturbed, PARITY_TIMES) is False
+        assert _dense_verify(spec, perturbed, PARITY_TIMES) is False
+    # The drifts themselves, past the residual gate that stops a perturbed state.
+    for state in (rho, perturbed):
+        blocks = list(kernel._evolution_drifts(spec, state, PARITY_TIMES))
+        assert np.allclose(blocks, _dense_drifts(spec, state, PARITY_TIMES), rtol=1e-9, atol=1e-12)
+
+
+def test_verify_invariant_on_one_level():
+    spec = gk.GeneratorSpec(H=np.array([[0.25]]), gamma=np.array([[0.7]]))
+    assert generator._has_pair_block_pattern(spec)
+    rho = np.ones((1, 1), dtype=complex)
+    assert gk.verify_invariant(spec, rho, PARITY_TIMES) is True
+    assert _dense_verify(spec, rho, PARITY_TIMES) is True
+    assert list(kernel._evolution_drifts(spec, rho, PARITY_TIMES)) == [0.0] * 4
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_invariant_on_an_identity_coupled_spec_takes_the_dense_route(seed):
+    # Pair-block diagonal only after canonicalization: the exact pattern fails.
+    rng = np.random.default_rng(4900 + seed)
+    spec = identity_coupled_spec(rng, 3 + seed % 3, 0.3)
+    assert not generator._has_pair_block_pattern(spec)
+    rho = _invariant_state(spec, rng)
+    perturbed = rho + 1e-3 * random_hermitian(rng, spec.N)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        assert gk.verify_invariant(spec, rho, PARITY_TIMES) is True
+        assert _dense_verify(spec, rho, PARITY_TIMES) is True
+        assert gk.verify_invariant(spec, perturbed, PARITY_TIMES) is False
+        assert _dense_verify(spec, perturbed, PARITY_TIMES) is False
 
 
 # ---------------------------------------------------------------------------
