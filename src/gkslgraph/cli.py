@@ -76,7 +76,7 @@ def _kernel_payload(basis) -> dict:
     }
 
 
-def _coordinate_stack(basis, N: int) -> np.ndarray:
+def _coordinate_stack(basis) -> np.ndarray:
     cols = [to_standard_coordinates(el.matrix) for el in basis.elements]
     return np.stack(cols, axis=1)
 
@@ -197,7 +197,7 @@ def _cmd_crosscheck(spec, input_path, args, tol):
     angle = None
     if analytic.dimension and oracle.dimension:
         angles = scipy.linalg.subspace_angles(
-            _coordinate_stack(analytic, spec.N), _coordinate_stack(oracle, spec.N)
+            _coordinate_stack(analytic), _coordinate_stack(oracle)
         )
         angle = float(angles.max()) if angles.size else 0.0
     agree = (
@@ -250,8 +250,8 @@ def _times_arg(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("times must be comma-separated numbers") from None
     if not times:
         raise argparse.ArgumentTypeError("at least one time is required")
-    if not all(map(math.isfinite, times)):
-        raise argparse.ArgumentTypeError(f"times must be finite, got {text!r}")
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+        raise argparse.ArgumentTypeError(f"times must be finite and >= 0, got {text!r}")
     return times
 
 

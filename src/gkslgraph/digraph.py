@@ -20,11 +20,12 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import combinations
 from types import MappingProxyType
 
 import numpy as np
 
-from .basis import DEFAULT_TOL, _pair_block, _standard_position_array
+from .basis import DEFAULT_TOL
 from .generator import GeneratorSpec
 
 __all__ = [
@@ -127,28 +128,6 @@ class SinkReport:
 # ---------------------------------------------------------------------------
 
 
-def _rate_table(spec: GeneratorSpec) -> np.ndarray:
-    """R[i-1, j-1] = Re gamma_{ij,ij}, the transfer rate j -> i; zero diagonal."""
-    R = np.diagonal(spec.gamma).real[_standard_position_array(spec.N)]
-    np.fill_diagonal(R, 0.0)
-    return R
-
-
-def _singularity_checks(
-    spec: GeneratorSpec, k: int, ell: int, tol: float
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """(value, threshold) of the two tests that make the pair block singular.
-
-    The block is gamma over labels ((k, ell), (ell, k)), k < ell.  Rate
-    symmetry ``|g_kl - g_lk|`` and block singularity ``|det|``, with
-    thresholds tol and tol**2 scaled by the block magnitude.
-    """
-    blk = _pair_block(spec.gamma, k, ell, spec.N)
-    scale = max(1.0, float(np.abs(blk).max()))
-    det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-    return (abs(blk[0, 0] - blk[1, 1]), tol * scale), (abs(det), tol * scale**2)
-
-
 def induced_digraph(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> InducedDigraph:
     """Build the induced digraph: edge j -> i iff gamma_ij > tol.
 
@@ -157,16 +136,16 @@ def induced_digraph(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> InducedDig
     round-off) are dropped.
     """
     N = spec.N
-    R = _rate_table(spec)
+    rates = spec._pair_table.gamma_blocks.real  # pair (i, j): rates j -> i and i -> j
     weights: dict[tuple[int, int], float] = {}
     # Edges go in pair order, j -> i before i -> j: the order of the weights
     # fixes the float summation order of the stationary vectors.
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            if R[i - 1, j - 1] > tol:
-                weights[(j, i)] = float(R[i - 1, j - 1])
-            if R[j - 1, i - 1] > tol:
-                weights[(i, j)] = float(R[j - 1, i - 1])
+    pairs = combinations(range(1, N + 1), 2)  # in label order
+    for (i, j), w_ji, w_ij in zip(pairs, rates[:, 0, 0].tolist(), rates[:, 1, 1].tolist()):
+        if w_ji > tol:
+            weights[(j, i)] = w_ji
+        if w_ij > tol:
+            weights[(i, j)] = w_ij
     return InducedDigraph(n=N, weights=weights)
 
 
@@ -364,7 +343,7 @@ def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> Sink
             sinks.append(comp[0])
         elif len(comp) == 2:
             two.append(comp)
-            checks = _singularity_checks(spec, comp[0], comp[1], tol)
+            checks = spec._pair_table.singularity_checks(*comp, tol)
             if all(value <= threshold for value, threshold in checks):
                 singular.append(comp)
     return SinkReport(

@@ -22,6 +22,7 @@ what it carried into ``H``, all in the standard basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -124,6 +125,11 @@ class GeneratorSpec:
     @property
     def N(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def _pair_table(self) -> _PairBlockTable:
+        """The table of pair-block numbers, built on first use and kept."""
+        return _pair_block_table(self)
 
 
 @dataclass(frozen=True)
@@ -295,38 +301,71 @@ def _has_pair_block_pattern(spec: GeneratorSpec) -> bool:
     )
 
 
-def _block_superoperator(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """The blocks of :func:`superoperator` for a spec with the pair-block pattern.
+@dataclass(frozen=True)
+class _PairBlockTable:
+    """A spec's pair-block numbers, read off gamma and H once, with no threshold.
 
-    Requires :func:`_has_pair_block_pattern`.  Then L maps the diagonal
-    matrices to themselves and each span of (E_kl, E_lk) to itself, so its
-    superoperator is the direct sum of
-
-    * the N x N diagonal-sector block ``Gam - diag(colsum Gam)``, with
-      ``Gam[i, j] = gamma[(i,j), (i,j)]`` (the rate j -> i for i != j), and
-    * one 2x2 block per pair k < l, over (E_kl, E_lk), in label order: the
-      diagonal is ``gamma[(k,k),(l,l)] - i(h_k - h_l) - (m_k + m_l)/2`` and
-      ``gamma[(l,l),(k,k)] + i(h_k - h_l) - (m_k + m_l)/2`` with
-      ``m = colsum Gam``, and the off-diagonal is that of the pair block
-      of gamma.
-
-    Returns ``(laplacian, pairs)``, of shapes (N, N) and (P, 2, 2).  Built
-    in ``O(N^2)`` from the blocks of gamma.
+    Pair t is the t-th pair (k, l), k < l, in label order (:meth:`index`).
+    ``laplacian`` is ``Gam - diag(colsum Gam)``, ``Gam[i, j] = gamma[(i,j), (i,j)]``
+    (the rate j -> i); ``gamma_blocks`` are gamma's 2x2 blocks over
+    ((k, l), (l, k)); ``blocks`` are L's over (E_kl, E_lk): gamma's off the
+    diagonal, and ``g_kl - i dh - m_kl``, ``g_lk + i dh - m_kl`` on it, with
+    ``g_ab = gamma[(a,a), (b,b)]``, ``dh = h_k - h_l`` and ``m_kl`` the mean
+    of Gam's column sums k and l.  With the pair-block pattern, L is the
+    direct sum of ``laplacian`` and ``blocks``.  Per pair, ``splitting`` is
+    ``|Re dh|`` and ``dephasing`` holds ``g_kk - g_ll``, ``g_kl - g_kk`` and
+    ``g_lk - g_kk``.  Every array is read-only.
     """
+
+    laplacian: np.ndarray  # (N, N)
+    gamma_blocks: np.ndarray  # (P, 2, 2)
+    blocks: np.ndarray  # (P, 2, 2)
+    splitting: np.ndarray  # (P,)
+    dephasing: np.ndarray  # (P, 3)
+
+    def index(self, k: int, ell: int) -> int:
+        """The position t of the pair (k, l), 1 <= k < l <= N."""
+        N = self.laplacian.shape[0]
+        return (k - 1) * (2 * N - k) // 2 + ell - k - 1
+
+    def singularity_checks(
+        self, k: int, ell: int, tol: float
+    ) -> tuple[tuple[float, float], tuple[float, float]]:
+        """(value, threshold) of the two tests that make gamma's (k, l) block singular.
+
+        Rate symmetry ``|b00 - b11|`` and ``|det b|`` of the block b, against tol
+        and tol**2 scaled by its magnitude.
+        """
+        blk = self.gamma_blocks[self.index(k, ell)]
+        scale = max(1.0, float(np.abs(blk).max()))
+        det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
+        return (abs(blk[0, 0] - blk[1, 1]), tol * scale), (abs(det), tol * scale**2)
+
+
+def _pair_block_table(spec: GeneratorSpec) -> _PairBlockTable:
+    """``spec``'s :class:`_PairBlockTable`, in ``O(N^2)``; read ``spec._pair_table``."""
     N = spec.N
     Gam = np.diagonal(spec.gamma)[_standard_position_array(N)]
     m = Gam.sum(axis=0)
     laplacian = Gam - np.diag(m)
 
-    k, ell = np.triu_indices(N, 1)  # pair t is (k[t]+1, ell[t]+1), in label order
+    # Pair t is (k[t]+1, ell[t]+1), in label order: np.triu_indices(N, 1), built faster.
+    k, ell = np.nonzero(np.less.outer(np.arange(N), np.arange(N)))
     G = spec.gamma[-N:, -N:]  # the diagonal-sector block
+    g_kk, g_ll, g_kl, g_lk = np.diagonal(G)[k], np.diagonal(G)[ell], G[k, ell], G[ell, k]
     h = np.diag(spec.H)
     split = -1j * (h[k] - h[ell])
     mean_m = 0.5 * (m[k] + m[ell])
-    pairs = _pair_blocks(spec.gamma, N)  # a new array: the off-diagonals stay
-    pairs[:, 0, 0] = G[k, ell] + split - mean_m
-    pairs[:, 1, 1] = G[ell, k] - split - mean_m
-    return laplacian, pairs
+    gamma_blocks = _pair_blocks(spec.gamma, N)  # a new array
+    blocks = gamma_blocks.copy()  # the off-diagonals stay
+    blocks[:, 0, 0] = g_kl + split - mean_m
+    blocks[:, 1, 1] = g_lk - split - mean_m
+    dephasing = np.stack((g_kk - g_ll, g_kl - g_kk, g_lk - g_kk), axis=1)
+    splitting = np.abs(h.real[k] - h.real[ell])
+    table = _PairBlockTable(laplacian, gamma_blocks, blocks, splitting, dephasing)
+    for array in vars(table).values():
+        array.setflags(write=False)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +498,7 @@ def classify_pair_block_diagonal(
     # max|gamma| from the scan and the blocks it skips, with no N^4 temporary.
     g_max = np.max([
         max_block,
-        np.abs(_pair_blocks(G, N)).max(initial=0.0),
+        np.abs(spec._pair_table.gamma_blocks).max(initial=0.0),
         np.abs(G[R:, R:]).max(),
     ])
     scale_g = tol * max(1.0, float(g_max))

@@ -10,6 +10,8 @@ both terminal SCCs of the induced digraph.  ``full_kernel`` reads these
 pairs off the digraph of the canonical spec and assembles the exact basis
 this way; ``brute_force_kernel`` computes the same space numerically from
 the superoperator and serves as an independent cross-check.
+Every pair-block number is read from the spec's one pair-block table,
+``spec._pair_table``; this module never indexes gamma itself.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import scipy.linalg
 
 from .basis import (
     DEFAULT_TOL,
-    _pair_block,
     from_standard_coordinates,
     is_psd,
     matrix_unit,
@@ -34,8 +35,6 @@ from .basis import (
 )
 from .digraph import (
     InducedDigraph,
-    _rate_table,
-    _singularity_checks,
     _sink_report,
     induced_digraph,
     tscc_stationary_vectors,
@@ -45,7 +44,6 @@ from .generator import (
     GellMannSpec,
     GeneratorSpec,
     PairBlockClassification,
-    _block_superoperator,
     _has_pair_block_pattern,
     _require_valid,
     apply_generator,
@@ -259,30 +257,6 @@ def _diagonal_elements(graph: InducedDigraph) -> list[KernelElement]:
 # ---------------------------------------------------------------------------
 
 
-def _block_operator(
-    spec: GeneratorSpec, k: int, ell: int
-) -> tuple[complex, complex, complex, complex]:
-    """(c, D, p, q) with the block action c*I + [[D, p], [q, -D]] on (E_kl, E_lk)."""
-    blk = _pair_block(spec.gamma, k, ell, spec.N)
-    G = spec.gamma[-spec.N :, -spec.N :]  # the diagonal-sector block
-    a, b = k - 1, ell - 1
-    # Columns k and l of the rate table: the rates out of each level, with
-    # the rate to its partner zeroed (it enters as blk[0, 0] or blk[1, 1]).
-    R = _rate_table(spec)
-    out_k, out_l = R[:, a].copy(), R[:, b].copy()
-    out_k[b] = out_l[a] = 0.0
-    c = 0.5 * (G[a, b] + G[b, a]) - 0.5 * (
-        G[a, a]
-        + G[b, b]
-        + blk[0, 0]  # gamma_kl: rate l -> k
-        + blk[1, 1]  # gamma_lk: rate k -> l
-        + float(out_k.sum())
-        + float(out_l.sum())
-    )
-    D = 0.5 * (G[a, b] - G[b, a]) - 1j * (spec.H[a, a].real - spec.H[b, b].real)
-    return c, D, blk[0, 1], blk[1, 0]
-
-
 def _unit_pair_matrix(x: complex, y: complex, k: int, ell: int, N: int) -> np.ndarray:
     """x*E_kl + y*E_lk, normalized to unit HS norm with a pinned phase."""
     norm = math.hypot(abs(x), abs(y))
@@ -301,7 +275,9 @@ def block_eigenpairs(
     Requires a pair-block-diagonal coefficient matrix and diagonal H
     (PreconditionError otherwise); the spec need not be canonical or even
     valid — the block action is c*I + [[D, p], [q, -D]] regardless, with
-    eigenvalues ``mu = c +- sqrt(D**2 + p*q)``.
+    eigenvalues ``mu = c +- sqrt(D**2 + p*q)`` from L's block in the spec's
+    pair-block table.  The root is of the scalar ``D*D + p*q``: on the negative
+    real axis its rounding picks the "plus" root.
 
     Eigenvectors are chosen as the largest of the three algebraically
     equivalent closed forms (p, s - D), (D + s, q), and their sum, which
@@ -312,17 +288,15 @@ def block_eigenpairs(
     _require_pair_block_diagonal(spec, tol, "")
     N = spec.N
     k, ell = _ordered_pair(pair, N)
-    c, D, p, q = _block_operator(spec, k, ell)
+    table = spec._pair_table
+    c, A0, _ = _pair_block_split(table.blocks[table.index(k, ell)][None])
+    c, D, p, q = c[0], A0[0, 0, 0], A0[0, 0, 1], A0[0, 1, 0]
     s = np.sqrt(complex(D * D + p * q))
 
     pairs = []
     for branch, sign in (("plus", 1.0), ("minus", -1.0)):
         ss = sign * s
-        candidates = [
-            (p + D + ss, q - D + ss),
-            (p, ss - D),
-            (D + ss, q),
-        ]
+        candidates = [(p + D + ss, q - D + ss), (p, ss - D), (D + ss, q)]
         best = max(candidates, key=lambda v: math.hypot(abs(v[0]), abs(v[1])))
         scale0 = max(abs(D), abs(p), abs(q), abs(s))
         if scale0 <= tol * max(1.0, abs(c)):
@@ -361,26 +335,26 @@ def _block_analysis(
     ``(k, ell)`` is one of :func:`_kernel_pairs`; ``two_sink`` says which
     kind it is.
     """
-    canon, tol = prep.canon, prep.tol
-    N = canon.N
-    G = canon.gamma[-N:, -N:]  # the diagonal-sector block
-    a, b = k - 1, ell - 1
+    N, tol = prep.canon.N, prep.tol
+    table = prep.canon._pair_table
+    t = table.index(k, ell)
     notes: list[str] = []
     where = f"pair ({k}, {ell})"
 
     h_ok = _margin_notes(
         notes, f"{where}: level splitting |h_k - h_l|",
-        abs(canon.H[a, a].real - canon.H[b, b].real),
+        table.splitting[t],
         prep.cls.h_threshold,
     )
     scale_g = prep.cls.block_threshold
     g_ok = True
+    d = table.dephasing[t]
     for label, value in (
-        ("dephasing match |g_kk - g_ll|", abs(G[a, a] - G[b, b])),
-        ("cross term match |g_kkll - g_kk|", abs(G[a, b] - G[a, a])),
-        ("cross term match |g_llkk - g_kk|", abs(G[b, a] - G[a, a])),
+        ("dephasing match |g_kk - g_ll|", d[0]),
+        ("cross term match |g_kkll - g_kk|", d[1]),
+        ("cross term match |g_llkk - g_kk|", d[2]),
     ):
-        g_ok = _margin_notes(notes, f"{where}: {label}", value, scale_g) and g_ok
+        g_ok = _margin_notes(notes, f"{where}: {label}", abs(value), scale_g) and g_ok
 
     if not two_sink:
         if not (h_ok and g_ok):
@@ -392,12 +366,12 @@ def _block_analysis(
 
     # Terminal 2-cycle: needs a symmetric singular block on top of the
     # shared conditions.
-    symmetry, singularity = _singularity_checks(canon, k, ell, tol)
+    symmetry, singularity = table.singularity_checks(k, ell, tol)
     sym_ok = _margin_notes(notes, f"{where}: rate symmetry |g_kl - g_lk|", *symmetry)
     det_ok = _margin_notes(notes, f"{where}: block singularity |det|", *singularity)
     if not (sym_ok and det_ok and h_ok and g_ok):
         return [], notes
-    blk = _pair_block(canon.gamma, k, ell, N)
+    blk = table.gamma_blocks[t]
     gbar = 0.5 * (float(blk[0, 0].real) + float(blk[1, 1].real))
     v = _unit_pair_matrix(blk[0, 1], gbar, k, ell, N)
     return [KernelElement(matrix=v, tag="singular-2-sink", support=(k, ell))], notes
@@ -605,7 +579,8 @@ def verify_invariant(
     """Check that rho is invariant, both infinitesimally and under exp(tL).
 
     The generator must validate (InvalidGeneratorError otherwise), and rho
-    must be N x N and every time finite (ValueError otherwise).  If rho is
+    must be N x N and every time finite and >= 0 (ValueError otherwise): L
+    generates a semigroup, defined forward in time only.  If rho is
     not a state (Hermitian, positive, unit trace within tol) a UserWarning
     is issued but the invariance check still runs.  Returns True iff
     ``|L(rho)|_F <= GENERATOR_RESIDUAL_TOL`` (from :func:`apply_generator`)
@@ -625,8 +600,8 @@ def verify_invariant(
     if rho.shape != (N, N):
         raise ValueError(f"state must have shape {(N, N)}, got {rho.shape}")
     times = list(times)
-    if not all(map(math.isfinite, times)):
-        raise ValueError(f"evolution times must be finite, got {times}")
+    if not all(math.isfinite(t) and t >= 0.0 for t in times):
+        raise ValueError(f"evolution times must be finite and >= 0, got {times}")
 
     unit_trace = abs(complex(np.trace(rho)) - 1.0) <= max(tol, 1e-9)
     if not (is_psd(rho, tol) and unit_trace):
@@ -655,7 +630,7 @@ def _evolution_drifts(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
         for t in times:
             yield float(np.linalg.norm(scipy.linalg.expm(t * S) @ v - v))
         return
-    laplacian, pairs = _block_superoperator(spec)
+    laplacian, pairs = spec._pair_table.laplacian, spec._pair_table.blocks
     k, ell = np.triu_indices(spec.N, 1)  # the pairs in label order
     populations = np.diag(rho)
     coherences = np.stack((rho[k, ell], rho[ell, k]), axis=1)  # over (E_kl, E_lk)
@@ -667,21 +642,27 @@ def _evolution_drifts(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
         yield float(np.linalg.norm(moved))
 
 
-def _pair_block_expm(A: np.ndarray, t: float) -> np.ndarray:
-    """``exp(t A)`` of every block of a (P, 2, 2) stack, in closed form.
-
-    With ``A = c I + A0``, ``A0 = [[D, p], [q, -D]]`` and ``s = sqrt(D**2 + p q)``,
-    ``A0**2 = s**2 I``, so ``exp(tA) = e^{ct} (cosh(st) I + sinh(st)/s A0)``,
-    where ``sinh(st)/s`` is t at s = 0.  Where ``|st| >= 1`` the two
-    coefficients are ``(e^{(c+s)t} + e^{(c-s)t}) / 2`` and
-    ``(e^{(c+s)t} - e^{(c-s)t}) / (2s)`` instead, so nothing overflows: for a
-    valid generator and t >= 0, both exponents have real part <= 0.
-    """
+def _pair_block_split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per block, ``A = c I + A0``, ``A0 = [[D, p], [q, -D]]``, ``s = sqrt(D**2 + pq)``."""
     c = 0.5 * (A[:, 0, 0] + A[:, 1, 1])
     A0 = A.copy()
     A0[:, 0, 0] = 0.5 * (A[:, 0, 0] - A[:, 1, 1])
     A0[:, 1, 1] = -A0[:, 0, 0]
     s = np.sqrt(A0[:, 0, 0] ** 2 + A0[:, 0, 1] * A0[:, 1, 0])
+    return c, A0, s
+
+
+def _pair_block_expm(A: np.ndarray, t: float) -> np.ndarray:
+    """``exp(t A)`` of every block of a (P, 2, 2) stack, in closed form.
+
+    With ``(c, A0, s)`` from :func:`_pair_block_split`,
+    ``exp(tA) = e^{ct} (cosh(st) I + sinh(st)/s A0)``,
+    where ``sinh(st)/s`` is t at s = 0.  Where ``|st| >= 1`` the two
+    coefficients are ``(e^{(c+s)t} + e^{(c-s)t}) / 2`` and
+    ``(e^{(c+s)t} - e^{(c-s)t}) / (2s)`` instead, so nothing overflows: for a
+    valid generator and t >= 0, both exponents have real part <= 0.
+    """
+    c, A0, s = _pair_block_split(A)
     z = s * t
     even = np.empty_like(c)  # e^{ct} cosh(st)
     odd = np.empty_like(c)  # e^{ct} sinh(st) / s

@@ -4,6 +4,7 @@ Calls are counted by wrapping a function in every gkslgraph module that
 holds a reference to it, so calls through any import path are seen.
 """
 
+import inspect
 import json
 import sys
 from collections import Counter
@@ -40,10 +41,17 @@ def count_calls(monkeypatch, *functions) -> Counter:
 
 
 def test_digraph_command_induces_and_decomposes_once(monkeypatch, tmp_path, golden_dir):
-    counts = count_calls(monkeypatch, digraph.induced_digraph, digraph.scc_decompose)
+    # induced_digraph reads the rates and _sink_report the pair blocks of
+    # the two terminal 2-cycles from one pair-block table.
+    counts = count_calls(
+        monkeypatch,
+        digraph.induced_digraph,
+        digraph.scc_decompose,
+        generator._pair_block_table,
+    )
     spec = golden_dir / "menagerie.spec.json"
     assert cli.main(["digraph", str(spec), "--out", str(tmp_path / "g.dot")]) == 0
-    assert counts == {"induced_digraph": 1, "scc_decompose": 1}
+    assert counts == {"induced_digraph": 1, "scc_decompose": 1, "_pair_block_table": 1}
 
 
 def test_consistency_bound_builds_the_superoperator_once(monkeypatch):
@@ -72,10 +80,11 @@ def test_command_validates_once(monkeypatch, tmp_path, golden_dir, command):
 
 def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path, golden_dir):
     # The pair-block analysis reads sinks and terminal 2-cycles off the one
-    # digraph that also gives the diagonal kernel elements.
+    # digraph that also gives the diagonal kernel elements, and the numbers
+    # of their blocks from the canonical spec's one pair-block table.
     counts = count_calls(
         monkeypatch,
-        digraph._rate_table,
+        generator._pair_block_table,
         digraph.induced_digraph,
         digraph.scc_decompose,
         basis._conjugate_by_w,
@@ -84,7 +93,7 @@ def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path
     spec = golden_dir / "superposition.spec.json"
     assert cli.main(["kernel", str(spec), "--out", str(tmp_path / "k.json")]) == 0
     assert counts == {
-        "_rate_table": 1,
+        "_pair_block_table": 1,
         "induced_digraph": 1,
         "scc_decompose": 1,
         "_conjugate_by_w": 3,
@@ -110,11 +119,11 @@ def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_p
     state = tmp_path / "state.json"
     state.write_text(gk.dump_json({"matrix": gk.matrix_to_document(np.outer(psi, psi))}))
     spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
-    counts = count_calls(monkeypatch, generator.superoperator, generator._block_superoperator)
+    counts = count_calls(monkeypatch, generator.superoperator, generator._pair_block_table)
     argv = ["check-state", str(spec), "--state", str(state), "--times", "0.5,1,2"]
     assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
     assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
-    assert counts == {"_block_superoperator": 1}
+    assert counts == {"_pair_block_table": 1}
 
 
 def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path):
@@ -122,8 +131,31 @@ def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, 
     spec = random_identity_preserving_spec(np.random.default_rng(60), 3)
     path = tmp_path / "dense.json"
     path.write_text(gk.dump_json(gk.spec_to_document(spec)))
-    counts = count_calls(monkeypatch, generator.superoperator, generator._block_superoperator)
+    counts = count_calls(monkeypatch, generator.superoperator, generator._pair_block_table)
     argv = command_argv("check-state", path, tmp_path, 3) + ["--out", str(tmp_path / "c.json")]
     assert cli.main(argv) == 0
     assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
     assert counts == {"superoperator": 1}
+
+
+def test_every_cached_function_is_keyed_by_n_at_most():
+    # A module-level cache keyed by a spec (or anything else besides N) would
+    # grow with every request; keep per-spec tables on the spec instead.
+    found = []
+    for name, module in sorted(sys.modules.items()):
+        if name.split(".")[0] != "gkslgraph":
+            continue
+        for attr, value in vars(module).items():
+            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == name:
+                parameters = inspect.signature(value).parameters
+                assert list(parameters) in ([], ["N"]), f"{name}.{attr}{inspect.signature(value)}"
+                found.append(f"{name}.{attr}")
+    assert "gkslgraph.basis.standard_labels" in found
+
+
+def test_pair_block_table_is_built_once_per_spec(monkeypatch):
+    counts = count_calls(monkeypatch, generator._pair_block_table)
+    spec = sink_menagerie_spec()
+    assert spec._pair_table is spec._pair_table
+    digraph.sinks_and_singular_2sinks(spec)
+    assert counts == {"_pair_block_table": 1}

@@ -768,7 +768,7 @@ def test_check_state_rejects_a_non_finite_state(tmp_path, capsys, golden_dir):
     assert err == f"error: {state_path}: matrix[1][1][0]: expected a finite number, got nan\n"
 
 
-@pytest.mark.parametrize("times", ["nan", "inf", "1,-inf"])
+@pytest.mark.parametrize("times", ["nan", "inf", "1,-inf", "-1", "0.5,-1e3"])
 def test_check_state_rejects_non_finite_times(tmp_path, capsys, golden_dir, times):
     psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     state_path = _write_state(tmp_path / "state.json", np.outer(psi, psi))
@@ -782,7 +782,7 @@ def test_check_state_rejects_non_finite_times(tmp_path, capsys, golden_dir, time
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"argument --times: times must be finite, got {times!r}" in captured.err
+    assert f"argument --times: times must be finite and >= 0, got {times!r}" in captured.err
 
 
 def test_batch_check_state_continues_past_a_bad_state(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import gkslgraph as gk
 from gkslgraph import generator
+from gkslgraph.basis import _pair_block
 from helpers import (
     dephasing_ladder_spec,
     identity_coupled_spec,
@@ -250,7 +251,8 @@ def test_block_superoperator_is_the_block_diagonal_of_the_superoperator(name, sp
     R = N * N - N
     P = R // 2
     t = np.arange(P)
-    laplacian, pairs = generator._block_superoperator(spec)
+    table = spec._pair_table
+    laplacian, pairs = table.laplacian, table.blocks
     assert generator._has_pair_block_pattern(spec)
     assert laplacian.shape == (N, N) and pairs.shape == (P, 2, 2)
     for S in (gk.superoperator(spec), reference_superoperator(spec)):
@@ -263,6 +265,33 @@ def test_block_superoperator_is_the_block_diagonal_of_the_superoperator(name, sp
         rest[R:, R:] = 0.0
         rest[:R, :R].reshape(P, 2, P, 2)[t, :, t, :] = 0.0
         assert not rest.any()
+
+
+@pytest.mark.parametrize(
+    "name, spec",
+    [*_block_superoperator_cases(), ("dense", random_valid_spec(np.random.default_rng(194), 4))],
+)
+def test_pair_table_reads_the_entries_of_gamma_and_h(name, spec):
+    # Entry by entry, by label, on any spec; every array of the table is read-only.
+    N = spec.N
+    table = spec._pair_table
+    for array in vars(table).values():
+        assert not array.flags.writeable
+    for i in range(1, N + 1):
+        for j in range(1, N + 1):
+            if i != j:
+                p = gk.standard_position(i, j, N)
+                assert table.laplacian[i - 1, j - 1] == spec.gamma[p, p]
+    g = spec.gamma[-N:, -N:]
+    pairs = [(k, ell) for k in range(1, N + 1) for ell in range(k + 1, N + 1)]
+    assert table.gamma_blocks.shape == (len(pairs), 2, 2)
+    for t, (k, ell) in enumerate(pairs):
+        a, b = k - 1, ell - 1
+        assert table.index(k, ell) == t == gk.standard_position(k, ell, N) // 2
+        assert np.array_equal(table.gamma_blocks[t], _pair_block(spec.gamma, k, ell, N))
+        assert table.splitting[t] == abs(spec.H[a, a].real - spec.H[b, b].real)
+        expected = [g[a, a] - g[b, b], g[a, b] - g[a, a], g[b, a] - g[a, a]]
+        assert table.dephasing[t].tolist() == expected
 
 
 def test_traceful_pair_block_spec_is_not_canonical():

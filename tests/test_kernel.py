@@ -131,6 +131,20 @@ def test_block_eigenpairs_superposition_pinned():
     assert minus.mu == pytest.approx(-2.0, abs=1e-12)
 
 
+def test_block_eigenpairs_with_complex_rates():
+    # The pattern holds but two rates are complex: the spec is invalid, which
+    # block_eigenpairs allows; its eigenpairs are still those of L.
+    spec = pair_block_spec(
+        3,
+        np.zeros((3, 3)),
+        {(1, 3): [[1 + 0.5j, 0.2], [0.1, 2.0]], (1, 2): [[0.3, 0.0], [0.0, 0.7 - 0.4j]]},
+    )
+    for pair in ((1, 2), (1, 3), (2, 3)):
+        for eig in gk.block_eigenpairs(spec, pair):
+            resid = gk.apply_generator(spec, eig.matrix) - eig.mu * eig.matrix
+            assert np.max(np.abs(resid)) <= 1e-12
+
+
 def test_block_eigenpairs_preconditions():
     rng = np.random.default_rng(43)
     coupled = random_valid_spec(rng, 3)  # dense coefficients: not pair-block
@@ -496,11 +510,11 @@ def test_verify_invariant_gates_on_validity_and_shape():
         gk.verify_invariant(good, np.eye(2) / 2.0, times=(1.0,))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
 def test_verify_invariant_rejects_non_finite_times(bad):
     spec = superposition_decay_spec()
     psi = np.array([1.0, 1.0, 0.0]) / RT2
-    with pytest.raises(ValueError, match="evolution times must be finite"):
+    with pytest.raises(ValueError, match="evolution times must be finite and >= 0"):
         gk.verify_invariant(spec, np.outer(psi, psi), times=(1.0, bad))
 
 
@@ -550,7 +564,7 @@ def _pair_block_stack():
     rng = np.random.default_rng(480)
     specs = [superposition_decay_spec(), sink_menagerie_spec(), dephasing_ladder_spec()]
     specs += [random_pbd_spec(rng, N) for N in range(2, 8) for _ in range(3)]
-    return np.concatenate([generator._block_superoperator(s)[1] for s in specs])
+    return np.concatenate([s._pair_table.blocks for s in specs])
 
 
 @pytest.mark.parametrize("scale", 10.0 ** np.arange(-8, 9))
