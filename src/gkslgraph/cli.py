@@ -17,6 +17,7 @@ import functools
 import hashlib
 import math
 import os
+import stat
 import sys
 import warnings
 from pathlib import Path
@@ -394,9 +395,20 @@ def _process(command, input_path, args, tol):
 
 
 def _write(path: Path, text: str) -> None:
-    """Write text to path; exit 1 naming the path if it cannot be written."""
+    """Write text to path; exit 1 naming the path if it cannot be written.
+
+    An existing file is rewritten in place and then cut to the new length,
+    never truncated to 0 first: on ext4 (default ``auto_da_alloc``), closing
+    a file that was truncated to 0 starts its write to disk, and the next
+    truncation waits for that write, tens of ms per overwrite.  Only a
+    regular file is cut, so ``/dev/null``, a FIFO or a tty still work.
+    """
     try:
-        path.write_text(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "wb") as out:
+            out.write(text.encode("utf-8"))
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                out.truncate()
     except OSError as exc:
         raise _Failure(1, f"{path}: {exc.strerror or exc}") from exc
 

@@ -276,8 +276,10 @@ def block_eigenpairs(
     (PreconditionError otherwise); the spec need not be canonical or even
     valid — the block action is c*I + [[D, p], [q, -D]] regardless, with
     eigenvalues ``mu = c +- sqrt(D**2 + p*q)`` from L's block in the spec's
-    pair-block table.  The root is of the scalar ``D*D + p*q``: on the negative
-    real axis its rounding picks the "plus" root.
+    pair-block table.  ``s`` is the principal root of ``D*D + p*q``, except
+    where it is imaginary up to rounding (``|Re s| <= 4 eps |s|``, an
+    oscillating block): there "plus" is the root with ``Im s >= 0``, so the
+    sign of a rounding-level imaginary part of ``D*D + p*q`` does not pick it.
 
     Eigenvectors are chosen as the largest of the three algebraically
     equivalent closed forms (p, s - D), (D + s, q), and their sum, which
@@ -292,6 +294,8 @@ def block_eigenpairs(
     c, A0, _ = _pair_block_split(table.blocks[table.index(k, ell)][None])
     c, D, p, q = c[0], A0[0, 0, 0], A0[0, 0, 1], A0[0, 1, 0]
     s = np.sqrt(complex(D * D + p * q))
+    if abs(s.real) <= 4 * np.finfo(float).eps * abs(s) and s.imag < 0:
+        s = -s  # an oscillating block: "plus" is the root with Im s >= 0
 
     pairs = []
     for branch, sign in (("plus", 1.0), ("minus", -1.0)):

@@ -6,8 +6,10 @@ holds a reference to it, so calls through any import path are seen.
 
 import inspect
 import json
+import os
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -159,3 +161,41 @@ def test_pair_block_table_is_built_once_per_spec(monkeypatch):
     assert spec._pair_table is spec._pair_table
     digraph.sinks_and_singular_2sinks(spec)
     assert counts == {"_pair_block_table": 1}
+
+
+def record_opens(monkeypatch) -> list[tuple[Path, int]]:
+    opened: list[tuple[Path, int]] = []
+    real_open = os.open
+
+    def recording(path, flags, *args, **kwargs):
+        opened.append((Path(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    return opened
+
+
+def test_out_file_is_opened_once_without_truncation(monkeypatch, tmp_path, golden_dir):
+    # Truncating a written file to 0 and refilling it stalls for tens of ms
+    # on ext4; the output is rewritten in place instead.
+    out = tmp_path / "k.json"
+    out.write_bytes(b"x" * 10_000)
+    opened = record_opens(monkeypatch)
+    spec = golden_dir / "superposition.spec.json"
+    assert cli.main(["kernel", str(spec), "--out", str(out)]) == 0
+    assert [path for path, _ in opened] == [out]
+    assert not any(flags & os.O_TRUNC for _, flags in opened)
+
+
+def test_batch_opens_each_output_once_without_truncation(monkeypatch, tmp_path, golden_dir):
+    in_dir, out_dir = tmp_path / "in", tmp_path / "out"
+    in_dir.mkdir()
+    for name in ("ladder", "superposition"):
+        (in_dir / f"{name}.json").write_bytes((golden_dir / f"{name}.spec.json").read_bytes())
+    opened = record_opens(monkeypatch)
+    assert cli.main(["kernel", str(in_dir), "--batch", "--out", str(out_dir)]) == 0
+    assert sorted(path for path, _ in opened) == [
+        out_dir / "ladder.kernel.json",
+        out_dir / "superposition.kernel.json",
+    ]
+    assert not any(flags & os.O_TRUNC for _, flags in opened)

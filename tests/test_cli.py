@@ -493,6 +493,42 @@ def test_digraph_out_in_a_missing_directory_exits_1(tmp_path, capsys, golden_dir
     assert err == f"error: {dot_path}: No such file or directory\n"
 
 
+@pytest.mark.parametrize(
+    "command, spec_name",
+    [("kernel", "superposition.spec.json"), ("digraph", "menagerie.spec.json")],
+)
+def test_out_overwrites_a_longer_file(tmp_path, capsys, golden_dir, command, spec_name):
+    # --out rewrites an existing file in place and cuts it to the new length.
+    spec = str(golden_dir / spec_name)
+    fresh, stale = tmp_path / "fresh.out", tmp_path / "stale.out"
+    stale.write_bytes(b"x" * 10_000)
+    assert run_cli([command, spec, "--out", str(fresh)], capsys)[0] == 0
+    assert run_cli([command, spec, "--out", str(stale)], capsys)[0] == 0
+    assert 0 < len(fresh.read_bytes()) < 10_000
+    assert stale.read_bytes() == fresh.read_bytes()
+
+
+def test_out_writes_through_links(tmp_path, capsys, golden_dir):
+    spec = str(golden_dir / "superposition.spec.json")
+    fresh, target = tmp_path / "fresh.json", tmp_path / "target.json"
+    assert run_cli(["kernel", spec, "--out", str(fresh)], capsys)[0] == 0
+    target.touch()
+    (tmp_path / "soft.json").symlink_to(target)
+    os.link(target, tmp_path / "hard.json")
+    for link in ("soft.json", "hard.json"):
+        target.write_bytes(b"x" * 10_000)
+        assert run_cli(["kernel", spec, "--out", str(tmp_path / link)], capsys)[0] == 0
+        assert target.read_bytes() == fresh.read_bytes()
+    assert (tmp_path / "soft.json").is_symlink()
+    assert os.path.samefile(target, tmp_path / "hard.json")
+
+
+def test_out_to_dev_null(capsys, golden_dir):
+    # Not a regular file: written, never cut to length.
+    spec = str(golden_dir / "ladder.spec.json")
+    assert run_cli(["validate", spec, "--out", os.devnull], capsys) == (0, "", "")
+
+
 def test_batch_out_that_is_a_file_exits_1(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -966,6 +1002,26 @@ def test_batch_digraph_writes_dot(tmp_path, capsys):
     assert code == 0
     assert (out_dir / "m.digraph.json").exists()
     assert (out_dir / "m.dot").exists()
+
+
+@pytest.mark.parametrize("command", ["kernel", "digraph"])
+def test_batch_rerun_into_the_same_directory(tmp_path, capsys, command):
+    # The second run swaps the specs under the two stems, so every output
+    # file is rewritten with a different length.
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    specs = [superposition_decay_spec(), sink_menagerie_spec()]
+    for stems in (("a", "b"), ("b", "a")):
+        for stem, spec in zip(stems, specs):
+            write_spec(in_dir / f"{stem}.json", spec)
+        argv = [command, str(in_dir), "--batch", "--out", str(tmp_path / "rerun")]
+        assert run_cli(argv, capsys)[0] == 0
+    argv = [command, str(in_dir), "--batch", "--out", str(tmp_path / "fresh")]
+    assert run_cli(argv, capsys)[0] == 0
+    fresh = {p.name: p.read_bytes() for p in (tmp_path / "fresh").iterdir()}
+    rerun = {p.name: p.read_bytes() for p in (tmp_path / "rerun").iterdir()}
+    assert len(fresh) == (4 if command == "digraph" else 2)
+    assert rerun == fresh
 
 
 def test_batch_requires_out(tmp_path, capsys):

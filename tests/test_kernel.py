@@ -101,6 +101,30 @@ def test_block_eigenpairs_random_residuals():
     assert checked > 100
 
 
+def test_block_eigenpairs_oscillating_plus_has_the_larger_imaginary_part():
+    # D*D + p*q on the negative real axis up to rounding: the sign of its
+    # rounding-level imaginary part must not decide which root is "plus".
+    eps = np.finfo(float).eps
+    checked = 0
+    for seed in range(300):
+        spec = random_pbd_spec(np.random.default_rng(seed), 2 + seed % 7)
+        table = spec._pair_table
+        for k in range(1, spec.N + 1):
+            for ell in range(k + 1, spec.N + 1):
+                _, A0, _ = kernel._pair_block_split(table.blocks[table.index(k, ell)][None])
+                (D, p), (q, _) = A0[0]
+                z = complex(D * D + p * q)
+                if not (z.real < 0 and abs(z.imag) <= 4 * eps * abs(z)):
+                    continue
+                plus, minus = gk.block_eigenpairs(spec, (k, ell))
+                assert plus.mu.imag >= minus.mu.imag, (seed, k, ell)
+                for pair in (plus, minus):
+                    resid = gk.apply_generator(spec, pair.matrix) - pair.mu * pair.matrix
+                    assert np.max(np.abs(resid)) < 1e-12
+                checked += 1
+    assert checked > 2000
+
+
 def test_block_eigenpairs_scalar_block_fallback():
     # no coupling at all: the block operator is scalar (here zero), and the
     # matrix units themselves are returned
