@@ -145,38 +145,6 @@ def gellmann(i: int, j: int, N: int) -> np.ndarray:
     return out / math.sqrt(n * (n + 1))
 
 
-def expand_standard_in_gellmann(i: int, j: int, N: int) -> np.ndarray:
-    """Coefficients c (length N**2, Gell-Mann ordering) with E_ij = sum c_q lam_q.
-
-    Closed forms:
-
-    * i < j: ``E_ij = (lam_ij + i*lam_ji)/sqrt(2)``;
-    * i > j: ``E_ij = (lam_ji - i*lam_ij)/sqrt(2)``;
-    * i == j: the telescoping diagonal formula
-      ``E_jj = -sqrt((j-1)/j) lam_{j-1,j-1}
-      + sum_{m=j}^{N-1} lam_mm/sqrt(m(m+1)) + I_N/N``
-      (the lam_{0,0} term is read as zero and the sum is vacuous for j = N).
-    """
-    if not (1 <= i <= N and 1 <= j <= N):
-        raise ValueError(f"label ({i}, {j}) out of range for N={N}")
-    coeffs = np.zeros(N * N, dtype=np.complex128)
-    if i < j:
-        coeffs[gellmann_position(i, j, N)] = 1.0 / math.sqrt(2.0)
-        coeffs[gellmann_position(j, i, N)] = 1j / math.sqrt(2.0)
-        return coeffs
-    if i > j:
-        coeffs[gellmann_position(j, i, N)] = 1.0 / math.sqrt(2.0)
-        coeffs[gellmann_position(i, j, N)] = -1j / math.sqrt(2.0)
-        return coeffs
-    if j > 1:
-        coeffs[gellmann_position(j - 1, j - 1, N)] = -math.sqrt((j - 1) / j)
-    for m in range(j, N):
-        coeffs[gellmann_position(m, m, N)] = 1.0 / math.sqrt(m * (m + 1))
-    # Coefficient on I_N/sqrt(N), contributing I_N/N to E_jj.
-    coeffs[gellmann_position(N, N, N)] = 1.0 / math.sqrt(N)
-    return coeffs
-
-
 # ---------------------------------------------------------------------------
 # Inner product and predicates
 # ---------------------------------------------------------------------------
@@ -393,22 +361,3 @@ def pair_block_unitary() -> np.ndarray:
     U = np.array([[1.0, 1.0], [1j, -1j]], dtype=np.complex128) / math.sqrt(2.0)
     U.setflags(write=False)
     return U
-
-
-def convert_block(block: np.ndarray, direction: str) -> np.ndarray:
-    """Convert one 2x2 pair block between Gamma and C representations.
-
-    ``direction`` is ``"gamma-to-c"`` or ``"c-to-gamma"``.  The block rows and
-    columns are ordered ((i, j), (j, i)) for Gamma and (lam_ij, lam_ji) for C,
-    so the conversion is conjugation by the pair-block unitary:
-    ``C = U Gamma U*`` and ``Gamma = U* C U``.  Round-trip is the identity.
-    """
-    block = np.asarray(block, dtype=np.complex128)
-    if block.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 block, got shape {block.shape}")
-    U = pair_block_unitary()
-    if direction == "gamma-to-c":
-        return U @ block @ U.conj().T
-    if direction == "c-to-gamma":
-        return U.conj().T @ block @ U
-    raise ValueError(f"unknown direction {direction!r}")

@@ -131,6 +131,23 @@ class GeneratorSpec:
         """The table of pair-block numbers, built on first use and kept."""
         return _pair_block_table(self)
 
+    @cached_property
+    def _off_block_max(self) -> float:
+        """Largest |gamma| off the pair-block pattern, from one N^4 scan made on first use."""
+        return _max_off_block(self.gamma, self.N)
+
+    @cached_property
+    def _on_pair_pattern(self) -> bool:
+        """True iff gamma has the pair-block zero pattern exactly (no threshold).
+
+        A nonzero cross block ``gamma[:R, R:]`` or ``gamma[R:, :R]`` between
+        the pair and diagonal sectors rules the pattern out in ``O(N^3)``;
+        only a gamma without one is scanned (:attr:`_off_block_max`).
+        """
+        R = self.N * self.N - self.N
+        G = self.gamma
+        return not (G[:R, R:].any() or G[R:, :R].any()) and self._off_block_max == 0.0
+
 
 @dataclass(frozen=True)
 class GellMannSpec:
@@ -206,7 +223,9 @@ class PairBlockClassification:
     The ``max_*`` fields report the largest violating magnitudes (zero when
     the respective test passes exactly), and the ``*_threshold`` fields the
     scale-adjusted tolerances they are held to, ``tol * max(1, max|gamma|)``
-    and ``tol * max(1, max|H|)``.
+    and ``tol * max(1, max|H|)``.  At tolerance 0 both thresholds are 0, and
+    the classification is the exact rule: gamma has the pair-block zero
+    pattern and H has no nonzero entry off its diagonal.
     """
 
     is_pair_block_diagonal: bool
@@ -288,17 +307,6 @@ def superoperator(spec: GeneratorSpec) -> np.ndarray:
     )
     perm = _standard_flat_order(N)
     return S_vec[np.ix_(perm, perm)]
-
-
-def _has_pair_block_pattern(spec: GeneratorSpec) -> bool:
-    """True iff gamma has the pair-block zero pattern and H is diagonal, exactly.
-
-    The exact-zero rule of :func:`validate`'s block route: no threshold.
-    """
-    H = spec.H
-    return _max_off_block(spec.gamma, spec.N) == 0.0 and not np.any(
-        H - np.diag(np.diag(H))
-    )
 
 
 @dataclass(frozen=True)
@@ -390,11 +398,15 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     Cost: ``O(N^4)`` for the basis change (from the blocks of W), plus the
     spectrum of B.  When every entry of B outside its P 2x2 pair blocks and
-    its (N-1) x (N-1) diagonal-sector block is exactly 0, as for a
-    pair-block-diagonal gamma, the spectrum is taken block by block: one
-    batched ``eigvalsh`` of the pairs and one of the diagonal-sector block,
-    ``O(N^3)``.  Any other B gets one dense ``eigvalsh``, ``O(N^6)``.  The
-    identity row and column are outside B, so they do not affect the choice.
+    its (N-1) x (N-1) diagonal-sector block is exactly 0, the spectrum is
+    taken block by block: one batched ``eigvalsh`` of the pairs and one of
+    the diagonal-sector block, ``O(N^3)``.  Any other B gets one dense
+    ``eigvalsh``, ``O(N^6)``.  The identity row and column are outside B, so
+    they do not affect the choice.  When gamma has the exact pair-block
+    pattern (the spec's one scan, ``spec._on_pair_pattern``), so has B, since
+    W is block diagonal over the same blocks, and B is not scanned; only for
+    any other gamma is B scanned, because rounding can leave gamma off the
+    pattern and B exactly on it.
     """
     N = spec.N
     C = _conjugate_by_w(np.array(spec.gamma), inverse=False)
@@ -405,7 +417,7 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     if B.size == 0:
         psd_ok = True
     else:
-        if _max_off_block(B, N) == 0.0:
+        if spec._on_pair_pattern or _max_off_block(B, N) == 0.0:
             R = N * N - N
             blocks = (_pair_blocks(B, N), B[R:, R:][None])
         else:
@@ -489,23 +501,23 @@ def classify_pair_block_diagonal(
 
     Pair-block diagonal means: no coupling between the off-diagonal and
     diagonal label sectors, and the off-diagonal sector reduced to its
-    2x2 diagonal pair blocks.
+    2x2 diagonal pair blocks.  The violation is the spec's one scan of
+    gamma, ``spec._off_block_max``.
     """
-    N = spec.N
-    R = N * N - N
-    G = spec.gamma
-    max_block = _max_off_block(G, N)
-    # max|gamma| from the scan and the blocks it skips, with no N^4 temporary.
-    g_max = np.max([
-        max_block,
-        np.abs(spec._pair_table.gamma_blocks).max(initial=0.0),
-        np.abs(G[R:, R:]).max(),
-    ])
-    scale_g = tol * max(1.0, float(g_max))
-
+    max_block = spec._off_block_max
     H_off = spec.H - np.diag(np.diag(spec.H))
     max_h = float(np.abs(H_off).max()) if H_off.size else 0.0
-    scale_h = tol * max(1.0, float(np.abs(spec.H).max()))
+    scale_g = scale_h = 0.0  # the exact rule at tol 0, read with no pair table
+    if tol:
+        R = spec.N * spec.N - spec.N
+        # max|gamma| from the scan and the blocks it skips, with no N^4 temporary.
+        g_max = np.max([
+            max_block,
+            np.abs(spec._pair_table.gamma_blocks).max(initial=0.0),
+            np.abs(spec.gamma[R:, R:]).max(),
+        ])
+        scale_g = tol * max(1.0, float(g_max))
+        scale_h = tol * max(1.0, float(np.abs(spec.H).max()))
 
     return PairBlockClassification(
         is_pair_block_diagonal=max_block <= scale_g,

@@ -44,7 +44,6 @@ from .generator import (
     GellMannSpec,
     GeneratorSpec,
     PairBlockClassification,
-    _has_pair_block_pattern,
     _require_valid,
     apply_generator,
     canonicalize,
@@ -318,13 +317,16 @@ def block_eigenpairs(
 def _margin_notes(
     notes: list[str], label: str, value: float, threshold: float
 ) -> bool:
-    """Record near-threshold outcomes; return whether the condition holds."""
+    """Record near-threshold outcomes; return whether the condition holds.
+
+    A condition that holds at a zero threshold holds exactly, not narrowly.
+    """
     ok = value <= threshold
     if threshold < value <= 10.0 * threshold:
         notes.append(
             f"{label} narrowly failed ({value:.3e} vs threshold {threshold:.3e})"
         )
-    elif threshold / 10.0 <= value <= threshold:
+    elif threshold / 10.0 <= value <= threshold and threshold > 0.0:
         notes.append(
             f"{label} held narrowly ({value:.3e} vs threshold {threshold:.3e})"
         )
@@ -592,7 +594,8 @@ def verify_invariant(
     requested time; a NaN residual or drift fails.
 
     The evolution runs block by block when gamma has the pair-block zero
-    pattern and H is diagonal, exactly (no tolerance): L is then one N x N
+    pattern and H is diagonal, exactly: the classification at tolerance 0
+    (:func:`classify_pair_block_diagonal`).  L is then one N x N
     diagonal-sector block and P independent 2x2 pair blocks, evolved by one
     N x N ``expm`` and a closed form, ``O(N^3)`` per time.  Any other spec
     is evolved by ``expm(t S)`` of the dense N**2 x N**2 superoperator S,
@@ -625,10 +628,12 @@ def verify_invariant(
 def _evolution_drifts(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
     """``|exp(tL)(rho) - rho|_F`` at each time in turn, computed as it is read.
 
-    Block by block on the exact pair-block pattern (``_has_pair_block_pattern``),
-    by the dense superoperator otherwise; see :func:`verify_invariant`.
+    Block by block when the classification at tolerance 0 holds (the exact
+    pair-block pattern and a diagonal H), by the dense superoperator
+    otherwise; see :func:`verify_invariant`.
     """
-    if not _has_pair_block_pattern(spec):
+    exact = classify_pair_block_diagonal(spec, 0.0)
+    if not (exact.is_pair_block_diagonal and exact.h_diagonal):
         S = superoperator(spec)
         v = to_standard_coordinates(rho)
         for t in times:

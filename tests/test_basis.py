@@ -126,22 +126,14 @@ def test_gellmann_hermitian_traceless(N):
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 5])
-def test_expansion_reconstructs_matrix_units(N):
+def test_basis_change_columns_reconstruct_matrix_units(N):
+    # Column p of W holds the Gell-Mann coefficients of the p-th matrix unit.
     labels = gk.gellmann_labels(N)
+    W = gk.basis_change_matrix(N)
     for (i, j) in gk.standard_labels(N):
-        coeffs = gk.expand_standard_in_gellmann(i, j, N)
+        coeffs = W[:, gk.standard_position(i, j, N)]
         M = sum(c * gk.gellmann(a, b, N) for c, (a, b) in zip(coeffs, labels))
         assert np.max(np.abs(M - gk.matrix_unit(i, j, N))) < 1e-12
-
-
-def test_expansion_matches_inner_products():
-    # the expansion coefficients are exactly the overlaps <lam_q, E_ij>
-    N = 4
-    for (i, j) in gk.standard_labels(N):
-        E = gk.matrix_unit(i, j, N)
-        coeffs = gk.expand_standard_in_gellmann(i, j, N)
-        for q, (a, b) in enumerate(gk.gellmann_labels(N)):
-            assert abs(coeffs[q] - gk.hs_inner(gk.gellmann(a, b, N), E)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +262,7 @@ def test_operator_basis_change_rejects_unknown_names():
 
 
 # ---------------------------------------------------------------------------
-# pair-block conversion
+# the pair-block unitary
 # ---------------------------------------------------------------------------
 
 
@@ -280,43 +272,39 @@ def test_pair_block_unitary_pinned():
     assert np.max(np.abs(U @ U.conj().T - np.eye(2))) < 1e-15
 
 
-def test_convert_block_pinned_example():
+def test_pair_block_unitary_converts_a_rate_one_block():
     # a pure rate-1 dissipator on the first off-diagonal orthonormal element
+    U = gk.pair_block_unitary()
     c_blk = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    g_blk = gk.convert_block(c_blk, "c-to-gamma")
+    g_blk = U.conj().T @ c_blk @ U
     assert np.max(np.abs(g_blk - 0.5 * np.ones((2, 2)))) < 1e-15
-    back = gk.convert_block(g_blk, "gamma-to-c")
+    back = U @ g_blk @ U.conj().T
     assert np.max(np.abs(back - c_blk)) < 1e-15
 
 
-def test_convert_block_round_trips():
+def test_pair_block_unitary_conversion_round_trips():
+    U = gk.pair_block_unitary()
     rng = np.random.default_rng(99)
     for _ in range(1000):
         blk = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        there = gk.convert_block(blk, "gamma-to-c")
-        back = gk.convert_block(there, "c-to-gamma")
+        there = U @ blk @ U.conj().T
+        back = U.conj().T @ there @ U
         assert np.max(np.abs(back - blk)) < 1e-12
 
 
-def test_convert_block_matches_full_transform():
+def test_pair_block_unitary_matches_full_transform():
     # cross-route: embedding a single pair block into a full coefficient
     # matrix and conjugating by the full change-of-basis unitary must give
-    # the same 2x2 block as convert_block
+    # the same 2x2 block as conjugating by the pair-block unitary
     rng = np.random.default_rng(5)
     N = 2
     W = gk.basis_change_matrix(N)
+    U = gk.pair_block_unitary()
     blk = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     gamma = np.zeros((4, 4), dtype=complex)
     gamma[:2, :2] = blk
     C = W @ gamma @ W.conj().T
-    assert np.max(np.abs(C[:2, :2] - gk.convert_block(blk, "gamma-to-c"))) < 1e-13
-
-
-def test_convert_block_rejects_bad_args():
-    with pytest.raises(ValueError):
-        gk.convert_block(np.eye(3), "gamma-to-c")
-    with pytest.raises(ValueError):
-        gk.convert_block(np.eye(2), "sideways")
+    assert np.max(np.abs(C[:2, :2] - U @ blk @ U.conj().T)) < 1e-13
 
 
 # ---------------------------------------------------------------------------

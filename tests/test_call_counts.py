@@ -21,6 +21,7 @@ from helpers import (
     command_argv,
     gellmann_document,
     random_identity_preserving_spec,
+    random_valid_spec,
     sink_menagerie_spec,
 )
 
@@ -83,13 +84,16 @@ def test_command_validates_once(monkeypatch, tmp_path, golden_dir, command):
 def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path, golden_dir):
     # The pair-block analysis reads sinks and terminal 2-cycles off the one
     # digraph that also gives the diagonal kernel elements, and the numbers
-    # of their blocks from the canonical spec's one pair-block table.
+    # of their blocks from the canonical spec's one pair-block table.  The
+    # pattern of gamma is scanned once per spec, the given and the canonical
+    # one; validate reads the given spec's scan and scans no B of its own.
     counts = count_calls(
         monkeypatch,
         generator._pair_block_table,
         digraph.induced_digraph,
         digraph.scc_decompose,
         basis._conjugate_by_w,
+        basis._max_off_block,
         generator.validate,
     )
     spec = golden_dir / "superposition.spec.json"
@@ -99,8 +103,24 @@ def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path
         "induced_digraph": 1,
         "scc_decompose": 1,
         "_conjugate_by_w": 3,
+        "_max_off_block": 2,
         "validate": 3,
     }
+
+
+def test_kernel_command_on_a_dense_spec_scans_once_per_validate_and_canonical_spec(
+    monkeypatch, tmp_path
+):
+    # A nonzero cross block rules the pattern out with no scan of gamma, so
+    # each validate scans only its B; the fallback reason quotes the one
+    # scan of the canonical spec.
+    spec = random_valid_spec(np.random.default_rng(61), 4)
+    path = tmp_path / "dense.json"
+    path.write_text(gk.dump_json(gk.spec_to_document(spec)))
+    counts = count_calls(monkeypatch, basis._max_off_block, generator.validate)
+    assert cli.main(["kernel", str(path), "--out", str(tmp_path / "k.json")]) == 0
+    assert "fallback_reason" in json.loads((tmp_path / "k.json").read_text())
+    assert counts == {"_max_off_block": 4, "validate": 3}
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -116,16 +136,18 @@ def test_gellmann_file_is_converted_once(monkeypatch, tmp_path, capsys, command)
 
 def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_path, golden_dir):
     # The pair-block route evolves the blocks; the state is invariant, so the
-    # evolution runs at every time.
+    # evolution runs at every time.  validate and the route read one scan.
     psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     state = tmp_path / "state.json"
     state.write_text(gk.dump_json({"matrix": gk.matrix_to_document(np.outer(psi, psi))}))
     spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
-    counts = count_calls(monkeypatch, generator.superoperator, generator._pair_block_table)
+    counts = count_calls(
+        monkeypatch, generator.superoperator, generator._pair_block_table, basis._max_off_block
+    )
     argv = ["check-state", str(spec), "--state", str(state), "--times", "0.5,1,2"]
     assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
     assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
-    assert counts == {"_pair_block_table": 1}
+    assert counts == {"_pair_block_table": 1, "_max_off_block": 1}
 
 
 def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path):

@@ -929,6 +929,14 @@ def test_tol_zero_is_allowed(capsys, golden_dir):
     assert json.loads(out)["tolerance"] == 0.0
 
 
+@pytest.mark.parametrize("name", ["superposition", "ladder", "menagerie"])
+@pytest.mark.parametrize("command", ["kernel", "crosscheck"])
+def test_tol_zero_notes_no_check_as_held_narrowly(capsys, golden_dir, command, name):
+    # Every check that holds at a zero threshold holds exactly, not narrowly.
+    _, out, _ = run_cli([command, str(golden_dir / f"{name}.spec.json"), "--tol", "0"], capsys)
+    assert json.loads(out)["diagnostics"] == []
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1"])
 def test_tol_flag_rejects_non_finite_or_negative(capsys, golden_dir, value):
     with pytest.raises(SystemExit) as exc:

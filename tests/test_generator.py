@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
-from gkslgraph import generator
-from gkslgraph.basis import _pair_block
+from gkslgraph.basis import _max_off_block, _pair_block
 from helpers import (
     dephasing_ladder_spec,
     identity_coupled_spec,
     pair_block_spec,
     random_hermitian,
     random_identity_preserving_spec,
+    random_consistent_spec,
     random_pbd_spec,
     random_psd,
     random_valid_spec,
@@ -253,7 +253,8 @@ def test_block_superoperator_is_the_block_diagonal_of_the_superoperator(name, sp
     t = np.arange(P)
     table = spec._pair_table
     laplacian, pairs = table.laplacian, table.blocks
-    assert generator._has_pair_block_pattern(spec)
+    exact = gk.classify_pair_block_diagonal(spec, 0.0)
+    assert exact.is_pair_block_diagonal and exact.h_diagonal
     assert laplacian.shape == (N, N) and pairs.shape == (P, 2, 2)
     for S in (gk.superoperator(spec), reference_superoperator(spec)):
         scale = 1e-14 * np.abs(S).max()
@@ -310,7 +311,8 @@ def test_traceful_pair_block_spec_is_not_canonical():
     ids=["identity_coupled", "dense", "tiny_h_coupling"],
 )
 def test_pair_block_pattern_is_exact(spec):
-    assert not generator._has_pair_block_pattern(spec)
+    exact = gk.classify_pair_block_diagonal(spec, 0.0)
+    assert not (exact.is_pair_block_diagonal and exact.h_diagonal)
 
 
 def test_trace_preservation_any_coefficients():
@@ -479,6 +481,53 @@ def test_validate_off_block_entry_forces_the_dense_spectrum(monkeypatch):
     assert shapes == [(1, 8, 8)]
     assert report == reference_validate(spec)
     assert report.verdict
+
+
+def test_validate_takes_the_block_route_when_rounding_leaves_gamma_off_the_pattern(monkeypatch):
+    # The canonical form carries a 1.4e-17 residue off the pattern in gamma,
+    # while B = W gamma W* is exactly on it: validate scans B and stays on
+    # the block route.
+    spec = gk.canonicalize(identity_coupled_spec(np.random.default_rng(1), 3, 0.3))
+    assert not spec._on_pair_pattern and 0.0 < spec._off_block_max < 1e-16
+    shapes = _recorded_eigvalsh_shapes(monkeypatch)
+    report = gk.validate(spec)
+    assert shapes == [(3, 2, 2), (1, 2, 2)]
+    assert report == reference_validate(spec)
+
+
+def _spec_families():
+    rng = np.random.default_rng(98)
+    for N in (1, 2, 3, 5):
+        yield random_valid_spec(rng, N)
+        yield random_pbd_spec(rng, N)
+    for N in (2, 3, 6):
+        yield random_identity_preserving_spec(rng, N)
+        yield identity_coupled_spec(rng, N, 0.3)
+        yield random_consistent_spec(rng, N)[0]
+    yield superposition_decay_spec()
+    yield dephasing_ladder_spec()
+    yield sink_menagerie_spec()
+    yield sink_menagerie_spec(equal_h=True)
+    yield pair_block_spec(2, np.array([[0.0, 1e-300], [1e-300, 0.0]]), {}, diag=np.eye(2))
+    # Off the pattern with both cross blocks zero: only the scan can tell.
+    g = np.zeros((9, 9), dtype=complex)
+    p1, p2 = gk.standard_position(1, 2, 3), gk.standard_position(1, 3, 3)
+    g[p1, p1] = g[p2, p2] = 1.0
+    g[p1, p2] = g[p2, p1] = 0.5
+    yield gk.GeneratorSpec(H=np.zeros((3, 3)), gamma=g)
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_pattern_flag_matches_a_fresh_scan(canonical):
+    seen = set()
+    for spec in _spec_families():
+        if canonical:
+            spec = gk.canonicalize(spec)
+        fresh = _max_off_block(np.array(spec.gamma), spec.N)
+        assert spec._on_pair_pattern == (fresh == 0.0)
+        assert spec._off_block_max == fresh == reference_max_off_block(spec.gamma, spec.N)
+        seen.add(spec._on_pair_pattern)
+    assert seen == {False, True}
 
 
 def test_classify_max_block_violation_matches_full_copy_scan():

@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg
 
 import gkslgraph as gk
-from gkslgraph import generator, kernel
+from gkslgraph import kernel
 from helpers import (
     dephasing_ladder_spec,
     gellmann_document,
@@ -644,7 +644,8 @@ PARITY_TIMES = (0.5, 1.0, 2.0, 50.0)
 def test_verify_invariant_matches_dense_evolution(seed):
     rng = np.random.default_rng(4800 + seed)
     spec = random_pbd_spec(rng, 2 + seed % 6)
-    assert generator._has_pair_block_pattern(spec)
+    exact = gk.classify_pair_block_diagonal(spec, 0.0)
+    assert exact.is_pair_block_diagonal and exact.h_diagonal
     rho = _invariant_state(spec, rng)
     perturbed = rho + 1e-3 * random_hermitian(rng, spec.N)
     with warnings.catch_warnings():
@@ -661,7 +662,8 @@ def test_verify_invariant_matches_dense_evolution(seed):
 
 def test_verify_invariant_on_one_level():
     spec = gk.GeneratorSpec(H=np.array([[0.25]]), gamma=np.array([[0.7]]))
-    assert generator._has_pair_block_pattern(spec)
+    exact = gk.classify_pair_block_diagonal(spec, 0.0)
+    assert exact.is_pair_block_diagonal and exact.h_diagonal
     rho = np.ones((1, 1), dtype=complex)
     assert gk.verify_invariant(spec, rho, PARITY_TIMES) is True
     assert _dense_verify(spec, rho, PARITY_TIMES) is True
@@ -673,7 +675,8 @@ def test_verify_invariant_on_an_identity_coupled_spec_takes_the_dense_route(seed
     # Pair-block diagonal only after canonicalization: the exact pattern fails.
     rng = np.random.default_rng(4900 + seed)
     spec = identity_coupled_spec(rng, 3 + seed % 3, 0.3)
-    assert not generator._has_pair_block_pattern(spec)
+    exact = gk.classify_pair_block_diagonal(spec, 0.0)
+    assert not (exact.is_pair_block_diagonal and exact.h_diagonal)
     rho = _invariant_state(spec, rng)
     perturbed = rho + 1e-3 * random_hermitian(rng, spec.N)
     with warnings.catch_warnings():
