@@ -287,8 +287,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol",
         type=_tol_arg,
-        default=None,
-        help="numeric tolerance (default: GKSLGRAPH_TOL env var, then 1e-9)",
+        default=DEFAULT_TOL,
+        help=f"numeric tolerance (default: {DEFAULT_TOL:g})",
     )
 
     parser = argparse.ArgumentParser(
@@ -346,18 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="exit 2 when the analytic preconditions fail",
     )
     return parser
-
-
-def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        return args.tol
-    env = os.environ.get("GKSLGRAPH_TOL")
-    if env is not None and env != "":
-        try:
-            return _tol_arg(env)
-        except argparse.ArgumentTypeError as exc:
-            raise _Failure(1, f"GKSLGRAPH_TOL: {exc}") from None
-    return DEFAULT_TOL
 
 
 def _process(command, input_path, args, tol):
@@ -463,14 +451,9 @@ def _run_batch(args, tol, parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        tol = _resolve_tol(args)
-    except _Failure as failure:
-        print(f"error: {failure.message}", file=sys.stderr)
-        return failure.code
     if args.batch:
-        return _run_batch(args, tol, parser)
-    return _run_single(args, tol, parser)
+        return _run_batch(args, args.tol, parser)
+    return _run_single(args, args.tol, parser)
 
 
 def app() -> None:

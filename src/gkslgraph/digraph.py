@@ -20,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
 from types import MappingProxyType
 
 import numpy as np
@@ -135,18 +134,18 @@ def induced_digraph(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> InducedDig
     rate, and rates at or below tol (including small negatives from
     round-off) are dropped.
     """
-    N = spec.N
-    rates = spec._pair_table.gamma_blocks.real  # pair (i, j): rates j -> i and i -> j
+    table = spec._pair_table
+    rates = table.gamma_blocks.real  # pair (i, j): rates j -> i and i -> j
     weights: dict[tuple[int, int], float] = {}
     # Edges go in pair order, j -> i before i -> j: the order of the weights
     # fixes the float summation order of the stationary vectors.
-    pairs = combinations(range(1, N + 1), 2)  # in label order
+    pairs = table.levels.tolist()
     for (i, j), w_ji, w_ij in zip(pairs, rates[:, 0, 0].tolist(), rates[:, 1, 1].tolist()):
         if w_ji > tol:
             weights[(j, i)] = w_ji
         if w_ij > tol:
             weights[(i, j)] = w_ij
-    return InducedDigraph(n=N, weights=weights)
+    return InducedDigraph(n=spec.N, weights=weights)
 
 
 def laplacian(graph: InducedDigraph) -> np.ndarray:

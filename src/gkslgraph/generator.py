@@ -313,7 +313,8 @@ def superoperator(spec: GeneratorSpec) -> np.ndarray:
 class _PairBlockTable:
     """A spec's pair-block numbers, read off gamma and H once, with no threshold.
 
-    Pair t is the t-th pair (k, l), k < l, in label order (:meth:`index`).
+    Pair t is the t-th pair (k, l), k < l, in label order: ``levels[t]`` is
+    (k, l) and :meth:`index` its inverse.
     ``laplacian`` is ``Gam - diag(colsum Gam)``, ``Gam[i, j] = gamma[(i,j), (i,j)]``
     (the rate j -> i); ``gamma_blocks`` are gamma's 2x2 blocks over
     ((k, l), (l, k)); ``blocks`` are L's over (E_kl, E_lk): gamma's off the
@@ -325,6 +326,7 @@ class _PairBlockTable:
     ``g_lk - g_kk``.  Every array is read-only.
     """
 
+    levels: np.ndarray  # (P, 2), the levels (k, l) of each pair
     laplacian: np.ndarray  # (N, N)
     gamma_blocks: np.ndarray  # (P, 2, 2)
     blocks: np.ndarray  # (P, 2, 2)
@@ -359,6 +361,7 @@ def _pair_block_table(spec: GeneratorSpec) -> _PairBlockTable:
 
     # Pair t is (k[t]+1, ell[t]+1), in label order: np.triu_indices(N, 1), built faster.
     k, ell = np.nonzero(np.less.outer(np.arange(N), np.arange(N)))
+    levels = np.stack((k, ell), axis=1) + 1
     G = spec.gamma[-N:, -N:]  # the diagonal-sector block
     g_kk, g_ll, g_kl, g_lk = np.diagonal(G)[k], np.diagonal(G)[ell], G[k, ell], G[ell, k]
     h = np.diag(spec.H)
@@ -370,7 +373,7 @@ def _pair_block_table(spec: GeneratorSpec) -> _PairBlockTable:
     blocks[:, 1, 1] = g_lk - split - mean_m
     dephasing = np.stack((g_kk - g_ll, g_kl - g_kk, g_lk - g_kk), axis=1)
     splitting = np.abs(h.real[k] - h.real[ell])
-    table = _PairBlockTable(laplacian, gamma_blocks, blocks, splitting, dephasing)
+    table = _PairBlockTable(levels, laplacian, gamma_blocks, blocks, splitting, dephasing)
     for array in vars(table).values():
         array.setflags(write=False)
     return table

@@ -589,17 +589,20 @@ def verify_invariant(
     generates a semigroup, defined forward in time only.  If rho is
     not a state (Hermitian, positive, unit trace within tol) a UserWarning
     is issued but the invariance check still runs.  Returns True iff
-    ``|L(rho)|_F <= GENERATOR_RESIDUAL_TOL`` (from :func:`apply_generator`)
-    and the drift ``|exp(tL)(rho) - rho|_F <= EVOLUTION_DRIFT_TOL`` at every
-    requested time; a NaN residual or drift fails.
+    ``|L(rho)|_F <= GENERATOR_RESIDUAL_TOL`` and the drift
+    ``|exp(tL)(rho) - rho|_F <= EVOLUTION_DRIFT_TOL`` at every requested
+    time; a NaN residual or drift fails, and a residual above its bound
+    stops the check before any evolution.
 
-    The evolution runs block by block when gamma has the pair-block zero
-    pattern and H is diagonal, exactly: the classification at tolerance 0
-    (:func:`classify_pair_block_diagonal`).  L is then one N x N
-    diagonal-sector block and P independent 2x2 pair blocks, evolved by one
-    N x N ``expm`` and a closed form, ``O(N^3)`` per time.  Any other spec
-    is evolved by ``expm(t S)`` of the dense N**2 x N**2 superoperator S,
-    ``O(N^6)`` per time.
+    Both come from one operator per route.  When gamma has the pair-block
+    zero pattern and H is diagonal, exactly (the classification at
+    tolerance 0, :func:`classify_pair_block_diagonal`), L is one N x N
+    diagonal-sector block and P independent 2x2 pair blocks, read from the
+    spec's pair-block table: the residual is those blocks applied to rho,
+    ``O(N^2)``, and the evolution one N x N ``expm`` and a closed form,
+    ``O(N^3)`` per time.  Any other spec takes its residual from
+    :func:`apply_generator`, ``O(N^4)``, and is evolved by ``expm(t S)`` of
+    the dense N**2 x N**2 superoperator S, ``O(N^6)`` per time.
     """
     _require_valid(spec, tol)
     rho = np.asarray(rho, dtype=np.complex128)
@@ -619,30 +622,36 @@ def verify_invariant(
             stacklevel=2,
         )
 
-    residual = float(np.linalg.norm(apply_generator(spec, rho)))
-    if not residual <= GENERATOR_RESIDUAL_TOL:
+    norms = _generator_norms(spec, rho, times)
+    if not next(norms) <= GENERATOR_RESIDUAL_TOL:
         return False
-    return all(drift <= EVOLUTION_DRIFT_TOL for drift in _evolution_drifts(spec, rho, times))
+    return all(drift <= EVOLUTION_DRIFT_TOL for drift in norms)
 
 
-def _evolution_drifts(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
-    """``|exp(tL)(rho) - rho|_F`` at each time in turn, computed as it is read.
+def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
+    """``|L(rho)|_F``, then ``|exp(tL)(rho) - rho|_F`` at each time, computed as read.
 
-    Block by block when the classification at tolerance 0 holds (the exact
-    pair-block pattern and a diagonal H), by the dense superoperator
-    otherwise; see :func:`verify_invariant`.
+    The one place :func:`verify_invariant` applies L, with the route picked
+    once (see there).  On the pair-block route the table's ``laplacian``
+    acts on diag(rho) and its ``blocks`` on each (rho_kl, rho_lk); on the
+    dense route the superoperator is built only when the first drift is read.
     """
     exact = classify_pair_block_diagonal(spec, 0.0)
     if not (exact.is_pair_block_diagonal and exact.h_diagonal):
+        yield float(np.linalg.norm(apply_generator(spec, rho)))
         S = superoperator(spec)
         v = to_standard_coordinates(rho)
         for t in times:
             yield float(np.linalg.norm(scipy.linalg.expm(t * S) @ v - v))
         return
-    laplacian, pairs = spec._pair_table.laplacian, spec._pair_table.blocks
-    k, ell = np.triu_indices(spec.N, 1)  # the pairs in label order
+    table = spec._pair_table
+    laplacian, pairs = table.laplacian, table.blocks
+    k, ell = table.levels.T - 1
     populations = np.diag(rho)
     coherences = np.stack((rho[k, ell], rho[ell, k]), axis=1)  # over (E_kl, E_lk)
+    yield float(np.linalg.norm(np.concatenate((
+        laplacian @ populations, (pairs @ coherences[:, :, None])[:, :, 0],
+    ), axis=None)))
     for t in times:
         moved = np.concatenate((
             scipy.linalg.expm(t * laplacian) @ populations - populations,

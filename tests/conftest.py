@@ -25,9 +25,3 @@ def regen_golden(request) -> bool:
 def golden_dir() -> Path:
     return GOLDEN_DIR
 
-
-@pytest.fixture(autouse=True)
-def _no_tol_env(monkeypatch):
-    # Keep any ambient tolerance override out of the test process so CLI
-    # envelopes (and golden files) are deterministic.
-    monkeypatch.delenv("GKSLGRAPH_TOL", raising=False)

@@ -135,31 +135,60 @@ def test_gellmann_file_is_converted_once(monkeypatch, tmp_path, capsys, command)
 
 
 def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_path, golden_dir):
-    # The pair-block route evolves the blocks; the state is invariant, so the
-    # evolution runs at every time.  validate and the route read one scan.
+    # The pair-block route takes the residual from the blocks and evolves
+    # them; the state is invariant, so the evolution runs at every time.
+    # validate and the route read one scan, and nothing re-indexes gamma.
     psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     state = tmp_path / "state.json"
     state.write_text(gk.dump_json({"matrix": gk.matrix_to_document(np.outer(psi, psi))}))
     spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
     counts = count_calls(
-        monkeypatch, generator.superoperator, generator._pair_block_table, basis._max_off_block
+        monkeypatch,
+        generator.superoperator,
+        generator._pair_block_table,
+        basis._max_off_block,
+        generator._gamma_tensor,
+        generator.apply_generator,
     )
     argv = ["check-state", str(spec), "--state", str(state), "--times", "0.5,1,2"]
     assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
     assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
-    assert counts == {"_pair_block_table": 1, "_max_off_block": 1}
+    assert counts == {"_pair_block_table": 1, "_max_off_block": 1}  # _gamma_tensor, apply_generator: 0
 
 
-def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path):
-    # A non-diagonal H: not pair-block.  I/N is invariant, so the evolution runs.
+def _check_dense_state(monkeypatch, tmp_path, state: np.ndarray) -> tuple[bool, Counter]:
+    """check-state on a spec with a non-diagonal H (not pair-block): verdict and calls."""
     spec = random_identity_preserving_spec(np.random.default_rng(60), 3)
     path = tmp_path / "dense.json"
     path.write_text(gk.dump_json(gk.spec_to_document(spec)))
-    counts = count_calls(monkeypatch, generator.superoperator, generator._pair_block_table)
-    argv = command_argv("check-state", path, tmp_path, 3) + ["--out", str(tmp_path / "c.json")]
-    assert cli.main(argv) == 0
-    assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
-    assert counts == {"superoperator": 1}
+    state_path = tmp_path / "state.json"
+    state_path.write_text(gk.dump_json({"matrix": gk.matrix_to_document(state)}))
+    counts = count_calls(
+        monkeypatch,
+        generator.superoperator,
+        generator._pair_block_table,
+        generator.apply_generator,
+    )
+    argv = ["check-state", str(path), "--state", str(state_path), "--times", "0.5,2"]
+    assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
+    return json.loads((tmp_path / "c.json").read_text())["invariant"], counts
+
+
+def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path):
+    # I/N is invariant: the residual passes, so the evolution runs.
+    invariant, counts = _check_dense_state(monkeypatch, tmp_path, np.eye(3) / 3)
+    assert invariant is True
+    assert counts == {"apply_generator": 1, "superoperator": 1}
+
+
+def test_check_state_on_a_dense_spec_stops_at_the_residual(monkeypatch, tmp_path):
+    # I/N with a coherence moves: it fails the O(N^4) residual, and the
+    # superoperator is never built.
+    state = np.eye(3) / 3
+    state[0, 1] = state[1, 0] = 1e-3
+    invariant, counts = _check_dense_state(monkeypatch, tmp_path, state)
+    assert invariant is False
+    assert counts == {"apply_generator": 1}
 
 
 def test_every_cached_function_is_keyed_by_n_at_most():

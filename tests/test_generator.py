@@ -286,9 +286,11 @@ def test_pair_table_reads_the_entries_of_gamma_and_h(name, spec):
     g = spec.gamma[-N:, -N:]
     pairs = [(k, ell) for k in range(1, N + 1) for ell in range(k + 1, N + 1)]
     assert table.gamma_blocks.shape == (len(pairs), 2, 2)
+    assert table.levels.shape == (len(pairs), 2)
     for t, (k, ell) in enumerate(pairs):
         a, b = k - 1, ell - 1
         assert table.index(k, ell) == t == gk.standard_position(k, ell, N) // 2
+        assert table.levels[t].tolist() == [k, ell]
         assert np.array_equal(table.gamma_blocks[t], _pair_block(spec.gamma, k, ell, N))
         assert table.splitting[t] == abs(spec.H[a, a].real - spec.H[b, b].real)
         expected = [g[a, a] - g[b, b], g[a, b] - g[a, a], g[b, a] - g[a, a]]

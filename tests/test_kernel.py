@@ -640,6 +640,14 @@ def _invariant_state(spec, rng):
 PARITY_TIMES = (0.5, 1.0, 2.0, 50.0)
 
 
+def _assert_norms_match_dense(spec, state):
+    """The route's residual is apply_generator's, and its drifts the dense evolution's."""
+    residual, *drifts = kernel._generator_norms(spec, state, PARITY_TIMES)
+    expected = np.linalg.norm(gk.apply_generator(spec, state))
+    assert abs(residual - expected) <= 1e-12 * expected + 1e-15
+    assert np.allclose(drifts, _dense_drifts(spec, state, PARITY_TIMES), rtol=1e-9, atol=1e-12)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_verify_invariant_matches_dense_evolution(seed):
     rng = np.random.default_rng(4800 + seed)
@@ -654,10 +662,10 @@ def test_verify_invariant_matches_dense_evolution(seed):
         assert _dense_verify(spec, rho, PARITY_TIMES) is True
         assert gk.verify_invariant(spec, perturbed, PARITY_TIMES) is False
         assert _dense_verify(spec, perturbed, PARITY_TIMES) is False
-    # The drifts themselves, past the residual gate that stops a perturbed state.
+    # The residual and the drifts themselves, past the residual gate that
+    # stops a perturbed state.
     for state in (rho, perturbed):
-        blocks = list(kernel._evolution_drifts(spec, state, PARITY_TIMES))
-        assert np.allclose(blocks, _dense_drifts(spec, state, PARITY_TIMES), rtol=1e-9, atol=1e-12)
+        _assert_norms_match_dense(spec, state)
 
 
 def test_verify_invariant_on_one_level():
@@ -667,7 +675,7 @@ def test_verify_invariant_on_one_level():
     rho = np.ones((1, 1), dtype=complex)
     assert gk.verify_invariant(spec, rho, PARITY_TIMES) is True
     assert _dense_verify(spec, rho, PARITY_TIMES) is True
-    assert list(kernel._evolution_drifts(spec, rho, PARITY_TIMES)) == [0.0] * 4
+    assert list(kernel._generator_norms(spec, rho, PARITY_TIMES)) == [0.0] * 5  # L(rho), 4 drifts
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -685,6 +693,8 @@ def test_verify_invariant_on_an_identity_coupled_spec_takes_the_dense_route(seed
         assert _dense_verify(spec, rho, PARITY_TIMES) is True
         assert gk.verify_invariant(spec, perturbed, PARITY_TIMES) is False
         assert _dense_verify(spec, perturbed, PARITY_TIMES) is False
+    for state in (rho, perturbed):
+        _assert_norms_match_dense(spec, state)
 
 
 # ---------------------------------------------------------------------------
