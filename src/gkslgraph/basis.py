@@ -16,7 +16,9 @@ Both orderings are bijections between labels and positions 0..N**2-1, and
 they share the off-diagonal ("O") sector positions, so the change-of-basis
 matrix W is block diagonal: one 2x2 block per (i, j) pair and one N x N block
 on the diagonal ("D") sector.  Conjugation by W is computed from those
-blocks in O(N^4) time, never as a dense N**2 x N**2 product (O(N^6)).
+blocks in O(N^4) time, never as a dense N**2 x N**2 product (O(N^6)); a
+matrix with the pair-block zero pattern keeps it, and only its blocks are
+conjugated, in O(N^3).
 
 All public indices are 1-based, matching the usual physics notation for
 matrix units; array positions are 0-based.
@@ -241,6 +243,13 @@ def _butterfly(x: np.ndarray, y: np.ndarray) -> None:
     y += x
 
 
+def _butterfly_scaled(x: np.ndarray, y: np.ndarray, u: np.ndarray) -> None:
+    """(x, y) <- (u[0] (x + y), u[1] (x - y)) in place: the pair block ``diag(u) H2``."""
+    _butterfly(x, y)
+    x *= u[0]
+    y *= u[1]
+
+
 def _conjugate_by_w(A: np.ndarray, inverse: bool) -> np.ndarray:
     """Overwrite A with ``W A W*``, or with ``W* A W`` when ``inverse``.
 
@@ -269,15 +278,30 @@ def _conjugate_by_w(A: np.ndarray, inverse: bool) -> np.ndarray:
         _butterfly(col_e, col_o)
         A[:, R:] = A[:, R:] @ D
     else:  # rows by U = diag(u) H2, columns by U* = H2 diag(u*)
-        _butterfly(row_e, row_o)
-        row_e *= u[0]
-        row_o *= u[1]
+        _butterfly_scaled(row_e, row_o, u)
         A[R:] = D @ A[R:]
-        _butterfly(col_e, col_o)
-        col_e *= u[0].conj()
-        col_o *= u[1].conj()
+        _butterfly_scaled(col_e, col_o, u.conj())
         A[:, R:] = A[:, R:] @ D.conj().T
     return A
+
+
+def _conjugate_pattern_by_w(gamma: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of ``C = W gamma W*`` for a gamma with the pair-block zero pattern.
+
+    W is block diagonal over the same blocks as the pattern, so C is 0
+    outside its P 2x2 pair blocks and its N x N diagonal-sector block
+    ``C[R:, R:]``.  Returns both, as a new (P, 2, 2) array and a new N x N
+    array, in ``O(N^3)``.  They are taken by the steps of
+    :func:`_conjugate_by_w` restricted to the blocks, so every entry equals
+    the one :func:`_conjugate_by_w` gives, bit for bit.
+    """
+    u = pair_block_unitary()[:, 0]
+    pairs = _pair_blocks(gamma, N)  # a new array
+    _butterfly_scaled(pairs[:, 0], pairs[:, 1], u)  # rows
+    _butterfly_scaled(pairs[:, :, 0], pairs[:, :, 1], u.conj())  # columns
+    D = _diagonal_block(N)
+    R = N * N - N
+    return pairs, (D @ gamma[R:, R:]) @ D.conj().T
 
 
 def _pair_block(M: np.ndarray, k: int, ell: int, N: int) -> np.ndarray:

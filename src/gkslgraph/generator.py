@@ -29,6 +29,7 @@ import numpy as np
 from .basis import (
     DEFAULT_TOL,
     _conjugate_by_w,
+    _conjugate_pattern_by_w,
     _hermitian_margin,
     _max_off_block,
     _pair_blocks,
@@ -399,32 +400,40 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     Tolerances are adjusted by the largest magnitude entry involved.
 
-    Cost: ``O(N^4)`` for the basis change (from the blocks of W), plus the
-    spectrum of B.  When every entry of B outside its P 2x2 pair blocks and
-    its (N-1) x (N-1) diagonal-sector block is exactly 0, the spectrum is
-    taken block by block: one batched ``eigvalsh`` of the pairs and one of
-    the diagonal-sector block, ``O(N^3)``.  Any other B gets one dense
-    ``eigvalsh``, ``O(N^6)``.  The identity row and column are outside B, so
-    they do not affect the choice.  When gamma has the exact pair-block
-    pattern (the spec's one scan, ``spec._on_pair_pattern``), so has B, since
-    W is block diagonal over the same blocks, and B is not scanned; only for
-    any other gamma is B scanned, because rounding can leave gamma off the
-    pattern and B exactly on it.
+    Cost: on a gamma with the exact pair-block pattern (the spec's one scan,
+    ``spec._on_pair_pattern``), ``O(N^3)`` past that scan.  W is block
+    diagonal over the same blocks as the pattern, so C is formed only on
+    its P 2x2 pair blocks and its N x N diagonal-sector block; its identity
+    row and column are 0 on the pair labels.  The spectrum is one batched
+    ``eigvalsh`` of the pairs and one of the (N-1) x (N-1) diagonal-sector
+    block of B.  Any other gamma costs ``O(N^4)``: C is formed whole, from
+    the blocks of W, and B is scanned.  If B has the pattern, which rounding
+    can give when gamma lacks it, its spectrum is taken block by block;
+    otherwise by one dense ``eigvalsh``, ``O(N^6)``.  Both routes feed the
+    same entries of C to the same rules.
     """
     N = spec.N
-    C = _conjugate_by_w(np.array(spec.gamma), inverse=False)
-    B = C[:-1, :-1]
-
-    offending: float | None = None
-    b_max = 0.0
-    if B.size == 0:
-        psd_ok = True
+    R = N * N - N
+    if spec._on_pair_pattern:
+        pairs, Cd = _conjugate_pattern_by_w(spec.gamma, N)
+        blocks = (pairs, Cd[:-1, :-1][None])
+        identity = np.zeros((2, N * N), dtype=np.complex128)
+        identity[0, R:], identity[1, R:] = Cd[-1], Cd[:, -1]
     else:
-        if spec._on_pair_pattern or _max_off_block(B, N) == 0.0:
-            R = N * N - N
+        C = _conjugate_by_w(np.array(spec.gamma), inverse=False)
+        B = C[:-1, :-1]
+        if _max_off_block(B, N) == 0.0:
             blocks = (_pair_blocks(B, N), B[R:, R:][None])
         else:
             blocks = (B[None],)
+        identity = (C[-1], C[:, -1])
+    row, col = identity  # C's identity row and column
+
+    offending: float | None = None
+    b_max = 0.0
+    if N == 1:  # B is empty
+        psd_ok = True
+    else:
         skew, b_max = _hermitian_margin(blocks)
         herm_ok = skew <= tol * max(1.0, b_max)  # is_hermitian's rule on B
         evals = np.concatenate([
@@ -437,12 +446,12 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
             offending = float(evals.min())
 
     witness: tuple[int, int] | None = None
-    mismatch = np.abs(C[-1, :-1].real - C[:-1, -1].real)
+    mismatch = np.abs(row[:-1].real - col[:-1].real)
     if mismatch.size == 0:
         trace_ok = True
     else:
         # max|C|: B's maximum, then the identity row and column.
-        c_max = max(b_max, np.abs(C[-1]).max(), np.abs(C[:, -1]).max())
+        c_max = max(b_max, np.abs(row).max(), np.abs(col).max())
         trace_ok = float(mismatch.max()) <= tol * max(1.0, float(c_max))
         if not trace_ok:
             witness = gellmann_labels(N)[int(mismatch.argmax())]
@@ -473,6 +482,8 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     carried moves into ``H' = H + (M - M*) / (4iN)``, shifted traceless and
     Hermitized, with ``M[i, j] = sum_n (gamma[(n,n), (j,i)] - gamma[(i,j), (n,n)])``.
     The action is unchanged and ``Gamma'(I) = 0``.  ``O(N^3)`` past validation.
+    A gamma with the exact pair-block pattern keeps it, so the canonical
+    spec inherits ``_off_block_max == 0.0`` and is not scanned again.
 
     Raises :class:`InvalidGeneratorError` if the spec does not validate.
     """
@@ -489,7 +500,12 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     gamma[R:] -= from_diag / N
     gamma[:, R:] -= gamma[:, R:].mean(axis=1, keepdims=True)
     gamma.setflags(write=False)  # the spec keeps this array instead of a copy
-    return GeneratorSpec(H=H_new, gamma=gamma)
+    canon = GeneratorSpec(H=H_new, gamma=gamma)
+    if spec._on_pair_pattern:
+        # Exact, with no scan: the cross blocks stay 0 - 0/N = 0 and the pair
+        # sector is a bit copy.
+        canon.__dict__["_off_block_max"] = 0.0
+    return canon
 
 
 # ---------------------------------------------------------------------------

@@ -497,6 +497,93 @@ def test_validate_takes_the_block_route_when_rounding_leaves_gamma_off_the_patte
     assert report == reference_validate(spec)
 
 
+def _pair_block_families():
+    """Every pair-block family of the helpers, by name; each gamma has the exact pattern.
+
+    Besides the valid families: each with gamma negated (invalid), a real
+    identity-row mismatch on a diagonal-sector label (the trace witness comes
+    from the diagonal-sector block of C), and a non-Hermitian pair block.
+    """
+    rng = np.random.default_rng(99)
+    specs = {f"random_pbd_N{N}": random_pbd_spec(rng, N) for N in range(1, 10)}
+    specs["superposition"] = superposition_decay_spec()
+    specs["ladder"] = dephasing_ladder_spec()
+    specs["menagerie"] = sink_menagerie_spec()
+    specs["menagerie_equal_h"] = sink_menagerie_spec(equal_h=True)
+    for name, spec in list(specs.items()):
+        specs[f"{name}_negated"] = gk.GeneratorSpec(H=spec.H, gamma=-spec.gamma)
+    N = 4
+    R = N * N - N
+    C = np.zeros((N * N, N * N), dtype=complex)
+    for t in range(0, R, 2):
+        C[t : t + 2, t : t + 2] = random_psd(rng, 2)
+    C[R:-1, R:-1] = random_psd(rng, N - 1)
+    C[-1, gk.gellmann_position(2, 2, N)] = 0.7
+    gamma = gk.operator_basis_change(C, "gellmann", "standard")
+    specs["diagonal_trace_mismatch"] = gk.GeneratorSpec(H=np.zeros((N, N)), gamma=gamma)
+    specs["non_hermitian_pair"] = pair_block_spec(
+        3, np.zeros((3, 3)), {(1, 2): np.array([[1.0, 0.5], [0.0, 1.0]])}, diag=np.eye(3)
+    )
+    return specs
+
+
+def _off_pattern_route(spec):
+    """A fresh spec from spec's arrays that validate reads as off the pattern."""
+    fresh = gk.GeneratorSpec(H=spec.H, gamma=spec.gamma)
+    fresh.__dict__["_on_pair_pattern"] = False
+    return fresh
+
+
+def _given_and_canonical(specs):
+    for name, spec in specs.items():
+        yield name, spec
+        if gk.validate(spec).verdict:
+            yield f"{name}_canonical", gk.canonicalize(spec)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_pattern_route_validates_as_the_full_basis_change(tol):
+    # On the pattern, validate conjugates gamma's blocks only; its report is
+    # the one the whole conjugation by W gives.  Above tolerance 0 it agrees
+    # with the dense reference; at 0 the verdict of either route can hinge on
+    # the rounding of its own products with W (a -1e-33 eigenvalue).
+    specs = dict(_given_and_canonical(_pair_block_families()))
+    assert specs["diagonal_trace_mismatch"]._on_pair_pattern
+    assert gk.validate(specs["diagonal_trace_mismatch"], tol).trace_witness == (2, 2)
+    assert not gk.validate(specs["non_hermitian_pair"], tol).psd_on_traceless
+    verdicts = set()
+    for name, spec in specs.items():
+        assert spec._on_pair_pattern, name
+        got = gk.validate(spec, tol)
+        assert got == gk.validate(_off_pattern_route(spec), tol), name
+        verdicts.add(got.verdict)
+        if not tol:
+            continue
+        ref = reference_validate(spec, tol)
+        assert got.verdict == ref.verdict, name
+        assert got.trace_witness == ref.trace_witness, name
+        if ref.offending_eigenvalue is None:
+            assert got.offending_eigenvalue is None, name
+        else:
+            assert got.offending_eigenvalue == pytest.approx(
+                ref.offending_eigenvalue, rel=1e-12
+            ), name
+    assert verdicts == {False, True}
+
+
+def test_canonical_spec_inherits_the_pattern_scan():
+    # canonicalize keeps gamma's pattern exactly, so the canonical spec takes
+    # _off_block_max from its source with no scan; off the pattern it scans.
+    for name, spec in _given_and_canonical(_pair_block_families()):
+        if name.endswith("_canonical"):
+            assert "_off_block_max" in vars(spec), name
+            assert spec._off_block_max == 0.0, name
+            assert reference_max_off_block(spec.gamma, spec.N) == 0.0, name
+    canon = gk.canonicalize(identity_coupled_spec(np.random.default_rng(1), 3, 0.3))
+    assert "_off_block_max" not in vars(canon)
+    assert 0.0 < canon._off_block_max < 1e-16
+
+
 def _spec_families():
     rng = np.random.default_rng(98)
     for N in (1, 2, 3, 5):

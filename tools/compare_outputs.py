@@ -1,0 +1,208 @@
+"""Compare the CLI's outputs at a base revision with those of the working tree.
+
+Usage, from the root of the repository::
+
+    python tools/compare_outputs.py --base REV [--seeds 41 ...]
+
+The specs of the benchmark's workloads are generated once per seed, by
+importing ``perfbench/bench_specs.py``.  Every command of
+``tests/helpers.COMMANDS`` is run on every spec, with the arguments of
+``helpers.command_argv``; ``oracle`` and ``crosscheck`` only for N <= 12.
+So is the command the benchmark times on the spec (``check-state`` with the
+workload's own state, or ``kernel`` writing its ``--out`` file).
+Each tree runs the same argument lists in-process, in one subprocess with
+that tree's ``src`` first on ``PYTHONPATH``: the base revision's ``src`` is
+exported by ``git archive`` into a temporary directory, removed on exit.
+
+Each differing stdout, stderr, exit code and ``--out`` file is reported.
+Where both sides are JSON, every differing number is listed with the
+absolute and relative size of its difference.  Exits 0 when every output is
+byte-identical and 1 otherwise.  This is a tool, not a test: the test suite
+does not run it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import difflib
+import io
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import traceback
+import zipfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+#: Commands that build the dense N^2 x N^2 superoperator and take its SVD.
+ORACLE_COMMANDS = ("oracle", "crosscheck")
+ORACLE_MAX_N = 12
+
+
+def _run_jobs(jobs_path: str, results_path: str) -> None:
+    """Run each job's argv through the imported ``gkslgraph.cli`` and record its outputs."""
+    from gkslgraph import cli
+
+    results = []
+    for argv in json.loads(Path(jobs_path).read_text()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the arguments
+                code = exc.code
+            except Exception as exc:  # a crash is an output to compare, not the end of the run
+                traceback.print_exc()
+                code = f"raised {type(exc).__name__}"
+        out = None
+        if "--out" in argv:
+            path = Path(argv[argv.index("--out") + 1])
+            if path.exists():
+                out = path.read_text()
+                path.unlink()  # so the next tree cannot read this tree's file
+        results.append({
+            "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "code": code, "out": out
+        })
+    Path(results_path).write_text(json.dumps(results))
+
+
+def _export_src(rev: str, directory: Path) -> Path:
+    """Write the ``src`` tree of ``rev`` under ``directory``; return its path."""
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", "--format=zip", rev, "src"],
+        check=True,
+        capture_output=True,
+    ).stdout
+    with zipfile.ZipFile(io.BytesIO(archive)) as zipped:
+        zipped.extractall(directory)
+    return directory / "src"
+
+
+def _run_tree(src: Path, jobs_path: Path, results_path: Path) -> list[dict]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, __file__, "--run-jobs", str(jobs_path), str(results_path)],
+        check=True,
+        env=env,
+    )
+    return json.loads(results_path.read_text())
+
+
+def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
+    """Write the workload specs under ``directory``; return the argv of every command."""
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
+    import bench_specs
+    from helpers import COMMANDS, command_argv
+
+    jobs = []
+    for seed in seeds:
+        for name, workload in bench_specs.WORKLOADS.items():
+            workdir = directory / f"seed{seed}" / name
+            for case in bench_specs.generate(workload, seed, workdir):
+                jobs.append(case.argv)
+                for command in COMMANDS:
+                    if command in ORACLE_COMMANDS and case.N > ORACLE_MAX_N:
+                        continue
+                    jobs.append(command_argv(command, case.spec_path, workdir / "out", case.N))
+    return jobs
+
+
+def _numbers(value, path="$"):
+    """Every number of a JSON value, keyed by its path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _numbers(item, f"{path}.{key}")
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _numbers(item, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
+
+
+def _describe(base: str, head: str) -> list[str]:
+    """How two texts differ: number by number where both are JSON, else a diff."""
+    try:
+        a, b = json.loads(base), json.loads(head)
+    except ValueError:
+        a = b = None
+    if a is not None:
+        na, nb = dict(_numbers(a)), dict(_numbers(b))
+        lines = []
+        for path in na.keys() & nb.keys():
+            x, y = na[path], nb[path]
+            if x != y:
+                diff = abs(x - y)
+                rel = diff / max(abs(x), abs(y))
+                lines.append(f"{path}: {x!r} -> {y!r} (abs {diff:.3g}, rel {rel:.3g})")
+        lines.sort()
+        # Anything but a number that moved: keys, strings, booleans, nulls, lengths.
+        shape_a, shape_b = _shape(a), _shape(b)
+        if shape_a != shape_b:
+            lines.append("non-numeric content differs:")
+            lines += _diff_lines(shape_a, shape_b)
+        return lines
+    return _diff_lines(base, head)
+
+
+def _shape(value) -> str:
+    """``value`` as indented JSON with every number replaced by 0."""
+
+    def blank(v):
+        if isinstance(v, dict):
+            return {key: blank(item) for key, item in v.items()}
+        if isinstance(v, list):
+            return [blank(item) for item in v]
+        return 0 if isinstance(v, (int, float)) and not isinstance(v, bool) else v
+
+    return json.dumps(blank(value), indent=1, sort_keys=True)
+
+
+def _diff_lines(base: str, head: str, limit: int = 20) -> list[str]:
+    lines = difflib.unified_diff(
+        base.splitlines(), head.splitlines(), "base", "head", lineterm="", n=0
+    )
+    return [f"  {line}" for line in list(lines)[:limit]]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="the git revision to compare against")
+    parser.add_argument(
+        "--seeds", type=int, nargs="+", default=[41], help="workload seeds (default: 41)"
+    )
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        tmp = Path(tmp)
+        jobs = _jobs(args.seeds, tmp / "specs")
+        jobs_path = tmp / "jobs.json"
+        jobs_path.write_text(json.dumps(jobs))
+        base = _run_tree(_export_src(args.base, tmp / "base"), jobs_path, tmp / "base.json")
+        head = _run_tree(ROOT / "src", jobs_path, tmp / "head.json")
+        differing = 0
+        for job, b, h in zip(jobs, base, head):
+            if b == h:
+                continue
+            differing += 1
+            print(" ".join(a.replace(f"{tmp}{os.sep}", "") for a in job))
+            if b["code"] != h["code"]:
+                print(f" exit code: {b['code']} -> {h['code']}")
+            for channel in ("stdout", "stderr", "out"):
+                if b[channel] != h[channel]:
+                    print(f" {channel}:")
+                    for line in _describe(b[channel] or "", h[channel] or ""):
+                        print(f"  {line}")
+    print(f"{differing} of {len(jobs)} commands differ ({args.base} vs the working tree)")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] == ["--run-jobs"]:
+        _run_jobs(*sys.argv[2:4])
+    else:
+        sys.exit(main())
