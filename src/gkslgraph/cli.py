@@ -354,12 +354,16 @@ def _process(command, input_path, args, tol):
     The spec file is read once: the envelope's ``spec_sha256`` names the
     bytes that were parsed.  Every warning the command raises is recorded,
     not printed, and appended to ``diagnostics``; a failure drops them.
+    A spec too large for memory (the dense N^2 x N^2 gamma of a large N)
+    fails like an invalid one, naming the path.
     """
     try:
         data = input_path.read_bytes()
         spec = parse_spec_document(_decode_document(data, input_path))
     except (OSError, SpecParseError) as exc:
         raise _Failure(1, f"{input_path}: {exc}") from exc
+    except MemoryError as exc:
+        raise _out_of_memory(input_path, exc) from exc
     handler = _HANDLERS[command]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -367,6 +371,8 @@ def _process(command, input_path, args, tol):
             code, payload, dot, diagnostics = handler(spec, input_path, args, tol)
         except InvalidGeneratorError as exc:
             raise _Failure(1, f"{input_path}: {exc}") from exc
+        except MemoryError as exc:
+            raise _out_of_memory(input_path, exc) from exc
     doc = {
         "command": command,
         "input": str(input_path),
@@ -380,6 +386,11 @@ def _process(command, input_path, args, tol):
     except ValueError as exc:  # a NaN or infinite number in the result
         raise _Failure(1, f"{input_path}: cannot write the result as JSON ({exc})") from exc
     return code, text, dot
+
+
+def _out_of_memory(input_path: Path, exc: MemoryError) -> _Failure:
+    detail = f" ({exc})" if str(exc) else ""
+    return _Failure(1, f"{input_path}: out of memory{detail}")
 
 
 def _write(path: Path, text: str) -> None:

@@ -138,6 +138,11 @@ class GeneratorSpec:
         return _max_off_block(self.gamma, self.N)
 
     @cached_property
+    def _reports(self) -> dict[float, ValidationReport]:
+        """:func:`validate`'s report per tolerance, each made on first use and kept."""
+        return {}
+
+    @cached_property
     def _on_pair_pattern(self) -> bool:
         """True iff gamma has the pair-block zero pattern exactly (no threshold).
 
@@ -148,6 +153,16 @@ class GeneratorSpec:
         R = self.N * self.N - self.N
         G = self.gamma
         return not (G[:R, R:].any() or G[R:, :R].any()) and self._off_block_max == 0.0
+
+
+def _mark_on_pair_pattern(spec: GeneratorSpec) -> GeneratorSpec:
+    """``spec``, recorded as having the exact pair-block pattern, with no scan.
+
+    Only for a gamma built to be 0 outside its pair blocks and its
+    diagonal-sector block: ``spec._off_block_max`` is set to 0.0.
+    """
+    spec.__dict__["_off_block_max"] = 0.0
+    return spec
 
 
 @dataclass(frozen=True)
@@ -400,8 +415,9 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
 
     Tolerances are adjusted by the largest magnitude entry involved.
 
-    Cost: on a gamma with the exact pair-block pattern (the spec's one scan,
-    ``spec._on_pair_pattern``), ``O(N^3)`` past that scan.  W is block
+    Cost: on a gamma with the exact pair-block pattern
+    (``spec._on_pair_pattern``: known from the parse of a ``blocks``
+    document, otherwise from the spec's one scan), ``O(N^3)``.  W is block
     diagonal over the same blocks as the pattern, so C is formed only on
     its P 2x2 pair blocks and its N x N diagonal-sector block; its identity
     row and column are 0 on the pair labels.  The spectrum is one batched
@@ -410,8 +426,18 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     the blocks of W, and B is scanned.  If B has the pattern, which rounding
     can give when gamma lacks it, its spectrum is taken block by block;
     otherwise by one dense ``eigvalsh``, ``O(N^6)``.  Both routes feed the
-    same entries of C to the same rules.
+    same entries of C to the same rules.  The report is kept on the spec,
+    per ``tol`` (its arrays are read-only), so a repeated call costs a
+    lookup.
     """
+    report = spec._reports.get(tol)
+    if report is None:
+        report = spec._reports[tol] = _validation_report(spec, tol)
+    return report
+
+
+def _validation_report(spec: GeneratorSpec, tol: float) -> ValidationReport:
+    """:func:`validate`'s report, computed."""
     N = spec.N
     R = N * N - N
     if spec._on_pair_pattern:
@@ -504,7 +530,7 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     if spec._on_pair_pattern:
         # Exact, with no scan: the cross blocks stay 0 - 0/N = 0 and the pair
         # sector is a bit copy.
-        canon.__dict__["_off_block_max"] = 0.0
+        _mark_on_pair_pattern(canon)
     return canon
 
 

@@ -17,12 +17,18 @@ import hashlib
 import json
 import math
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .basis import _pair_block
-from .generator import GellMannSpec, GeneratorSpec, gellmann_to_standard
+from .basis import _pair_block, _standard_position_array
+from .generator import (
+    GellMannSpec,
+    GeneratorSpec,
+    _mark_on_pair_pattern,
+    gellmann_to_standard,
+)
 
 __all__ = [
     "SpecParseError",
@@ -77,33 +83,33 @@ def _parse_complex(value, where: str) -> complex:
     )
 
 
-def _numeric_cmatrix(value, rows: int, cols: int) -> np.ndarray | None:
-    """The rows x cols matrix of [re, im] pairs in ``value``, or None if malformed.
+def _numeric_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
+    """The complex array of ``shape`` nested in ``value``, or None if malformed.
 
-    Types and lengths are checked exactly (rows of entries that are lists,
-    numbers that are int or float, never bool or str) before numpy converts
-    the numbers at once; numpy alone would accept numeric strings and
-    booleans.  Non-finite numbers (JSON's ``NaN`` and ``Infinity``) also
-    give None.
+    ``value`` nests lists to the depth of ``shape``, with [re, im] pairs
+    innermost.  Types and lengths are checked exactly, level by level
+    (lists, numbers that are int or float, never bool or str), before numpy
+    converts the numbers at once; numpy alone would accept numeric strings
+    and booleans.  Non-finite numbers (JSON's ``NaN`` and ``Infinity``)
+    also give None.
     """
-    if type(value) is not list or len(value) != rows:
+    if type(value) is not list or len(value) != shape[0]:
         return None
-    if not _lists_of_length(value, cols):
-        return None
-    entries = list(chain.from_iterable(value))
-    if not _lists_of_length(entries, 2):
-        return None
-    numbers = list(chain.from_iterable(entries))
-    if not set(map(type, numbers)) <= {int, float}:
+    items = value
+    for length in (*shape[1:], 2):
+        if not _lists_of_length(items, length):
+            return None
+        items = list(chain.from_iterable(items))
+    if not set(map(type, items)) <= {int, float}:
         return None
     try:
-        flat = np.fromiter(numbers, dtype=np.float64, count=len(numbers))
+        flat = np.fromiter(items, dtype=np.float64, count=len(items))
     except OverflowError:  # an int beyond float range
         return None
     if not np.isfinite(flat).all():
         return None
     flat.setflags(write=False)  # a spec keeps the view instead of a copy
-    return flat.view(np.complex128).reshape(rows, cols)
+    return flat.view(np.complex128).reshape(shape)
 
 
 def _lists_of_length(items, length: int) -> bool:
@@ -111,7 +117,7 @@ def _lists_of_length(items, length: int) -> bool:
 
 
 def _parse_cmatrix(value, rows: int, cols: int, where: str) -> np.ndarray:
-    fast = _numeric_cmatrix(value, rows, cols)
+    fast = _numeric_array(value, (rows, cols))
     if fast is not None:
         return fast
     # Walk the entries to name the first bad field in the error.
@@ -126,6 +132,77 @@ def _parse_cmatrix(value, rows: int, cols: int, where: str) -> np.ndarray:
     return out
 
 
+def _numeric_pairs(pairs, N: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The standard positions of the pairs in ``pairs`` and their blocks, or None if malformed.
+
+    The whole list is checked at once: objects with exactly the fields
+    ``i``, ``j`` and ``block``; ``i`` and ``j`` ints (never bool) with
+    ``1 <= i < j <= N`` and no pair twice; each block 2 x 2, as
+    :func:`_numeric_array` checks it.  Returns the position of label
+    ``(i, j)`` per pair and the (P, 2, 2) blocks.
+    """
+    if type(pairs) is not list or not set(map(type, pairs)) <= {dict}:
+        return None
+    if not set(map(len, pairs)) <= {3}:
+        return None
+    try:
+        i, j, blocks = (list(map(itemgetter(name), pairs)) for name in ("i", "j", "block"))
+    except KeyError:
+        return None
+    levels = i + j
+    if not set(map(type, levels)) <= {int}:
+        return None
+    try:
+        i, j = np.fromiter(levels, dtype=np.int64, count=len(levels)).reshape(2, -1)
+    except OverflowError:  # an int beyond int64
+        return None
+    if not ((1 <= i) & (i < j) & (j <= N)).all():
+        return None
+    positions = _standard_position_array(N)[i - 1, j - 1]
+    if np.unique(positions).size != positions.size:
+        return None
+    values = _numeric_array(blocks, (len(blocks), 2, 2))
+    if values is None:
+        return None
+    return positions, values
+
+
+def _parse_pairs(pairs, N: int, M: np.ndarray) -> None:
+    """Write the pair blocks of a ``gamma.pairs`` list into M, in place."""
+    fast = _numeric_pairs(pairs, N)
+    if fast is not None:
+        positions, blocks = fast
+        first = positions[:, None, None]  # the block of pair t is M[p:p+2, p:p+2]
+        offset = np.arange(2)
+        M[first + offset[:, None], first + offset] = blocks
+        return
+    # Walk the pairs to name the first bad field in the error.
+    if not isinstance(pairs, list):
+        raise SpecParseError("gamma.pairs: expected a list")
+    seen: set[tuple[int, int]] = set()
+    for t, pdoc in enumerate(pairs):
+        where = f"gamma.pairs[{t}]"
+        if not isinstance(pdoc, dict):
+            raise SpecParseError(f"{where}: expected an object")
+        _reject_unknown(pdoc, {"i", "j", "block"}, where)
+        for name in ("i", "j", "block"):
+            if name not in pdoc:
+                raise SpecParseError(
+                    f"{where}: missing required field {name!r}"
+                )
+        i = _require_int(pdoc["i"], f"{where}.i")
+        j = _require_int(pdoc["j"], f"{where}.j")
+        if not (1 <= i < j <= N):
+            raise SpecParseError(
+                f"{where}: expected 1 <= i < j <= {N}, got i={i}, j={j}"
+            )
+        if (i, j) in seen:
+            raise SpecParseError(f"{where}: duplicate pair ({i}, {j})")
+        seen.add((i, j))
+        block = _parse_cmatrix(pdoc["block"], 2, 2, f"{where}.block")
+        _pair_block(M, i, j, N)[...] = block
+
+
 def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
     unknown = sorted(set(doc) - allowed)
     if unknown:
@@ -133,7 +210,18 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
 
 
 def parse_spec_document(doc) -> GeneratorSpec:
-    """Parse a spec document into a generator over the standard basis."""
+    """Parse a spec document into a generator over the standard basis.
+
+    Each matrix, and a ``blocks`` document's whole list of pairs, is read
+    in one vectorized pass: the types, lengths and ranges of every entry
+    are checked at once, numpy converts the numbers, and the pair blocks
+    are written into gamma by one indexed assignment.  Only when a check
+    fails are the entries walked one by one, to name the first bad field
+    in document order.  A spec read from a ``blocks`` document has the
+    pair-block pattern by construction and is marked so, with no scan of
+    gamma (``spec._off_block_max`` is 0.0); a ``dense`` one is scanned on
+    first use.
+    """
     if not isinstance(doc, dict):
         raise SpecParseError("top level: expected an object")
     _reject_unknown(doc, {"N", "basis", "H", "gamma"}, "top level")
@@ -169,31 +257,7 @@ def parse_spec_document(doc) -> GeneratorSpec:
             )
         _reject_unknown(gamma_doc, {"format", "pairs", "diag"}, "gamma")
         M = np.zeros((N * N, N * N), dtype=np.complex128)
-        pairs = gamma_doc.get("pairs", [])
-        if not isinstance(pairs, list):
-            raise SpecParseError("gamma.pairs: expected a list")
-        seen: set[tuple[int, int]] = set()
-        for t, pdoc in enumerate(pairs):
-            where = f"gamma.pairs[{t}]"
-            if not isinstance(pdoc, dict):
-                raise SpecParseError(f"{where}: expected an object")
-            _reject_unknown(pdoc, {"i", "j", "block"}, where)
-            for name in ("i", "j", "block"):
-                if name not in pdoc:
-                    raise SpecParseError(
-                        f"{where}: missing required field {name!r}"
-                    )
-            i = _require_int(pdoc["i"], f"{where}.i")
-            j = _require_int(pdoc["j"], f"{where}.j")
-            if not (1 <= i < j <= N):
-                raise SpecParseError(
-                    f"{where}: expected 1 <= i < j <= {N}, got i={i}, j={j}"
-                )
-            if (i, j) in seen:
-                raise SpecParseError(f"{where}: duplicate pair ({i}, {j})")
-            seen.add((i, j))
-            block = _parse_cmatrix(pdoc["block"], 2, 2, f"{where}.block")
-            _pair_block(M, i, j, N)[...] = block
+        _parse_pairs(gamma_doc.get("pairs", []), N, M)
         if "diag" in gamma_doc:
             M[-N:, -N:] = _parse_cmatrix(gamma_doc["diag"], N, N, "gamma.diag")
         M.setflags(write=False)  # the spec keeps this array instead of a copy
@@ -203,11 +267,13 @@ def parse_spec_document(doc) -> GeneratorSpec:
         )
 
     try:
-        if basis == "standard":
-            return GeneratorSpec(H=H, gamma=M)
-        return gellmann_to_standard(GellMannSpec(H=H, C=M))
+        if basis == "gellmann":
+            return gellmann_to_standard(GellMannSpec(H=H, C=M))
+        spec = GeneratorSpec(H=H, gamma=M)
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
+    # The blocks form writes nothing off the pair blocks and M[-N:, -N:].
+    return _mark_on_pair_pattern(spec) if fmt == "blocks" else spec
 
 
 def parse_state_document(doc) -> np.ndarray:

@@ -10,6 +10,7 @@ are therefore genuine cross-checks, not tautologies.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 from pathlib import Path
@@ -31,6 +32,7 @@ from gkslgraph import (
     lindblad_dissipator,
     matrix_to_document,
     matrix_unit,
+    operator_basis_change,
     standard_labels,
     standard_position,
     to_standard_coordinates,
@@ -261,6 +263,60 @@ def gellmann_document(gm: GellMannSpec) -> dict:
     }
 
 
+def blocks_document(spec: GeneratorSpec) -> dict:
+    """The ``blocks`` spec document of a spec with the pair-block pattern.
+
+    Only the nonzero pair blocks are listed, in label order, with the
+    diagonal-sector block as ``diag``.
+    """
+    N = spec.N
+    pairs = []
+    for i, j in itertools.combinations(range(1, N + 1), 2):
+        p = standard_position(i, j, N)
+        blk = spec.gamma[p : p + 2, p : p + 2]
+        if blk.any():
+            pairs.append({"i": i, "j": j, "block": matrix_to_document(blk)})
+    gamma = {"format": "blocks", "pairs": pairs, "diag": matrix_to_document(spec.gamma[-N:, -N:])}
+    return {"N": N, "basis": "standard", "H": matrix_to_document(spec.H), "gamma": gamma}
+
+
+def malformed_blocks_documents(doc: dict) -> dict[str, dict]:
+    """Copies of a valid ``blocks`` spec document, each with faults in its pairs, by name.
+
+    ``doc`` must list at least two pairs.  ``two_faults`` has a bad ``i`` in
+    its second pair and a NaN in its first pair's block: the error must name
+    the one earlier in the document.
+    """
+    documents = {}
+
+    def fault(name: str) -> dict:
+        """The gamma object of a fresh copy of ``doc``, kept under ``name``."""
+        documents[name] = copy.deepcopy(doc)
+        return documents[name]["gamma"]
+
+    fault("pairs_not_a_list")["pairs"] = {}
+    fault("pair_not_an_object")["pairs"][0] = [1, 2]
+    fault("unknown_field")["pairs"][0]["weight"] = 1.0
+    for name in ("i", "j", "block"):
+        del fault(f"missing_{name}")["pairs"][0][name]
+    for kind, value in (("bool", True), ("float", 1.0), ("string", "1"), ("beyond_int64", 2**63)):
+        fault(f"i_{kind}")["pairs"][0]["i"] = value
+    pair = fault("i_not_below_j")["pairs"][0]
+    pair["i"] = pair["j"]
+    fault("j_beyond_n")["pairs"][0]["j"] = doc["N"] + 1
+    pairs = fault("duplicate_pair")["pairs"]
+    pairs.append(copy.deepcopy(pairs[0]))
+    fault("block_wrong_shape")["pairs"][0]["block"].pop()
+    fault("block_numeric_string")["pairs"][0]["block"][0][0][0] = "1.0"
+    fault("block_bool")["pairs"][0]["block"][0][1][1] = False
+    fault("block_nan")["pairs"][0]["block"][1][1][1] = math.nan
+    fault("block_inf")["pairs"][0]["block"][0][1][0] = math.inf
+    pairs = fault("two_faults")["pairs"]
+    pairs[1]["i"] = "1"
+    pairs[0]["block"][1][0][0] = math.nan
+    return documents
+
+
 #: Every CLI command.
 COMMANDS = (
     "validate", "canonicalize", "digraph", "kernel",
@@ -409,6 +465,36 @@ def random_pbd_spec(rng: np.random.Generator, N: int) -> GeneratorSpec:
         diag = float(rng.uniform(0.1, 1.5)) * np.ones((N, N), dtype=complex)
 
     return pair_block_spec(N, H, blocks, diag=diag)
+
+
+def pair_block_families() -> dict[str, GeneratorSpec]:
+    """Every pair-block family of the helpers, by name; each gamma has the exact pattern.
+
+    Besides the valid families: each with gamma negated (invalid), a real
+    identity-row mismatch on a diagonal-sector label (the trace witness comes
+    from the diagonal-sector block of C), and a non-Hermitian pair block.
+    """
+    rng = np.random.default_rng(99)
+    specs = {f"random_pbd_N{N}": random_pbd_spec(rng, N) for N in range(1, 10)}
+    specs["superposition"] = superposition_decay_spec()
+    specs["ladder"] = dephasing_ladder_spec()
+    specs["menagerie"] = sink_menagerie_spec()
+    specs["menagerie_equal_h"] = sink_menagerie_spec(equal_h=True)
+    for name, spec in list(specs.items()):
+        specs[f"{name}_negated"] = GeneratorSpec(H=spec.H, gamma=-spec.gamma)
+    N = 4
+    R = N * N - N
+    C = np.zeros((N * N, N * N), dtype=complex)
+    for t in range(0, R, 2):
+        C[t : t + 2, t : t + 2] = random_psd(rng, 2)
+    C[R:-1, R:-1] = random_psd(rng, N - 1)
+    C[-1, gellmann_position(2, 2, N)] = 0.7
+    gamma = operator_basis_change(C, "gellmann", "standard")
+    specs["diagonal_trace_mismatch"] = GeneratorSpec(H=np.zeros((N, N)), gamma=gamma)
+    specs["non_hermitian_pair"] = pair_block_spec(
+        3, np.zeros((3, 3)), {(1, 2): np.array([[1.0, 0.5], [0.0, 1.0]])}, diag=np.eye(3)
+    )
+    return specs
 
 
 def random_identity_preserving_spec(rng: np.random.Generator, N: int) -> GeneratorSpec:

@@ -66,10 +66,13 @@ def test_consistency_bound_builds_the_superoperator_once(monkeypatch):
 def test_kernel_command_conjugates_by_w_only_to_validate(monkeypatch, tmp_path, golden_dir):
     # On the pair-block pattern validate conjugates gamma's blocks only, and
     # canonicalize works in the standard basis: no N^4 conjugation by W.
-    counts = count_calls(monkeypatch, basis._conjugate_by_w, generator.validate)
+    # The command asks validate three times; the report is made once.
+    counts = count_calls(
+        monkeypatch, basis._conjugate_by_w, generator.validate, generator._validation_report
+    )
     spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
     assert cli.main(["kernel", str(spec), "--out", str(tmp_path / "k.json")]) == 0
-    assert counts == {"validate": 3}  # _conjugate_by_w: 0
+    assert counts == {"validate": 3, "_validation_report": 1}  # _conjugate_by_w: 0
 
 
 @pytest.mark.parametrize("command", ["canonicalize", "check-state"])
@@ -85,8 +88,9 @@ def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path
     # The pair-block analysis reads sinks and terminal 2-cycles off the one
     # digraph that also gives the diagonal kernel elements, and the numbers
     # of their blocks from the canonical spec's one pair-block table.  The
-    # pattern of gamma is scanned once, on the given spec: the canonical spec
-    # inherits it, and validate reads it and scans no B of its own.
+    # pattern of gamma is never scanned: the parser of the blocks document
+    # records it, the canonical spec inherits it, and validate reads it and
+    # scans no B of its own.
     counts = count_calls(
         monkeypatch,
         generator._pair_block_table,
@@ -102,26 +106,35 @@ def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path
         "_pair_block_table": 1,
         "induced_digraph": 1,
         "scc_decompose": 1,
-        "_max_off_block": 1,
         "validate": 3,
-    }  # _conjugate_by_w: 0
+    }  # _conjugate_by_w, _max_off_block: 0
 
 
-def test_kernel_command_on_a_dense_spec_scans_once_per_validate_and_canonical_spec(
+def test_kernel_command_on_a_dense_spec_validates_once_and_scans_the_canonical_spec(
     monkeypatch, tmp_path
 ):
     # A nonzero cross block rules the pattern out with no scan of gamma, so
-    # each validate conjugates gamma whole by W and scans only its B; the
-    # fallback reason quotes the one scan of the canonical spec.
+    # the one report the three validate calls share conjugates gamma whole
+    # by W and scans only its B; the fallback reason quotes the one scan of
+    # the canonical spec.
     spec = random_valid_spec(np.random.default_rng(61), 4)
     path = tmp_path / "dense.json"
     path.write_text(gk.dump_json(gk.spec_to_document(spec)))
     counts = count_calls(
-        monkeypatch, basis._conjugate_by_w, basis._max_off_block, generator.validate
+        monkeypatch,
+        basis._conjugate_by_w,
+        basis._max_off_block,
+        generator.validate,
+        generator._validation_report,
     )
     assert cli.main(["kernel", str(path), "--out", str(tmp_path / "k.json")]) == 0
     assert "fallback_reason" in json.loads((tmp_path / "k.json").read_text())
-    assert counts == {"_conjugate_by_w": 3, "_max_off_block": 4, "validate": 3}
+    assert counts == {
+        "_conjugate_by_w": 1,
+        "_max_off_block": 2,
+        "validate": 3,
+        "_validation_report": 1,
+    }
 
 
 @pytest.mark.parametrize("command", COMMANDS)
@@ -138,7 +151,8 @@ def test_gellmann_file_is_converted_once(monkeypatch, tmp_path, capsys, command)
 def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_path, golden_dir):
     # The pair-block route takes the residual from the blocks and evolves
     # them; the state is invariant, so the evolution runs at every time.
-    # validate and the route read one scan, and nothing re-indexes gamma.
+    # validate and the route read the pattern the parser recorded, and
+    # nothing scans or re-indexes gamma.
     psi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
     state = tmp_path / "state.json"
     state.write_text(gk.dump_json({"matrix": gk.matrix_to_document(np.outer(psi, psi))}))
@@ -155,8 +169,8 @@ def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_p
     argv = ["check-state", str(spec), "--state", str(state), "--times", "0.5,1,2"]
     assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
     assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
-    # _conjugate_by_w, _gamma_tensor, apply_generator: 0
-    assert counts == {"_pair_block_table": 1, "_max_off_block": 1}
+    # _max_off_block, _conjugate_by_w, _gamma_tensor, apply_generator: 0
+    assert counts == {"_pair_block_table": 1}
 
 
 def _check_dense_state(monkeypatch, tmp_path, state: np.ndarray) -> tuple[bool, Counter]:

@@ -279,6 +279,58 @@ def test_batch_continues_past_an_overflowing_spec(tmp_path, golden_dir):
     assert [p.name for p in out_dir.iterdir()] == ["b.kernel.json"]
 
 
+def _gamma_allocation_fails(monkeypatch, N: int) -> str:
+    """Make the N^2 x N^2 gamma fail to allocate, as a spec with a huge N does.
+
+    Returns numpy's message; no real allocation of that size is attempted.
+    """
+    zeros = np.zeros
+    message = f"Unable to allocate 1.00 TiB for an array with shape {(N * N, N * N)}"
+
+    def failing(shape, *args, **kwargs):
+        if shape == (N * N, N * N):
+            raise MemoryError(message)
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", failing)
+    return message
+
+
+def test_spec_too_large_for_memory_exits_1_naming_the_path(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_directed_cycle_document(5, 1.0)))
+    message = _gamma_allocation_fails(monkeypatch, 5)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: out of memory ({message})\n"
+
+
+def test_command_out_of_memory_exits_1_naming_the_path(monkeypatch, capsys, golden_dir):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "full_kernel", exhausted)
+    path = golden_dir / "superposition.spec.json"
+    code, out, err = run_cli(["kernel", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: out of memory\n"
+
+
+def test_batch_continues_past_a_spec_too_large_for_memory(
+    monkeypatch, tmp_path, capsys, golden_dir
+):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    (in_dir / "a.json").write_text(json.dumps(_directed_cycle_document(5, 1.0)))
+    (in_dir / "b.json").write_bytes((golden_dir / "superposition.spec.json").read_bytes())
+    message = _gamma_allocation_fails(monkeypatch, 5)
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli(["kernel", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
+    assert code == 1
+    assert err == f"error: {in_dir / 'a.json'}: out of memory ({message})\n"
+    assert [p.name for p in out_dir.iterdir()] == ["b.kernel.json"]
+
+
 def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys, golden_dir):
     spec = str(golden_dir / "superposition.spec.json")
     run_cli(["validate", spec], capsys)  # builds the parser if no test did yet

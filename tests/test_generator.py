@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from gkslgraph.basis import _max_off_block, _pair_block
 from helpers import (
     dephasing_ladder_spec,
     identity_coupled_spec,
+    pair_block_families,
     pair_block_spec,
     random_hermitian,
     random_identity_preserving_spec,
@@ -27,6 +29,7 @@ from helpers import (
 )
 
 RT2 = np.sqrt(2.0)
+ROOT = Path(__file__).resolve().parent.parent
 
 
 # ---------------------------------------------------------------------------
@@ -497,36 +500,6 @@ def test_validate_takes_the_block_route_when_rounding_leaves_gamma_off_the_patte
     assert report == reference_validate(spec)
 
 
-def _pair_block_families():
-    """Every pair-block family of the helpers, by name; each gamma has the exact pattern.
-
-    Besides the valid families: each with gamma negated (invalid), a real
-    identity-row mismatch on a diagonal-sector label (the trace witness comes
-    from the diagonal-sector block of C), and a non-Hermitian pair block.
-    """
-    rng = np.random.default_rng(99)
-    specs = {f"random_pbd_N{N}": random_pbd_spec(rng, N) for N in range(1, 10)}
-    specs["superposition"] = superposition_decay_spec()
-    specs["ladder"] = dephasing_ladder_spec()
-    specs["menagerie"] = sink_menagerie_spec()
-    specs["menagerie_equal_h"] = sink_menagerie_spec(equal_h=True)
-    for name, spec in list(specs.items()):
-        specs[f"{name}_negated"] = gk.GeneratorSpec(H=spec.H, gamma=-spec.gamma)
-    N = 4
-    R = N * N - N
-    C = np.zeros((N * N, N * N), dtype=complex)
-    for t in range(0, R, 2):
-        C[t : t + 2, t : t + 2] = random_psd(rng, 2)
-    C[R:-1, R:-1] = random_psd(rng, N - 1)
-    C[-1, gk.gellmann_position(2, 2, N)] = 0.7
-    gamma = gk.operator_basis_change(C, "gellmann", "standard")
-    specs["diagonal_trace_mismatch"] = gk.GeneratorSpec(H=np.zeros((N, N)), gamma=gamma)
-    specs["non_hermitian_pair"] = pair_block_spec(
-        3, np.zeros((3, 3)), {(1, 2): np.array([[1.0, 0.5], [0.0, 1.0]])}, diag=np.eye(3)
-    )
-    return specs
-
-
 def _off_pattern_route(spec):
     """A fresh spec from spec's arrays that validate reads as off the pattern."""
     fresh = gk.GeneratorSpec(H=spec.H, gamma=spec.gamma)
@@ -547,7 +520,7 @@ def test_pattern_route_validates_as_the_full_basis_change(tol):
     # the one the whole conjugation by W gives.  Above tolerance 0 it agrees
     # with the dense reference; at 0 the verdict of either route can hinge on
     # the rounding of its own products with W (a -1e-33 eigenvalue).
-    specs = dict(_given_and_canonical(_pair_block_families()))
+    specs = dict(_given_and_canonical(pair_block_families()))
     assert specs["diagonal_trace_mismatch"]._on_pair_pattern
     assert gk.validate(specs["diagonal_trace_mismatch"], tol).trace_witness == (2, 2)
     assert not gk.validate(specs["non_hermitian_pair"], tol).psd_on_traceless
@@ -574,7 +547,7 @@ def test_pattern_route_validates_as_the_full_basis_change(tol):
 def test_canonical_spec_inherits_the_pattern_scan():
     # canonicalize keeps gamma's pattern exactly, so the canonical spec takes
     # _off_block_max from its source with no scan; off the pattern it scans.
-    for name, spec in _given_and_canonical(_pair_block_families()):
+    for name, spec in _given_and_canonical(pair_block_families()):
         if name.endswith("_canonical"):
             assert "_off_block_max" in vars(spec), name
             assert spec._off_block_max == 0.0, name
@@ -582,6 +555,34 @@ def test_canonical_spec_inherits_the_pattern_scan():
     canon = gk.canonicalize(identity_coupled_spec(np.random.default_rng(1), 3, 0.3))
     assert "_off_block_max" not in vars(canon)
     assert 0.0 < canon._off_block_max < 1e-16
+
+
+def test_validate_keeps_its_report_on_the_spec():
+    # The report is made once per spec and tolerance and handed back after.
+    spec = sink_menagerie_spec()
+    report = gk.validate(spec)
+    assert gk.validate(spec) is report
+    assert gk.validate(spec, 1e-9) is report
+    assert gk.validate(spec, 1e-3) is not report
+    assert gk.validate(spec, 1e-3) == gk.validate(sink_menagerie_spec(), 1e-3)
+
+
+def test_kept_report_is_keyed_by_tolerance(monkeypatch, tmp_path):
+    # The first spec of the benchmark's kernel_blocks workload (seed 41,
+    # s000_N08) validates at the default tolerance, and at tolerance 0 is
+    # rejected on the rounding skew of W's 1/sqrt(2) scaling: a kept report
+    # that ignored tol would accept it.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import bench_specs
+
+    workload = dataclasses.replace(bench_specs.WORKLOADS["kernel_blocks"], mix={8: 1})
+    (case,) = bench_specs.generate(workload, 41, tmp_path)
+    assert case.spec_path.name == "s000_N08.json"
+    spec = gk.load_spec(case.spec_path)
+    assert gk.validate(spec, 1e-9).verdict
+    report = gk.validate(spec, 0.0)
+    assert report == gk.ValidationReport(psd_on_traceless=False, trace_condition=True)
+    assert report == gk.validate(gk.load_spec(case.spec_path), 0.0)
 
 
 def _spec_families():

@@ -9,7 +9,10 @@ importing ``perfbench/bench_specs.py``.  Every command of
 ``tests/helpers.COMMANDS`` is run on every spec, with the arguments of
 ``helpers.command_argv``; ``oracle`` and ``crosscheck`` only for N <= 12.
 So is the command the benchmark times on the spec (``check-state`` with the
-workload's own state, or ``kernel`` writing its ``--out`` file).
+workload's own state, or ``kernel`` writing its ``--out`` file).  Each
+seed's first ``kernel_blocks`` spec is also written with the faults of
+``helpers.malformed_blocks_documents``, and ``validate`` runs on each copy,
+so the parse errors (stderr and exit code) are compared too.
 Each tree runs the same argument lists in-process, in one subprocess with
 that tree's ``src`` first on ``PYTHONPATH``: the base revision's ``src`` is
 exported by ``git archive`` into a temporary directory, removed on exit.
@@ -97,18 +100,26 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
     """Write the workload specs under ``directory``; return the argv of every command."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     import bench_specs
-    from helpers import COMMANDS, command_argv
+    from helpers import COMMANDS, command_argv, malformed_blocks_documents
 
     jobs = []
     for seed in seeds:
         for name, workload in bench_specs.WORKLOADS.items():
             workdir = directory / f"seed{seed}" / name
-            for case in bench_specs.generate(workload, seed, workdir):
+            cases = bench_specs.generate(workload, seed, workdir)
+            for case in cases:
                 jobs.append(case.argv)
                 for command in COMMANDS:
                     if command in ORACLE_COMMANDS and case.N > ORACLE_MAX_N:
                         continue
                     jobs.append(command_argv(command, case.spec_path, workdir / "out", case.N))
+            if name == "kernel_blocks":
+                doc = json.loads(cases[0].spec_path.read_text())
+                (workdir / "malformed").mkdir()
+                for fault, malformed in malformed_blocks_documents(doc).items():
+                    path = workdir / "malformed" / f"{fault}.json"
+                    path.write_text(json.dumps(malformed))  # NaN and Infinity as JSON extensions
+                    jobs.append(["validate", str(path)])
     return jobs
 
 
