@@ -31,8 +31,8 @@ from functools import lru_cache
 
 import numpy as np
 
-#: Default absolute tolerance for numeric predicates.  Where noted,
-#: predicates adjust the tolerance by the largest magnitude entry involved.
+#: Default tolerance of every numeric test; see :func:`_threshold` for how
+#: it is scaled.
 DEFAULT_TOL = 1e-9
 
 
@@ -161,37 +161,60 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
     return complex(np.vdot(A, B))
 
 
-def is_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff max|A - A*| <= tol, scale-adjusted by the largest entry."""
-    A = np.asarray(A)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        return False
-    if A.size == 0:
-        return True
-    skew, magnitude = _hermitian_margin([A])
-    return skew <= tol * max(1.0, magnitude)
+def _threshold(tol: float, magnitude: float) -> float:
+    """``tol * max(1, magnitude)``: the package's one tolerance rule (README, "Tolerances").
+
+    A value held to ``magnitude`` passes when it is at most this.  Other
+    rules, to be merged into this one: absolute ``tol``
+    (``digraph.induced_digraph``'s ``w > tol``, ``kernel.k_operator``'s
+    overlap, ``superposition_block``), ``tol * s[0]`` (``kernel._null_space``)
+    and ``max(tol, 1e-9)`` (``kernel.verify_invariant``'s unit-trace test).
+    """
+    return tol * max(1.0, magnitude)
 
 
 def _hermitian_margin(blocks) -> tuple[float, float]:
-    """(max|A - A*|, max|A|) over square matrices or stacks of them.
-
-    For the diagonal blocks of a block-diagonal matrix this equals the
-    pair for the whole matrix, whose other entries are zero.
-    """
+    """(max|A - A*|, max|A|) of the block-diagonal A made of ``blocks`` (:func:`_psd_test`)."""
     skew = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b in blocks)
     magnitude = max(float(np.abs(b).max()) for b in blocks)
     return skew, magnitude
 
 
-def is_psd(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True iff A is Hermitian and min eig >= -tol * max(1, max eig)."""
-    if not is_hermitian(A, tol):
-        return False
+def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | None, float]:
+    """(psd_ok, offending_eigenvalue, max_abs) of the block-diagonal A made of ``blocks``.
+
+    ``blocks`` are square matrices or stacks of them.  A is PSD when
+    ``max|A - A*| <= _threshold(tol, max|A|)`` and no eigenvalue of
+    ``(A + A*)/2`` is below ``-_threshold(tol, max eigenvalue)``; the
+    lowest eigenvalue is offending when that test fails, Hermitian or not.
+    Without ``spectrum``, or when A has a NaN or infinite entry (the skew is
+    then not finite; ``eigvalsh`` would raise), only the Hermitian test is
+    made.  An empty A passes.
+    """
+    if all(b.size == 0 for b in blocks):
+        return True, None, 0.0
+    skew, magnitude = _hermitian_margin(blocks)
+    ok = skew <= _threshold(tol, magnitude)
+    if not (spectrum and math.isfinite(skew)):
+        return ok, None, magnitude
+    hermitized = [(b + b.conj().swapaxes(-1, -2)) / 2.0 for b in blocks]
+    evals = np.concatenate([np.linalg.eigvalsh(h).ravel() for h in hermitized])
+    lowest = float(evals.min())
+    if lowest >= -_threshold(tol, float(evals.max())):
+        return ok, None, magnitude
+    return False, lowest, magnitude
+
+
+def is_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True iff A is square and Hermitian by :func:`_psd_test`'s rule."""
     A = np.asarray(A)
-    if A.size == 0:
-        return True
-    evals = np.linalg.eigvalsh((A + A.conj().T) / 2.0)
-    return float(evals.min()) >= -tol * max(1.0, float(evals.max()))
+    return A.ndim == 2 and A.shape[0] == A.shape[1] and _psd_test([A], tol, spectrum=False)[0]
+
+
+def is_psd(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    """True iff A is square and passes :func:`_psd_test`."""
+    A = np.asarray(A)
+    return A.ndim == 2 and A.shape[0] == A.shape[1] and _psd_test([A], tol)[0]
 
 
 # ---------------------------------------------------------------------------

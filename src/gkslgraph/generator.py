@@ -30,11 +30,12 @@ from .basis import (
     DEFAULT_TOL,
     _conjugate_by_w,
     _conjugate_pattern_by_w,
-    _hermitian_margin,
     _max_off_block,
     _pair_blocks,
+    _psd_test,
     _standard_flat_order,
     _standard_position_array,
+    _threshold,
     from_standard_coordinates,
     gellmann_labels,
     is_hermitian,
@@ -238,10 +239,10 @@ class PairBlockClassification:
     sector to the diagonal sector; ``h_diagonal`` holds when H is diagonal.
     The ``max_*`` fields report the largest violating magnitudes (zero when
     the respective test passes exactly), and the ``*_threshold`` fields the
-    scale-adjusted tolerances they are held to, ``tol * max(1, max|gamma|)``
-    and ``tol * max(1, max|H|)``.  At tolerance 0 both thresholds are 0, and
-    the classification is the exact rule: gamma has the pair-block zero
-    pattern and H has no nonzero entry off its diagonal.
+    thresholds they are held to, scaled by ``max|gamma|`` and ``max|H|``
+    (README, "Tolerances").  At tolerance 0 the classification is the exact
+    rule: gamma has the pair-block zero pattern and H has no nonzero entry
+    off its diagonal.
     """
 
     is_pair_block_diagonal: bool
@@ -359,13 +360,13 @@ class _PairBlockTable:
     ) -> tuple[tuple[float, float], tuple[float, float]]:
         """(value, threshold) of the two tests that make gamma's (k, l) block singular.
 
-        Rate symmetry ``|b00 - b11|`` and ``|det b|`` of the block b, against tol
-        and tol**2 scaled by its magnitude.
+        Rate symmetry ``|b00 - b11|`` and ``|det b|`` of the block b, held to
+        its magnitude ``m = max|b|`` and to ``m**2``.
         """
         blk = self.gamma_blocks[self.index(k, ell)]
-        scale = max(1.0, float(np.abs(blk).max()))
-        det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-        return (abs(blk[0, 0] - blk[1, 1]), tol * scale), (abs(det), tol * scale**2)
+        m = float(np.abs(blk).max())
+        det = abs(blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0])
+        return (abs(blk[0, 0] - blk[1, 1]), _threshold(tol, m)), (det, _threshold(tol, m**2))
 
 
 def _pair_block_table(spec: GeneratorSpec) -> _PairBlockTable:
@@ -407,28 +408,24 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     ``C = W gamma W*``.  The generator is legitimate iff
 
     1. the traceless block ``B = C[:-1, :-1]`` is positive semidefinite
-       (Hermitian within tolerance and with no eigenvalue below
-       ``-tol * max(1, max eigenvalue)``), and
+       (``basis._psd_test``, the test of ``is_psd``), and
     2. the identity row and column of C agree in real part,
        ``Re C[-1, q] == Re C[q, -1]`` for every traceless label q, which is
-       equivalent to compatibility of the dissipative trace terms.
+       equivalent to compatibility of the dissipative trace terms; the
+       mismatch is held to ``max|C|``.
 
-    Tolerances are adjusted by the largest magnitude entry involved.
+    Both follow the package's one tolerance rule (README, "Tolerances").
 
-    Cost: on a gamma with the exact pair-block pattern
-    (``spec._on_pair_pattern``: known from the parse of a ``blocks``
-    document, otherwise from the spec's one scan), ``O(N^3)``.  W is block
-    diagonal over the same blocks as the pattern, so C is formed only on
-    its P 2x2 pair blocks and its N x N diagonal-sector block; its identity
-    row and column are 0 on the pair labels.  The spectrum is one batched
-    ``eigvalsh`` of the pairs and one of the (N-1) x (N-1) diagonal-sector
-    block of B.  Any other gamma costs ``O(N^4)``: C is formed whole, from
-    the blocks of W, and B is scanned.  If B has the pattern, which rounding
-    can give when gamma lacks it, its spectrum is taken block by block;
-    otherwise by one dense ``eigvalsh``, ``O(N^6)``.  Both routes feed the
-    same entries of C to the same rules.  The report is kept on the spec,
-    per ``tol`` (its arrays are read-only), so a repeated call costs a
-    lookup.
+    Cost: ``O(N^3)`` on a gamma with the exact pair-block pattern
+    (``spec._on_pair_pattern``).  W is block diagonal over the same blocks,
+    so C is formed only on its 2x2 pair blocks and its N x N diagonal-sector
+    block (its identity row and column are 0 on the pair labels), and the
+    spectrum is taken block by block.  Any other gamma is conjugated whole
+    by the blocks of W, ``O(N^4)``, and B is scanned: its spectrum is taken
+    block by block if it has the pattern (rounding can give it one), else
+    by one dense ``eigvalsh``, ``O(N^6)``.  Both routes feed the same
+    entries of C to the same test.  The report is kept on the spec per
+    ``tol``, so a repeated call costs a lookup.
     """
     report = spec._reports.get(tol)
     if report is None:
@@ -443,8 +440,8 @@ def _validation_report(spec: GeneratorSpec, tol: float) -> ValidationReport:
     if spec._on_pair_pattern:
         pairs, Cd = _conjugate_pattern_by_w(spec.gamma, N)
         blocks = (pairs, Cd[:-1, :-1][None])
-        identity = np.zeros((2, N * N), dtype=np.complex128)
-        identity[0, R:], identity[1, R:] = Cd[-1], Cd[:, -1]
+        row, col = np.zeros((2, N * N), dtype=np.complex128)  # C's identity row and column
+        row[R:], col[R:] = Cd[-1], Cd[:, -1]
     else:
         C = _conjugate_by_w(np.array(spec.gamma), inverse=False)
         B = C[:-1, :-1]
@@ -452,33 +449,16 @@ def _validation_report(spec: GeneratorSpec, tol: float) -> ValidationReport:
             blocks = (_pair_blocks(B, N), B[R:, R:][None])
         else:
             blocks = (B[None],)
-        identity = (C[-1], C[:, -1])
-    row, col = identity  # C's identity row and column
-
-    offending: float | None = None
-    b_max = 0.0
-    if N == 1:  # B is empty
-        psd_ok = True
-    else:
-        skew, b_max = _hermitian_margin(blocks)
-        herm_ok = skew <= tol * max(1.0, b_max)  # is_hermitian's rule on B
-        evals = np.concatenate([
-            np.linalg.eigvalsh((b + b.conj().swapaxes(1, 2)) / 2.0).ravel()
-            for b in blocks
-        ])
-        eig_ok = float(evals.min()) >= -tol * max(1.0, float(evals.max()))
-        psd_ok = herm_ok and eig_ok
-        if not eig_ok:
-            offending = float(evals.min())
+        row, col = C[-1], C[:, -1]
+    psd_ok, offending, b_max = _psd_test(blocks, tol)
 
     witness: tuple[int, int] | None = None
     mismatch = np.abs(row[:-1].real - col[:-1].real)
-    if mismatch.size == 0:
-        trace_ok = True
-    else:
+    trace_ok = True
+    if mismatch.size:
         # max|C|: B's maximum, then the identity row and column.
         c_max = max(b_max, np.abs(row).max(), np.abs(col).max())
-        trace_ok = float(mismatch.max()) <= tol * max(1.0, float(c_max))
+        trace_ok = float(mismatch.max()) <= _threshold(tol, float(c_max))
         if not trace_ok:
             witness = gellmann_labels(N)[int(mismatch.argmax())]
 
@@ -547,7 +527,8 @@ def classify_pair_block_diagonal(
     Pair-block diagonal means: no coupling between the off-diagonal and
     diagonal label sectors, and the off-diagonal sector reduced to its
     2x2 diagonal pair blocks.  The violation is the spec's one scan of
-    gamma, ``spec._off_block_max``.
+    gamma, ``spec._off_block_max``; the thresholds follow the package's one
+    tolerance rule (README, "Tolerances").
     """
     max_block = spec._off_block_max
     H_off = spec.H - np.diag(np.diag(spec.H))
@@ -561,8 +542,8 @@ def classify_pair_block_diagonal(
             np.abs(spec._pair_table.gamma_blocks).max(initial=0.0),
             np.abs(spec.gamma[R:, R:]).max(),
         ])
-        scale_g = tol * max(1.0, float(g_max))
-        scale_h = tol * max(1.0, float(np.abs(spec.H).max()))
+        scale_g = _threshold(tol, float(g_max))
+        scale_h = _threshold(tol, float(np.abs(spec.H).max()))
 
     return PairBlockClassification(
         is_pair_block_diagonal=max_block <= scale_g,
@@ -608,8 +589,7 @@ def identity_preserving(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> bool:
     """True iff L(I) = 0 within tolerance (scale-adjusted by gamma)."""
     N = spec.N
     resid = apply_generator(spec, np.eye(N, dtype=np.complex128))
-    scale = max(1.0, float(np.abs(spec.gamma).max()))
-    return float(np.abs(resid).max()) <= tol * scale
+    return float(np.abs(resid).max()) <= _threshold(tol, float(np.abs(spec.gamma).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ import scipy.linalg
 
 from .basis import (
     DEFAULT_TOL,
+    _threshold,
     from_standard_coordinates,
     is_psd,
     matrix_unit,
@@ -43,6 +44,7 @@ from .digraph import (
 from .generator import (
     GellMannSpec,
     GeneratorSpec,
+    InvalidGeneratorError,
     PairBlockClassification,
     _require_valid,
     apply_generator,
@@ -194,7 +196,7 @@ def _prepared(spec: GeneratorSpec, tol: float) -> _Prepared:
     """Validate, canonicalize, and check the block-diagonal hypotheses."""
     report = validate(spec, tol)
     if not report.verdict:
-        raise PreconditionError(f"generator failed validation ({report.summary})")
+        raise PreconditionError(str(InvalidGeneratorError(report)))
     canon = canonicalize(spec, tol)
     return _Prepared(
         canon=canon,
@@ -302,7 +304,7 @@ def block_eigenpairs(
         candidates = [(p + D + ss, q - D + ss), (p, ss - D), (D + ss, q)]
         best = max(candidates, key=lambda v: math.hypot(abs(v[0]), abs(v[1])))
         scale0 = max(abs(D), abs(p), abs(q), abs(s))
-        if scale0 <= tol * max(1.0, abs(c)):
+        if scale0 <= _threshold(tol, abs(c)):
             best = (1.0, 0.0) if branch == "plus" else (0.0, 1.0)
         matrix = _unit_pair_matrix(best[0], best[1], k, ell, N)
         pairs.append(EigenPair(mu=complex(c + ss), matrix=matrix, branch=branch))
@@ -453,10 +455,7 @@ def brute_force_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelB
 def _null_space(S: np.ndarray, tol: float) -> np.ndarray:
     """Conjugated trailing right-singular rows of S, rank at relative tol."""
     _, s, vh = np.linalg.svd(S)
-    if s.size:
-        rank = int(np.count_nonzero(s > tol * s[0]))
-    else:
-        rank = 0
+    rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
     return vh[rank:].conj()
 
 
@@ -479,7 +478,7 @@ def k_operator(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KOperatorSpec:
     N = spec.N
     Ch = (C + C.conj().T) / 2.0
     w, V = np.linalg.eigh(Ch)
-    thr = tol * max(1.0, float(w.max()) if w.size else 0.0)
+    thr = _threshold(tol, float(w.max()) if w.size else 0.0)
     ker_cols = V[:, w <= thr]
     labels = []
     d = N * N - 1
@@ -535,18 +534,16 @@ def consistency_and_bound(
     N = spec.N
     graph = induced_digraph(spec, tol)
     comps = undirected_components(graph)
-    scale_h = tol * max(1.0, float(np.abs(spec.H).max()))
+    scale_h = _threshold(tol, float(np.abs(spec.H).max()))
     consistent = True
-    for a_i, comp_a in enumerate(comps):
-        for comp_b in comps[a_i + 1 :]:
-            rows = [v - 1 for v in comp_a]
-            cols = [v - 1 for v in comp_b]
-            if float(np.abs(spec.H[np.ix_(rows, cols)]).max()) > scale_h:
-                consistent = False
+    for comp_a, comp_b in combinations(comps, 2):
+        block = spec.H[np.ix_([v - 1 for v in comp_a], [v - 1 for v in comp_b])]
+        if float(np.abs(block).max()) > scale_h:
+            consistent = False
 
     S = superoperator(spec)
     nullity = len(_null_space(S, tol))
-    scale_s = tol * max(1.0, float(np.abs(S).max()))
+    scale_s = _threshold(tol, float(np.abs(S).max()))
     projection_check = True
     for comp in comps:
         col_sums = np.abs(S[-N:][[i - 1 for i in comp]].sum(axis=0))
@@ -594,15 +591,15 @@ def verify_invariant(
     time; a NaN residual or drift fails, and a residual above its bound
     stops the check before any evolution.
 
-    Both come from one operator per route.  When gamma has the pair-block
-    zero pattern and H is diagonal, exactly (the classification at
-    tolerance 0, :func:`classify_pair_block_diagonal`), L is one N x N
-    diagonal-sector block and P independent 2x2 pair blocks, read from the
-    spec's pair-block table: the residual is those blocks applied to rho,
-    ``O(N^2)``, and the evolution one N x N ``expm`` and a closed form,
-    ``O(N^3)`` per time.  Any other spec takes its residual from
-    :func:`apply_generator`, ``O(N^4)``, and is evolved by ``expm(t S)`` of
-    the dense N**2 x N**2 superoperator S, ``O(N^6)`` per time.
+    Both come from one operator per route.  When H is diagonal and gamma has
+    the pair-block zero pattern, exactly (H first, ``O(N^2)``, then
+    ``spec._on_pair_pattern``, where a cross block rules a dense gamma out
+    with no scan), L is one N x N diagonal-sector block and P 2x2 pair
+    blocks, read from the spec's pair-block table: the residual is those
+    blocks applied to rho, ``O(N^2)``, and the evolution one ``expm`` and a
+    closed form, ``O(N^3)`` per time.  Any other spec takes its residual
+    from :func:`apply_generator`, ``O(N^4)``, and is evolved by ``expm(t S)``
+    of the dense N**2 x N**2 superoperator S, ``O(N^6)`` per time.
     """
     _require_valid(spec, tol)
     rho = np.asarray(rho, dtype=np.complex128)
@@ -636,8 +633,8 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
     acts on diag(rho) and its ``blocks`` on each (rho_kl, rho_lk); on the
     dense route the superoperator is built only when the first drift is read.
     """
-    exact = classify_pair_block_diagonal(spec, 0.0)
-    if not (exact.is_pair_block_diagonal and exact.h_diagonal):
+    H = spec.H
+    if (H - np.diag(np.diag(H))).any() or not spec._on_pair_pattern:
         yield float(np.linalg.norm(apply_generator(spec, rho)))
         S = superoperator(spec)
         v = to_standard_coordinates(rho)

@@ -337,6 +337,20 @@ def test_is_psd():
     assert not gk.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("scale", [1.0, 4.0])
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_predicates_hold_at_the_threshold_and_fail_one_float_past_it(tol, scale):
+    # The threshold is tol * max(1, scale), exact for scale a power of 2.
+    # A diagonal matrix's eigenvalues are its entries, and the skew of
+    # [[scale, x], [0, 0]] is x, so both tests see the threshold exactly.
+    edge = tol * scale
+    past = np.nextafter(edge, np.inf)
+    assert gk.is_psd(np.diag([scale, -edge]), tol)
+    assert not gk.is_psd(np.diag([scale, -past]), tol)
+    assert gk.is_hermitian(np.array([[scale, edge], [0.0, 0.0]]), tol)
+    assert not gk.is_hermitian(np.array([[scale, past], [0.0, 0.0]]), tol)
+
+
 def test_random_hermitian_helper_sanity():
     rng = np.random.default_rng(8)
     assert gk.is_hermitian(random_hermitian(rng, 5))

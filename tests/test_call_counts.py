@@ -20,7 +20,7 @@ from helpers import (
     COMMANDS,
     command_argv,
     gellmann_document,
-    random_identity_preserving_spec,
+    random_hermitian,
     random_valid_spec,
     sink_menagerie_spec,
 )
@@ -174,8 +174,16 @@ def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_p
 
 
 def _check_dense_state(monkeypatch, tmp_path, state: np.ndarray) -> tuple[bool, Counter]:
-    """check-state on a spec with a non-diagonal H (not pair-block): verdict and calls."""
-    spec = random_identity_preserving_spec(np.random.default_rng(60), 3)
+    """check-state on a dense spec: verdict and calls.
+
+    One dense Hermitian jump operator A gives a dense gamma (nonzero cross
+    blocks) with L(I) = 0.  A cross block rules the pattern out with no scan
+    of gamma, and H's off-diagonal picks the dense route on its own, so the
+    one ``_max_off_block`` call is validate's scan of B.
+    """
+    rng = np.random.default_rng(60)
+    a = gk.to_standard_coordinates(random_hermitian(rng, 3))
+    spec = gk.GeneratorSpec(H=random_hermitian(rng, 3), gamma=np.outer(a, a.conj()))
     path = tmp_path / "dense.json"
     path.write_text(gk.dump_json(gk.spec_to_document(spec)))
     state_path = tmp_path / "state.json"
@@ -185,6 +193,7 @@ def _check_dense_state(monkeypatch, tmp_path, state: np.ndarray) -> tuple[bool, 
         generator.superoperator,
         generator._pair_block_table,
         generator.apply_generator,
+        basis._max_off_block,
     )
     argv = ["check-state", str(path), "--state", str(state_path), "--times", "0.5,2"]
     assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
@@ -195,7 +204,7 @@ def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, 
     # I/N is invariant: the residual passes, so the evolution runs.
     invariant, counts = _check_dense_state(monkeypatch, tmp_path, np.eye(3) / 3)
     assert invariant is True
-    assert counts == {"apply_generator": 1, "superoperator": 1}
+    assert counts == {"apply_generator": 1, "superoperator": 1, "_max_off_block": 1}
 
 
 def test_check_state_on_a_dense_spec_stops_at_the_residual(monkeypatch, tmp_path):
@@ -205,7 +214,7 @@ def test_check_state_on_a_dense_spec_stops_at_the_residual(monkeypatch, tmp_path
     state[0, 1] = state[1, 0] = 1e-3
     invariant, counts = _check_dense_state(monkeypatch, tmp_path, state)
     assert invariant is False
-    assert counts == {"apply_generator": 1}
+    assert counts == {"apply_generator": 1, "_max_off_block": 1}
 
 
 def test_every_cached_function_is_keyed_by_n_at_most():

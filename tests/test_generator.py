@@ -363,6 +363,15 @@ def test_validate_flags_indefinite_block():
     assert report.offending_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_validate_rejects_a_non_finite_coefficient_without_a_spectrum():
+    # A NaN in gamma fails the Hermitian test; eigvalsh would raise on it.
+    gamma = np.zeros((9, 9), dtype=complex)
+    gamma[8, 0] = np.nan
+    report = gk.validate(gk.GeneratorSpec(H=np.eye(3), gamma=gamma))
+    assert not report.psd_on_traceless
+    assert report.offending_eigenvalue is None
+
+
 def test_validate_flags_trace_condition():
     # build a coefficient matrix directly in the orthonormal basis with a
     # real mismatch between the identity row and column

@@ -1,6 +1,7 @@
 """Kernel-layer tests: closed-form invariant spaces vs. the numeric oracle."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -376,7 +377,8 @@ def test_full_kernel_preconditions():
     with pytest.raises(gk.PreconditionError):
         gk.full_kernel(random_valid_spec(rng, 3))  # not pair-block diagonal
     bad = pair_block_spec(2, np.zeros((2, 2)), {(1, 2): np.array([[0.0, 1.0], [1.0, 0.0]])})
-    with pytest.raises(gk.PreconditionError):
+    message = "generator failed validation (psd_on_traceless=False, trace_condition=True)"
+    with pytest.raises(gk.PreconditionError, match=f"^{re.escape(message)}$"):
         gk.full_kernel(bad)  # invalid
 
 

@@ -12,7 +12,11 @@ So is the command the benchmark times on the spec (``check-state`` with the
 workload's own state, or ``kernel`` writing its ``--out`` file).  Each
 seed's first ``kernel_blocks`` spec is also written with the faults of
 ``helpers.malformed_blocks_documents``, and ``validate`` runs on each copy,
-so the parse errors (stderr and exit code) are compared too.
+so the parse errors (stderr and exit code) are compared too.  Every
+command also runs on the specs of ``tests/golden/``, where "held narrowly"
+notes, fallback reasons and ``--tol 0`` rejections show up.  Each of these
+jobs runs three times: at the default tolerance, with ``--tol 0`` and with
+``--tol 1e-3``.
 Each tree runs the same argument lists in-process, in one subprocess with
 that tree's ``src`` first on ``PYTHONPATH``: the base revision's ``src`` is
 exported by ``git archive`` into a temporary directory, removed on exit.
@@ -44,6 +48,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Commands that build the dense N^2 x N^2 superoperator and take its SVD.
 ORACLE_COMMANDS = ("oracle", "crosscheck")
 ORACLE_MAX_N = 12
+#: Every job runs again with each of these ``--tol`` values.
+TOLERANCES = ("0", "1e-3")
 
 
 def _run_jobs(jobs_path: str, results_path: str) -> None:
@@ -102,17 +108,25 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
     import bench_specs
     from helpers import COMMANDS, command_argv, malformed_blocks_documents
 
+    def commands(spec_path: Path, workdir: Path, N: int) -> list[list[str]]:
+        return [
+            command_argv(command, spec_path, workdir, N)
+            for command in COMMANDS
+            if command not in ORACLE_COMMANDS or N <= ORACLE_MAX_N
+        ]
+
+    golden = directory / "golden"
+    golden.mkdir(parents=True)
     jobs = []
+    for spec_path in sorted((ROOT / "tests" / "golden").glob("*.spec.json")):
+        jobs += commands(spec_path, golden, json.loads(spec_path.read_text())["N"])
     for seed in seeds:
         for name, workload in bench_specs.WORKLOADS.items():
             workdir = directory / f"seed{seed}" / name
             cases = bench_specs.generate(workload, seed, workdir)
             for case in cases:
                 jobs.append(case.argv)
-                for command in COMMANDS:
-                    if command in ORACLE_COMMANDS and case.N > ORACLE_MAX_N:
-                        continue
-                    jobs.append(command_argv(command, case.spec_path, workdir / "out", case.N))
+                jobs += commands(case.spec_path, workdir / "out", case.N)
             if name == "kernel_blocks":
                 doc = json.loads(cases[0].spec_path.read_text())
                 (workdir / "malformed").mkdir()
@@ -120,7 +134,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
                     path = workdir / "malformed" / f"{fault}.json"
                     path.write_text(json.dumps(malformed))  # NaN and Infinity as JSON extensions
                     jobs.append(["validate", str(path)])
-    return jobs
+    return [job + tol for job in jobs for tol in ([], *(["--tol", t] for t in TOLERANCES))]
 
 
 def _numbers(value, path="$"):
@@ -200,7 +214,9 @@ def main(argv=None) -> int:
             if b == h:
                 continue
             differing += 1
-            print(" ".join(a.replace(f"{tmp}{os.sep}", "") for a in job))
+            print(" ".join(
+                a.replace(f"{tmp}{os.sep}", "").replace(f"{ROOT}{os.sep}", "") for a in job
+            ))
             if b["code"] != h["code"]:
                 print(f" exit code: {b['code']} -> {h['code']}")
             for channel in ("stdout", "stderr", "out"):
