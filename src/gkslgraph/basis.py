@@ -173,13 +173,6 @@ def _threshold(tol: float, magnitude: float) -> float:
     return tol * max(1.0, magnitude)
 
 
-def _hermitian_margin(blocks) -> tuple[float, float]:
-    """(max|A - A*|, max|A|) of the block-diagonal A made of ``blocks`` (:func:`_psd_test`)."""
-    skew = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b in blocks)
-    magnitude = max(float(np.abs(b).max()) for b in blocks)
-    return skew, magnitude
-
-
 def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | None, float]:
     """(psd_ok, offending_eigenvalue, max_abs) of the block-diagonal A made of ``blocks``.
 
@@ -187,15 +180,18 @@ def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | 
     ``max|A - A*| <= _threshold(tol, max|A|)`` and no eigenvalue of
     ``(A + A*)/2`` is below ``-_threshold(tol, max eigenvalue)``; the
     lowest eigenvalue is offending when that test fails, Hermitian or not.
-    Without ``spectrum``, or when A has a NaN or infinite entry (the skew is
-    then not finite; ``eigvalsh`` would raise), only the Hermitian test is
-    made.  An empty A passes.
+    Without ``spectrum`` only the Hermitian test is made.  An A whose skew
+    or largest modulus is not finite (a NaN or infinite entry) fails, with
+    no spectrum taken.  An empty A passes.
     """
     if all(b.size == 0 for b in blocks):
         return True, None, 0.0
-    skew, magnitude = _hermitian_margin(blocks)
+    skew = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b in blocks)
+    magnitude = max(float(np.abs(b).max()) for b in blocks)
+    if not (math.isfinite(skew) and math.isfinite(magnitude)):
+        return False, None, magnitude
     ok = skew <= _threshold(tol, magnitude)
-    if not (spectrum and math.isfinite(skew)):
+    if not spectrum:
         return ok, None, magnitude
     hermitized = [(b + b.conj().swapaxes(-1, -2)) / 2.0 for b in blocks]
     evals = np.concatenate([np.linalg.eigvalsh(h).ravel() for h in hermitized])

@@ -453,14 +453,12 @@ def _validation_report(spec: GeneratorSpec, tol: float) -> ValidationReport:
     psd_ok, offending, b_max = _psd_test(blocks, tol)
 
     witness: tuple[int, int] | None = None
-    mismatch = np.abs(row[:-1].real - col[:-1].real)
-    trace_ok = True
-    if mismatch.size:
-        # max|C|: B's maximum, then the identity row and column.
-        c_max = max(b_max, np.abs(row).max(), np.abs(col).max())
-        trace_ok = float(mismatch.max()) <= _threshold(tol, float(c_max))
-        if not trace_ok:
-            witness = gellmann_labels(N)[int(mismatch.argmax())]
+    mismatch = np.abs(row[:-1].real - col[:-1].real)  # empty when N == 1
+    # max|C|: B's maximum, then the identity row and column.
+    c_max = max(b_max, np.abs(row).max(), np.abs(col).max())
+    trace_ok = float(mismatch.max(initial=0.0)) <= _threshold(tol, float(c_max))
+    if not trace_ok:
+        witness = gellmann_labels(N)[int(mismatch.argmax())]
 
     return ValidationReport(
         psd_on_traceless=psd_ok,

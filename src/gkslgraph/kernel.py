@@ -455,7 +455,10 @@ def brute_force_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelB
 def _null_space(S: np.ndarray, tol: float) -> np.ndarray:
     """Conjugated trailing right-singular rows of S, rank at relative tol."""
     _, s, vh = np.linalg.svd(S)
-    rank = int(np.count_nonzero(s > tol * s[0])) if s.size else 0
+    if s.size:
+        rank = int(np.count_nonzero(s > tol * s[0]))
+    else:
+        rank = 0
     return vh[rank:].conj()
 
 
@@ -536,10 +539,12 @@ def consistency_and_bound(
     comps = undirected_components(graph)
     scale_h = _threshold(tol, float(np.abs(spec.H).max()))
     consistent = True
-    for comp_a, comp_b in combinations(comps, 2):
-        block = spec.H[np.ix_([v - 1 for v in comp_a], [v - 1 for v in comp_b])]
-        if float(np.abs(block).max()) > scale_h:
-            consistent = False
+    for a_i, comp_a in enumerate(comps):
+        for comp_b in comps[a_i + 1 :]:
+            rows = [v - 1 for v in comp_a]
+            cols = [v - 1 for v in comp_b]
+            if float(np.abs(spec.H[np.ix_(rows, cols)]).max()) > scale_h:
+                consistent = False
 
     S = superoperator(spec)
     nullity = len(_null_space(S, tol))

@@ -337,6 +337,15 @@ def test_is_psd():
     assert not gk.is_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predicates_reject_a_non_finite_entry(bad):
+    # An unmirrored inf gives skew = max|A| = inf, which a scaled threshold
+    # of inf would pass: the entry fails before any threshold is drawn.
+    A = np.array([[-1.0, bad], [0.0, 0.0]])
+    assert not gk.is_hermitian(A)
+    assert not gk.is_psd(A)
+
+
 @pytest.mark.parametrize("scale", [1.0, 4.0])
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 def test_predicates_hold_at_the_threshold_and_fail_one_float_past_it(tol, scale):

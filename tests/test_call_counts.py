@@ -21,6 +21,7 @@ from helpers import (
     command_argv,
     gellmann_document,
     random_hermitian,
+    random_identity_preserving_spec,
     random_valid_spec,
     sink_menagerie_spec,
 )
@@ -173,19 +174,28 @@ def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_p
     assert counts == {"_pair_block_table": 1}
 
 
-def _check_dense_state(monkeypatch, tmp_path, state: np.ndarray) -> tuple[bool, Counter]:
-    """check-state on a dense spec: verdict and calls.
-
-    One dense Hermitian jump operator A gives a dense gamma (nonzero cross
-    blocks) with L(I) = 0.  A cross block rules the pattern out with no scan
-    of gamma, and H's off-diagonal picks the dense route on its own, so the
-    one ``_max_off_block`` call is validate's scan of B.
-    """
+def _dense_gamma_spec() -> gk.GeneratorSpec:
+    """One dense Hermitian jump operator: a dense gamma (nonzero cross blocks), L(I) = 0."""
     rng = np.random.default_rng(60)
     a = gk.to_standard_coordinates(random_hermitian(rng, 3))
-    spec = gk.GeneratorSpec(H=random_hermitian(rng, 3), gamma=np.outer(a, a.conj()))
+    return gk.GeneratorSpec(H=random_hermitian(rng, 3), gamma=np.outer(a, a.conj()))
+
+
+# Two ways off the pair-block route.  "h_off_diagonal": gamma has the
+# pattern and only H's off-diagonal picks the dense route; the one
+# _max_off_block call is the pattern scan of gamma.  "dense_gamma": a cross
+# block rules the pattern out with no scan of gamma, so the one call is
+# validate's scan of B (at tolerance 0 the route used to scan gamma again).
+DENSE_ROUTE_SPECS = {
+    "h_off_diagonal": lambda: random_identity_preserving_spec(np.random.default_rng(60), 3),
+    "dense_gamma": _dense_gamma_spec,
+}
+
+
+def _check_dense_state(monkeypatch, tmp_path, case: str, state: np.ndarray) -> tuple[bool, Counter]:
+    """check-state on a spec off the pair-block route: verdict and calls."""
     path = tmp_path / "dense.json"
-    path.write_text(gk.dump_json(gk.spec_to_document(spec)))
+    path.write_text(gk.dump_json(gk.spec_to_document(DENSE_ROUTE_SPECS[case]())))
     state_path = tmp_path / "state.json"
     state_path.write_text(gk.dump_json({"matrix": gk.matrix_to_document(state)}))
     counts = count_calls(
@@ -200,19 +210,21 @@ def _check_dense_state(monkeypatch, tmp_path, state: np.ndarray) -> tuple[bool, 
     return json.loads((tmp_path / "c.json").read_text())["invariant"], counts
 
 
-def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path):
+@pytest.mark.parametrize("case", DENSE_ROUTE_SPECS)
+def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path, case):
     # I/N is invariant: the residual passes, so the evolution runs.
-    invariant, counts = _check_dense_state(monkeypatch, tmp_path, np.eye(3) / 3)
+    invariant, counts = _check_dense_state(monkeypatch, tmp_path, case, np.eye(3) / 3)
     assert invariant is True
     assert counts == {"apply_generator": 1, "superoperator": 1, "_max_off_block": 1}
 
 
-def test_check_state_on_a_dense_spec_stops_at_the_residual(monkeypatch, tmp_path):
+@pytest.mark.parametrize("case", DENSE_ROUTE_SPECS)
+def test_check_state_on_a_dense_spec_stops_at_the_residual(monkeypatch, tmp_path, case):
     # I/N with a coherence moves: it fails the O(N^4) residual, and the
     # superoperator is never built.
     state = np.eye(3) / 3
     state[0, 1] = state[1, 0] = 1e-3
-    invariant, counts = _check_dense_state(monkeypatch, tmp_path, state)
+    invariant, counts = _check_dense_state(monkeypatch, tmp_path, case, state)
     assert invariant is False
     assert counts == {"apply_generator": 1, "_max_off_block": 1}
 

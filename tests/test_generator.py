@@ -363,11 +363,14 @@ def test_validate_flags_indefinite_block():
     assert report.offending_eigenvalue == pytest.approx(-1.0, abs=1e-12)
 
 
-def test_validate_rejects_a_non_finite_coefficient_without_a_spectrum():
-    # A NaN in gamma fails the Hermitian test; eigvalsh would raise on it.
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_validate_rejects_a_non_finite_coefficient_without_a_spectrum(bad):
+    # A NaN or inf in gamma fails the shared test; eigvalsh would raise on it.
+    # (The basis change turns an inf into NaNs, with numpy's warning.)
     gamma = np.zeros((9, 9), dtype=complex)
-    gamma[8, 0] = np.nan
-    report = gk.validate(gk.GeneratorSpec(H=np.eye(3), gamma=gamma))
+    gamma[8, 0] = bad
+    with np.errstate(invalid="ignore"):
+        report = gk.validate(gk.GeneratorSpec(H=np.eye(3), gamma=gamma))
     assert not report.psd_on_traceless
     assert report.offending_eigenvalue is None
 
