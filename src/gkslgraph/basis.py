@@ -180,15 +180,18 @@ def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | 
     ``max|A - A*| <= _threshold(tol, max|A|)`` and no eigenvalue of
     ``(A + A*)/2`` is below ``-_threshold(tol, max eigenvalue)``; the
     lowest eigenvalue is offending when that test fails, Hermitian or not.
-    Without ``spectrum`` only the Hermitian test is made.  An A whose skew
-    or largest modulus is not finite (a NaN or infinite entry) fails, with
-    no spectrum taken.  An empty A passes.
+    Without ``spectrum`` only the Hermitian test is made.  An A with a NaN
+    or infinite entry fails before any arithmetic on it, so with no
+    warning; so does one whose skew overflows.  Neither takes a spectrum.
+    An empty A passes.
     """
     if all(b.size == 0 for b in blocks):
         return True, None, 0.0
-    skew = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b in blocks)
     magnitude = max(float(np.abs(b).max()) for b in blocks)
-    if not (math.isfinite(skew) and math.isfinite(magnitude)):
+    if not math.isfinite(magnitude):
+        return False, None, magnitude
+    skew = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b in blocks)
+    if not math.isfinite(skew):
         return False, None, magnitude
     ok = skew <= _threshold(tol, magnitude)
     if not spectrum:
@@ -250,7 +253,8 @@ def basis_change_matrix(N: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _diagonal_block(N: int) -> np.ndarray:
     """W's N x N diagonal-sector block ``W[R:, R:]``: row n is conj(diag(lam_nn))."""
-    D = np.stack([np.diag(gellmann(n, n, N)) for n in range(1, N + 1)]).conj()
+    # A copy of each diagonal, so no N x N matrix is kept: O(N^2) memory, not N^3.
+    D = np.stack([np.diag(gellmann(n, n, N)).copy() for n in range(1, N + 1)]).conj()
     D.setflags(write=False)
     return D
 
@@ -304,23 +308,23 @@ def _conjugate_by_w(A: np.ndarray, inverse: bool) -> np.ndarray:
     return A
 
 
-def _conjugate_pattern_by_w(gamma: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
+def _conjugate_pattern_by_w(pairs: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The blocks of ``C = W gamma W*`` for a gamma with the pair-block zero pattern.
 
-    W is block diagonal over the same blocks as the pattern, so C is 0
-    outside its P 2x2 pair blocks and its N x N diagonal-sector block
+    ``pairs`` are gamma's P 2x2 pair blocks, a (P, 2, 2) array, and ``G`` its
+    N x N diagonal-sector block.  W is block diagonal over the same blocks,
+    so C is 0 outside its pair blocks and its diagonal-sector block
     ``C[R:, R:]``.  Returns both, as a new (P, 2, 2) array and a new N x N
     array, in ``O(N^3)``.  They are taken by the steps of
     :func:`_conjugate_by_w` restricted to the blocks, so every entry equals
     the one :func:`_conjugate_by_w` gives, bit for bit.
     """
     u = pair_block_unitary()[:, 0]
-    pairs = _pair_blocks(gamma, N)  # a new array
+    pairs = pairs.copy()
     _butterfly_scaled(pairs[:, 0], pairs[:, 1], u)  # rows
     _butterfly_scaled(pairs[:, :, 0], pairs[:, :, 1], u.conj())  # columns
-    D = _diagonal_block(N)
-    R = N * N - N
-    return pairs, (D @ gamma[R:, R:]) @ D.conj().T
+    D = _diagonal_block(G.shape[0])
+    return pairs, (D @ G) @ D.conj().T
 
 
 def _pair_block(M: np.ndarray, k: int, ell: int, N: int) -> np.ndarray:

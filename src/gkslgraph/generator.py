@@ -84,26 +84,46 @@ def _frozen_array(value) -> np.ndarray:
     return array
 
 
+def _checked_hamiltonian(value) -> np.ndarray:
+    """``value`` as a read-only array, checked to be square, non-empty and Hermitian."""
+    H = _frozen_array(value)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"H must be square, got shape {H.shape}")
+    if H.shape[0] < 1:
+        raise ValueError("H must be at least 1x1")
+    if not is_hermitian(H):
+        raise ValueError("H must be Hermitian")
+    return H
+
+
 def _store_checked(spec, name: str, dropped: int) -> None:
     """Check and store ``spec.H`` and the coefficient matrix ``spec.<name>``.
 
     H must be square, non-empty and Hermitian; the coefficient matrix must
     be d x d with ``d = N**2 - dropped`` (``dropped`` identity labels).
     """
-    H = _frozen_array(spec.H)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"H must be square, got shape {H.shape}")
+    H = _checked_hamiltonian(spec.H)
     N = H.shape[0]
-    if N < 1:
-        raise ValueError("H must be at least 1x1")
     M = _frozen_array(getattr(spec, name))
     d = N * N - dropped
     if M.shape != (d, d):
         raise ValueError(f"{name} must have shape {(d, d)} for N={N}, got {M.shape}")
-    if not is_hermitian(H):
-        raise ValueError("H must be Hermitian")
     object.__setattr__(spec, "H", H)
     object.__setattr__(spec, name, M)
+
+
+@dataclass(frozen=True)
+class _PairPattern:
+    """gamma on the pair-block pattern: all that is nonzero in it.
+
+    ``pairs[t]`` is gamma's 2x2 block over the labels ((k, l), (l, k)) of
+    the t-th pair k < l in label order, and ``G`` its N x N diagonal-sector
+    block ``gamma[R:, R:]``, ``R = N**2 - N``.  Passed as ``gamma`` to
+    :class:`GeneratorSpec`, it is the whole of a spec that has no dense gamma.
+    """
+
+    pairs: np.ndarray  # (P, 2, 2), P = N(N-1)/2
+    G: np.ndarray  # (N, N)
 
 
 @dataclass(frozen=True)
@@ -116,17 +136,44 @@ class GeneratorSpec:
         Hermitian part (checked on construction).
     gamma : (N**2, N**2) complex ndarray
         Coefficient matrix over standard-ordering labels.
+
+    A spec built with a :class:`_PairPattern` as ``gamma`` (one read from a
+    ``"blocks"`` document, or the result of :func:`canonicalize` on the
+    pattern) stores only that pattern data, ``O(N^2)`` numbers, and has the
+    pair-block pattern by construction.  Its dense ``gamma`` is built from
+    the pattern data on first read, once, read-only; only the dense
+    readers (:func:`apply_generator`, :func:`superoperator` and so the
+    oracle, dense output) read it.  Every
+    reader on the pattern route reads :attr:`_pattern` instead, which a
+    spec with a dense ``gamma`` takes from it on first use.
     """
 
     H: np.ndarray
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        _store_checked(self, "gamma", 0)
+        if isinstance(self.gamma, _PairPattern):
+            _store_pattern(self)
+        else:
+            _store_checked(self, "gamma", 0)
+
+    def __getattr__(self, name: str):
+        # Reached only when the attribute is missing: the dense gamma of a
+        # spec that stores the pattern data alone, built on first read.
+        if name != "gamma" or "_pattern" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        gamma = self.__dict__["gamma"] = _pattern_matrix(self._pattern, self.N)
+        return gamma
 
     @property
     def N(self) -> int:
         return self.H.shape[0]
+
+    @cached_property
+    def _pattern(self) -> _PairPattern:
+        """gamma's pair blocks and diagonal-sector block, read off a dense gamma on first use."""
+        N = self.N
+        return _PairPattern(_frozen_array(_pair_blocks(self.gamma, N)), self.gamma[-N:, -N:])
 
     @cached_property
     def _pair_table(self) -> _PairBlockTable:
@@ -147,23 +194,49 @@ class GeneratorSpec:
     def _on_pair_pattern(self) -> bool:
         """True iff gamma has the pair-block zero pattern exactly (no threshold).
 
-        A nonzero cross block ``gamma[:R, R:]`` or ``gamma[R:, :R]`` between
-        the pair and diagonal sectors rules the pattern out in ``O(N^3)``;
-        only a gamma without one is scanned (:attr:`_off_block_max`).
+        True by construction on a spec that stores the pattern data alone.
+        On a dense gamma, a nonzero cross block ``gamma[:R, R:]`` or
+        ``gamma[R:, :R]`` between the pair and diagonal sectors rules the
+        pattern out in ``O(N^3)``; only a gamma without one is scanned
+        (:attr:`_off_block_max`).
         """
         R = self.N * self.N - self.N
         G = self.gamma
         return not (G[:R, R:].any() or G[R:, :R].any()) and self._off_block_max == 0.0
 
 
-def _mark_on_pair_pattern(spec: GeneratorSpec) -> GeneratorSpec:
-    """``spec``, recorded as having the exact pair-block pattern, with no scan.
+def _store_pattern(spec: GeneratorSpec) -> None:
+    """Check and store ``spec.H`` and the :class:`_PairPattern` passed as ``spec.gamma``.
 
-    Only for a gamma built to be 0 outside its pair blocks and its
-    diagonal-sector block: ``spec._off_block_max`` is set to 0.0.
+    The spec keeps no ``gamma`` until one is read; it is recorded as having
+    the exact pattern, with no scan.
     """
-    spec.__dict__["_off_block_max"] = 0.0
-    return spec
+    pattern = spec.gamma
+    H = _checked_hamiltonian(spec.H)
+    N = H.shape[0]
+    pairs, G = _frozen_array(pattern.pairs), _frozen_array(pattern.G)
+    P = (N * N - N) // 2
+    if pairs.shape != (P, 2, 2) or G.shape != (N, N):
+        raise ValueError(
+            f"gamma's pair blocks and diagonal-sector block must have shapes "
+            f"{(P, 2, 2)} and {(N, N)} for N={N}, got {pairs.shape} and {G.shape}"
+        )
+    object.__setattr__(spec, "H", H)
+    del spec.__dict__["gamma"]
+    spec.__dict__.update(
+        _pattern=_PairPattern(pairs, G), _on_pair_pattern=True, _off_block_max=0.0
+    )
+
+
+def _pattern_matrix(pattern: _PairPattern, N: int) -> np.ndarray:
+    """The dense, read-only N**2 x N**2 gamma that ``pattern`` describes."""
+    gamma = np.zeros((N * N, N * N), dtype=np.complex128)
+    first = 2 * np.arange(len(pattern.pairs))[:, None, None]  # pair t is gamma[2t:2t+2, 2t:2t+2]
+    offset = np.arange(2)
+    gamma[first + offset[:, None], first + offset] = pattern.pairs
+    gamma[-N:, -N:] = pattern.G
+    gamma.setflags(write=False)
+    return gamma
 
 
 @dataclass(frozen=True)
@@ -370,21 +443,24 @@ class _PairBlockTable:
 
 
 def _pair_block_table(spec: GeneratorSpec) -> _PairBlockTable:
-    """``spec``'s :class:`_PairBlockTable`, in ``O(N^2)``; read ``spec._pair_table``."""
-    N = spec.N
-    Gam = np.diagonal(spec.gamma)[_standard_position_array(N)]
-    m = Gam.sum(axis=0)
-    laplacian = Gam - np.diag(m)
+    """``spec``'s :class:`_PairBlockTable`, in ``O(N^2)``; read ``spec._pair_table``.
 
+    Every number comes from the spec's pattern data, ``spec._pattern``.
+    """
+    N = spec.N
+    gamma_blocks, G = spec._pattern.pairs, spec._pattern.G
     # Pair t is (k[t]+1, ell[t]+1), in label order: np.triu_indices(N, 1), built faster.
     k, ell = np.nonzero(np.less.outer(np.arange(N), np.arange(N)))
     levels = np.stack((k, ell), axis=1) + 1
-    G = spec.gamma[-N:, -N:]  # the diagonal-sector block
+    Gam = np.diag(np.diagonal(G))  # gamma's diagonal, at the label (i, j)
+    Gam[k, ell], Gam[ell, k] = gamma_blocks[:, 0, 0], gamma_blocks[:, 1, 1]
+    m = Gam.sum(axis=0)
+    laplacian = Gam - np.diag(m)
+
     g_kk, g_ll, g_kl, g_lk = np.diagonal(G)[k], np.diagonal(G)[ell], G[k, ell], G[ell, k]
     h = np.diag(spec.H)
     split = -1j * (h[k] - h[ell])
     mean_m = 0.5 * (m[k] + m[ell])
-    gamma_blocks = _pair_blocks(spec.gamma, N)  # a new array
     blocks = gamma_blocks.copy()  # the off-diagonals stay
     blocks[:, 0, 0] = g_kl + split - mean_m
     blocks[:, 1, 1] = g_lk - split - mean_m
@@ -417,15 +493,18 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     Both follow the package's one tolerance rule (README, "Tolerances").
 
     Cost: ``O(N^3)`` on a gamma with the exact pair-block pattern
-    (``spec._on_pair_pattern``).  W is block diagonal over the same blocks,
-    so C is formed only on its 2x2 pair blocks and its N x N diagonal-sector
-    block (its identity row and column are 0 on the pair labels), and the
-    spectrum is taken block by block.  Any other gamma is conjugated whole
-    by the blocks of W, ``O(N^4)``, and B is scanned: its spectrum is taken
-    block by block if it has the pattern (rounding can give it one), else
-    by one dense ``eigvalsh``, ``O(N^6)``.  Both routes feed the same
-    entries of C to the same test.  The report is kept on the spec per
-    ``tol``, so a repeated call costs a lookup.
+    (``spec._on_pair_pattern``), which reads only the spec's pattern data
+    (``spec._pattern``) and never a dense gamma.  W is block diagonal over
+    the same blocks, so C is formed only on its 2x2 pair blocks and its
+    N x N diagonal-sector block (its identity row and column are 0 on the
+    pair labels), and the spectrum is taken block by block.  Any other
+    gamma is conjugated whole by the blocks of W, ``O(N^4)``, and B is
+    scanned: its spectrum is taken block by block if it has the pattern
+    (rounding can give it one), else by one dense ``eigvalsh``, ``O(N^6)``.
+    Both routes feed the same entries of C to the same test.  A gamma with
+    a NaN or infinite entry fails both checks, with no basis change: C is
+    not defined.  The report is kept on the spec per ``tol``, so a repeated
+    call costs a lookup.
     """
     report = spec._reports.get(tol)
     if report is None:
@@ -437,8 +516,12 @@ def _validation_report(spec: GeneratorSpec, tol: float) -> ValidationReport:
     """:func:`validate`'s report, computed."""
     N = spec.N
     R = N * N - N
-    if spec._on_pair_pattern:
-        pairs, Cd = _conjugate_pattern_by_w(spec.gamma, N)
+    pattern = spec._pattern if spec._on_pair_pattern else None
+    data = (spec.gamma,) if pattern is None else (pattern.pairs, pattern.G)
+    if not all(np.isfinite(a).all() for a in data):
+        return ValidationReport(psd_on_traceless=False, trace_condition=False)
+    if pattern is not None:
+        pairs, Cd = _conjugate_pattern_by_w(pattern.pairs, pattern.G)
         blocks = (pairs, Cd[:-1, :-1][None])
         row, col = np.zeros((2, N * N), dtype=np.complex128)  # C's identity row and column
         row[R:], col[R:] = Cd[-1], Cd[:, -1]
@@ -485,31 +568,49 @@ def canonicalize(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> GeneratorSpec
     that sector, and the pair sector passes through unchanged.  What v
     carried moves into ``H' = H + (M - M*) / (4iN)``, shifted traceless and
     Hermitized, with ``M[i, j] = sum_n (gamma[(n,n), (j,i)] - gamma[(i,j), (n,n)])``.
-    The action is unchanged and ``Gamma'(I) = 0``.  ``O(N^3)`` past validation.
-    A gamma with the exact pair-block pattern keeps it, so the canonical
-    spec inherits ``_off_block_max == 0.0`` and is not scanned again.
+    The action is unchanged and ``Gamma'(I) = 0``.
+
+    On a gamma with the exact pair-block pattern (``spec._on_pair_pattern``,
+    from either input format) only the diagonal-sector block G changes, so
+    the work is ``O(N^2)`` past validation: M is diagonal, G's column sums
+    minus its row sums, and ``G' = G - colsum(G)/N`` less its row means.  The
+    result stores the pattern data alone (see :class:`GeneratorSpec`), with
+    the pair blocks passed through without a copy.  Any other gamma is
+    copied and projected whole, ``O(N^4)``.
 
     Raises :class:`InvalidGeneratorError` if the spec does not validate.
     """
     _require_valid(spec, tol)
     N = spec.N
     R = N * N - N
+    if spec._on_pair_pattern:
+        pattern = spec._pattern
+        G = pattern.G
+        # Only the diagonal labels of from_diag and into_diag are nonzero.
+        from_diag, into_diag = np.zeros((2, N * N), dtype=np.complex128)
+        from_diag[R:], into_diag[R:] = G.sum(axis=0), G.sum(axis=1)
+        H_new = _shifted_hamiltonian(spec.H, from_diag, into_diag)
+        G = G - from_diag[R:] / N
+        G -= G.mean(axis=1, keepdims=True)
+        G.setflags(write=False)  # the spec keeps this array instead of a copy
+        return GeneratorSpec(H=H_new, gamma=_PairPattern(pattern.pairs, G))
     gamma = np.array(spec.gamma)
     from_diag = gamma[R:].sum(axis=0)  # at label (i, j): sum_n gamma[(n,n), (i,j)]
     into_diag = gamma[:, R:].sum(axis=1)  # at label (i, j): sum_n gamma[(i,j), (n,n)]
-    M = from_standard_coordinates(from_diag, N).T - from_standard_coordinates(into_diag, N)
-    H_new = spec.H + (M - M.conj().T) / (4j * N)
-    H_new = H_new - (np.trace(H_new).real / N) * np.eye(N)
-    H_new = (H_new + H_new.conj().T) / 2.0
+    H_new = _shifted_hamiltonian(spec.H, from_diag, into_diag)
     gamma[R:] -= from_diag / N
     gamma[:, R:] -= gamma[:, R:].mean(axis=1, keepdims=True)
     gamma.setflags(write=False)  # the spec keeps this array instead of a copy
-    canon = GeneratorSpec(H=H_new, gamma=gamma)
-    if spec._on_pair_pattern:
-        # Exact, with no scan: the cross blocks stay 0 - 0/N = 0 and the pair
-        # sector is a bit copy.
-        _mark_on_pair_pattern(canon)
-    return canon
+    return GeneratorSpec(H=H_new, gamma=gamma)
+
+
+def _shifted_hamiltonian(H: np.ndarray, from_diag: np.ndarray, into_diag: np.ndarray) -> np.ndarray:
+    """:func:`canonicalize`'s ``H'``, from gamma's sums over the diagonal labels."""
+    N = H.shape[0]
+    M = from_standard_coordinates(from_diag, N).T - from_standard_coordinates(into_diag, N)
+    H_new = H + (M - M.conj().T) / (4j * N)
+    H_new = H_new - (np.trace(H_new).real / N) * np.eye(N)
+    return (H_new + H_new.conj().T) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +634,11 @@ def classify_pair_block_diagonal(
     max_h = float(np.abs(H_off).max()) if H_off.size else 0.0
     scale_g = scale_h = 0.0  # the exact rule at tol 0, read with no pair table
     if tol:
-        R = spec.N * spec.N - spec.N
         # max|gamma| from the scan and the blocks it skips, with no N^4 temporary.
         g_max = np.max([
             max_block,
-            np.abs(spec._pair_table.gamma_blocks).max(initial=0.0),
-            np.abs(spec.gamma[R:, R:]).max(),
+            np.abs(spec._pattern.pairs).max(initial=0.0),
+            np.abs(spec._pattern.G).max(),
         ])
         scale_g = _threshold(tol, float(g_max))
         scale_h = _threshold(tol, float(np.abs(spec.H).max()))

@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import _pair_block, _standard_position_array
+from .basis import _standard_position_array, standard_position
 from .generator import (
     GellMannSpec,
     GeneratorSpec,
-    _mark_on_pair_pattern,
+    _PairPattern,
     gellmann_to_standard,
 )
 
@@ -167,16 +167,24 @@ def _numeric_pairs(pairs, N: int) -> tuple[np.ndarray, np.ndarray] | None:
     return positions, values
 
 
-def _parse_pairs(pairs, N: int, M: np.ndarray) -> None:
-    """Write the pair blocks of a ``gamma.pairs`` list into M, in place."""
+def _parse_pairs(pairs, N: int) -> np.ndarray:
+    """The pair blocks of a ``gamma.pairs`` list, a read-only (P, 2, 2) array.
+
+    Block t is that of the t-th pair in label order, 0 for a pair not listed.
+    """
+    out = np.zeros(((N * N - N) // 2, 2, 2), dtype=np.complex128)
     fast = _numeric_pairs(pairs, N)
     if fast is not None:
         positions, blocks = fast
-        first = positions[:, None, None]  # the block of pair t is M[p:p+2, p:p+2]
-        offset = np.arange(2)
-        M[first + offset[:, None], first + offset] = blocks
-        return
-    # Walk the pairs to name the first bad field in the error.
+        out[positions // 2] = blocks  # pair t sits at positions 2t and 2t + 1
+    else:
+        _walk_pairs(pairs, N, out)
+    out.setflags(write=False)  # the spec keeps this array instead of a copy
+    return out
+
+
+def _walk_pairs(pairs, N: int, out: np.ndarray) -> None:
+    """Check the pairs one by one, to name the first bad field; write each block into out."""
     if not isinstance(pairs, list):
         raise SpecParseError("gamma.pairs: expected a list")
     seen: set[tuple[int, int]] = set()
@@ -199,8 +207,9 @@ def _parse_pairs(pairs, N: int, M: np.ndarray) -> None:
         if (i, j) in seen:
             raise SpecParseError(f"{where}: duplicate pair ({i}, {j})")
         seen.add((i, j))
-        block = _parse_cmatrix(pdoc["block"], 2, 2, f"{where}.block")
-        _pair_block(M, i, j, N)[...] = block
+        out[standard_position(i, j, N) // 2] = _parse_cmatrix(
+            pdoc["block"], 2, 2, f"{where}.block"
+        )
 
 
 def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
@@ -215,12 +224,13 @@ def parse_spec_document(doc) -> GeneratorSpec:
     Each matrix, and a ``blocks`` document's whole list of pairs, is read
     in one vectorized pass: the types, lengths and ranges of every entry
     are checked at once, numpy converts the numbers, and the pair blocks
-    are written into gamma by one indexed assignment.  Only when a check
-    fails are the entries walked one by one, to name the first bad field
-    in document order.  A spec read from a ``blocks`` document has the
-    pair-block pattern by construction and is marked so, with no scan of
-    gamma (``spec._off_block_max`` is 0.0); a ``dense`` one is scanned on
-    first use.
+    are written into a (P, 2, 2) array by one indexed assignment.  Only
+    when a check fails are the entries walked one by one, to name the first
+    bad field in document order.  A spec read from a ``blocks`` document
+    stores only its pair blocks and diagonal-sector block, ``O(N^2)``
+    numbers, and has the pair-block pattern by construction; its dense
+    gamma is built only if a dense reader asks (see ``GeneratorSpec``).  A
+    ``dense`` one is scanned for the pattern on first use.
     """
     if not isinstance(doc, dict):
         raise SpecParseError("top level: expected an object")
@@ -256,11 +266,12 @@ def parse_spec_document(doc) -> GeneratorSpec:
                 "standard basis"
             )
         _reject_unknown(gamma_doc, {"format", "pairs", "diag"}, "gamma")
-        M = np.zeros((N * N, N * N), dtype=np.complex128)
-        _parse_pairs(gamma_doc.get("pairs", []), N, M)
+        pairs = _parse_pairs(gamma_doc.get("pairs", []), N)
         if "diag" in gamma_doc:
-            M[-N:, -N:] = _parse_cmatrix(gamma_doc["diag"], N, N, "gamma.diag")
-        M.setflags(write=False)  # the spec keeps this array instead of a copy
+            G = _parse_cmatrix(gamma_doc["diag"], N, N, "gamma.diag")
+        else:
+            G = np.zeros((N, N), dtype=np.complex128)
+        M = _PairPattern(pairs, G)
     else:
         raise SpecParseError(
             f'gamma.format: expected "dense" or "blocks", got {fmt!r}'
@@ -269,11 +280,9 @@ def parse_spec_document(doc) -> GeneratorSpec:
     try:
         if basis == "gellmann":
             return gellmann_to_standard(GellMannSpec(H=H, C=M))
-        spec = GeneratorSpec(H=H, gamma=M)
+        return GeneratorSpec(H=H, gamma=M)
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
-    # The blocks form writes nothing off the pair blocks and M[-N:, -N:].
-    return _mark_on_pair_pattern(spec) if fmt == "blocks" else spec
 
 
 def parse_state_document(doc) -> np.ndarray:

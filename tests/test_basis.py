@@ -1,6 +1,7 @@
 """Basis-layer tests: orderings, matrix units, orthonormal basis, transforms."""
 
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -344,6 +345,17 @@ def test_predicates_reject_a_non_finite_entry(bad):
     A = np.array([[-1.0, bad], [0.0, 0.0]])
     assert not gk.is_hermitian(A)
     assert not gk.is_psd(A)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predicates_reject_a_non_finite_diagonal_with_no_warning(bad):
+    # The skew of an infinite diagonal entry is inf - inf, which numpy warns
+    # of: the entry fails before the skew is formed.
+    A = np.diag([1.0, bad])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not gk.is_hermitian(A)
+        assert not gk.is_psd(A)
 
 
 @pytest.mark.parametrize("scale", [1.0, 4.0])

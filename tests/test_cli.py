@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -283,6 +284,8 @@ def _gamma_allocation_fails(monkeypatch, N: int) -> str:
     """Make the N^2 x N^2 gamma fail to allocate, as a spec with a huge N does.
 
     Returns numpy's message; no real allocation of that size is attempted.
+    A ``blocks`` spec builds that array only for a dense reader, such as
+    the oracle.
     """
     zeros = np.zeros
     message = f"Unable to allocate 1.00 TiB for an array with shape {(N * N, N * N)}"
@@ -300,9 +303,25 @@ def test_spec_too_large_for_memory_exits_1_naming_the_path(monkeypatch, tmp_path
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(_directed_cycle_document(5, 1.0)))
     message = _gamma_allocation_fails(monkeypatch, 5)
-    code, out, err = run_cli(["validate", str(path)], capsys)
+    code, out, err = run_cli(["oracle", str(path)], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: {path}: out of memory ({message})\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "kernel", "check-state", "digraph", "eigen"])
+def test_pattern_route_commands_on_a_blocks_spec_allocate_no_dense_gamma(
+    monkeypatch, tmp_path, capsys, command
+):
+    # These commands read only the pair blocks and the diagonal-sector
+    # block, so a gamma too large for memory does not stop them.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_directed_cycle_document(5, 1.0)))
+    argv = command_argv(command, path, tmp_path, 5)
+    dot = tmp_path / "cycle.dot"  # digraph's --out
+    expected = run_cli(argv, capsys), dot.read_text() if dot.exists() else None
+    assert expected[0][0] == 0
+    _gamma_allocation_fails(monkeypatch, 5)
+    assert (run_cli(argv, capsys), dot.read_text() if dot.exists() else None) == expected
 
 
 def test_command_out_of_memory_exits_1_naming_the_path(monkeypatch, capsys, golden_dir):
@@ -316,6 +335,33 @@ def test_command_out_of_memory_exits_1_naming_the_path(monkeypatch, capsys, gold
     assert err == f"error: {path}: out of memory\n"
 
 
+@pytest.mark.parametrize("command", ["kernel", "check-state"])
+def test_blocks_spec_commands_stay_far_below_the_dense_gamma(
+    monkeypatch, tmp_path, capsys, command
+):
+    # An N=64 blocks document, written straight from the benchmark's
+    # generator: its dense gamma would take 16 N^4 bytes (268 MB).  The
+    # command's peak stays below an eighth of that.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import bench_specs
+
+    N = 64
+    H, pairs, diag, _ = bench_specs.pair_block_case(np.random.default_rng(5), N)
+    path = tmp_path / "n64.json"
+    path.write_text(json.dumps(bench_specs.blocks_document(N, H, pairs, diag)))
+    argv = command_argv(command, path, tmp_path, N)
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(argv, capsys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    if command == "kernel":
+        assert json.loads(out)["method"] == "analytic"
+    assert peak < 16 * N**4 / 8
+
+
 def test_batch_continues_past_a_spec_too_large_for_memory(
     monkeypatch, tmp_path, capsys, golden_dir
 ):
@@ -325,10 +371,10 @@ def test_batch_continues_past_a_spec_too_large_for_memory(
     (in_dir / "b.json").write_bytes((golden_dir / "superposition.spec.json").read_bytes())
     message = _gamma_allocation_fails(monkeypatch, 5)
     out_dir = tmp_path / "out"
-    code, _, err = run_cli(["kernel", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
+    code, _, err = run_cli(["oracle", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
     assert code == 1
     assert err == f"error: {in_dir / 'a.json'}: out of memory ({message})\n"
-    assert [p.name for p in out_dir.iterdir()] == ["b.kernel.json"]
+    assert [p.name for p in out_dir.iterdir()] == ["b.oracle.json"]
 
 
 def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys, golden_dir):

@@ -1,7 +1,9 @@
 """Generator-layer tests: action, superoperator, validation, canonical form."""
 
 import dataclasses
+import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,9 @@ import pytest
 
 import gkslgraph as gk
 from gkslgraph.basis import _max_off_block, _pair_block
+from gkslgraph.kernel import PreconditionError, full_kernel
 from helpers import (
+    blocks_document,
     dephasing_ladder_spec,
     identity_coupled_spec,
     pair_block_families,
@@ -44,6 +48,13 @@ def test_generator_spec_rejects_bad_shapes():
         gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         gk.GeneratorSpec(H=np.array([[0.0, 1.0], [0.0, 0.0]]), gamma=np.zeros((4, 4)))
+    pattern = gk.generator._PairPattern
+    with pytest.raises(ValueError, match=r"shapes \(1, 2, 2\) and \(2, 2\) for N=2"):
+        gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=pattern(np.zeros((2, 2, 2)), np.eye(2)))
+    with pytest.raises(ValueError, match="H must be Hermitian"):
+        gk.GeneratorSpec(H=np.array([[0.0, 1.0], [0.0, 0.0]]), gamma=pattern(
+            np.zeros((1, 2, 2)), np.eye(2)
+        ))
 
 
 def test_generator_spec_is_frozen():
@@ -365,14 +376,33 @@ def test_validate_flags_indefinite_block():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_validate_rejects_a_non_finite_coefficient_without_a_spectrum(bad):
-    # A NaN or inf in gamma fails the shared test; eigvalsh would raise on it.
-    # (The basis change turns an inf into NaNs, with numpy's warning.)
+    # A NaN or inf in gamma fails both checks before the basis change, which
+    # would turn an inf into NaNs with numpy's warning; eigvalsh would raise.
     gamma = np.zeros((9, 9), dtype=complex)
     gamma[8, 0] = bad
-    with np.errstate(invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         report = gk.validate(gk.GeneratorSpec(H=np.eye(3), gamma=gamma))
-    assert not report.psd_on_traceless
-    assert report.offending_eigenvalue is None
+    assert report == gk.ValidationReport(psd_on_traceless=False, trace_condition=False)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["pair_block", "diagonal_block"])
+def test_validate_rejects_a_non_finite_entry_on_the_pattern_with_no_warning(bad, where):
+    # Both a dense gamma on the pattern and a spec that stores the blocks alone.
+    pairs = np.zeros((3, 2, 2), dtype=complex)
+    G = np.eye(3, dtype=complex)
+    if where == "pair_block":
+        pairs[1, 0, 1] = bad
+    else:
+        G[2, 2] = bad
+    native = gk.GeneratorSpec(H=np.eye(3), gamma=gk.generator._PairPattern(pairs, G))
+    dense = gk.GeneratorSpec(H=np.eye(3), gamma=native.gamma)
+    failed = gk.ValidationReport(psd_on_traceless=False, trace_condition=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dense._on_pair_pattern
+        assert gk.validate(native) == gk.validate(dense) == failed
 
 
 def test_validate_flags_trace_condition():
@@ -567,6 +597,87 @@ def test_canonical_spec_inherits_the_pattern_scan():
     canon = gk.canonicalize(identity_coupled_spec(np.random.default_rng(1), 3, 0.3))
     assert "_off_block_max" not in vars(canon)
     assert 0.0 < canon._off_block_max < 1e-16
+
+
+def _three_routes(spec):
+    """The numbers of ``spec``'s blocks document, stored three ways.
+
+    As the parser reads the document (the pattern data alone); dense, on
+    the pattern; and dense but read as off the pattern, so that validate
+    and canonicalize take their N^4 routes.  The dense gamma equals
+    ``spec.gamma``, but for the sign of a zero in a block the document
+    leaves out (the negated families).
+    """
+    doc = json.loads(gk.dump_json(blocks_document(spec)))
+    dense = gk.GeneratorSpec(H=spec.H, gamma=gk.parse_spec_document(doc).gamma)
+    assert np.array_equal(dense.gamma, spec.gamma)
+    return {
+        "blocks": gk.parse_spec_document(doc),
+        "dense": dense,
+        "off_pattern": _off_pattern_route(dense),
+    }
+
+
+def _bit_identity_specs():
+    rng = np.random.default_rng(7)
+    specs = dict(pair_block_families())
+    specs.update((f"random_pbd_{N}", random_pbd_spec(rng, N)) for N in range(1, 13))
+    return specs
+
+
+def _kernel_outcome(spec):
+    """full_kernel's elements and diagnostics, or the message it raises."""
+    try:
+        basis = full_kernel(spec)
+    except PreconditionError as exc:
+        return str(exc)
+    elements = [(el.tag, el.support, el.matrix.tobytes()) for el in basis.elements]
+    return elements, basis.diagnostics
+
+
+def _assert_same_tables(spec, reference):
+    expected = vars(reference._pair_table)
+    for field, array in vars(spec._pair_table).items():
+        assert array.tobytes() == expected[field].tobytes(), field
+
+
+@pytest.mark.parametrize("name", sorted(_bit_identity_specs()))
+def test_block_native_and_dense_routes_agree_bit_for_bit(name):
+    # The spec that stores only its blocks, the dense spec on the pattern
+    # and the dense N^4 routes give the same report, canonical form,
+    # pair-block table and kernel, to the last bit.
+    spec = _bit_identity_specs()[name]
+    routes = _three_routes(spec)
+    native = routes["blocks"]
+    assert routes["dense"]._on_pair_pattern and native._on_pair_pattern
+    for route, other in routes.items():
+        assert gk.validate(other) == gk.validate(native), route
+        assert _kernel_outcome(other) == _kernel_outcome(native), route
+        _assert_same_tables(other, native)
+    assert gk.validate(spec) == gk.validate(native)
+    assert _kernel_outcome(spec) == _kernel_outcome(native)
+    if not gk.validate(native).verdict:
+        return
+    canon = {route: gk.canonicalize(other) for route, other in routes.items()}
+    for other in canon.values():
+        _assert_same_tables(other, canon["blocks"])
+    # Nothing so far read a dense gamma of a spec that stores the blocks alone.
+    assert "gamma" not in vars(native) and "gamma" not in vars(canon["blocks"])
+    assert "gamma" not in vars(canon["dense"]) and "gamma" in vars(canon["off_pattern"])
+    for route, other in canon.items():
+        assert other.H.tobytes() == canon["blocks"].H.tobytes(), route
+        assert other.gamma.tobytes() == canon["blocks"].gamma.tobytes(), route
+
+
+def test_block_native_spec_builds_its_dense_gamma_once_on_first_read():
+    spec = random_pbd_spec(np.random.default_rng(3), 5)
+    native = gk.parse_spec_document(blocks_document(spec))
+    assert "gamma" not in vars(native)
+    gamma = native.gamma
+    assert native.gamma is gamma and not gamma.flags.writeable
+    assert gamma.tobytes() == spec.gamma.tobytes()
+    with pytest.raises(AttributeError, match="no attribute 'missing'"):
+        native.missing
 
 
 def test_validate_keeps_its_report_on_the_spec():
