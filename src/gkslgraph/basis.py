@@ -96,6 +96,19 @@ def _standard_position_array(N: int) -> np.ndarray:
     return pos
 
 
+@lru_cache(maxsize=None)
+def _pair_levels(N: int) -> np.ndarray:
+    """Read-only (P, 2) array whose row t is the levels (k, l), k < l, of the labels 2t, 2t + 1."""
+    levels = np.array(standard_labels(N)[: N * N - N : 2], dtype=np.intp).reshape(-1, 2)
+    levels.setflags(write=False)
+    return levels
+
+
+def _pair_index(k, ell, N: int):
+    """Pair t of the levels (k, l), k < l, or of arrays of them; inverts :func:`_pair_levels`."""
+    return _standard_position_array(N)[k - 1, ell - 1] // 2
+
+
 def _standard_flat_order(N: int) -> np.ndarray:
     """Row-major index (i-1)*N + (j-1) of the label at each standard position."""
     return np.argsort(_standard_position_array(N).ravel())
@@ -327,27 +340,16 @@ def _conjugate_pattern_by_w(pairs: np.ndarray, G: np.ndarray) -> tuple[np.ndarra
     return pairs, (D @ G) @ D.conj().T
 
 
-def _pair_block(M: np.ndarray, k: int, ell: int, N: int) -> np.ndarray:
-    """The 2x2 view of M over the labels (k, ell), (ell, k), for k < ell.
-
-    M is indexed by the label order.  The two labels sit at adjacent
-    positions, so the block is a slice of M and a write through it lands
-    in M.  The diagonal labels come last: their block is ``M[-N:, -N:]``.
-    """
-    p = standard_position(k, ell, N)
-    return M[p : p + 2, p : p + 2]
-
-
 def _pair_blocks(M: np.ndarray, N: int) -> np.ndarray:
-    """The 2x2 diagonal blocks of M's pair sector, as a (P, 2, 2) array.
+    """The 2x2 diagonal blocks of M's pair sector, as a (P, 2, 2) view of M.
 
     M is indexed by the label order (standard or Gell-Mann, which agree) or
     a leading part of it; its first R = N**2 - N rows and columns hold the
-    P = R/2 pairs.
+    P = R/2 pairs, block t at rows and columns 2t and 2t + 1.  A write
+    through the view lands in M.
     """
     P = (N * N - N) // 2
-    t = np.arange(P)
-    return M[: 2 * P, : 2 * P].reshape(P, 2, P, 2)[t, :, t, :]
+    return np.einsum("tatb->tab", M[: 2 * P, : 2 * P].reshape(P, 2, P, 2))
 
 
 #: Pair rows per band of :func:`_max_off_block`'s scan.

@@ -24,8 +24,8 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .basis import DEFAULT_TOL
-from .generator import GeneratorSpec
+from .basis import DEFAULT_TOL, _pair_levels
+from .generator import GeneratorSpec, _singularity_checks
 
 __all__ = [
     "InducedDigraph",
@@ -132,14 +132,14 @@ def induced_digraph(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> InducedDig
 
     The threshold is absolute — an edge is a strictly positive transfer
     rate, and rates at or below tol (including small negatives from
-    round-off) are dropped.
+    round-off) are dropped.  The rates are the diagonals of gamma's pair
+    blocks, read from the spec's pattern data (``spec._pattern``).
     """
-    table = spec._pair_table
-    rates = table.gamma_blocks.real  # pair (i, j): rates j -> i and i -> j
+    rates = spec._pattern.pairs.real  # pair (i, j): rates j -> i and i -> j
     weights: dict[tuple[int, int], float] = {}
     # Edges go in pair order, j -> i before i -> j: the order of the weights
     # fixes the float summation order of the stationary vectors.
-    pairs = table.levels.tolist()
+    pairs = _pair_levels(spec.N).tolist()
     for (i, j), w_ji, w_ij in zip(pairs, rates[:, 0, 0].tolist(), rates[:, 1, 1].tolist()):
         if w_ji > tol:
             weights[(j, i)] = w_ji
@@ -342,7 +342,7 @@ def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> Sink
             sinks.append(comp[0])
         elif len(comp) == 2:
             two.append(comp)
-            checks = spec._pair_table.singularity_checks(*comp, tol)
+            checks = _singularity_checks(spec, *comp, tol)
             if all(value <= threshold for value, threshold in checks):
                 singular.append(comp)
     return SinkReport(

@@ -21,7 +21,7 @@ what it carried into ``H``, all in the standard basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -32,6 +32,8 @@ from .basis import (
     _conjugate_pattern_by_w,
     _max_off_block,
     _pair_blocks,
+    _pair_index,
+    _pair_levels,
     _psd_test,
     _standard_flat_order,
     _standard_position_array,
@@ -126,7 +128,7 @@ class _PairPattern:
     G: np.ndarray  # (N, N)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """A GKSL generator in the standard-basis parametrization.
 
@@ -145,11 +147,12 @@ class GeneratorSpec:
     readers (:func:`apply_generator`, :func:`superoperator` and so the
     oracle, dense output) read it.  Every
     reader on the pattern route reads :attr:`_pattern` instead, which a
-    spec with a dense ``gamma`` takes from it on first use.
+    spec with a dense ``gamma`` takes from it on first use.  Specs compare
+    and hash by identity, and ``repr`` shows H alone.
     """
 
     H: np.ndarray
-    gamma: np.ndarray
+    gamma: np.ndarray = field(repr=False)  # a repr that read it would build it
 
     def __post_init__(self) -> None:
         if isinstance(self.gamma, _PairPattern):
@@ -171,9 +174,14 @@ class GeneratorSpec:
 
     @cached_property
     def _pattern(self) -> _PairPattern:
-        """gamma's pair blocks and diagonal-sector block, read off a dense gamma on first use."""
+        """gamma's pair blocks and diagonal-sector block, read off a dense gamma on first use.
+
+        The blocks are copied, so a canonical spec that takes them keeps no view of gamma.
+        """
         N = self.N
-        return _PairPattern(_frozen_array(_pair_blocks(self.gamma, N)), self.gamma[-N:, -N:])
+        pairs = _pair_blocks(self.gamma, N).copy()
+        pairs.setflags(write=False)
+        return _PairPattern(pairs, self.gamma[-N:, -N:])
 
     @cached_property
     def _pair_table(self) -> _PairBlockTable:
@@ -215,7 +223,7 @@ def _store_pattern(spec: GeneratorSpec) -> None:
     H = _checked_hamiltonian(spec.H)
     N = H.shape[0]
     pairs, G = _frozen_array(pattern.pairs), _frozen_array(pattern.G)
-    P = (N * N - N) // 2
+    P = len(_pair_levels(N))
     if pairs.shape != (P, 2, 2) or G.shape != (N, N):
         raise ValueError(
             f"gamma's pair blocks and diagonal-sector block must have shapes "
@@ -231,21 +239,20 @@ def _store_pattern(spec: GeneratorSpec) -> None:
 def _pattern_matrix(pattern: _PairPattern, N: int) -> np.ndarray:
     """The dense, read-only N**2 x N**2 gamma that ``pattern`` describes."""
     gamma = np.zeros((N * N, N * N), dtype=np.complex128)
-    first = 2 * np.arange(len(pattern.pairs))[:, None, None]  # pair t is gamma[2t:2t+2, 2t:2t+2]
-    offset = np.arange(2)
-    gamma[first + offset[:, None], first + offset] = pattern.pairs
+    _pair_blocks(gamma, N)[...] = pattern.pairs
     gamma[-N:, -N:] = pattern.G
     gamma.setflags(write=False)
     return gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GellMannSpec:
     """A canonical generator over the traceless Gell-Mann sector.
 
     The form that :func:`standard_to_gellmann` returns and the K operator
     of ``kernel.k_operator`` takes; every analysis routine reads a
     :class:`GeneratorSpec`, so convert with :func:`gellmann_to_standard`.
+    Specs compare and hash by identity.
 
     Attributes
     ----------
@@ -401,75 +408,57 @@ def superoperator(spec: GeneratorSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PairBlockTable:
-    """A spec's pair-block numbers, read off gamma and H once, with no threshold.
+    """L's own pair-block numbers, read off gamma and H once, with no threshold.
 
-    Pair t is the t-th pair (k, l), k < l, in label order: ``levels[t]`` is
-    (k, l) and :meth:`index` its inverse.
     ``laplacian`` is ``Gam - diag(colsum Gam)``, ``Gam[i, j] = gamma[(i,j), (i,j)]``
-    (the rate j -> i); ``gamma_blocks`` are gamma's 2x2 blocks over
-    ((k, l), (l, k)); ``blocks`` are L's over (E_kl, E_lk): gamma's off the
+    (the rate j -> i).  ``blocks[t]`` is L's 2x2 block over (E_kl, E_lk) for
+    the levels (k, l) of pair t (``basis._pair_levels``): gamma's off the
     diagonal, and ``g_kl - i dh - m_kl``, ``g_lk + i dh - m_kl`` on it, with
     ``g_ab = gamma[(a,a), (b,b)]``, ``dh = h_k - h_l`` and ``m_kl`` the mean
     of Gam's column sums k and l.  With the pair-block pattern, L is the
-    direct sum of ``laplacian`` and ``blocks``.  Per pair, ``splitting`` is
-    ``|Re dh|`` and ``dephasing`` holds ``g_kk - g_ll``, ``g_kl - g_kk`` and
-    ``g_lk - g_kk``.  Every array is read-only.
+    direct sum of ``laplacian`` and ``blocks``.  Both arrays are read-only.
+    gamma's own numbers are read from ``spec._pattern``, not from here.
     """
 
-    levels: np.ndarray  # (P, 2), the levels (k, l) of each pair
     laplacian: np.ndarray  # (N, N)
-    gamma_blocks: np.ndarray  # (P, 2, 2)
     blocks: np.ndarray  # (P, 2, 2)
-    splitting: np.ndarray  # (P,)
-    dephasing: np.ndarray  # (P, 3)
-
-    def index(self, k: int, ell: int) -> int:
-        """The position t of the pair (k, l), 1 <= k < l <= N."""
-        N = self.laplacian.shape[0]
-        return (k - 1) * (2 * N - k) // 2 + ell - k - 1
-
-    def singularity_checks(
-        self, k: int, ell: int, tol: float
-    ) -> tuple[tuple[float, float], tuple[float, float]]:
-        """(value, threshold) of the two tests that make gamma's (k, l) block singular.
-
-        Rate symmetry ``|b00 - b11|`` and ``|det b|`` of the block b, held to
-        its magnitude ``m = max|b|`` and to ``m**2``.
-        """
-        blk = self.gamma_blocks[self.index(k, ell)]
-        m = float(np.abs(blk).max())
-        det = abs(blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0])
-        return (abs(blk[0, 0] - blk[1, 1]), _threshold(tol, m)), (det, _threshold(tol, m**2))
 
 
 def _pair_block_table(spec: GeneratorSpec) -> _PairBlockTable:
     """``spec``'s :class:`_PairBlockTable`, in ``O(N^2)``; read ``spec._pair_table``.
 
-    Every number comes from the spec's pattern data, ``spec._pattern``.
+    Every number comes from the spec's pattern data, ``spec._pattern``, and H.
     """
-    N = spec.N
-    gamma_blocks, G = spec._pattern.pairs, spec._pattern.G
-    # Pair t is (k[t]+1, ell[t]+1), in label order: np.triu_indices(N, 1), built faster.
-    k, ell = np.nonzero(np.less.outer(np.arange(N), np.arange(N)))
-    levels = np.stack((k, ell), axis=1) + 1
+    pairs, G = spec._pattern.pairs, spec._pattern.G
+    k, ell = _pair_levels(spec.N).T - 1
     Gam = np.diag(np.diagonal(G))  # gamma's diagonal, at the label (i, j)
-    Gam[k, ell], Gam[ell, k] = gamma_blocks[:, 0, 0], gamma_blocks[:, 1, 1]
+    Gam[k, ell], Gam[ell, k] = pairs[:, 0, 0], pairs[:, 1, 1]
     m = Gam.sum(axis=0)
     laplacian = Gam - np.diag(m)
 
-    g_kk, g_ll, g_kl, g_lk = np.diagonal(G)[k], np.diagonal(G)[ell], G[k, ell], G[ell, k]
     h = np.diag(spec.H)
     split = -1j * (h[k] - h[ell])
     mean_m = 0.5 * (m[k] + m[ell])
-    blocks = gamma_blocks.copy()  # the off-diagonals stay
-    blocks[:, 0, 0] = g_kl + split - mean_m
-    blocks[:, 1, 1] = g_lk - split - mean_m
-    dephasing = np.stack((g_kk - g_ll, g_kl - g_kk, g_lk - g_kk), axis=1)
-    splitting = np.abs(h.real[k] - h.real[ell])
-    table = _PairBlockTable(levels, laplacian, gamma_blocks, blocks, splitting, dephasing)
-    for array in vars(table).values():
+    blocks = pairs.copy()  # the off-diagonals stay
+    blocks[:, 0, 0] = G[k, ell] + split - mean_m
+    blocks[:, 1, 1] = G[ell, k] - split - mean_m
+    for array in (laplacian, blocks):
         array.setflags(write=False)
-    return table
+    return _PairBlockTable(laplacian, blocks)
+
+
+def _singularity_checks(
+    spec: GeneratorSpec, k: int, ell: int, tol: float
+) -> tuple[tuple[float, float], tuple[float, float]]:
+    """(value, threshold) of the two tests that make gamma's (k, l) pair block singular.
+
+    Rate symmetry ``|b00 - b11|`` and ``|det b|`` of the block b, held to
+    its magnitude ``m = max|b|`` and to ``m**2``.
+    """
+    blk = spec._pattern.pairs[_pair_index(k, ell, spec.N)]
+    m = float(np.abs(blk).max())
+    det = abs(blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0])
+    return (abs(blk[0, 0] - blk[1, 1]), _threshold(tol, m)), (det, _threshold(tol, m**2))
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +658,11 @@ def superposition_block(
     ((k, l), (l, k)) is ``rate * u u*`` with ``u = (c/b, d/a)`` — Hermitian,
     positive semidefinite, rank one.
 
-    Raises ``ValueError`` unless both amplitude vectors are normalized and
-    a, b are nonzero.
+    Raises ``ValueError`` unless both amplitude vectors are normalized,
+    a, b are nonzero and ``rate`` is finite and non-negative.
     """
+    if not (np.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"rate must be finite and non-negative, got {rate}")
     for name, z in (("a", a), ("b", b)):
         if abs(z) <= tol:
             raise ValueError(f"source amplitude {name} must be nonzero")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import _standard_position_array, standard_position
+from .basis import _pair_index, _pair_levels
 from .generator import (
     GellMannSpec,
     GeneratorSpec,
@@ -133,13 +133,13 @@ def _parse_cmatrix(value, rows: int, cols: int, where: str) -> np.ndarray:
 
 
 def _numeric_pairs(pairs, N: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """The standard positions of the pairs in ``pairs`` and their blocks, or None if malformed.
+    """The pair index of each pair in ``pairs`` and their blocks, or None if malformed.
 
     The whole list is checked at once: objects with exactly the fields
     ``i``, ``j`` and ``block``; ``i`` and ``j`` ints (never bool) with
     ``1 <= i < j <= N`` and no pair twice; each block 2 x 2, as
-    :func:`_numeric_array` checks it.  Returns the position of label
-    ``(i, j)`` per pair and the (P, 2, 2) blocks.
+    :func:`_numeric_array` checks it.  Returns the index t of the pair
+    ``(i, j)`` (``basis._pair_index``) per pair and the (P, 2, 2) blocks.
     """
     if type(pairs) is not list or not set(map(type, pairs)) <= {dict}:
         return None
@@ -158,13 +158,13 @@ def _numeric_pairs(pairs, N: int) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if not ((1 <= i) & (i < j) & (j <= N)).all():
         return None
-    positions = _standard_position_array(N)[i - 1, j - 1]
-    if np.unique(positions).size != positions.size:
+    t = _pair_index(i, j, N)
+    if np.unique(t).size != t.size:
         return None
     values = _numeric_array(blocks, (len(blocks), 2, 2))
     if values is None:
         return None
-    return positions, values
+    return t, values
 
 
 def _parse_pairs(pairs, N: int) -> np.ndarray:
@@ -172,11 +172,11 @@ def _parse_pairs(pairs, N: int) -> np.ndarray:
 
     Block t is that of the t-th pair in label order, 0 for a pair not listed.
     """
-    out = np.zeros(((N * N - N) // 2, 2, 2), dtype=np.complex128)
+    out = np.zeros((len(_pair_levels(N)), 2, 2), dtype=np.complex128)
     fast = _numeric_pairs(pairs, N)
     if fast is not None:
-        positions, blocks = fast
-        out[positions // 2] = blocks  # pair t sits at positions 2t and 2t + 1
+        t, blocks = fast
+        out[t] = blocks
     else:
         _walk_pairs(pairs, N, out)
     out.setflags(write=False)  # the spec keeps this array instead of a copy
@@ -207,7 +207,7 @@ def _walk_pairs(pairs, N: int, out: np.ndarray) -> None:
         if (i, j) in seen:
             raise SpecParseError(f"{where}: duplicate pair ({i}, {j})")
         seen.add((i, j))
-        out[standard_position(i, j, N) // 2] = _parse_cmatrix(
+        out[_pair_index(i, j, N)] = _parse_cmatrix(
             pdoc["block"], 2, 2, f"{where}.block"
         )
 

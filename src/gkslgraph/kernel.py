@@ -10,8 +10,8 @@ both terminal SCCs of the induced digraph.  ``full_kernel`` reads these
 pairs off the digraph of the canonical spec and assembles the exact basis
 this way; ``brute_force_kernel`` computes the same space numerically from
 the superoperator and serves as an independent cross-check.
-Every pair-block number is read from the spec's one pair-block table,
-``spec._pair_table``; this module never indexes gamma itself.
+gamma's own numbers are read from the spec's pattern data, ``spec._pattern``,
+and L's pair blocks from ``spec._pair_table``; this module never indexes a dense gamma.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import scipy.linalg
 
 from .basis import (
     DEFAULT_TOL,
+    _pair_index,
+    _pair_levels,
     _threshold,
     from_standard_coordinates,
     is_psd,
@@ -47,6 +49,7 @@ from .generator import (
     InvalidGeneratorError,
     PairBlockClassification,
     _require_valid,
+    _singularity_checks,
     apply_generator,
     canonicalize,
     classify_pair_block_diagonal,
@@ -291,8 +294,7 @@ def block_eigenpairs(
     _require_pair_block_diagonal(spec, tol, "")
     N = spec.N
     k, ell = _ordered_pair(pair, N)
-    table = spec._pair_table
-    c, A0, _ = _pair_block_split(table.blocks[table.index(k, ell)][None])
+    c, A0, _ = _pair_block_split(spec._pair_table.blocks[_pair_index(k, ell, N)][None])
     c, D, p, q = c[0], A0[0, 0, 0], A0[0, 0, 1], A0[0, 1, 0]
     s = np.sqrt(complex(D * D + p * q))
     if abs(s.real) <= 4 * np.finfo(float).eps * abs(s) and s.imag < 0:
@@ -341,26 +343,26 @@ def _block_analysis(
     """Kernel contribution of a pair of sinks, or of a terminal 2-cycle.
 
     ``(k, ell)`` is one of :func:`_kernel_pairs`; ``two_sink`` says which
-    kind it is.
+    kind it is.  Every number is read from the canonical spec's H and its
+    pattern data, ``canon._pattern``: the pair's block and the block G.
     """
-    N, tol = prep.canon.N, prep.tol
-    table = prep.canon._pair_table
-    t = table.index(k, ell)
+    canon, tol = prep.canon, prep.tol
+    N, H, G = canon.N, canon.H, canon._pattern.G
+    a, b = k - 1, ell - 1
     notes: list[str] = []
     where = f"pair ({k}, {ell})"
 
     h_ok = _margin_notes(
         notes, f"{where}: level splitting |h_k - h_l|",
-        table.splitting[t],
+        abs(H[a, a].real - H[b, b].real),
         prep.cls.h_threshold,
     )
     scale_g = prep.cls.block_threshold
     g_ok = True
-    d = table.dephasing[t]
     for label, value in (
-        ("dephasing match |g_kk - g_ll|", d[0]),
-        ("cross term match |g_kkll - g_kk|", d[1]),
-        ("cross term match |g_llkk - g_kk|", d[2]),
+        ("dephasing match |g_kk - g_ll|", G[a, a] - G[b, b]),
+        ("cross term match |g_kkll - g_kk|", G[a, b] - G[a, a]),
+        ("cross term match |g_llkk - g_kk|", G[b, a] - G[a, a]),
     ):
         g_ok = _margin_notes(notes, f"{where}: {label}", abs(value), scale_g) and g_ok
 
@@ -374,12 +376,12 @@ def _block_analysis(
 
     # Terminal 2-cycle: needs a symmetric singular block on top of the
     # shared conditions.
-    symmetry, singularity = table.singularity_checks(k, ell, tol)
+    symmetry, singularity = _singularity_checks(canon, k, ell, tol)
     sym_ok = _margin_notes(notes, f"{where}: rate symmetry |g_kl - g_lk|", *symmetry)
     det_ok = _margin_notes(notes, f"{where}: block singularity |det|", *singularity)
     if not (sym_ok and det_ok and h_ok and g_ok):
         return [], notes
-    blk = table.gamma_blocks[t]
+    blk = canon._pattern.pairs[_pair_index(k, ell, N)]
     gbar = 0.5 * (float(blk[0, 0].real) + float(blk[1, 1].real))
     v = _unit_pair_matrix(blk[0, 1], gbar, k, ell, N)
     return [KernelElement(matrix=v, tag="singular-2-sink", support=(k, ell))], notes
@@ -648,7 +650,7 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
         return
     table = spec._pair_table
     laplacian, pairs = table.laplacian, table.blocks
-    k, ell = table.levels.T - 1
+    k, ell = _pair_levels(spec.N).T - 1
     populations = np.diag(rho)
     coherences = np.stack((rho[k, ell], rho[ell, k]), axis=1)  # over (E_kl, E_lk)
     yield float(np.linalg.norm(np.concatenate((

@@ -140,6 +140,17 @@ def reference_max_off_block(gamma: np.ndarray, N: int) -> float:
     return max(violations)
 
 
+def pair_block(M: np.ndarray, k: int, ell: int, N: int) -> np.ndarray:
+    """The 2x2 view of M over the labels (k, ell), (ell, k), for k < ell.
+
+    M is indexed by the label order.  The two labels sit at adjacent
+    positions, so the block is a slice of M and a write through it lands
+    in M.
+    """
+    p = standard_position(k, ell, N)
+    return M[p : p + 2, p : p + 2]
+
+
 def random_pair_block_matrix(rng: np.random.Generator, N: int) -> np.ndarray:
     """Random complex N**2 x N**2 matrix with the pair-block zero pattern."""
     n = N * N

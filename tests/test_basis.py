@@ -7,8 +7,14 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
-from gkslgraph.basis import _diagonal_block, _max_off_block, _pair_block
-from helpers import random_hermitian, random_pair_block_matrix
+from gkslgraph.basis import (
+    _diagonal_block,
+    _max_off_block,
+    _pair_blocks,
+    _pair_index,
+    _pair_levels,
+)
+from helpers import pair_block, random_hermitian, random_pair_block_matrix
 
 RT2 = np.sqrt(2.0)
 
@@ -56,19 +62,37 @@ def test_positions_invert_labels(N):
         assert gk.gellmann_position(i, j, N) == q
 
 
+@pytest.mark.parametrize("N", range(1, 13))
+def test_pair_levels_are_the_pair_labels_and_pair_index_inverts_them(N):
+    R = N * N - N
+    levels = _pair_levels(N)
+    assert not levels.flags.writeable
+    assert levels.shape == (R // 2, 2)
+    assert list(map(tuple, levels.tolist())) == list(gk.standard_labels(N)[0:R:2])
+    k, ell = levels.T
+    assert _pair_index(k, ell, N).tolist() == list(range(R // 2))
+    for t, (a, b) in enumerate(levels.tolist()):
+        assert _pair_index(a, b, N) == t == gk.standard_position(a, b, N) // 2
+
+
 @pytest.mark.parametrize("N", range(2, 8))
 def test_pair_block_is_a_view_of_the_labelled_block(N):
+    # Block t of _pair_blocks, and the tests' pair_block, are M's block over
+    # the labels of pair t; a write through either lands there.
     M = np.arange(N**4, dtype=complex).reshape(N * N, N * N)
     d = [gk.standard_position(n, n, N) for n in range(1, N + 1)]
     assert np.array_equal(M[-N:, -N:], M[np.ix_(d, d)])
     for k in range(1, N + 1):
         for ell in range(k + 1, N + 1):
             p = [gk.standard_position(k, ell, N), gk.standard_position(ell, k, N)]
-            assert np.array_equal(_pair_block(M, k, ell, N), M[np.ix_(p, p)])
-            written, expected = M.copy(), M.copy()
-            _pair_block(written, k, ell, N)[...] = -1.0
+            t = _pair_index(k, ell, N)
+            expected = M.copy()
             expected[np.ix_(p, p)] = -1.0
-            assert np.array_equal(written, expected)
+            for view in (lambda A: _pair_blocks(A, N)[t], lambda A: pair_block(A, k, ell, N)):
+                assert np.array_equal(view(M), M[np.ix_(p, p)])
+                written = M.copy()
+                view(written)[...] = -1.0
+                assert np.array_equal(written, expected)
 
 
 def test_position_rejects_bad_labels():

@@ -46,7 +46,7 @@ def count_calls(monkeypatch, *functions) -> Counter:
 
 def test_digraph_command_induces_and_decomposes_once(monkeypatch, tmp_path, golden_dir):
     # induced_digraph reads the rates and _sink_report the pair blocks of
-    # the two terminal 2-cycles from one pair-block table.
+    # the two terminal 2-cycles from gamma's pattern data: no pair-block table.
     counts = count_calls(
         monkeypatch,
         digraph.induced_digraph,
@@ -55,7 +55,7 @@ def test_digraph_command_induces_and_decomposes_once(monkeypatch, tmp_path, gold
     )
     spec = golden_dir / "menagerie.spec.json"
     assert cli.main(["digraph", str(spec), "--out", str(tmp_path / "g.dot")]) == 0
-    assert counts == {"induced_digraph": 1, "scc_decompose": 1, "_pair_block_table": 1}
+    assert counts == {"induced_digraph": 1, "scc_decompose": 1}  # _pair_block_table: 0
 
 
 def test_consistency_bound_builds_the_superoperator_once(monkeypatch):
@@ -88,7 +88,8 @@ def test_command_validates_once(monkeypatch, tmp_path, golden_dir, command):
 def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path, golden_dir):
     # The pair-block analysis reads sinks and terminal 2-cycles off the one
     # digraph that also gives the diagonal kernel elements, and the numbers
-    # of their blocks from the canonical spec's one pair-block table.  The
+    # of their blocks from the canonical spec's H and pattern data: it
+    # builds no pair-block table.  The
     # pattern of gamma is never scanned: the parser of the blocks document
     # records it, the canonical spec inherits it, and validate reads it and
     # scans no B of its own.
@@ -104,11 +105,18 @@ def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path
     spec = golden_dir / "superposition.spec.json"
     assert cli.main(["kernel", str(spec), "--out", str(tmp_path / "k.json")]) == 0
     assert counts == {
-        "_pair_block_table": 1,
         "induced_digraph": 1,
         "scc_decompose": 1,
         "validate": 3,
-    }  # _conjugate_by_w, _max_off_block: 0
+    }  # _pair_block_table, _conjugate_by_w, _max_off_block: 0
+
+
+def test_eigen_command_builds_the_pair_block_table_once(monkeypatch, tmp_path, golden_dir):
+    # L's block of the pair is read from the spec's one pair-block table.
+    counts = count_calls(monkeypatch, generator._pair_block_table)
+    spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
+    assert cli.main(command_argv("eigen", spec, tmp_path, 3)) == 0
+    assert counts == {"_pair_block_table": 1}
 
 
 def test_kernel_command_on_a_dense_spec_validates_once_and_scans_the_canonical_spec(
@@ -241,14 +249,14 @@ def test_every_cached_function_is_keyed_by_n_at_most():
                 parameters = inspect.signature(value).parameters
                 assert list(parameters) in ([], ["N"]), f"{name}.{attr}{inspect.signature(value)}"
                 found.append(f"{name}.{attr}")
-    assert "gkslgraph.basis.standard_labels" in found
+    assert {"gkslgraph.basis.standard_labels", "gkslgraph.basis._pair_levels"} <= set(found)
 
 
 def test_pair_block_table_is_built_once_per_spec(monkeypatch):
     counts = count_calls(monkeypatch, generator._pair_block_table)
     spec = sink_menagerie_spec()
     assert spec._pair_table is spec._pair_table
-    digraph.sinks_and_singular_2sinks(spec)
+    gk.block_eigenpairs(spec, (1, 2))
     assert counts == {"_pair_block_table": 1}
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
-from gkslgraph.basis import _max_off_block, _pair_block
+from gkslgraph.basis import _max_off_block
 from gkslgraph.kernel import PreconditionError, full_kernel
 from helpers import (
     blocks_document,
@@ -65,6 +65,31 @@ def test_generator_spec_is_frozen():
     assert not spec.gamma.flags.writeable
     with pytest.raises(ValueError):
         spec.gamma[0, 0] = 1.0
+
+
+def test_repr_of_a_block_native_spec_builds_no_gamma():
+    # repr shows H alone: reading gamma would build all 16 N^4 bytes of it.
+    N = 64
+    pattern = gk.generator._PairPattern(np.zeros((N * (N - 1) // 2, 2, 2)), np.zeros((N, N)))
+    spec = gk.GeneratorSpec(H=np.zeros((N, N)), gamma=pattern)
+    tracemalloc.start()
+    try:
+        text = repr(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert text.startswith("GeneratorSpec(H=") and "gamma" not in text
+    assert "gamma" not in spec.__dict__
+    assert peak < 16 * N**4 / 1000
+
+
+def test_specs_compare_and_hash_by_identity():
+    a, b = (gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=np.zeros((4, 4))) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    gm = gk.standard_to_gellmann(a)
+    assert gm == gm and gm != gk.standard_to_gellmann(a)
+    assert {gm: 1}[gm] == 1
 
 
 def test_spec_copies_input_arrays():
@@ -141,6 +166,13 @@ def test_fresh_gamma_is_handed_over_frozen(golden_dir):
     ):
         assert spec.gamma.flags.owndata and not spec.gamma.flags.writeable
         assert gk.GeneratorSpec(H=spec.H, gamma=spec.gamma).gamma is spec.gamma
+
+
+def test_canonical_form_of_a_dense_spec_keeps_no_view_of_its_gamma():
+    spec = random_pbd_spec(np.random.default_rng(3), 4)
+    canon = gk.canonicalize(spec)
+    assert "gamma" not in canon.__dict__
+    assert not np.shares_memory(canon._pattern.pairs, spec.gamma)
 
 
 def test_gellmann_spec_shape_checks():
@@ -290,6 +322,7 @@ def test_pair_table_reads_the_entries_of_gamma_and_h(name, spec):
     # Entry by entry, by label, on any spec; every array of the table is read-only.
     N = spec.N
     table = spec._pair_table
+    assert list(vars(table)) == ["laplacian", "blocks"]
     for array in vars(table).values():
         assert not array.flags.writeable
     for i in range(1, N + 1):
@@ -297,18 +330,6 @@ def test_pair_table_reads_the_entries_of_gamma_and_h(name, spec):
             if i != j:
                 p = gk.standard_position(i, j, N)
                 assert table.laplacian[i - 1, j - 1] == spec.gamma[p, p]
-    g = spec.gamma[-N:, -N:]
-    pairs = [(k, ell) for k in range(1, N + 1) for ell in range(k + 1, N + 1)]
-    assert table.gamma_blocks.shape == (len(pairs), 2, 2)
-    assert table.levels.shape == (len(pairs), 2)
-    for t, (k, ell) in enumerate(pairs):
-        a, b = k - 1, ell - 1
-        assert table.index(k, ell) == t == gk.standard_position(k, ell, N) // 2
-        assert table.levels[t].tolist() == [k, ell]
-        assert np.array_equal(table.gamma_blocks[t], _pair_block(spec.gamma, k, ell, N))
-        assert table.splitting[t] == abs(spec.H[a, a].real - spec.H[b, b].real)
-        expected = [g[a, a] - g[b, b], g[a, b] - g[a, a], g[b, a] - g[a, a]]
-        assert table.dephasing[t].tolist() == expected
 
 
 def test_traceful_pair_block_spec_is_not_canonical():
@@ -945,6 +966,13 @@ def test_superposition_block_preconditions():
         gk.superposition_block(0.6, 0.8, 2.0, 0.0, rate=1.0)
     with pytest.raises(ValueError):
         gk.superposition_block(0.5, 0.5, 1.0, 0.0, rate=1.0)
+
+
+@pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf")])
+def test_superposition_block_rejects_a_negative_or_non_finite_rate(rate):
+    # A negative rate would give a negative semidefinite block, a NaN one all NaN.
+    with pytest.raises(ValueError, match="rate must be finite and non-negative"):
+        gk.superposition_block(1 / RT2, 1 / RT2, 1.0, 0.0, rate)
 
 
 # ---------------------------------------------------------------------------

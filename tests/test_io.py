@@ -13,10 +13,11 @@ import pytest
 
 import gkslgraph as gk
 from gkslgraph import generator
-from gkslgraph.basis import _max_off_block, _pair_block
+from gkslgraph.basis import _max_off_block
 from helpers import (
     blocks_document,
     malformed_blocks_documents,
+    pair_block,
     pair_block_families,
     reference_max_off_block,
 )
@@ -75,7 +76,7 @@ def _scatter(doc: dict) -> np.ndarray:
     N = doc["N"]
     M = np.zeros((N * N, N * N), dtype=np.complex128)
     for pdoc in doc["gamma"]["pairs"]:
-        _pair_block(M, pdoc["i"], pdoc["j"], N)[...] = _complex(pdoc["block"])
+        pair_block(M, pdoc["i"], pdoc["j"], N)[...] = _complex(pdoc["block"])
     M[-N:, -N:] = _complex(doc["gamma"]["diag"])
     return M
 
