@@ -4,7 +4,8 @@ Every command reads a spec JSON file (or a directory of them with
 ``--batch``) and emits a JSON result envelope carrying the command name,
 input path, input SHA-256, tolerance, payload, and diagnostics.  Exit
 codes: 0 on success, 1 for invalid or unparseable specs, results that hold
-a NaN or infinite number, and outputs that cannot be written (and
+a NaN or infinite number (``check-state``'s residual and drifts included),
+and outputs that cannot be written (and
 crosscheck disagreement), 2 when ``--strict`` turns an
 analytic-precondition fallback into a failure.  Usage errors follow
 argparse conventions.
@@ -112,10 +113,7 @@ def _cmd_digraph(spec, input_path, args, tol):
     stationary = tscc_stationary_vectors(graph)
     payload = {
         "vertices": graph.n,
-        "edges": [
-            {"src": src, "dst": dst, "weight": graph.weights[(src, dst)]}
-            for src, dst in sorted(graph.weights)
-        ],
+        "edges": [{"src": src, "dst": dst, "weight": w} for src, dst, w in graph.edges()],
         "components": [list(c) for c in graph.scc.components],
         "terminal": list(graph.scc.terminal),
         "sinks": list(report.sinks),
@@ -125,8 +123,7 @@ def _cmd_digraph(spec, input_path, args, tol):
             {
                 "component": list(sv.component),
                 "rho": [float(x) for x in sv.rho],
-                "rho_tilde": list(sv.rho_tilde),
-                "normalization": sv.normalization,
+                "log_normalization": sv.log_normalization,
             }
             for sv in stationary
         ],
@@ -174,6 +171,8 @@ def _cmd_check_state(spec, input_path, args, tol):
         raise  # reported against the spec by _process
     except ValueError as exc:  # the state's shape
         raise _Failure(1, f"{args.state}: {exc}") from exc
+    except FloatingPointError as exc:  # the evolution under the spec's generator
+        raise _Failure(1, f"{input_path}: {exc}") from exc
     payload = {"invariant": invariant, "times": list(args.times)}
     return 0, payload, None, []
 

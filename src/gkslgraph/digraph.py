@@ -8,19 +8,22 @@ generator acts as the column-Laplacian of this digraph, so invariant
 populations are matrix-tree sums over its terminal strongly connected
 components.
 
-One iterative Tarjan pass gives every component structure: the strongly
-connected components, their reachability (read off Tarjan's completion
-order) and, on the symmetrized graph, the undirected components.  One
-builder makes every Laplacian; the stationary vectors read each terminal
-component's block of the Laplacian of the whole graph.
+The graph is held as its N x N rate array.  Every component structure
+comes from one boolean reachability closure, made by repeated squaring:
+vertices that reach each other form a strongly connected component, a
+component is terminal when it reaches no other vertex, and the closure of
+the symmetrized graph gives the undirected components.  The stationary
+vector of each terminal component comes from the subtraction-free
+elimination of Grassmann, Taksar and Heyman (Oper. Res. 33, 1985) on its
+block of the rate array, with the matrix-tree normalization as a logarithm,
+so that it cannot overflow.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
@@ -35,7 +38,6 @@ __all__ = [
     "induced_digraph",
     "laplacian",
     "scc_decompose",
-    "rooted_spanning_weight",
     "tscc_stationary_vectors",
     "sinks_and_singular_2sinks",
     "undirected_components",
@@ -43,32 +45,39 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InducedDigraph:
-    """Weighted digraph on vertices 1..n; weights keyed (src, dst).
+    """Weighted digraph on vertices 1..n, held as its read-only n x n rate array.
 
-    The graph is read-only, so its strongly connected structure
-    (:attr:`scc`) is computed once, on first use, and shared by every
-    caller.
+    ``rates[src-1, dst-1]`` is the weight of the edge src -> dst, and 0
+    where there is no edge.  The graph is read-only, so its strongly
+    connected structure (:attr:`scc`) is computed once, on first use, and
+    shared by every caller.
     """
 
-    n: int
-    weights: Mapping[tuple[int, int], float] = field(default_factory=dict)
+    rates: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"vertex count must be positive, got {self.n}")
-        for (src, dst), w in self.weights.items():
-            if not (1 <= src <= self.n and 1 <= dst <= self.n):
-                raise ValueError(f"edge ({src}, {dst}) out of range for n={self.n}")
-            if src == dst:
-                raise ValueError(f"self-loop at vertex {src} not allowed")
-            if not w > 0:
-                raise ValueError(f"edge ({src}, {dst}) has non-positive weight {w}")
-        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
+        rates = np.array(self.rates, dtype=float)
+        if rates.ndim != 2 or rates.shape[0] != rates.shape[1] or rates.size == 0:
+            raise ValueError(f"rates must be a non-empty square array, got shape {rates.shape}")
+        if not np.isfinite(rates).all():
+            raise ValueError("rates must be finite")
+        if (rates < 0.0).any():
+            raise ValueError("rates must be non-negative")
+        if np.diagonal(rates).any():
+            raise ValueError("rates must have a zero diagonal: self-loops are not allowed")
+        rates.setflags(write=False)
+        object.__setattr__(self, "rates", rates)
 
-    def successors(self, v: int) -> list[int]:
-        return sorted(dst for (src, dst) in self.weights if src == v)
+    @property
+    def n(self) -> int:
+        return self.rates.shape[0]
+
+    def edges(self) -> list[tuple[int, int, float]]:
+        """Every edge as ``(src, dst, weight)``, sorted by ``(src, dst)``."""
+        src, dst = np.nonzero(self.rates)
+        return list(zip((src + 1).tolist(), (dst + 1).tolist(), self.rates[src, dst].tolist()))
 
     @cached_property
     def scc(self) -> SCCDecomposition:
@@ -77,17 +86,14 @@ class InducedDigraph:
 
 @dataclass
 class SCCDecomposition:
-    """Strongly connected components with condensation reachability.
+    """Strongly connected components and which of them are terminal.
 
     ``components`` are sorted vertex tuples, ordered by smallest vertex;
-    ``reachable[k]`` is the set of component indices reachable from
-    component k in the condensation (including k itself); ``terminal[k]``
-    holds iff component k reaches only itself.
+    ``terminal[k]`` holds iff no edge leaves component k.
     """
 
     components: tuple[tuple[int, ...], ...]
     terminal: tuple[bool, ...]
-    reachable: tuple[frozenset[int], ...]
 
     def terminal_components(self) -> tuple[tuple[int, ...], ...]:
         return tuple(
@@ -99,14 +105,15 @@ class SCCDecomposition:
 class StationaryVector:
     """Stationary population on one terminal SCC.
 
-    ``rho_tilde`` holds the unnormalized matrix-tree weights aligned with
-    ``component``; ``rho`` is the normalized distribution embedded in R^n.
+    ``rho`` is the normalized distribution embedded in R^n, and
+    ``log_normalization`` the log of the component's total in-tree weight,
+    so that the in-tree weight rooted at vertex v is
+    ``rho[v-1] * exp(log_normalization)``.
     """
 
     component: tuple[int, ...]
     rho: np.ndarray
-    rho_tilde: tuple[float, ...]
-    normalization: float
+    log_normalization: float
 
 
 @dataclass
@@ -135,113 +142,70 @@ def induced_digraph(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> InducedDig
     round-off) are dropped.  The rates are the diagonals of gamma's pair
     blocks, read from the spec's pattern data (``spec._pattern``).
     """
-    rates = spec._pattern.pairs.real  # pair (i, j): rates j -> i and i -> j
-    weights: dict[tuple[int, int], float] = {}
-    # Edges go in pair order, j -> i before i -> j: the order of the weights
-    # fixes the float summation order of the stationary vectors.
-    pairs = _pair_levels(spec.N).tolist()
-    for (i, j), w_ji, w_ij in zip(pairs, rates[:, 0, 0].tolist(), rates[:, 1, 1].tolist()):
-        if w_ji > tol:
-            weights[(j, i)] = w_ji
-        if w_ij > tol:
-            weights[(i, j)] = w_ij
-    return InducedDigraph(n=spec.N, weights=weights)
+    pairs = spec._pattern.pairs.real  # pair (i, j): rates j -> i and i -> j
+    i, j = _pair_levels(spec.N).T - 1
+    rates = np.zeros((spec.N, spec.N))
+    rates[j, i] = pairs[:, 0, 0]
+    rates[i, j] = pairs[:, 1, 1]
+    rates[rates <= tol] = 0.0
+    return InducedDigraph(rates)
 
 
 def laplacian(graph: InducedDigraph) -> np.ndarray:
     """Column-Laplacian: L[i-1, j-1] = w(j -> i), columns summing to zero."""
-    return _subgraph_laplacian(graph, tuple(range(1, graph.n + 1)))
+    return graph.rates.T - np.diag(graph.rates.sum(axis=1))
 
 
 # ---------------------------------------------------------------------------
-# Strongly connected structure
+# Component structure
 # ---------------------------------------------------------------------------
 
 
-def _tarjan(n: int, adj: Mapping[int, Iterable[int]]) -> list[tuple[int, ...]]:
-    """Strongly connected components of a digraph on 1..n, in completion order.
+def _closure(adjacent: np.ndarray) -> np.ndarray:
+    """Reflexive-transitive closure of a boolean adjacency matrix.
 
-    ``adj[v]`` holds the successors of v.  Tarjan's algorithm, iterative;
-    each component is a sorted vertex tuple.  A component completes only
-    after every component it reaches.
+    ``R[u, v]`` holds iff a path leads from u to v.  Each squaring doubles the
+    path length covered, so about ``log2 n`` float32 products suffice; each
+    entry of a product counts two-step paths, at most n, and only its sign
+    is read.
     """
-    index: dict[int, int] = {}
-    low: dict[int, int] = {}
-    onstack: set[int] = set()
-    stack: list[int] = []
-    counter = 0
-    comps: list[tuple[int, ...]] = []
+    R = adjacent | np.eye(len(adjacent), dtype=bool)
+    while True:
+        F = R.astype(np.float32)
+        squared = (F @ F) > 0
+        if (squared == R).all():
+            return R
+        R = squared
 
-    for root in range(1, n + 1):
-        if root in index:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
-        while work:
-            v, it = work[-1]
-            w = next(it, None)
-            if w is not None:
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, iter(adj[w])))
-                elif w in onstack:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    onstack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-    return comps
+
+def _grouped(label: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Vertex tuples of the components, where ``label[v]`` is the smallest vertex of v's."""
+    roots = np.flatnonzero(label == np.arange(len(label)))
+    return tuple(tuple((np.flatnonzero(label == r) + 1).tolist()) for r in roots)
 
 
 def scc_decompose(graph: InducedDigraph) -> SCCDecomposition:
-    """Tarjan's algorithm, with reachability read off its completion order.
+    """Components of mutual reachability; terminal when they reach nothing else.
 
-    Each component completes after every component it reaches, so its
-    reachable set is itself joined with the sets of its successors.
+    Every vertex of a component reaches the same vertices, so the
+    component is terminal iff its smallest vertex reaches only the
+    component.
     """
-    adj: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
-    for src, dst in graph.weights:
-        adj[src].append(dst)
-    done = _tarjan(graph.n, adj)
-    comps = sorted(done)
-    comp_of = {v: k for k, comp in enumerate(comps) for v in comp}
-    reach: dict[int, frozenset[int]] = {}
-    for comp in done:
-        k = comp_of[comp[0]]
-        reach[k] = frozenset({k}).union(
-            *(reach[comp_of[w]] for v in comp for w in adj[v] if comp_of[w] != k)
-        )
-    reachable = tuple(reach[k] for k in range(len(comps)))
+    R = _closure(graph.rates > 0)
+    mutual = R & R.T
+    label = mutual.argmax(axis=1)
+    escapes = (R & ~mutual).any(axis=1)
+    components = _grouped(label)
     return SCCDecomposition(
-        components=tuple(comps),
-        terminal=tuple(r == {k} for k, r in enumerate(reachable)),
-        reachable=reachable,
+        components=components,
+        terminal=tuple(not escapes[comp[0] - 1] for comp in components),
     )
 
 
 def undirected_components(graph: InducedDigraph) -> tuple[tuple[int, ...], ...]:
     """Connected components of the symmetrized graph, as sorted tuples."""
-    adj: dict[int, list[int]] = {v: [] for v in range(1, graph.n + 1)}
-    for src, dst in graph.weights:
-        adj[src].append(dst)
-        adj[dst].append(src)
-    return tuple(sorted(_tarjan(graph.n, adj)))
+    adjacent = graph.rates > 0
+    return _grouped(_closure(adjacent | adjacent.T).argmax(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -249,69 +213,44 @@ def undirected_components(graph: InducedDigraph) -> tuple[tuple[int, ...], ...]:
 # ---------------------------------------------------------------------------
 
 
-def rooted_spanning_weight(
-    graph: InducedDigraph, component: Iterable[int], root: int
-) -> float:
-    """Total weight of spanning in-trees of the induced subgraph rooted at root.
+def _gth(rates: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(pi, log w)`` of a strongly connected block; ``rates[i, j]`` is the rate i -> j.
 
-    Evaluates ``(-1)**(|S|-1)`` times the determinant of the subgraph
-    Laplacian with the root row and column deleted (all-minors matrix-tree
-    theorem).  A single-vertex subgraph has weight 1 by convention.
+    Grassmann-Taksar-Heyman elimination: vertices k..2 are eliminated in
+    turn, each pivot ``s_m`` being the out-rate of vertex m to the vertices
+    left, and m's out-rates are divided by it before they are passed on, so
+    no new rate exceeds an old one.  Only sums, products and quotients of
+    positive numbers are formed, so nothing cancels.  The pivots' product is
+    the in-tree weight rooted at the first vertex, ``pi`` is normalized from
+    ``pi_1 = 1``, and ``w``, the total in-tree weight, is that product times
+    ``sum(pi)``.  The diagonal is never read, and the block is overwritten.
     """
-    comp = tuple(sorted(set(component)))
-    if root not in comp:
-        raise ValueError(f"root {root} is not in the component {comp}")
-    return _rooted_minor_weight(_subgraph_laplacian(graph, comp), comp.index(root))
-
-
-def _subgraph_laplacian(graph: InducedDigraph, comp: tuple[int, ...]) -> np.ndarray:
-    """Column-Laplacian of the subgraph induced on the sorted vertices ``comp``."""
-    pos = {v: t for t, v in enumerate(comp)}
-    L = np.zeros((len(comp), len(comp)))
-    for (src, dst), w in graph.weights.items():
-        if src in pos and dst in pos:
-            L[pos[dst], pos[src]] += w
-            L[pos[src], pos[src]] -= w
-    return L
-
-
-def _rooted_minor_weight(L: np.ndarray, r: int) -> float:
-    """``(-1)**(k-1)`` times the minor of the k x k Laplacian L without row and column r."""
-    k = L.shape[0]
-    if k == 1:
-        return 1.0
-    minor = np.delete(np.delete(L, r, axis=0), r, axis=1)
-    return float((-1.0) ** (k - 1) * np.linalg.det(minor))
+    pivots = np.ones(len(rates))
+    for m in range(len(rates) - 1, 0, -1):
+        pivots[m] = rates[m, :m].sum()
+        rates[m, :m] /= pivots[m]
+        rates[:m, :m] += np.outer(rates[:m, m], rates[m, :m])
+    pi = np.ones(len(rates))
+    for m in range(1, len(rates)):
+        pi[m] = pi[:m] @ rates[:m, m] / pivots[m]
+    total = pi.sum()
+    return pi / total, float(np.log(pivots).sum()) + math.log(total)
 
 
 def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:
-    """One stationary population per terminal SCC, via rooted tree weights.
+    """One stationary population per terminal SCC, by GTH elimination.
 
-    The Laplacian of the graph is built once.  No edge leaves a terminal
-    component, so its block of that Laplacian is its subgraph Laplacian,
-    and every root's minor is taken from it.  Weights are clamped at zero
-    (determinant round-off can produce tiny negatives) and normalized to a
-    distribution supported on the component.
+    No edge leaves a terminal component, so its block of the rate array
+    is its whole subgraph.  Each block gives a distribution supported on
+    the component and the log of its total in-tree weight.
     """
-    full = laplacian(graph)
     out: list[StationaryVector] = []
     for comp in graph.scc.terminal_components():
-        rows = [v - 1 for v in comp]
-        L = full[np.ix_(rows, rows)]
-        tilde = np.array([_rooted_minor_weight(L, r) for r in range(len(comp))])
-        tilde = np.clip(tilde, 0.0, None)
-        lam = float(tilde.sum())
+        rows = np.array(comp) - 1
+        pi, log_weight = _gth(graph.rates[np.ix_(rows, rows)])
         rho = np.zeros(graph.n)
-        for t, v in enumerate(comp):
-            rho[v - 1] = tilde[t] / lam
-        out.append(
-            StationaryVector(
-                component=comp,
-                rho=rho,
-                rho_tilde=tuple(float(x) for x in tilde),
-                normalization=lam,
-            )
-        )
+        rho[rows] = pi
+        out.append(StationaryVector(component=comp, rho=rho, log_normalization=log_weight))
     return out
 
 
@@ -397,8 +336,7 @@ def to_dot(graph: InducedDigraph, sink_report: SinkReport | None = None) -> str:
             lines.append(f'  {v} [sink="true", shape=doublecircle];')
         else:
             lines.append(f"  {v};")
-    for src, dst in sorted(graph.weights):
-        w = graph.weights[(src, dst)]
+    for src, dst, w in graph.edges():
         attrs = [f'label="{format(w, ".17g")}"']
         if (src, dst) in singular_edges:
             attrs.append('singular2sink="true"')

@@ -595,8 +595,9 @@ def verify_invariant(
     is issued but the invariance check still runs.  Returns True iff
     ``|L(rho)|_F <= GENERATOR_RESIDUAL_TOL`` and the drift
     ``|exp(tL)(rho) - rho|_F <= EVOLUTION_DRIFT_TOL`` at every requested
-    time; a NaN residual or drift fails, and a residual above its bound
-    stops the check before any evolution.
+    time; a residual above its bound stops the check before any evolution.
+    A residual or drift that is not finite (``expm`` of huge rates can give
+    NaN) is no verdict: FloatingPointError names it, and its time.
 
     Both come from one operator per route.  When H is diagonal and gamma has
     the pair-block zero pattern, exactly (H first, ``O(N^2)``, then
@@ -627,9 +628,19 @@ def verify_invariant(
         )
 
     norms = _generator_norms(spec, rho, times)
-    if not next(norms) <= GENERATOR_RESIDUAL_TOL:
+    if not _finite(next(norms), "the residual |L(rho)|_F") <= GENERATOR_RESIDUAL_TOL:
         return False
-    return all(drift <= EVOLUTION_DRIFT_TOL for drift in norms)
+    return all(
+        _finite(drift, f"the drift |exp(tL)(rho) - rho|_F at t={t:g}") <= EVOLUTION_DRIFT_TOL
+        for t, drift in zip(times, norms)
+    )
+
+
+def _finite(norm: float, name: str) -> float:
+    """``norm``; FloatingPointError naming it if it is NaN or infinite."""
+    if not math.isfinite(norm):
+        raise FloatingPointError(f"{name} is not finite ({norm})")
+    return norm
 
 
 def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):

@@ -168,14 +168,15 @@ def random_pair_block_matrix(rng: np.random.Generator, N: int) -> np.ndarray:
 
 
 def enumerate_in_tree_weight(
-    weights: dict[tuple[int, int], float],
+    rates: np.ndarray,
     vertices: tuple[int, ...] | list[int],
     root: int,
 ) -> float:
     """Total weight of spanning in-trees of ``vertices`` rooted at ``root``.
 
-    Brute force: every non-root vertex picks one of its out-edges (restricted
-    to ``vertices``); a choice is kept iff following successors from every
+    ``rates[src-1, dst-1]`` is the weight of the edge src -> dst.  Brute
+    force: every non-root vertex picks one of its out-edges (restricted to
+    ``vertices``); a choice is kept iff following successors from every
     vertex reaches the root without revisiting anything.  Exponential, so
     only usable for tiny vertex sets -- which is the point of an oracle.
     """
@@ -184,9 +185,9 @@ def enumerate_in_tree_weight(
     per_vertex: list[list[tuple[int, float]]] = []
     for v in others:
         outs = [
-            (dst, w)
-            for (src, dst), w in weights.items()
-            if src == v and dst in vset and dst != v
+            (dst, float(rates[v - 1, dst - 1]))
+            for dst in sorted(vset)
+            if dst != v and rates[v - 1, dst - 1] > 0
         ]
         if not outs:
             return 0.0
@@ -214,14 +215,51 @@ def enumerate_in_tree_weight(
     return total
 
 
+def rooted_spanning_weight(graph: InducedDigraph, component, root: int) -> float:
+    """Total weight of spanning in-trees of the induced subgraph rooted at root.
+
+    The all-minors matrix-tree theorem: ``(-1)**(k-1)`` times the
+    determinant of the k-vertex subgraph's column-Laplacian with the root
+    row and column deleted.  A single vertex has weight 1.
+    """
+    comp = sorted(set(component))
+    if root not in comp:
+        raise ValueError(f"root {root} is not in the component {tuple(comp)}")
+    rows = [v - 1 for v in comp]
+    block = graph.rates[np.ix_(rows, rows)]
+    L = block.T - np.diag(block.sum(axis=1))
+    keep = [t for t, v in enumerate(comp) if v != root]
+    if not keep:
+        return 1.0
+    return float((-1.0) ** len(keep) * np.linalg.det(L[np.ix_(keep, keep)]))
+
+
 def random_digraph(rng: np.random.Generator, n: int, p: float = 0.5) -> InducedDigraph:
     """Random weighted digraph on ``n`` vertices, edge probability ``p``."""
-    weights = {}
-    for src in range(1, n + 1):
-        for dst in range(1, n + 1):
+    rates = np.zeros((n, n))
+    for src in range(n):
+        for dst in range(n):
             if src != dst and rng.random() < p:
-                weights[(src, dst)] = float(rng.uniform(0.1, 3.0))
-    return InducedDigraph(n=n, weights=weights)
+                rates[src, dst] = float(rng.uniform(0.1, 3.0))
+    return InducedDigraph(rates)
+
+
+def strongly_connected_blocks_document(rng: np.random.Generator, N: int) -> dict:
+    """``blocks`` spec document whose induced digraph is complete, so strongly connected.
+
+    Every pair carries a random PSD block with positive rates both ways,
+    of mean 8, so that the matrix-tree normalization leaves float range
+    near N = 106 (it is about 1e382 at N = 128).  The dephasing block
+    ``diag`` is a random PSD matrix and ``H`` a random diagonal.  No dense
+    ``gamma`` is built, so N may be large.
+    """
+    pairs = [
+        {"i": i, "j": j, "block": matrix_to_document(random_psd(rng, 2, scale=2.0))}
+        for i, j in itertools.combinations(range(1, N + 1), 2)
+    ]
+    H = np.diag(rng.uniform(-1.0, 1.0, size=N)).astype(complex)
+    gamma = {"format": "blocks", "pairs": pairs, "diag": matrix_to_document(random_psd(rng, N))}
+    return {"N": N, "H": matrix_to_document(H), "gamma": gamma}
 
 
 # ---------------------------------------------------------------------------

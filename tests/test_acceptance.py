@@ -7,6 +7,7 @@ pinned tolerance.  Random sweeps use fixed seeds so results are
 reproducible run to run.
 """
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -89,9 +90,9 @@ def test_acceptance_2_menagerie_structure(capsys):
         assert all(dec.terminal)
 
         vecs = {v.component: v for v in gk.tscc_stationary_vectors(graph)}
-        tilde = np.array(vecs[(6, 7, 8)].rho_tilde)
-        assert np.allclose(tilde, [10.0, 26.0, 8.0], rtol=1e-9, atol=0.0)
         rho = vecs[(6, 7, 8)].rho[5:8]
+        tilde = rho * math.exp(vecs[(6, 7, 8)].log_normalization)
+        assert np.allclose(tilde, [10.0, 26.0, 8.0], rtol=1e-9, atol=0.0)
         assert np.allclose(rho, np.array([5.0, 13.0, 4.0]) / 22.0, rtol=1e-9)
 
         basis = gk.full_kernel(spec)
@@ -259,11 +260,12 @@ def test_acceptance_9_matrix_tree_enumeration(capsys):
         for _ in range(100):
             n = int(rng.integers(1, 6))
             g = random_digraph(rng, n, p=float(rng.uniform(0.2, 0.8)))
-            comp = tuple(range(1, n + 1))
-            for root in comp:
-                got = gk.rooted_spanning_weight(g, comp, root)
-                want = enumerate_in_tree_weight(g.weights, comp, root)
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+            for sv in gk.tscc_stationary_vectors(g):
+                scale = math.exp(sv.log_normalization)
+                for root in sv.component:
+                    got = sv.rho[root - 1] * scale
+                    want = enumerate_in_tree_weight(g.rates, sv.component, root)
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 def test_acceptance_10_diagonal_dissipator_coefficients(capsys):

@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from helpers import (
     random_pbd_spec,
     random_valid_spec,
     sink_menagerie_spec,
+    strongly_connected_blocks_document,
     superposition_decay_spec,
 )
 
@@ -222,35 +224,35 @@ def _run_module(argv) -> subprocess.CompletedProcess:
     )
 
 
-@pytest.mark.parametrize("command", ["kernel", "digraph"])
-def test_overflowing_stationary_vector_exits_1_without_traceback(tmp_path, capsys, command):
-    # The matrix-tree weights of a cycle at rate 1e100 overflow and rho is NaN.
+def _cycle_spec(tmp_path) -> Path:
+    """The 5-cycle at rate 1e100: its matrix-tree weights, 5e400, overflow a float."""
     path = tmp_path / "cycle.json"
     path.write_text(json.dumps(_directed_cycle_document(5, 1e100)))
+    return path
+
+
+@pytest.mark.parametrize("command", ["kernel", "digraph", "crosscheck"])
+def test_cycle_at_rate_1e100_runs_without_overflow(tmp_path, capsys, command):
+    path = _cycle_spec(tmp_path)
     code, out, _ = run_cli(["validate", str(path)], capsys)
     assert code == 0 and json.loads(out)["verdict"] is True
     dot_path = tmp_path / "cycle.dot"
     argv = [command, str(path)] + (["--out", str(dot_path)] if command == "digraph" else [])
     proc = _run_module(argv)
-    assert (proc.returncode, proc.stdout) == (1, "")
-    assert "Traceback" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1
-    assert errors[0].startswith(f"error: {path}: cannot write the result as JSON (")
-    assert not dot_path.exists()
-
-
-@pytest.mark.parametrize("command", ["kernel", "digraph"])
-def test_overflow_warnings_stay_off_stderr(tmp_path, command):
-    # numpy warns of the overflowing determinant and the NaN division; the
-    # command records those warnings and stderr holds the error line alone.
-    path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(_directed_cycle_document(5, 1e100)))
-    argv = [command, str(path)] + (["--out", str(tmp_path / "c.dot")] if command == "digraph" else [])
-    proc = _run_module(argv)
-    assert proc.returncode == 1
-    [line] = proc.stderr.splitlines()
-    assert line.startswith(f"error: {path}: cannot write the result as JSON (")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["diagnostics"] == []
+    if command == "digraph":
+        [sv] = doc["stationary"]
+        assert sv["rho"] == [0.2] * 5
+        expected = math.log(5.0) + 400.0 * math.log(10.0)
+        assert sv["log_normalization"] == pytest.approx(expected, rel=1e-15)
+        assert dot_path.exists()
+    elif command == "kernel":
+        [element] = doc["elements"]
+        assert np.array_equal(gk.parse_state_document({"matrix": element["matrix"]}), np.eye(5) / 5.0)
+    else:
+        assert doc["agree"] is True and doc["max_principal_angle"] <= 1e-14
 
 
 @pytest.mark.parametrize("command", ["validate", "kernel"])
@@ -267,17 +269,50 @@ def test_warnings_of_any_command_become_diagnostics(monkeypatch, tmp_path, capsy
     assert json.loads(out)["diagnostics"][-1] == "overflow encountered in det"
 
 
-def test_batch_continues_past_an_overflowing_spec(tmp_path, golden_dir):
+def test_batch_runs_the_cycle_at_rate_1e100(tmp_path, golden_dir):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
-    (in_dir / "a.json").write_text(json.dumps(_directed_cycle_document(5, 1e100)))
+    (in_dir / "a.json").write_bytes(_cycle_spec(tmp_path).read_bytes())
     (in_dir / "b.json").write_bytes((golden_dir / "ladder.spec.json").read_bytes())
     out_dir = tmp_path / "out"
     proc = _run_module(["kernel", str(in_dir), "--batch", "--out", str(out_dir)])
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert f"error: {in_dir / 'a.json'}: " in proc.stderr
-    assert [p.name for p in out_dir.iterdir()] == ["b.kernel.json"]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["a.kernel.json", "b.kernel.json"]
+
+
+def test_check_state_exits_1_on_a_drift_that_is_not_finite(tmp_path, capsys):
+    # expm of the 1e100 rates is NaN: no verdict, and the error names the
+    # spec and the time, not the state.
+    path = _cycle_spec(tmp_path)
+    state = _write_state(tmp_path / "uniform.json", np.eye(5) / 5.0)
+    code, out, err = run_cli(
+        ["check-state", str(path), "--state", state, "--times", "0.5,1"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: the drift |exp(tL)(rho) - rho|_F at t=0.5 is not finite (nan)\n"
+
+
+@pytest.mark.parametrize("command", ["kernel", "digraph"])
+def test_strongly_connected_blocks_spec_at_n128(tmp_path, capsys, command):
+    # Its matrix-tree normalization is far beyond float range.
+    doc = strongly_connected_blocks_document(np.random.default_rng(128), 128)
+    path = tmp_path / "connected.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)] + (["--out", str(tmp_path / "g.dot")] if command == "digraph" else [])
+    code, out, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    result = json.loads(out)
+    assert result["diagnostics"] == []
+    if command == "digraph":
+        [sv] = result["stationary"]
+        rho = np.array(sv["rho"])
+        assert math.isfinite(sv["log_normalization"])
+    else:
+        [element] = result["elements"]
+        rho = np.diag(gk.parse_state_document({"matrix": element["matrix"]})).real
+    assert np.isfinite(rho).all() and rho.sum() == pytest.approx(1.0, abs=1e-12)
+    L = gk.laplacian(gk.induced_digraph(parse_spec_document(doc)))
+    assert np.abs(L @ rho).max() <= 1e-12
 
 
 def _gamma_allocation_fails(monkeypatch, N: int) -> str:
@@ -755,9 +790,9 @@ def test_digraph_payload_and_dot(tmp_path, capsys, golden_dir):
     assert doc["sinks"] == [1, 2, 3]
     assert doc["singular_two_sinks"] == [[4, 5]]
     stationary = {tuple(sv["component"]): sv for sv in doc["stationary"]}
-    assert stationary[(6, 7, 8)]["rho_tilde"] == [
-        pytest.approx(10.0), pytest.approx(26.0), pytest.approx(8.0)
-    ]
+    big = stationary[(6, 7, 8)]
+    weights = np.array(big["rho"][5:8]) * math.exp(big["log_normalization"])
+    assert np.allclose(weights, [10.0, 26.0, 8.0], rtol=1e-14, atol=0.0)
     dot = dot_path.read_text()
     assert "subgraph cluster_" in dot and 'singular2sink="true"' in dot
 

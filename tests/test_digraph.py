@@ -1,5 +1,7 @@
 """Digraph-layer tests: construction, SCCs, matrix-tree weights, DOT output."""
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from helpers import (
     pair_block_spec,
     random_digraph,
     random_valid_spec,
+    rooted_spanning_weight,
     sink_menagerie_spec,
     superposition_decay_spec,
 )
@@ -19,9 +22,17 @@ from helpers import (
 def as_networkx(graph: gk.InducedDigraph) -> nx.DiGraph:
     G = nx.DiGraph()
     G.add_nodes_from(range(1, graph.n + 1))
-    for (src, dst), w in graph.weights.items():
+    for src, dst, w in graph.edges():
         G.add_edge(src, dst, weight=w)
     return G
+
+
+def digraph_of(n: int, weights: dict[tuple[int, int], float]) -> gk.InducedDigraph:
+    """The digraph on 1..n with the edge src -> dst of weight ``weights[(src, dst)]``."""
+    rates = np.zeros((n, n))
+    for (src, dst), w in weights.items():
+        rates[src - 1, dst - 1] = w
+    return gk.InducedDigraph(rates)
 
 
 # ---------------------------------------------------------------------------
@@ -29,29 +40,42 @@ def as_networkx(graph: gk.InducedDigraph) -> nx.DiGraph:
 # ---------------------------------------------------------------------------
 
 
-def test_induced_digraph_validates():
+@pytest.mark.parametrize(
+    "rates, message",
+    [
+        (np.zeros((0, 0)), "non-empty square"),
+        (np.zeros((2, 3)), "non-empty square"),
+        (np.zeros(3), "non-empty square"),
+        (np.array([[0.0, -1.0], [0.0, 0.0]]), "non-negative"),
+        (np.array([[0.0, np.nan], [0.0, 0.0]]), "finite"),
+        (np.array([[0.0, np.inf], [0.0, 0.0]]), "finite"),
+        (np.array([[1.0, 0.0], [0.0, 0.0]]), "self-loops"),
+    ],
+)
+def test_induced_digraph_rejects_bad_rates(rates, message):
+    with pytest.raises(ValueError, match=message):
+        gk.InducedDigraph(rates)
+
+
+def test_induced_digraph_holds_a_read_only_copy():
+    rates = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    g = gk.InducedDigraph(rates)
+    rates[1, 0] = 5.0  # the caller's array is copied
+    assert g.n == 3
+    assert g.edges() == [(1, 2, 1.0), (1, 3, 2.0)]
     with pytest.raises(ValueError):
-        gk.InducedDigraph(n=0)
-    with pytest.raises(ValueError):
-        gk.InducedDigraph(n=2, weights={(1, 3): 1.0})
-    with pytest.raises(ValueError):
-        gk.InducedDigraph(n=2, weights={(1, 1): 1.0})
-    with pytest.raises(ValueError):
-        gk.InducedDigraph(n=2, weights={(1, 2): 0.0})
-    g = gk.InducedDigraph(n=3, weights={(1, 2): 1.0, (1, 3): 2.0})
-    assert g.successors(1) == [2, 3]
-    assert g.successors(2) == []
+        g.rates[1, 0] = 5.0
 
 
 def test_induced_digraph_from_fixture():
     g = gk.induced_digraph(superposition_decay_spec(a=1.0, b=0.75, c=0.5))
     assert g.n == 3
-    assert g.weights == {
-        (1, 2): pytest.approx(1.0),
-        (2, 1): pytest.approx(1.0),
-        (3, 1): pytest.approx(0.75),
-        (3, 2): pytest.approx(0.5),
-    }
+    assert g.edges() == [
+        (1, 2, pytest.approx(1.0)),
+        (2, 1, pytest.approx(1.0)),
+        (3, 1, pytest.approx(0.75)),
+        (3, 2, pytest.approx(0.5)),
+    ]
 
 
 def test_induced_digraph_threshold_and_clamping():
@@ -62,14 +86,14 @@ def test_induced_digraph_threshold_and_clamping():
     g[0, 0] = 5e-10   # below default tol
     g[1, 1] = -1e-12  # negative roundoff
     spec = gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=g)
-    assert gk.induced_digraph(spec).weights == {}
-    assert gk.induced_digraph(spec, tol=1e-10).weights == {(2, 1): pytest.approx(5e-10)}
+    assert gk.induced_digraph(spec).edges() == []
+    assert gk.induced_digraph(spec, tol=1e-10).edges() == [(2, 1, pytest.approx(5e-10))]
 
 
 def test_induced_digraph_ignores_offdiagonal_block_entries():
     # coherence couplings inside a pair block do not create edges
     spec = pair_block_spec(2, np.zeros((2, 2)), {(1, 2): np.array([[0.0, 0.9], [0.9, 0.0]])})
-    assert gk.induced_digraph(spec).weights == {}
+    assert gk.induced_digraph(spec).edges() == []
 
 
 def test_induced_digraph_gellmann_route_agrees():
@@ -81,11 +105,10 @@ def test_induced_digraph_gellmann_route_agrees():
     g_gm = gk.induced_digraph(gk.parse_spec_document(gellmann_document(gm)))
     g_conv = gk.induced_digraph(gk.gellmann_to_standard(gm))
     assert g_gm.n == g_conv.n == 3
-    assert dict(g_gm.weights) == dict(g_conv.weights)
+    assert np.array_equal(g_gm.rates, g_conv.rates)
     g_std = gk.induced_digraph(gk.canonicalize(spec))
-    assert set(g_std.weights) == set(g_gm.weights)
-    for key, w in g_std.weights.items():
-        assert g_gm.weights[key] == pytest.approx(w, rel=1e-9)
+    assert np.array_equal(g_std.rates > 0, g_gm.rates > 0)
+    assert np.allclose(g_gm.rates, g_std.rates, rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -129,19 +152,12 @@ def test_scc_menagerie_pinned():
 
 
 def test_scc_with_transient_part():
-    g = gk.InducedDigraph(
-        n=4, weights={(1, 2): 1.0, (2, 1): 1.0, (2, 3): 0.5, (3, 4): 1.0, (4, 3): 2.0}
-    )
+    g = digraph_of(4, {(1, 2): 1.0, (2, 1): 1.0, (2, 3): 0.5, (3, 4): 1.0, (4, 3): 2.0})
     dec = gk.scc_decompose(g)
     assert dec.components == ((1, 2), (3, 4))
     assert dec.terminal == (False, True)
-    # component {1,2} reaches both; {3,4} only itself
-    assert dec.reachable[0] == frozenset({0, 1})
-    assert dec.reachable[1] == frozenset({1})
-    # the graph is read-only and decomposes itself once
+    # the graph decomposes itself once
     assert g.scc == dec and g.scc is g.scc
-    with pytest.raises(TypeError):
-        g.weights[(1, 3)] = 1.0
 
 
 def test_scc_against_networkx_oracle():
@@ -157,21 +173,16 @@ def test_scc_against_networkx_oracle():
         )
         assert list(dec.components) == expected
         cond = nx.condensation(G)
-        # map our component order onto the networkx condensation nodes
-        nodes = [cond.graph["mapping"][comp[0]] for comp in dec.components]
-        ours = {node: k for k, node in enumerate(nodes)}
-        for k, node in enumerate(nodes):
-            assert dec.terminal[k] == (cond.out_degree(node) == 0)
-            reached = {node} | nx.descendants(cond, node)
-            assert dec.reachable[k] == frozenset(ours[m] for m in reached)
+        for k, comp in enumerate(dec.components):
+            assert dec.terminal[k] == (cond.out_degree(cond.graph["mapping"][comp[0]]) == 0)
         weak = sorted(tuple(sorted(c)) for c in nx.weakly_connected_components(G))
         assert gk.undirected_components(g) == tuple(weak)
 
 
 def test_undirected_components():
-    g = gk.InducedDigraph(n=5, weights={(1, 2): 1.0, (3, 2): 1.0, (4, 5): 1.0})
+    g = digraph_of(5, {(1, 2): 1.0, (3, 2): 1.0, (4, 5): 1.0})
     assert gk.undirected_components(g) == ((1, 2, 3), (4, 5))
-    lone = gk.InducedDigraph(n=2)
+    lone = gk.InducedDigraph(np.zeros((2, 2)))
     assert gk.undirected_components(lone) == ((1,), (2,))
 
 
@@ -180,47 +191,9 @@ def test_undirected_components():
 # ---------------------------------------------------------------------------
 
 
-def test_rooted_spanning_weight_menagerie_pinned():
-    g = gk.induced_digraph(sink_menagerie_spec())
-    comp = (6, 7, 8)
-    weights = [gk.rooted_spanning_weight(g, comp, r) for r in comp]
-    assert weights == [pytest.approx(10.0), pytest.approx(26.0), pytest.approx(8.0)]
-
-
-def test_rooted_spanning_weight_trivial_cases():
-    g = gk.InducedDigraph(n=3, weights={(1, 2): 2.0, (2, 1): 3.0})
-    assert gk.rooted_spanning_weight(g, (3,), 3) == 1.0  # singleton convention
-    assert gk.rooted_spanning_weight(g, (1, 2), 1) == pytest.approx(3.0)
-    assert gk.rooted_spanning_weight(g, (1, 2), 2) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        gk.rooted_spanning_weight(g, (1, 2), 3)
-
-
-def test_rooted_spanning_weight_against_enumeration():
-    rng = np.random.default_rng(34)
-    for trial in range(100):
-        n = int(rng.integers(2, 6))
-        g = random_digraph(rng, n, p=float(rng.uniform(0.3, 0.8)))
-        comp = tuple(range(1, n + 1))
-        for root in comp:
-            got = gk.rooted_spanning_weight(g, comp, root)
-            expected = enumerate_in_tree_weight(g.weights, comp, root)
-            assert got == pytest.approx(expected, rel=1e-9, abs=1e-9)
-
-
-def test_stationary_weights_equal_per_root_spanning_weights():
-    # One Laplacian per terminal component gives the same bytes as building
-    # it again for every root.
-    rng = np.random.default_rng(36)
-    for trial in range(200):
-        n = int(rng.integers(1, 9))
-        g = random_digraph(rng, n, p=float(rng.uniform(0.1, 0.8)))
-        for sv in gk.tscc_stationary_vectors(g):
-            expected = tuple(
-                max(gk.rooted_spanning_weight(g, sv.component, root), 0.0)
-                for root in sv.component
-            )
-            assert sv.rho_tilde == expected
+def tree_weights(sv: gk.StationaryVector) -> np.ndarray:
+    """The matrix-tree weights of ``sv``'s component, one per root, in vertex order."""
+    return sv.rho[[v - 1 for v in sv.component]] * math.exp(sv.log_normalization)
 
 
 def test_stationary_vectors_menagerie_pinned():
@@ -229,16 +202,58 @@ def test_stationary_vectors_menagerie_pinned():
     by_comp = {v.component: v for v in vecs}
     assert set(by_comp) == {(1,), (2,), (3,), (4, 5), (6, 7, 8)}
     big = by_comp[(6, 7, 8)]
-    assert big.rho_tilde == (
-        pytest.approx(10.0), pytest.approx(26.0), pytest.approx(8.0)
-    )
-    assert big.normalization == pytest.approx(44.0)
+    assert big.log_normalization == pytest.approx(math.log(44.0), rel=1e-15)
+    assert np.allclose(tree_weights(big), [10.0, 26.0, 8.0], rtol=1e-14, atol=0.0)
     expected = np.zeros(8)
     expected[5:8] = np.array([10.0, 26.0, 8.0]) / 44.0
     assert np.allclose(big.rho, expected, atol=1e-12)
     pair = by_comp[(4, 5)]
     assert pair.rho[3] == pytest.approx(0.5)
     assert pair.rho[4] == pytest.approx(0.5)
+    assert by_comp[(1,)].log_normalization == 0.0  # a lone vertex: one empty tree
+
+
+def test_stationary_vector_of_rates_spanning_310_decades():
+    # 1 -> 2 -> 3 -> 1 at rates 1, 1e300 and 1e-10: the populations are
+    # proportional to the inverse rates, and rate(2 -> 3) / rate(3 -> 1)
+    # is beyond float range.
+    [sv] = gk.tscc_stationary_vectors(digraph_of(3, {(1, 2): 1.0, (2, 3): 1e300, (3, 1): 1e-10}))
+    assert np.allclose(sv.rho, np.array([1e-10, 1e-310, 1.0]) / (1.0 + 1e-10), rtol=1e-12, atol=0.0)
+    assert sv.log_normalization == pytest.approx(math.log(1e300 + 1e290), rel=1e-12)
+
+
+def test_stationary_vectors_of_a_two_cycle():
+    [sv] = gk.tscc_stationary_vectors(digraph_of(2, {(1, 2): 2.0, (2, 1): 3.0}))
+    assert np.allclose(tree_weights(sv), [3.0, 2.0], rtol=1e-15, atol=0.0)
+
+
+def test_matrix_tree_weights_against_oracles():
+    # rho * exp(log_normalization) is, root by root, the determinant of the
+    # rooted Laplacian minor and the brute-force sum over in-trees.
+    rng = np.random.default_rng(36)
+    for trial in range(500):
+        n = int(rng.integers(1, 7))
+        g = random_digraph(rng, n, p=float(rng.uniform(0.1, 0.8)))
+        for sv in gk.tscc_stationary_vectors(g):
+            got = tree_weights(sv)
+            minors = [rooted_spanning_weight(g, sv.component, r) for r in sv.component]
+            trees = [enumerate_in_tree_weight(g.rates, sv.component, r) for r in sv.component]
+            assert np.allclose(got, minors, rtol=1e-12, atol=0.0)
+            assert np.allclose(got, trees, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("rate", [0.1, 10.0])
+def test_stationary_vector_of_a_long_cycle_stays_finite(rate):
+    # Its one in-tree per root weighs rate**399: 1e-399 and 1e399 overflow a
+    # float, but their log does not.
+    n = 400
+    rates = np.zeros((n, n))
+    rates[np.arange(n), (np.arange(n) + 1) % n] = rate
+    [sv] = gk.tscc_stationary_vectors(gk.InducedDigraph(rates))
+    assert sv.component == tuple(range(1, n + 1))
+    assert np.all(sv.rho == 1.0 / n)
+    expected = math.log(n) + (n - 1) * math.log(rate)
+    assert sv.log_normalization == pytest.approx(expected, rel=1e-12)
 
 
 def test_stationary_vectors_annihilated_by_laplacian():
@@ -312,7 +327,7 @@ def test_to_dot_structure():
 
 
 def test_to_dot_weight_labels_round_trip():
-    g = gk.InducedDigraph(n=2, weights={(1, 2): 1.0 / 3.0})
+    g = digraph_of(2, {(1, 2): 1.0 / 3.0})
     dot = gk.to_dot(g)
     # weights are printed with enough digits to round-trip
     assert f"{1.0 / 3.0:.17g}" in dot

@@ -546,12 +546,12 @@ def test_verify_invariant_rejects_non_finite_times(bad):
         gk.verify_invariant(spec, np.outer(psi, psi), times=(1.0, bad))
 
 
-def test_verify_invariant_fails_on_a_nan_residual():
+def test_verify_invariant_raises_on_a_nan_residual():
     spec = superposition_decay_spec()
     rho = np.diag([1.0, 0.0, 0.0]).astype(complex)
     rho[0, 1] = np.nan
-    with pytest.warns(UserWarning):
-        assert not gk.verify_invariant(spec, rho, times=(1.0,))
+    with pytest.warns(UserWarning), pytest.raises(FloatingPointError, match=r"residual .* \(nan\)"):
+        gk.verify_invariant(spec, rho, times=(1.0,))
 
 
 EXPM_TIMES = (1e-6, 0.5, 1.0, 2.0, 50.0)

@@ -23,9 +23,12 @@ exported by ``git archive`` into a temporary directory, removed on exit.
 
 Each differing stdout, stderr, exit code and ``--out`` file is reported.
 Where both sides are JSON, every differing number is listed with the
-absolute and relative size of its difference.  Exits 0 when every output is
-byte-identical and 1 otherwise.  This is a tool, not a test: the test suite
-does not run it.
+absolute and relative size of its difference.  A summary follows: one line
+per JSON path with its indices collapsed (``$.stationary[].rho[]``), giving
+how many numbers moved there and the largest absolute and relative move,
+and the number of commands whose non-numeric content differs.  Exits 0
+when every output is byte-identical and 1 otherwise.  This is a tool, not
+a test: the test suite does not run it.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import difflib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -149,29 +153,35 @@ def _numbers(value, path="$"):
         yield path, value
 
 
-def _describe(base: str, head: str) -> list[str]:
-    """How two texts differ: number by number where both are JSON, else a diff."""
+def _describe(base: str, head: str, moved: dict) -> tuple[list[str], bool]:
+    """How two texts differ, and whether anything but a number differs.
+
+    Number by number where both are JSON, else a diff.  Each moved number
+    is also tallied in ``moved``, keyed by its path with indices collapsed,
+    as ``[count, largest absolute move, largest relative move]``.
+    """
     try:
         a, b = json.loads(base), json.loads(head)
     except ValueError:
         a = b = None
-    if a is not None:
-        na, nb = dict(_numbers(a)), dict(_numbers(b))
-        lines = []
-        for path in na.keys() & nb.keys():
-            x, y = na[path], nb[path]
-            if x != y:
-                diff = abs(x - y)
-                rel = diff / max(abs(x), abs(y))
-                lines.append(f"{path}: {x!r} -> {y!r} (abs {diff:.3g}, rel {rel:.3g})")
-        lines.sort()
-        # Anything but a number that moved: keys, strings, booleans, nulls, lengths.
-        shape_a, shape_b = _shape(a), _shape(b)
-        if shape_a != shape_b:
-            lines.append("non-numeric content differs:")
-            lines += _diff_lines(shape_a, shape_b)
-        return lines
-    return _diff_lines(base, head)
+    if a is None:
+        return _diff_lines(base, head), True
+    na, nb = dict(_numbers(a)), dict(_numbers(b))
+    lines = []
+    for path in na.keys() & nb.keys():
+        x, y = na[path], nb[path]
+        if x != y:
+            diff = abs(x - y)
+            rel = diff / max(abs(x), abs(y))
+            lines.append(f"{path}: {x!r} -> {y!r} (abs {diff:.3g}, rel {rel:.3g})")
+            tally = moved.setdefault(re.sub(r"\[\d+\]", "[]", path), [0, 0.0, 0.0])
+            tally[:] = tally[0] + 1, max(tally[1], diff), max(tally[2], rel)
+    lines.sort()
+    # Anything but a number that moved: keys, strings, booleans, nulls, lengths.
+    shape_a, shape_b = _shape(a), _shape(b)
+    if shape_a == shape_b:
+        return lines, False
+    return [*lines, "non-numeric content differs:", *_diff_lines(shape_a, shape_b)], True
 
 
 def _shape(value) -> str:
@@ -209,7 +219,8 @@ def main(argv=None) -> int:
         jobs_path.write_text(json.dumps(jobs))
         base = _run_tree(_export_src(args.base, tmp / "base"), jobs_path, tmp / "base.json")
         head = _run_tree(ROOT / "src", jobs_path, tmp / "head.json")
-        differing = 0
+        differing = reshaped = 0
+        moved: dict[str, list] = {}
         for job, b, h in zip(jobs, base, head):
             if b == h:
                 continue
@@ -219,12 +230,20 @@ def main(argv=None) -> int:
             ))
             if b["code"] != h["code"]:
                 print(f" exit code: {b['code']} -> {h['code']}")
+            other = False
             for channel in ("stdout", "stderr", "out"):
                 if b[channel] != h[channel]:
                     print(f" {channel}:")
-                    for line in _describe(b[channel] or "", h[channel] or ""):
+                    lines, changed = _describe(b[channel] or "", h[channel] or "", moved)
+                    other |= changed
+                    for line in lines:
                         print(f"  {line}")
+            reshaped += other
     print(f"{differing} of {len(jobs)} commands differ ({args.base} vs the working tree)")
+    print("summary of moved numbers (path: count, largest abs, largest rel):")
+    for path, (count, diff, rel) in sorted(moved.items()):
+        print(f" {path}: {count}, abs {diff:.3g}, rel {rel:.3g}")
+    print(f"{reshaped} commands differ in non-numeric content")
     return 1 if differing else 0
 
 
