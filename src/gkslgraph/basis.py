@@ -177,10 +177,12 @@ def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
 def _threshold(tol: float, magnitude: float) -> float:
     """``tol * max(1, magnitude)``: the package's one tolerance rule (README, "Tolerances").
 
-    A value held to ``magnitude`` passes when it is at most this.  Other
-    rules, to be merged into this one: absolute ``tol``
+    A value held to ``magnitude`` passes when it is at most this; the sites
+    are listed in the README, among them ``kernel._null_space``, whose SVD
+    is real when ``max|Im A|`` passes held to ``max|A|``.  Other rules, to
+    be merged into this one: absolute ``tol``
     (``digraph.induced_digraph``'s ``w > tol``, ``kernel.k_operator``'s
-    overlap, ``superposition_block``), ``tol * s[0]`` (``kernel._null_space``)
+    overlap, ``superposition_block``), ``tol * s[0]`` (``kernel._null_space``'s rank)
     and ``max(tol, 1e-9)`` (``kernel.verify_invariant``'s unit-trace test).
     """
     return tol * max(1.0, magnitude)
@@ -292,32 +294,52 @@ def _conjugate_by_w(A: np.ndarray, inverse: bool) -> np.ndarray:
     A is a writable complex N**2 x N**2 array.  The product is taken from
     the blocks of W in O(N^4) time, with no temporary of A's size.  The
     pair block factors as ``U = diag(u) H2``, with ``H2 = [[1, 1], [1, -1]]``
-    and u the first column of U: each pair of rows, then of columns, is
-    combined by H2 as a sum and a difference in place and scaled by u (or
-    u*), and the last N rows, then columns, are multiplied by the N x N
-    diagonal-sector block of W.  The result equals the dense product up to
-    rounding, for every A.  Returns A.
+    and u the first column of U: each pair of rows is combined by H2 as a
+    sum and a difference in place and scaled by u (or u*), and the last N
+    rows are multiplied by the N x N diagonal-sector block of W; then the
+    columns are multiplied by :func:`_times_w`.  The result equals the
+    dense product up to rounding, for every A.  Returns A.
     """
     N = math.isqrt(A.shape[0])
     R = N * N - N
     u = pair_block_unitary()[:, 0]
     D = _diagonal_block(N)
     row_e, row_o = A[0:R:2], A[1:R:2]
-    col_e, col_o = A[:, 0:R:2], A[:, 1:R:2]
-    if inverse:  # rows by U* = H2 diag(u*), columns by U = diag(u) H2
+    if inverse:  # rows by U* = H2 diag(u*)
         row_e *= u[0].conj()
         row_o *= u[1].conj()
         _butterfly(row_e, row_o)
         A[R:] = D.conj().T @ A[R:]
+    else:  # rows by U = diag(u) H2
+        _butterfly_scaled(row_e, row_o, u)
+        A[R:] = D @ A[R:]
+    return _times_w(A, adjoint=not inverse)
+
+
+def _times_w(A: np.ndarray, adjoint: bool) -> np.ndarray:
+    """Overwrite A with ``A W``, or with ``A W*`` when ``adjoint``; returns A.
+
+    A is a writable complex array with N**2 columns, in the label order.
+    Each pair of columns is combined by H2 in place, scaled by u before
+    (``A W``) or by u* after (``A W*``), and the last N columns are
+    multiplied by the diagonal-sector block of W (see
+    :func:`_conjugate_by_w`): O(N^2) per row.  A row holding ``v^H``, for
+    Gell-Mann coordinates v, becomes ``(W* v)^H``: the conjugated standard
+    coordinates of the matrix ``sum_q v_q lam_q``.
+    """
+    N = math.isqrt(A.shape[1])
+    R = N * N - N
+    u = pair_block_unitary()[:, 0]
+    D = _diagonal_block(N)
+    col_e, col_o = A[:, 0:R:2], A[:, 1:R:2]
+    if adjoint:  # by U* = H2 diag(u*)
+        _butterfly_scaled(col_e, col_o, u.conj())
+        A[:, R:] = A[:, R:] @ D.conj().T
+    else:  # by U = diag(u) H2
         col_e *= u[0]
         col_o *= u[1]
         _butterfly(col_e, col_o)
         A[:, R:] = A[:, R:] @ D
-    else:  # rows by U = diag(u) H2, columns by U* = H2 diag(u*)
-        _butterfly_scaled(row_e, row_o, u)
-        A[R:] = D @ A[R:]
-        _butterfly_scaled(col_e, col_o, u.conj())
-        A[:, R:] = A[:, R:] @ D.conj().T
     return A
 
 

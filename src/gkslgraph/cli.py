@@ -358,7 +358,7 @@ def _process(command, input_path, args, tol):
     """
     try:
         data = input_path.read_bytes()
-        spec = parse_spec_document(_decode_document(data, input_path))
+        spec = parse_spec_document(_decode_document(data))
     except (OSError, SpecParseError) as exc:
         raise _Failure(1, f"{input_path}: {exc}") from exc
     except MemoryError as exc:

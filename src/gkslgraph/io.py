@@ -299,18 +299,24 @@ def parse_state_document(doc) -> np.ndarray:
     return _parse_cmatrix(value, n, n, "matrix")
 
 
-def _decode_document(data: bytes, path: str | Path):
-    """The JSON document in ``data``, the bytes read from ``path``."""
+def _decode_document(data: bytes):
+    """The JSON document in ``data``; SpecParseError if the decoder cannot build it.
+
+    Besides malformed text, the decoder refuses nesting deeper than the
+    interpreter's recursion limit (RecursionError) and an integer literal
+    longer than ``sys.get_int_max_str_digits()`` (ValueError); both are
+    invalid JSON here.
+    """
     try:
         return json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:
-        raise SpecParseError(f"{path}: not UTF-8 text ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecParseError(f"{path}: invalid JSON ({exc})") from exc
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
+        raise SpecParseError(f"not UTF-8 text ({exc})") from exc
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise SpecParseError(f"invalid JSON ({exc})") from exc
 
 
 def _load_document(path: str | Path):
-    return _decode_document(Path(path).read_bytes(), path)
+    return _decode_document(Path(path).read_bytes())
 
 
 def load_spec(path: str | Path) -> GeneratorSpec:

@@ -27,9 +27,11 @@ import scipy.linalg
 
 from .basis import (
     DEFAULT_TOL,
+    _conjugate_by_w,
     _pair_index,
     _pair_levels,
     _threshold,
+    _times_w,
     from_standard_coordinates,
     is_psd,
     matrix_unit,
@@ -438,30 +440,37 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
 def brute_force_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
     """Kernel basis from an SVD of the superoperator (the numeric oracle).
 
-    Null-space vectors are the conjugated trailing right-singular rows at
-    relative threshold tol; elements are HS-orthonormal and carry no
-    structural tags.
+    The SVD is of L's matrix over the Gell-Mann basis, real when L
+    preserves Hermiticity (:func:`_null_space`).  Each null vector v, in
+    Gell-Mann coordinates, is the element ``sum_q v_q lam_q``, whose
+    standard coordinates ``W* v`` come from :func:`basis._times_w`.  The
+    elements are HS-orthonormal, Hermitian when the SVD is real, and carry
+    no structural tags.
     """
-    elements = []
-    for row in _null_space(superoperator(spec), tol):
-        elements.append(
-            KernelElement(
-                matrix=from_standard_coordinates(row, spec.N),
-                tag="oracle",
-                support=None,
-            )
-        )
-    return KernelBasis(elements=tuple(elements), method="oracle")
+    rows = _times_w(_null_space(superoperator(spec), tol).astype(np.complex128), adjoint=False)
+    elements = tuple(
+        KernelElement(matrix=from_standard_coordinates(row, spec.N), tag="oracle", support=None)
+        for row in rows.conj()
+    )
+    return KernelBasis(elements=elements, method="oracle")
 
 
 def _null_space(S: np.ndarray, tol: float) -> np.ndarray:
-    """Conjugated trailing right-singular rows of S, rank at relative tol."""
-    _, s, vh = np.linalg.svd(S)
-    if s.size:
-        rank = int(np.count_nonzero(s > tol * s[0]))
-    else:
-        rank = 0
-    return vh[rank:].conj()
+    """Rows ``v^H``, v over an orthonormal basis of ker L in Gell-Mann coordinates.
+
+    S is L's writable matrix in the standard ordering.  It is overwritten
+    with ``A = W S W*``, L's matrix over the Hermitian Gell-Mann basis,
+    which is real when L maps Hermitian matrices to Hermitian matrices, as
+    every GKSL generator does.  The SVD is of ``A.real`` when
+    ``max|Im A| <= _threshold(tol, max|A|)`` and of A otherwise.  W is
+    unitary, so the singular values are S's; the rank counts those above
+    ``tol * s[0]``.
+    """
+    A = _conjugate_by_w(S, inverse=False)
+    if float(np.abs(A.imag).max()) <= _threshold(tol, float(np.abs(A).max())):
+        A = A.real
+    _, s, vh = np.linalg.svd(A)
+    return vh[np.count_nonzero(s > tol * s[0]) :]
 
 
 # ---------------------------------------------------------------------------
@@ -549,13 +558,13 @@ def consistency_and_bound(
                 consistent = False
 
     S = superoperator(spec)
-    nullity = len(_null_space(S, tol))
     scale_s = _threshold(tol, float(np.abs(S).max()))
     projection_check = True
     for comp in comps:
         col_sums = np.abs(S[-N:][[i - 1 for i in comp]].sum(axis=0))
         if float(col_sums.max()) > scale_s:
             projection_check = False
+    nullity = len(_null_space(S, tol))  # overwrites S
 
     lower_bound: int | None = None
     if consistent:

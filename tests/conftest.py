@@ -2,6 +2,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -25,3 +26,16 @@ def regen_golden(request) -> bool:
 def golden_dir() -> Path:
     return GOLDEN_DIR
 
+
+@pytest.fixture
+def svd_dtypes(monkeypatch) -> list:
+    """The dtype of the array of each ``np.linalg.svd`` call the test makes."""
+    dtypes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        dtypes.append(np.asarray(a).dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return dtypes

@@ -119,16 +119,28 @@ def test_eigen_command_builds_the_pair_block_table_once(monkeypatch, tmp_path, g
     assert counts == {"_pair_block_table": 1}
 
 
+def _dense_spec_path(tmp_path) -> Path:
+    """A valid spec whose gamma has nonzero cross blocks, written as a dense document."""
+    spec = random_valid_spec(np.random.default_rng(61), 4)
+    path = tmp_path / "dense.json"
+    path.write_text(gk.dump_json(gk.spec_to_document(spec)))
+    return path
+
+
+def _kernel_falls_back(path: Path, tmp_path) -> None:
+    assert cli.main(["kernel", str(path), "--out", str(tmp_path / "k.json")]) == 0
+    assert "fallback_reason" in json.loads((tmp_path / "k.json").read_text())
+
+
 def test_kernel_command_on_a_dense_spec_validates_once_and_scans_the_canonical_spec(
     monkeypatch, tmp_path
 ):
     # A nonzero cross block rules the pattern out with no scan of gamma, so
     # the one report the three validate calls share conjugates gamma whole
     # by W and scans only its B; the fallback reason quotes the one scan of
-    # the canonical spec.
-    spec = random_valid_spec(np.random.default_rng(61), 4)
-    path = tmp_path / "dense.json"
-    path.write_text(gk.dump_json(gk.spec_to_document(spec)))
+    # the canonical spec.  The second conjugation by W is the oracle's: it
+    # takes the superoperator to the Gell-Mann basis, where its SVD is real.
+    path = _dense_spec_path(tmp_path)
     counts = count_calls(
         monkeypatch,
         basis._conjugate_by_w,
@@ -136,14 +148,26 @@ def test_kernel_command_on_a_dense_spec_validates_once_and_scans_the_canonical_s
         generator.validate,
         generator._validation_report,
     )
-    assert cli.main(["kernel", str(path), "--out", str(tmp_path / "k.json")]) == 0
-    assert "fallback_reason" in json.loads((tmp_path / "k.json").read_text())
+    _kernel_falls_back(path, tmp_path)
     assert counts == {
-        "_conjugate_by_w": 1,
+        "_conjugate_by_w": 2,
         "_max_off_block": 2,
         "validate": 3,
         "_validation_report": 1,
     }
+
+
+def test_kernel_fallback_takes_one_real_svd_of_one_superoperator(
+    monkeypatch, tmp_path, svd_dtypes
+):
+    # The oracle conjugates the superoperator in place rather than building
+    # a second N^4 operator, and a valid spec's L preserves Hermiticity, so
+    # its one SVD is of a real array.
+    path = _dense_spec_path(tmp_path)
+    counts = count_calls(monkeypatch, generator.superoperator)
+    _kernel_falls_back(path, tmp_path)
+    assert counts == {"superoperator": 1}
+    assert svd_dtypes == [np.float64]
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -691,13 +691,20 @@ def test_batch_continues_past_an_unwritable_result(tmp_path, capsys):
     assert (out_dir / "a.dot").exists() and (out_dir / "c.digraph.json").is_file()
 
 
+#: JSON the decoder refuses with a RecursionError, and with a plain ValueError.
+TOO_DEEP = "[" * 200_000 + "]" * 200_000
+HUGE_INTEGER = '{"N": ' + "9" * 5000 + "}"
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "broken.json"
-    bad.write_text("{not json")
-    code, out, err = run_cli(["validate", str(bad)], capsys)
-    assert code == 1
-    assert out == ""
-    assert "invalid JSON" in err
+    for text in ("{not json", TOO_DEEP, HUGE_INTEGER):
+        bad.write_text(text)
+        code, out, err = run_cli(["validate", str(bad)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {bad}: invalid JSON (")
+        assert err.count("\n") == 1
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -896,8 +903,10 @@ def _write_state(path, rho):
         ('{"matrix": [[[1, 0], [0, 0]]]}', "matrix[0]: expected 1 entries"),
         (np.eye(2) / 2.0, "state must have shape (3, 3), got (2, 2)"),
         (b'{"matrix": "\xff"}', "not UTF-8 text"),
+        (TOO_DEEP, "invalid JSON"),
+        (HUGE_INTEGER, "invalid JSON"),
     ],
-    ids=["missing", "malformed", "ragged", "wrong-shape", "not-utf8"],
+    ids=["missing", "malformed", "ragged", "wrong-shape", "not-utf8", "too-deep", "huge-integer"],
 )
 def test_check_state_bad_state_file(tmp_path, capsys, golden_dir, state, message):
     state_path = tmp_path / "state.json"
@@ -1111,13 +1120,16 @@ def test_batch_continues_past_unreadable_inputs(tmp_path, capsys):
     write_spec(in_dir / "a.json", superposition_decay_spec())
     (in_dir / "b.json").mkdir()
     (in_dir / "b2.json").write_bytes(b"{\xff}")
+    (in_dir / "b3.json").write_text(TOO_DEEP)
+    (in_dir / "b4.json").write_text(HUGE_INTEGER)
     write_spec(in_dir / "c.json", superposition_decay_spec())
     out_dir = tmp_path / "out"
     code, _, err = run_cli(["kernel", str(in_dir), "--batch", "--out", str(out_dir)], capsys)
     assert code == 1
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.kernel.json", "c.kernel.json"]
-    assert f"error: {in_dir / 'b.json'}: " in err
-    assert f"error: {in_dir / 'b2.json'}: " in err
+    for name in ("b.json", "b2.json", "b3.json", "b4.json"):
+        assert f"error: {in_dir / name}: " in err
+    assert err.count("\n") == 4
 
 
 def test_batch_digraph_writes_dot(tmp_path, capsys):

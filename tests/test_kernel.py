@@ -17,12 +17,14 @@ from helpers import (
     identity_coupled_spec,
     max_principal_angle,
     pair_block_spec,
+    random_consistent_spec,
     random_density_matrix,
     random_hermitian,
     random_identity_preserving_spec,
     random_pbd_spec,
     random_psd,
     random_valid_spec,
+    reference_superoperator,
     sink_menagerie_spec,
     superposition_decay_spec,
 )
@@ -395,6 +397,45 @@ def test_brute_force_kernel_properties():
             ip = gk.hs_inner(m, m2)
             assert abs(ip - (1.0 if a == b else 0.0)) < 1e-10
     assert all(el.tag == "oracle" for el in oracle.elements)
+
+
+ORACLE_FAMILIES = {
+    "valid": random_valid_spec,
+    "consistent": lambda rng, N: random_consistent_spec(rng, N)[0],
+    "pair_block": random_pbd_spec,
+    "identity_coupled": lambda rng, N: identity_coupled_spec(rng, N, 0.3 - 0.2j),
+}
+
+
+@pytest.mark.parametrize("N", range(2, 7))
+@pytest.mark.parametrize("family", ORACLE_FAMILIES)
+def test_oracle_takes_a_real_svd_with_the_kernel_of_the_complex_one(svd_dtypes, family, N):
+    # A valid L maps Hermitian matrices to Hermitian ones, so its matrix over
+    # the Gell-Mann basis is real, and so are its null vectors: each element
+    # is Hermitian.  The reference is the complex SVD of the reference
+    # superoperator, with the oracle's rank rule.
+    spec = ORACLE_FAMILIES[family](np.random.default_rng(N), N)
+    null = scipy.linalg.null_space(reference_superoperator(spec), rcond=gk.DEFAULT_TOL)
+    reference = [gk.from_standard_coordinates(v, N) for v in null.T]
+    oracle = kernel_matrices(gk.brute_force_kernel(spec))
+    assert svd_dtypes == [np.float64]
+    assert len(oracle) == len(reference)
+    assert max_principal_angle(oracle, reference) <= 1e-10
+    for m in oracle:
+        assert np.abs(m - m.conj().T).max() <= 1e-15
+
+
+def test_oracle_of_a_non_hermitian_gamma_takes_a_complex_svd(svd_dtypes):
+    # Such an L does not preserve Hermiticity, so its Gell-Mann matrix is
+    # complex.  It still preserves the trace, so its kernel is not empty.
+    rng = np.random.default_rng(62)
+    gamma = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    spec = gk.GeneratorSpec(H=random_hermitian(rng, 3), gamma=gamma)
+    oracle = gk.brute_force_kernel(spec)
+    assert svd_dtypes == [np.complex128]
+    assert oracle.dimension >= 1
+    for el in oracle.elements:
+        assert np.linalg.norm(gk.apply_generator(spec, el.matrix)) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -23,12 +23,18 @@ exported by ``git archive`` into a temporary directory, removed on exit.
 
 Each differing stdout, stderr, exit code and ``--out`` file is reported.
 Where both sides are JSON, every differing number is listed with the
-absolute and relative size of its difference.  A summary follows: one line
-per JSON path with its indices collapsed (``$.stationary[].rho[]``), giving
-how many numbers moved there and the largest absolute and relative move,
-and the number of commands whose non-numeric content differs.  Exits 0
-when every output is byte-identical and 1 otherwise.  This is a tool, not
-a test: the test suite does not run it.
+absolute and relative size of its difference.  Oracle payloads
+(``"method": "oracle"``, from ``oracle`` or from ``kernel``'s fallback) are
+the exception: their elements are one orthonormal basis of the kernel among
+many, so where both sides carry one, the element matrices are compared by
+span, in one line giving both dimensions and the largest principal angle
+between the two element sets.  The command still counts as differing.  A
+summary follows: one line per JSON path with its indices collapsed
+(``$.stationary[].rho[]``), giving how many numbers moved there and the
+largest absolute and relative move, how many oracle spans were compared and
+their largest principal angle, and the number of commands whose non-numeric
+content differs.  Exits 0 when every output is byte-identical and 1
+otherwise.  This is a tool, not a test: the test suite does not run it.
 """
 
 from __future__ import annotations
@@ -46,6 +52,9 @@ import tempfile
 import traceback
 import zipfile
 from pathlib import Path
+
+import numpy as np
+import scipy.linalg
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -153,12 +162,37 @@ def _numbers(value, path="$"):
         yield path, value
 
 
-def _describe(base: str, head: str, moved: dict) -> tuple[list[str], bool]:
+def _span(elements) -> np.ndarray:
+    """The element matrices of a kernel payload, flattened, one per column."""
+    columns = [np.asarray(el["matrix"], dtype=float).reshape(-1, 2) @ [1, 1j] for el in elements]
+    return np.stack(columns, axis=1)
+
+
+def _compare_spans(a: dict, b: dict, spans: list) -> str:
+    """One line comparing the element spans of two oracle payloads.
+
+    Gives both dimensions and the largest principal angle between the spans
+    (None when either is empty), which is also appended to ``spans``.  The
+    matrices are then dropped from both payloads, in place.
+    """
+    ea, eb = a["elements"], b["elements"]
+    angle = None
+    if ea and eb:
+        angle = float(scipy.linalg.subspace_angles(_span(ea), _span(eb)).max())
+        spans.append(angle)
+    for el in (*ea, *eb):
+        del el["matrix"]
+    return f"$.elements: dimension {len(ea)} -> {len(eb)}, largest principal angle {angle!r}"
+
+
+def _describe(base: str, head: str, moved: dict, spans: list) -> tuple[list[str], bool]:
     """How two texts differ, and whether anything but a number differs.
 
     Number by number where both are JSON, else a diff.  Each moved number
     is also tallied in ``moved``, keyed by its path with indices collapsed,
-    as ``[count, largest absolute move, largest relative move]``.
+    as ``[count, largest absolute move, largest relative move]``.  Where
+    both are oracle payloads (``"method": "oracle"``), their element
+    matrices are compared by span instead (:func:`_compare_spans`).
     """
     try:
         a, b = json.loads(base), json.loads(head)
@@ -166,8 +200,10 @@ def _describe(base: str, head: str, moved: dict) -> tuple[list[str], bool]:
         a = b = None
     if a is None:
         return _diff_lines(base, head), True
-    na, nb = dict(_numbers(a)), dict(_numbers(b))
     lines = []
+    if all(isinstance(doc, dict) and doc.get("method") == "oracle" for doc in (a, b)):
+        lines.append(_compare_spans(a, b, spans))
+    na, nb = dict(_numbers(a)), dict(_numbers(b))
     for path in na.keys() & nb.keys():
         x, y = na[path], nb[path]
         if x != y:
@@ -221,6 +257,7 @@ def main(argv=None) -> int:
         head = _run_tree(ROOT / "src", jobs_path, tmp / "head.json")
         differing = reshaped = 0
         moved: dict[str, list] = {}
+        spans: list[float] = []
         for job, b, h in zip(jobs, base, head):
             if b == h:
                 continue
@@ -234,7 +271,7 @@ def main(argv=None) -> int:
             for channel in ("stdout", "stderr", "out"):
                 if b[channel] != h[channel]:
                     print(f" {channel}:")
-                    lines, changed = _describe(b[channel] or "", h[channel] or "", moved)
+                    lines, changed = _describe(b[channel] or "", h[channel] or "", moved, spans)
                     other |= changed
                     for line in lines:
                         print(f"  {line}")
@@ -243,6 +280,9 @@ def main(argv=None) -> int:
     print("summary of moved numbers (path: count, largest abs, largest rel):")
     for path, (count, diff, rel) in sorted(moved.items()):
         print(f" {path}: {count}, abs {diff:.3g}, rel {rel:.3g}")
+    if spans:
+        largest = max(spans)
+        print(f"oracle element spans compared: {len(spans)}, largest principal angle {largest:.3g}")
     print(f"{reshaped} commands differ in non-numeric content")
     return 1 if differing else 0
 
