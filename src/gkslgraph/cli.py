@@ -24,7 +24,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-import scipy.linalg
 
 from .basis import DEFAULT_TOL, to_standard_coordinates
 from .digraph import _sink_report, induced_digraph, to_dot, tscc_stationary_vectors
@@ -196,6 +195,7 @@ def _cmd_crosscheck(spec, input_path, args, tol):
         return (2 if args.strict else 0), payload, None, []
     angle = None
     if analytic.dimension and oracle.dimension:
+        import scipy.linalg  # here, not at module level: its import is most of the CLI's start-up
         angles = scipy.linalg.subspace_angles(
             _coordinate_stack(analytic), _coordinate_stack(oracle)
         )

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
-import scipy.linalg
 
 from .basis import (
     DEFAULT_TOL,
@@ -663,6 +662,7 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
     H = spec.H
     if (H - np.diag(np.diag(H))).any() or not spec._on_pair_pattern:
         yield float(np.linalg.norm(apply_generator(spec, rho)))
+        import scipy.linalg  # here, not at module level: its import is most of the CLI's start-up
         S = superoperator(spec)
         v = to_standard_coordinates(rho)
         for t in times:
@@ -676,6 +676,7 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
     yield float(np.linalg.norm(np.concatenate((
         laplacian @ populations, (pairs @ coherences[:, :, None])[:, :, 0],
     ), axis=None)))
+    import scipy.linalg  # here, not at module level: its import is most of the CLI's start-up
     for t in times:
         moved = np.concatenate((
             scipy.linalg.expm(t * laplacian) @ populations - populations,

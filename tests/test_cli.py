@@ -215,13 +215,61 @@ def _directed_cycle_document(N: int, rate: float) -> dict:
     return {"N": N, "H": [[[0, 0]] * N] * N, "gamma": {"format": "blocks", "pairs": pairs}}
 
 
-def _run_module(argv) -> subprocess.CompletedProcess:
-    # A child process: pytest turns numpy's overflow RuntimeWarning into an error.
+def _run_python(args) -> subprocess.CompletedProcess:
+    # A child process: a fresh interpreter, outside pytest, which turns numpy's
+    # overflow RuntimeWarning into an error.
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    return subprocess.run(
-        [sys.executable, "-m", "gkslgraph", *argv], capture_output=True, text=True, env=env
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def _run_module(argv) -> subprocess.CompletedProcess:
+    return _run_python(["-m", "gkslgraph", *argv])
+
+
+# Runs each argv list of the JSON argument through cli.main in one fresh
+# interpreter, and prints per command its exit code, its stdout and which of
+# scipy, its submodules and numpy.ma are loaded so far.
+_COLD_START = """
+import contextlib, io, json, sys
+from gkslgraph.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy" or m == "numpy.ma")
+    results.append([code, out.getvalue(), loaded])
+print(json.dumps(results))
+"""
+
+
+def test_commands_start_without_scipy(tmp_path, capsys, golden_dir):
+    # scipy.linalg is imported only where a state is evolved (check-state,
+    # once the residual passes) or two spans are compared (crosscheck), and
+    # numpy.ma (which np.unique imports) not by the parser.
+    blocks = golden_dir / "superposition.spec.json"
+    dense = write_spec(tmp_path / "dense.json", random_valid_spec(np.random.default_rng(7), 3))
+    without = [
+        command_argv(command, blocks, tmp_path, 3)
+        for command in ("validate", "canonicalize", "digraph", "eigen", "oracle", "kernel")
+    ]
+    without.append(command_argv("kernel", dense, tmp_path, 3))
+    without.append(command_argv("check-state", blocks, tmp_path, 3))  # not invariant
+    with_scipy = [
+        command_argv("check-state", golden_dir / "ladder.spec.json", tmp_path, 3),  # invariant
+        command_argv("crosscheck", blocks, tmp_path, 3),
+    ]
+    proc = _run_python(["-c", _COLD_START, json.dumps(without + with_scipy)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    child = json.loads(proc.stdout)
+    assert [loaded for *_, loaded in child[: len(without)]] == [[]] * len(without)
+    assert all("scipy.linalg" in loaded for *_, loaded in child[len(without):])
+    assert "fallback_reason" in json.loads(child[len(without) - 2][1])
+    invariant = [json.loads(child[k][1])["invariant"] for k in (len(without) - 1, len(without))]
+    assert invariant == [False, True]
+    in_process = [list(run_cli(argv, capsys)[:2]) for argv in without + with_scipy]
+    assert [[code, out] for code, out, _ in child] == in_process
 
 
 def _cycle_spec(tmp_path) -> Path:
@@ -519,7 +567,7 @@ def _run_normalized(command, path, workdir, N, capsys):
     """Exit code, stdout, stderr and DOT text, with the input path and hash masked."""
     code, out, err = run_cli(command_argv(command, path, workdir, N), capsys)
     dot = (workdir / f"{path.stem}.dot").read_text() if command == "digraph" else None
-    mask = (str(path), "SPEC"), (gk.file_sha256(path), "SHA256")
+    mask = (str(path), "SPEC"), (hashlib.sha256(path.read_bytes()).hexdigest(), "SHA256")
     for old, new in mask:
         out, err = out.replace(old, new), err.replace(old, new)
     return code, out, err, dot
