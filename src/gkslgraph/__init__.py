@@ -1,159 +1,23 @@
-"""Invariant states of GKSL generators via induced-digraph analysis."""
+"""Invariant states of GKSL generators via induced-digraph analysis.
 
-from .basis import (
-    DEFAULT_TOL,
-    basis_change_matrix,
-    from_standard_coordinates,
-    gellmann,
-    gellmann_labels,
-    gellmann_position,
-    hs_inner,
-    is_hermitian,
-    is_psd,
-    matrix_unit,
-    operator_basis_change,
-    pair_block_unitary,
-    standard_labels,
-    standard_position,
-    to_standard_coordinates,
-)
-from .digraph import (
-    InducedDigraph,
-    SCCDecomposition,
-    SinkReport,
-    StationaryVector,
-    induced_digraph,
-    laplacian,
-    scc_decompose,
-    sinks_and_singular_2sinks,
-    to_dot,
-    tscc_stationary_vectors,
-    undirected_components,
-)
-from .generator import (
-    GellMannSpec,
-    GeneratorSpec,
-    InvalidGeneratorError,
-    PairBlockClassification,
-    ValidationReport,
-    apply_generator,
-    canonicalize,
-    classify_pair_block_diagonal,
-    gellmann_to_standard,
-    gm_diag_dissipator_coeff,
-    identity_preserving,
-    lindblad_dissipator,
-    standard_to_gellmann,
-    superoperator,
-    superposition_block,
-    validate,
-)
-from .io import (
-    SpecParseError,
-    dump_json,
-    load_spec,
-    load_state,
-    matrix_to_document,
-    parse_spec_document,
-    parse_state_document,
-    spec_to_document,
-)
-from .kernel import (
-    EVOLUTION_DRIFT_TOL,
-    GENERATOR_RESIDUAL_TOL,
-    KERNEL_CONTAINMENT_TOL,
-    ConsistencyReport,
-    EigenPair,
-    KernelBasis,
-    KernelElement,
-    KOperatorSpec,
-    PreconditionError,
-    block_eigenpairs,
-    block_kernel,
-    brute_force_kernel,
-    consistency_and_bound,
-    diagonal_kernel,
-    full_kernel,
-    k_operator,
-    kernel_containment_check,
-    verify_invariant,
-)
+The public names are those of the layer modules, each listed once, in its
+module's ``__all__``.
+"""
+
+from . import basis, digraph, generator, io, kernel
+from .basis import *  # noqa: F403
+from .digraph import *  # noqa: F403
+from .generator import *  # noqa: F403
+from .io import *  # noqa: F403
+from .kernel import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # basis
-    "DEFAULT_TOL",
-    "standard_labels",
-    "gellmann_labels",
-    "standard_position",
-    "gellmann_position",
-    "matrix_unit",
-    "gellmann",
-    "hs_inner",
-    "is_hermitian",
-    "is_psd",
-    "to_standard_coordinates",
-    "from_standard_coordinates",
-    "basis_change_matrix",
-    "operator_basis_change",
-    "pair_block_unitary",
-    # generator
-    "GeneratorSpec",
-    "GellMannSpec",
-    "InvalidGeneratorError",
-    "ValidationReport",
-    "PairBlockClassification",
-    "apply_generator",
-    "lindblad_dissipator",
-    "gm_diag_dissipator_coeff",
-    "superoperator",
-    "validate",
-    "canonicalize",
-    "classify_pair_block_diagonal",
-    "superposition_block",
-    "identity_preserving",
-    "standard_to_gellmann",
-    "gellmann_to_standard",
-    # digraph
-    "InducedDigraph",
-    "SCCDecomposition",
-    "StationaryVector",
-    "SinkReport",
-    "induced_digraph",
-    "laplacian",
-    "scc_decompose",
-    "tscc_stationary_vectors",
-    "sinks_and_singular_2sinks",
-    "undirected_components",
-    "to_dot",
-    # kernel
-    "PreconditionError",
-    "EigenPair",
-    "KernelElement",
-    "KernelBasis",
-    "KOperatorSpec",
-    "ConsistencyReport",
-    "EVOLUTION_DRIFT_TOL",
-    "GENERATOR_RESIDUAL_TOL",
-    "KERNEL_CONTAINMENT_TOL",
-    "diagonal_kernel",
-    "block_eigenpairs",
-    "block_kernel",
-    "full_kernel",
-    "brute_force_kernel",
-    "k_operator",
-    "kernel_containment_check",
-    "consistency_and_bound",
-    "verify_invariant",
-    # io
-    "SpecParseError",
-    "parse_spec_document",
-    "parse_state_document",
-    "load_spec",
-    "load_state",
-    "spec_to_document",
-    "matrix_to_document",
-    "dump_json",
+    *basis.__all__,
+    *generator.__all__,
+    *digraph.__all__,
+    *kernel.__all__,
+    *io.__all__,
 ]

@@ -13,9 +13,10 @@ throughout the package:
   ``lam_nn`` for n = 1..N-1, then the normalized identity ``I_N/sqrt(N)``.
 
 Both orderings are bijections between labels and positions 0..N**2-1, and
-they share the off-diagonal ("O") sector positions, so the change-of-basis
-matrix W is block diagonal: one 2x2 block per (i, j) pair and one N x N block
-on the diagonal ("D") sector.  Conjugation by W is computed from those
+they share the off-diagonal ("O") sector positions, so the unitary
+change-of-basis matrix W, ``W[q, p] = <lam_q, E_p>`` (Gell-Mann rows,
+standard columns), is block diagonal: one 2x2 block per (i, j) pair and
+one N x N block on the diagonal ("D") sector.  Conjugation by W is computed from those
 blocks in O(N^4) time, never as a dense N**2 x N**2 product (O(N^6)); a
 matrix with the pair-block zero pattern keeps it, and only its blocks are
 conjugated, in O(N^3).
@@ -30,6 +31,20 @@ import math
 from functools import lru_cache
 
 import numpy as np
+
+__all__ = [
+    "DEFAULT_TOL",
+    "standard_labels",
+    "gellmann_labels",
+    "standard_position",
+    "matrix_unit",
+    "gellmann",
+    "is_hermitian",
+    "is_psd",
+    "to_standard_coordinates",
+    "from_standard_coordinates",
+    "pair_block_unitary",
+]
 
 #: Default tolerance of every numeric test; see :func:`_threshold` for how
 #: it is scaled.
@@ -76,14 +91,6 @@ def standard_position(i: int, j: int, N: int) -> int:
     if not (1 <= i <= N and 1 <= j <= N):
         raise ValueError(f"label ({i}, {j}) out of range for N={N}")
     return int(pos[i - 1, j - 1])
-
-
-def gellmann_position(i: int, j: int, N: int) -> int:
-    """0-based position of the label (i, j) in the Gell-Mann ordering.
-
-    (N, N) is the sentinel label of the normalized identity.
-    """
-    return standard_position(i, j, N)
 
 
 @lru_cache(maxsize=None)
@@ -161,17 +168,8 @@ def gellmann(i: int, j: int, N: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Inner product and predicates
+# Predicates
 # ---------------------------------------------------------------------------
-
-
-def hs_inner(A: np.ndarray, B: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(A* B), conjugate-linear in A."""
-    A = np.asarray(A)
-    B = np.asarray(B)
-    if A.shape != B.shape:
-        raise ValueError(f"shape mismatch: {A.shape} vs {B.shape}")
-    return complex(np.vdot(A, B))
 
 
 def _threshold(tol: float, magnitude: float) -> float:
@@ -251,18 +249,6 @@ def from_standard_coordinates(v: np.ndarray, N: int) -> np.ndarray:
     if v.shape != (N * N,):
         raise ValueError(f"expected a vector of length {N * N}, got {v.shape}")
     return v[_standard_position_array(N)]
-
-
-def basis_change_matrix(N: int) -> np.ndarray:
-    """Unitary W with W[q, p] = <lam_q, E_p> (Gell-Mann rows, standard columns).
-
-    Coordinate vectors transform as v_gm = W @ v_std, and coefficient/operator
-    matrices as M_gm = W @ M_std @ W*.  Since <lam_q, E_ij> = conj(lam_q[i, j]),
-    row q is conj(lam_q) read in standard order.  This dense form is the
-    reference; the package conjugates by W's blocks (:func:`_conjugate_by_w`).
-    """
-    lam = np.stack([gellmann(i, j, N) for (i, j) in gellmann_labels(N)])
-    return lam.reshape(N * N, N * N)[:, _standard_flat_order(N)].conj()
 
 
 @lru_cache(maxsize=None)
@@ -397,29 +383,6 @@ def _max_off_block(M: np.ndarray, N: int) -> float:
         band[np.arange(t.size), :, t, :] = 0.0
         worst.append(band.max())
     return float(np.max(worst))
-
-
-def operator_basis_change(M: np.ndarray, source: str, target: str) -> np.ndarray:
-    """Re-express an operator-on-matrices matrix M in another ordered basis.
-
-    ``source`` and ``target`` are ``"standard"`` or ``"gellmann"``.  M must be
-    N**2 x N**2; it is interpreted as the matrix of a linear map on M_N in the
-    source ordering and conjugated by the (unitary) change-of-basis matrix.
-    The same rule converts coefficient matrices (Gamma <-> C with the
-    identity row/column retained).
-    """
-    M = np.asarray(M, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    N = math.isqrt(M.shape[0])
-    if N * N != M.shape[0]:
-        raise ValueError(f"matrix side {M.shape[0]} is not a perfect square")
-    for name in (source, target):
-        if name not in ("standard", "gellmann"):
-            raise ValueError(f"unknown basis ordering {name!r}")
-    if source == target:
-        return M.copy()
-    return _conjugate_by_w(M.copy(), inverse=source == "gellmann")
 
 
 @lru_cache(maxsize=None)

@@ -4,9 +4,9 @@ Every command reads a spec JSON file (or a directory of them with
 ``--batch``) and emits a JSON result envelope carrying the command name,
 input path, input SHA-256, tolerance, payload, and diagnostics.  Exit
 codes: 0 on success, 1 for invalid or unparseable specs, results that hold
-a NaN or infinite number (``check-state``'s residual and drifts included),
-and outputs that cannot be written (and
-crosscheck disagreement), 2 when ``--strict`` turns an
+a NaN or infinite number (``check-state``'s residual and drifts, and the
+oracle's superoperator, included), outputs that cannot be written and
+crosscheck disagreement, 2 when ``--strict`` turns an
 analytic-precondition fallback into a failure.  Usage errors follow
 argparse conventions.
 """
@@ -170,8 +170,6 @@ def _cmd_check_state(spec, input_path, args, tol):
         raise  # reported against the spec by _process
     except ValueError as exc:  # the state's shape
         raise _Failure(1, f"{args.state}: {exc}") from exc
-    except FloatingPointError as exc:  # the evolution under the spec's generator
-        raise _Failure(1, f"{input_path}: {exc}") from exc
     payload = {"invariant": invariant, "times": list(args.times)}
     return 0, payload, None, []
 
@@ -353,6 +351,8 @@ def _process(command, input_path, args, tol):
     The spec file is read once: the envelope's ``spec_sha256`` names the
     bytes that were parsed.  Every warning the command raises is recorded,
     not printed, and appended to ``diagnostics``; a failure drops them.
+    A number that is not finite where the command needs one (the oracle's
+    superoperator, ``check-state``'s drift) fails like an invalid spec.
     A spec too large for memory (the dense N^2 x N^2 gamma of a large N)
     fails like an invalid one, naming the path.
     """
@@ -368,7 +368,7 @@ def _process(command, input_path, args, tol):
         warnings.simplefilter("always")
         try:
             code, payload, dot, diagnostics = handler(spec, input_path, args, tol)
-        except InvalidGeneratorError as exc:
+        except (InvalidGeneratorError, FloatingPointError) as exc:
             raise _Failure(1, f"{input_path}: {exc}") from exc
         except MemoryError as exc:
             raise _out_of_memory(input_path, exc) from exc

@@ -36,10 +36,8 @@ __all__ = [
     "StationaryVector",
     "SinkReport",
     "induced_digraph",
-    "laplacian",
     "scc_decompose",
     "tscc_stationary_vectors",
-    "sinks_and_singular_2sinks",
     "undirected_components",
     "to_dot",
 ]
@@ -151,11 +149,6 @@ def induced_digraph(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> InducedDig
     return InducedDigraph(rates)
 
 
-def laplacian(graph: InducedDigraph) -> np.ndarray:
-    """Column-Laplacian: L[i-1, j-1] = w(j -> i), columns summing to zero."""
-    return graph.rates.T - np.diag(graph.rates.sum(axis=1))
-
-
 # ---------------------------------------------------------------------------
 # Component structure
 # ---------------------------------------------------------------------------
@@ -259,20 +252,14 @@ def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:
 # ---------------------------------------------------------------------------
 
 
-def sinks_and_singular_2sinks(
-    spec: GeneratorSpec, tol: float = DEFAULT_TOL
-) -> SinkReport:
-    """Classify the terminal components of size one and two.
+def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> SinkReport:
+    """The terminal components of size one and two of ``spec``'s induced digraph.
 
     A terminal pair {k, l} is *singular* when its coefficient block is
     symmetric (gamma_kl == gamma_lk) and has vanishing determinant, both
-    within tol scaled by the block magnitude.
+    within tol scaled by the block magnitude
+    (``generator._singularity_checks``).
     """
-    return _sink_report(spec, induced_digraph(spec, tol), tol)
-
-
-def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> SinkReport:
-    """:func:`sinks_and_singular_2sinks` on the already induced digraph."""
     sinks: list[int] = []
     two: list[tuple[int, int]] = []
     singular: list[tuple[int, int]] = []
@@ -296,24 +283,19 @@ def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> Sink
 # ---------------------------------------------------------------------------
 
 
-def to_dot(graph: InducedDigraph, sink_report: SinkReport | None = None) -> str:
+def to_dot(graph: InducedDigraph, sink_report: SinkReport) -> str:
     """Render the digraph in DOT format.
 
     Terminal SCCs of size >= 2 become ``cluster`` subgraphs labeled TSCC,
-    sink vertices are marked ``sink="true"`` and drawn as double circles,
-    and the edges of singular terminal pairs (when a report is supplied)
-    are marked ``singular2sink="true"`` and dashed.  Weights are emitted
-    with 17 significant digits.
+    the report's sink vertices are marked ``sink="true"`` and drawn as
+    double circles, and the edges of its singular terminal pairs are marked
+    ``singular2sink="true"`` and dashed.  Weights are emitted with 17
+    significant digits.
     """
     dec = graph.scc
-    if sink_report is not None:
-        sinks = set(sink_report.sinks)
-        singular = set(sink_report.singular_two_sinks)
-    else:
-        sinks = {c[0] for c in dec.terminal_components() if len(c) == 1}
-        singular = set()
+    sinks = set(sink_report.sinks)
     singular_edges = set()
-    for k, ell in singular:
+    for k, ell in sink_report.singular_two_sinks:
         singular_edges.add((k, ell))
         singular_edges.add((ell, k))
 

@@ -21,6 +21,7 @@ what it carried into ``H``, all in the standard basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -41,7 +42,6 @@ from .basis import (
     from_standard_coordinates,
     gellmann_labels,
     is_hermitian,
-    matrix_unit,
 )
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "ValidationReport",
     "PairBlockClassification",
     "apply_generator",
-    "lindblad_dissipator",
     "gm_diag_dissipator_coeff",
     "superoperator",
     "validate",
@@ -344,22 +343,6 @@ def _gamma_tensor(spec: GeneratorSpec) -> np.ndarray:
     return spec.gamma[pos[:, :, None, None], pos[None, None, :, :]]
 
 
-def lindblad_dissipator(
-    i: int, j: int, k: int, ell: int, rho: np.ndarray
-) -> np.ndarray:
-    """The elementary dissipator D_{ijkl}(rho) for matrix-unit jump pairs.
-
-    ``D_{ijkl}(rho) = 2 E_ij rho E_lk - rho E_lk E_ij - E_lk E_ij rho``.
-    """
-    rho = np.asarray(rho, dtype=np.complex128)
-    N = rho.shape[0]
-    if rho.shape != (N, N):
-        raise ValueError(f"rho must be square, got shape {rho.shape}")
-    A = matrix_unit(i, j, N)
-    Bc = matrix_unit(ell, k, N)
-    return 2.0 * (A @ rho @ Bc) - rho @ (Bc @ A) - (Bc @ A) @ rho
-
-
 def apply_generator(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
     """Evaluate L(rho).
 
@@ -453,12 +436,23 @@ def _singularity_checks(
     """(value, threshold) of the two tests that make gamma's (k, l) pair block singular.
 
     Rate symmetry ``|b00 - b11|`` and ``|det b|`` of the block b, held to
-    its magnitude ``m = max|b|`` and to ``m**2``.
+    its magnitude ``m = max|b|`` and to ``m**2``.  Where ``m**2`` or
+    ``|det b|`` overflows, the determinant test is taken on ``b / m``:
+    ``|det(b / m)|`` held to ``tol``, so that both numbers are finite.
     """
     blk = spec._pattern.pairs[_pair_index(k, ell, spec.N)]
     m = float(np.abs(blk).max())
-    det = abs(blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0])
-    return (abs(blk[0, 0] - blk[1, 1]), _threshold(tol, m)), (det, _threshold(tol, m**2))
+    symmetry = (abs(blk[0, 0] - blk[1, 1]), _threshold(tol, m))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow takes the branch below
+        det = abs(blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0])
+    try:
+        square = m**2
+    except OverflowError:
+        square = math.inf
+    if math.isfinite(det) and math.isfinite(square):
+        return symmetry, (det, _threshold(tol, square))
+    b = blk / m  # m > 1 here: the test above, divided by m**2
+    return symmetry, (abs(b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]), tol)
 
 
 # ---------------------------------------------------------------------------

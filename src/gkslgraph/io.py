@@ -228,7 +228,8 @@ def parse_spec_document(doc) -> GeneratorSpec:
     stores only its pair blocks and diagonal-sector block, ``O(N^2)``
     numbers, and has the pair-block pattern by construction; its dense
     gamma is built only if a dense reader asks (see ``GeneratorSpec``).  A
-    ``dense`` one is scanned for the pattern on first use.
+    ``dense`` one is scanned for the pattern on first use.  A ``gellmann``
+    document whose standard-basis gamma overflows is rejected.
     """
     if not isinstance(doc, dict):
         raise SpecParseError("top level: expected an object")
@@ -276,11 +277,15 @@ def parse_spec_document(doc) -> GeneratorSpec:
         )
 
     try:
-        if basis == "gellmann":
-            return gellmann_to_standard(GellMannSpec(H=H, C=M))
-        return GeneratorSpec(H=H, gamma=M)
+        if basis == "standard":
+            return GeneratorSpec(H=H, gamma=M)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
+            spec = gellmann_to_standard(GellMannSpec(H=H, C=M))
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
+    if not np.isfinite(spec.gamma).all():
+        raise SpecParseError("gamma.matrix: overflows on conversion to the standard basis")
+    return spec
 
 
 def parse_state_document(doc) -> np.ndarray:

@@ -71,9 +71,7 @@ __all__ = [
     "EVOLUTION_DRIFT_TOL",
     "GENERATOR_RESIDUAL_TOL",
     "KERNEL_CONTAINMENT_TOL",
-    "diagonal_kernel",
     "block_eigenpairs",
-    "block_kernel",
     "full_kernel",
     "brute_force_kernel",
     "k_operator",
@@ -210,51 +208,12 @@ def _prepared(spec: GeneratorSpec, tol: float) -> _Prepared:
     )
 
 
-def _kernel_pairs(prep: _Prepared) -> dict[tuple[int, int], bool]:
-    """The pairs (k, l), k < l, that can carry kernel elements, in sorted order.
-
-    Each maps to whether it is a terminal 2-cycle; the others are pairs of
-    sinks.  No other pair block is singular on the canonical spec.
-    """
-    report = _sink_report(prep.canon, prep.graph, prep.tol)
-    pairs = dict.fromkeys(combinations(report.sinks, 2), False)
-    pairs.update(dict.fromkeys(report.two_sinks, True))
-    return dict(sorted(pairs.items()))
-
-
 def _ordered_pair(pair: tuple[int, int], N: int) -> tuple[int, int]:
     """The level pair as (k, l) with k < l; ValueError if it is not a pair."""
     k, ell = pair
     if not (1 <= k <= N and 1 <= ell <= N and k != ell):
         raise ValueError(f"invalid level pair ({k}, {ell}) for N={N}")
     return min(k, ell), max(k, ell)
-
-
-# ---------------------------------------------------------------------------
-# Diagonal sector
-# ---------------------------------------------------------------------------
-
-
-def diagonal_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> list[KernelElement]:
-    """Stationary diagonal matrices, one per terminal SCC of the induced digraph.
-
-    These lie in ker L whenever the generator preserves the diagonal sector
-    (in particular for pair-block-diagonal coefficient matrices); on the
-    diagonal sector itself they are exact for every generator.
-    """
-    return _diagonal_elements(induced_digraph(spec, tol))
-
-
-def _diagonal_elements(graph: InducedDigraph) -> list[KernelElement]:
-    """:func:`diagonal_kernel` on the already induced digraph."""
-    return [
-        KernelElement(
-            matrix=np.diag(sv.rho).astype(np.complex128),
-            tag="diagonal",
-            support=sv.component,
-        )
-        for sv in tscc_stationary_vectors(graph)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +302,10 @@ def _block_analysis(
 ) -> tuple[list[KernelElement], list[str]]:
     """Kernel contribution of a pair of sinks, or of a terminal 2-cycle.
 
-    ``(k, ell)`` is one of :func:`_kernel_pairs`; ``two_sink`` says which
-    kind it is.  Every number is read from the canonical spec's H and its
-    pattern data, ``canon._pattern``: the pair's block and the block G.
+    ``(k, ell)``, ``k < ell``, is one of the pairs that :func:`full_kernel`
+    visits; ``two_sink`` says which kind it is.  Every number is read from
+    the canonical spec's H and its pattern data, ``canon._pattern``: the
+    pair's block and the block G.
     """
     canon, tol = prep.canon, prep.tol
     N, H, G = canon.N, canon.H, canon._pattern.G
@@ -388,26 +348,6 @@ def _block_analysis(
     return [KernelElement(matrix=v, tag="singular-2-sink", support=(k, ell))], notes
 
 
-def block_kernel(
-    spec: GeneratorSpec, pair: tuple[int, int], tol: float = DEFAULT_TOL
-) -> list[KernelElement]:
-    """Kernel elements supported on one off-diagonal pair (0, 1, or 2).
-
-    The spec is validated and canonicalized first; the canonical form must
-    be pair-block diagonal with diagonal H (PreconditionError otherwise).
-    Two elements (E_kl and E_lk) arise when both levels are sinks with
-    matching splittings and dephasing; one arises on a singular terminal
-    2-cycle; otherwise none.
-    """
-    prep = _prepared(spec, tol)
-    k, ell = _ordered_pair(pair, spec.N)
-    two_sink = _kernel_pairs(prep).get((k, ell))
-    if two_sink is None:
-        return []
-    elements, _ = _block_analysis(prep, k, ell, two_sink)
-    return elements
-
-
 # ---------------------------------------------------------------------------
 # Full kernel, analytic and oracle
 # ---------------------------------------------------------------------------
@@ -425,9 +365,17 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
     a decade of the tolerance.
     """
     prep = _prepared(spec, tol)
-    elements = _diagonal_elements(prep.graph)
+    elements = [
+        KernelElement(np.diag(sv.rho).astype(np.complex128), "diagonal", sv.component)
+        for sv in tscc_stationary_vectors(prep.graph)
+    ]
+    # The pairs (k, l), k < l, whose block can be singular, each mapped to
+    # whether it is a terminal 2-cycle rather than a pair of sinks.
+    report = _sink_report(prep.canon, prep.graph, tol)
+    pairs = dict.fromkeys(combinations(report.sinks, 2), False)
+    pairs.update(dict.fromkeys(report.two_sinks, True))
     diagnostics: list[str] = []
-    for (k, ell), two_sink in _kernel_pairs(prep).items():
+    for (k, ell), two_sink in sorted(pairs.items()):
         els, notes = _block_analysis(prep, k, ell, two_sink)
         elements.extend(els)
         diagnostics.extend(notes)
@@ -463,10 +411,12 @@ def _null_space(S: np.ndarray, tol: float) -> np.ndarray:
     every GKSL generator does.  The SVD is of ``A.real`` when
     ``max|Im A| <= _threshold(tol, max|A|)`` and of A otherwise.  W is
     unitary, so the singular values are S's; the rank counts those above
-    ``tol * s[0]``.
+    ``tol * s[0]``.  FloatingPointError if ``max|A|`` is not finite, as when
+    a huge gamma overflows S: there is no SVD to take.
     """
     A = _conjugate_by_w(S, inverse=False)
-    if float(np.abs(A.imag).max()) <= _threshold(tol, float(np.abs(A).max())):
+    magnitude = _finite(float(np.abs(A).max()), "the largest entry of the superoperator")
+    if float(np.abs(A.imag).max()) <= _threshold(tol, magnitude):
         A = A.real
     _, s, vh = np.linalg.svd(A)
     return vh[np.count_nonzero(s > tol * s[0]) :]

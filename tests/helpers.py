@@ -23,23 +23,34 @@ from gkslgraph import (
     GeneratorSpec,
     InducedDigraph,
     ValidationReport,
-    basis_change_matrix,
     dump_json,
     gellmann,
     gellmann_labels,
-    gellmann_position,
-    lindblad_dissipator,
     matrix_to_document,
     matrix_unit,
-    operator_basis_change,
     standard_labels,
     standard_position,
     to_standard_coordinates,
 )
+from gkslgraph.basis import _conjugate_by_w, _standard_flat_order
 
 # ---------------------------------------------------------------------------
 # reference superoperator (third, slowest route)
 # ---------------------------------------------------------------------------
+
+
+def lindblad_dissipator(
+    i: int, j: int, k: int, ell: int, rho: np.ndarray
+) -> np.ndarray:
+    """The elementary dissipator D_{ijkl}(rho) for matrix-unit jump pairs.
+
+    ``D_{ijkl}(rho) = 2 E_ij rho E_lk - rho E_lk E_ij - E_lk E_ij rho``.
+    """
+    rho = np.asarray(rho, dtype=np.complex128)
+    N = rho.shape[0]
+    A = matrix_unit(i, j, N)
+    Bc = matrix_unit(ell, k, N)
+    return 2.0 * (A @ rho @ Bc) - rho @ (Bc @ A) - (Bc @ A) @ rho
 
 
 def reference_superoperator(spec: GeneratorSpec) -> np.ndarray:
@@ -68,6 +79,28 @@ def reference_superoperator(spec: GeneratorSpec) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # dense basis-change references
 # ---------------------------------------------------------------------------
+
+
+def basis_change_matrix(N: int) -> np.ndarray:
+    """Unitary W with W[q, p] = <lam_q, E_p> (Gell-Mann rows, standard columns).
+
+    Coordinate vectors transform as v_gm = W @ v_std, and coefficient/operator
+    matrices as M_gm = W @ M_std @ W*.  Since <lam_q, E_ij> = conj(lam_q[i, j]),
+    row q is conj(lam_q) read in standard order.  The package conjugates by
+    W's blocks instead (``basis._conjugate_by_w``).
+    """
+    lam = np.stack([gellmann(i, j, N) for (i, j) in gellmann_labels(N)])
+    return lam.reshape(N * N, N * N)[:, _standard_flat_order(N)].conj()
+
+
+def to_gellmann(M: np.ndarray) -> np.ndarray:
+    """``W M W*`` for an N**2 x N**2 matrix M over the standard labels, by W's blocks."""
+    return _conjugate_by_w(np.array(M, dtype=np.complex128), inverse=False)
+
+
+def to_standard(C: np.ndarray) -> np.ndarray:
+    """``W* C W`` for an N**2 x N**2 matrix C over the Gell-Mann labels, by W's blocks."""
+    return _conjugate_by_w(np.array(C, dtype=np.complex128), inverse=True)
 
 
 def reference_validate(spec: GeneratorSpec, tol: float = 1e-9) -> ValidationReport:
@@ -213,6 +246,11 @@ def enumerate_in_tree_weight(
                 w *= edge_w
             total += w
     return total
+
+
+def laplacian(graph: InducedDigraph) -> np.ndarray:
+    """Column-Laplacian: L[i-1, j-1] = w(j -> i), columns summing to zero."""
+    return graph.rates.T - np.diag(graph.rates.sum(axis=1))
 
 
 def rooted_spanning_weight(graph: InducedDigraph, component, root: int) -> float:
@@ -539,8 +577,8 @@ def pair_block_families() -> dict[str, GeneratorSpec]:
     for t in range(0, R, 2):
         C[t : t + 2, t : t + 2] = random_psd(rng, 2)
     C[R:-1, R:-1] = random_psd(rng, N - 1)
-    C[-1, gellmann_position(2, 2, N)] = 0.7
-    gamma = operator_basis_change(C, "gellmann", "standard")
+    C[-1, standard_position(2, 2, N)] = 0.7
+    gamma = to_standard(C)
     specs["diagonal_trace_mismatch"] = GeneratorSpec(H=np.zeros((N, N)), gamma=gamma)
     specs["non_hermitian_pair"] = pair_block_spec(
         3, np.zeros((3, 3)), {(1, 2): np.array([[1.0, 0.5], [0.0, 1.0]])}, diag=np.eye(3)
@@ -585,7 +623,7 @@ def identity_coupled_spec(
     for t in range(0, R, 2):
         C[t : t + 2, t : t + 2] = random_psd(rng, 2)
     C[R:-1, R:-1] = random_psd(rng, N - 1)
-    p = gellmann_position(1, 2, N)
+    p = standard_position(1, 2, N)
     C[-1, p] = coupling
     C[p, -1] = np.conj(coupling)
     W = basis_change_matrix(N)

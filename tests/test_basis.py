@@ -8,13 +8,21 @@ import pytest
 
 import gkslgraph as gk
 from gkslgraph.basis import (
+    _conjugate_by_w,
     _diagonal_block,
     _max_off_block,
     _pair_blocks,
     _pair_index,
     _pair_levels,
 )
-from helpers import pair_block, random_hermitian, random_pair_block_matrix
+from helpers import (
+    basis_change_matrix,
+    pair_block,
+    random_hermitian,
+    random_pair_block_matrix,
+    to_gellmann,
+    to_standard,
+)
 
 RT2 = np.sqrt(2.0)
 
@@ -58,8 +66,6 @@ def test_standard_position_closed_form(N):
 def test_positions_invert_labels(N):
     for q, (i, j) in enumerate(gk.standard_labels(N)):
         assert gk.standard_position(i, j, N) == q
-    for q, (i, j) in enumerate(gk.gellmann_labels(N)):
-        assert gk.gellmann_position(i, j, N) == q
 
 
 @pytest.mark.parametrize("N", range(1, 13))
@@ -100,8 +106,6 @@ def test_position_rejects_bad_labels():
         gk.standard_position(0, 1, 3)
     with pytest.raises(ValueError):
         gk.standard_position(1, 4, 3)
-    with pytest.raises(ValueError):
-        gk.gellmann_position(4, 4, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +139,7 @@ def test_gellmann_orthonormality_exhaustive(N):
     mats = [gk.gellmann(i, j, N) for (i, j) in labels]
     for a, A in enumerate(mats):
         for b, B in enumerate(mats):
-            ip = gk.hs_inner(A, B)
+            ip = np.vdot(A, B)
             assert abs(ip - (1.0 if a == b else 0.0)) < 1e-12
 
 
@@ -154,7 +158,7 @@ def test_gellmann_hermitian_traceless(N):
 def test_basis_change_columns_reconstruct_matrix_units(N):
     # Column p of W holds the Gell-Mann coefficients of the p-th matrix unit.
     labels = gk.gellmann_labels(N)
-    W = gk.basis_change_matrix(N)
+    W = basis_change_matrix(N)
     for (i, j) in gk.standard_labels(N):
         coeffs = W[:, gk.standard_position(i, j, N)]
         M = sum(c * gk.gellmann(a, b, N) for c, (a, b) in zip(coeffs, labels))
@@ -184,7 +188,7 @@ def test_coordinates_round_trip():
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6])
 def test_basis_change_matrix_unitary(N):
-    W = gk.basis_change_matrix(N)
+    W = basis_change_matrix(N)
     assert np.max(np.abs(W @ W.conj().T - np.eye(N * N))) < 1e-12
 
 
@@ -192,18 +196,18 @@ def test_basis_change_matrix_unitary(N):
 def test_basis_change_matrix_is_overlap_table(N):
     # independent route: W[q, p] should be the overlap of the q-th
     # orthonormal basis element with the p-th matrix unit
-    W = gk.basis_change_matrix(N)
+    W = basis_change_matrix(N)
     for q, (a, b) in enumerate(gk.gellmann_labels(N)):
         lam = gk.gellmann(a, b, N)
         for p, (i, j) in enumerate(gk.standard_labels(N)):
-            ip = gk.hs_inner(lam, gk.matrix_unit(i, j, N))
+            ip = np.vdot(lam, gk.matrix_unit(i, j, N))
             assert abs(W[q, p] - ip) < 1e-13
 
 
 @pytest.mark.parametrize("N", range(1, 6))
 def test_diagonal_block_is_the_diagonal_sector_of_w(N):
     R = N * N - N
-    assert _diagonal_block(N).tobytes() == gk.basis_change_matrix(N)[R:, R:].tobytes()
+    assert _diagonal_block(N).tobytes() == basis_change_matrix(N)[R:, R:].tobytes()
 
 
 def test_no_cached_table_grows_past_n_squared():
@@ -221,69 +225,59 @@ def test_no_cached_table_grows_past_n_squared():
 def test_basis_change_transforms_coordinates():
     rng = np.random.default_rng(7)
     N = 4
-    W = gk.basis_change_matrix(N)
+    W = basis_change_matrix(N)
     for _ in range(10):
         M = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
         gm_coords = W @ gk.to_standard_coordinates(M)
         for q, (a, b) in enumerate(gk.gellmann_labels(N)):
-            assert abs(gm_coords[q] - gk.hs_inner(gk.gellmann(a, b, N), M)) < 1e-12
+            assert abs(gm_coords[q] - np.vdot(gk.gellmann(a, b, N), M)) < 1e-12
 
 
-def test_operator_basis_change_preserves_action():
+def test_conjugate_by_w_preserves_action():
     rng = np.random.default_rng(11)
     N = 3
-    W = gk.basis_change_matrix(N)
+    W = basis_change_matrix(N)
     for _ in range(25):
         M = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
-        M_gm = gk.operator_basis_change(M, "standard", "gellmann")
+        M_gm = to_gellmann(M)
         v = rng.normal(size=N * N) + 1j * rng.normal(size=N * N)
         lhs = M_gm @ (W @ v)
         rhs = W @ (M @ v)
         assert np.max(np.abs(lhs - rhs)) < 1e-10 * max(1.0, np.max(np.abs(rhs)))
 
 
-def test_operator_basis_change_round_trip():
+def test_conjugate_by_w_round_trip():
     rng = np.random.default_rng(12)
     for N in (2, 4):
         M = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
-        back = gk.operator_basis_change(
-            gk.operator_basis_change(M, "standard", "gellmann"), "gellmann", "standard"
-        )
-        assert np.max(np.abs(back - M)) < 1e-12
-        same = gk.operator_basis_change(M, "standard", "standard")
-        assert np.max(np.abs(same - M)) < 1e-14
+        A = M.copy()
+        assert _conjugate_by_w(A, inverse=False) is A
+        assert _conjugate_by_w(A, inverse=True) is A
+        assert np.max(np.abs(A - M)) < 1e-12
 
 
 @pytest.mark.parametrize("N", range(1, 8))
 @pytest.mark.parametrize("pattern", ["dense", "pair-block"])
-def test_operator_basis_change_matches_dense_products(N, pattern):
+def test_conjugate_by_w_matches_dense_products(N, pattern):
     # The conjugation is computed from the blocks of W; the dense products
     # with the full W are the reference.
     rng = np.random.default_rng(40 + N)
     n = N * N
-    W = gk.basis_change_matrix(N)
+    W = basis_change_matrix(N)
     for _ in range(3):
         if pattern == "dense":
             M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         else:
             M = random_pair_block_matrix(rng, N)
         scale = np.max(np.abs(M))
-        to_gm = gk.operator_basis_change(M, "standard", "gellmann")
-        to_std = gk.operator_basis_change(M, "gellmann", "standard")
+        to_gm = to_gellmann(M)
+        to_std = to_standard(M)
         assert np.max(np.abs(to_gm - W @ M @ W.conj().T)) <= 1e-13 * scale
         assert np.max(np.abs(to_std - W.conj().T @ M @ W)) <= 1e-13 * scale
         if pattern == "pair-block":
             # W is block diagonal, so the zero pattern survives exactly.
             assert _max_off_block(to_gm, N) == 0.0
             assert _max_off_block(to_std, N) == 0.0
-
-
-def test_operator_basis_change_rejects_unknown_names():
-    M = np.eye(4)
-    with pytest.raises(ValueError):
-        gk.operator_basis_change(M, "standard", "pauli")
-    with pytest.raises(ValueError):
-        gk.operator_basis_change(M, "fock", "standard")
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +317,7 @@ def test_pair_block_unitary_matches_full_transform():
     # the same 2x2 block as conjugating by the pair-block unitary
     rng = np.random.default_rng(5)
     N = 2
-    W = gk.basis_change_matrix(N)
+    W = basis_change_matrix(N)
     U = gk.pair_block_unitary()
     blk = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     gamma = np.zeros((4, 4), dtype=complex)
@@ -335,13 +329,6 @@ def test_pair_block_unitary_matches_full_transform():
 # ---------------------------------------------------------------------------
 # small predicates
 # ---------------------------------------------------------------------------
-
-
-def test_hs_inner_is_trace_pairing():
-    rng = np.random.default_rng(3)
-    A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    assert abs(gk.hs_inner(A, B) - np.trace(A.conj().T @ B)) < 1e-13
 
 
 def test_is_hermitian():

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +25,7 @@ from helpers import (
     dephasing_ladder_spec,
     gellmann_document,
     identity_coupled_spec,
+    laplacian,
     pair_block_spec,
     random_pbd_spec,
     random_valid_spec,
@@ -303,6 +305,49 @@ def test_cycle_at_rate_1e100_runs_without_overflow(tmp_path, capsys, command):
         assert doc["agree"] is True and doc["max_principal_angle"] <= 1e-14
 
 
+def _two_level_document(block) -> dict:
+    """Blocks spec on two levels with the one real 2x2 pair block ``block``."""
+    block = [[[float(x), 0.0] for x in row] for row in block]
+    zero = [[[0.0, 0.0]] * 2] * 2
+    return {"N": 2, "H": zero, "gamma": {"format": "blocks", "pairs": [{"i": 1, "j": 2, "block": block}]}}
+
+
+#: Terminal 2-cycles whose rates square past the float range, with their kernel dimension.
+HUGE_TWO_CYCLES = {"full rank": ([[1e160, 0.0], [0.0, 1e160]], 1), "rank one": ([[1e160] * 2] * 2, 2)}
+
+
+@pytest.mark.parametrize("block", sorted(HUGE_TWO_CYCLES))
+@pytest.mark.parametrize("command", ["kernel", "digraph", "crosscheck"])
+def test_two_cycle_at_rate_1e160_runs_without_overflow(tmp_path, command, block):
+    # The singularity test of the block takes det(b) / max|b|**2 where
+    # max|b|**2 overflows, so no command raises, warns or prints inf or NaN.
+    matrix, dimension = HUGE_TWO_CYCLES[block]
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_two_level_document(matrix)))
+    dot_path = tmp_path / "cycle.dot"
+    argv = [command, str(path)] + (["--out", str(dot_path)] if command == "digraph" else [])
+    proc = _run_module(argv)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    outputs = proc.stdout + (dot_path.read_text() if command == "digraph" else "")
+    assert not re.search(r"inf|nan", outputs, re.IGNORECASE)
+    doc = json.loads(proc.stdout)
+    assert doc["diagnostics"] == []
+    if command == "kernel":
+        assert doc["dimension"] == dimension
+    elif command == "digraph":
+        assert doc["singular_two_sinks"] == ([[1, 2]] if dimension == 2 else [])
+    else:
+        assert doc["agree"] is True
+
+
+def test_rank_one_two_cycle_at_rate_1_keeps_its_coherence(tmp_path, capsys):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_two_level_document([[1.0, 1.0], [1.0, 1.0]])))
+    code, out, err = run_cli(["kernel", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dimension"] == 2
+
+
 @pytest.mark.parametrize("command", ["validate", "kernel"])
 def test_warnings_of_any_command_become_diagnostics(monkeypatch, tmp_path, capsys, golden_dir, command):
     handler = cli._HANDLERS[command]
@@ -359,7 +404,7 @@ def test_strongly_connected_blocks_spec_at_n128(tmp_path, capsys, command):
         [element] = result["elements"]
         rho = np.diag(gk.parse_state_document({"matrix": element["matrix"]})).real
     assert np.isfinite(rho).all() and rho.sum() == pytest.approx(1.0, abs=1e-12)
-    L = gk.laplacian(gk.induced_digraph(parse_spec_document(doc)))
+    L = laplacian(gk.induced_digraph(parse_spec_document(doc)))
     assert np.abs(L @ rho).max() <= 1e-12
 
 
@@ -744,15 +789,33 @@ TOO_DEEP = "[" * 200_000 + "]" * 200_000
 HUGE_INTEGER = '{"N": ' + "9" * 5000 + "}"
 
 
+def _overflowing_gellmann_document() -> str:
+    """A Gell-Mann document with finite entries whose standard-basis gamma overflows."""
+    C = [[[0.0, 0.0]] * 3 for _ in range(3)]
+    for a in range(2):
+        C[a][:2] = [[1.5e308, 0.0]] * 2
+    zero = [[[0.0, 0.0]] * 2] * 2
+    return json.dumps({"N": 2, "basis": "gellmann", "H": zero, "gamma": {"format": "dense", "matrix": C}})
+
+
 def test_parse_failure_exit_code(tmp_path, capsys):
     bad = tmp_path / "broken.json"
-    for text in ("{not json", TOO_DEEP, HUGE_INTEGER):
+    cases = [(text, ["validate"], "invalid JSON (") for text in ("{not json", TOO_DEEP, HUGE_INTEGER)]
+    cases.append((
+        _overflowing_gellmann_document(),
+        ["validate", "digraph", "oracle"],
+        "gamma.matrix: overflows on conversion to the standard basis",
+    ))
+    for text, commands, message in cases:
         bad.write_text(text)
-        code, out, err = run_cli(["validate", str(bad)], capsys)
-        assert code == 1
-        assert out == ""
-        assert err.startswith(f"error: {bad}: invalid JSON (")
-        assert err.count("\n") == 1
+        for command in commands:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # nothing from numpy on the way
+                code, out, err = run_cli([command, str(bad), "--out", str(tmp_path / "out")], capsys)
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"error: {bad}: {message}")
+            assert err.count("\n") == 1
 
 
 def test_missing_file_exit_code(tmp_path, capsys):
@@ -1048,6 +1111,19 @@ def test_check_state_non_state_diagnostic(tmp_path, capsys, golden_dir):
     doc = json.loads(out)
     assert doc["invariant"] is False  # populations still move
     assert any("not a state" in d for d in doc["diagnostics"])
+
+
+def test_oracle_exits_1_on_a_superoperator_that_is_not_finite(tmp_path, capsys):
+    # Diagonal rates of 1e308 parse, but L's entries overflow: there is no SVD to take.
+    zero = [[[0.0, 0.0]] * 4 for _ in range(4)]
+    for k in range(4):
+        zero[k][k] = [1e308, 0.0]
+    doc = {"N": 2, "H": [[[0.0, 0.0]] * 2] * 2, "gamma": {"format": "dense", "matrix": zero}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["oracle", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: the largest entry of the superoperator is not finite (nan)\n"
 
 
 def test_oracle_skips_validity_gate(tmp_path, capsys):

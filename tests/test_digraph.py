@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
+from gkslgraph.digraph import _sink_report
 from helpers import (
     enumerate_in_tree_weight,
     gellmann_document,
+    laplacian,
     pair_block_spec,
     random_digraph,
     random_valid_spec,
@@ -119,7 +121,7 @@ def test_induced_digraph_gellmann_route_agrees():
 def test_laplacian_menagerie_pinned():
     spec = sink_menagerie_spec()
     g = gk.induced_digraph(spec)
-    L = gk.laplacian(g)
+    L = laplacian(g)
     # the {6,7,8} block, 0-based rows/cols 5..7
     expected = np.array([[-5.0, 1.0, 3.0], [2.0, -2.0, 4.0], [3.0, 1.0, -7.0]])
     assert np.array_equal(L[5:8, 5:8], expected)
@@ -134,7 +136,7 @@ def test_laplacian_matches_population_sector_of_superoperator():
         spec = random_valid_spec(rng, N)
         S = gk.superoperator(spec)
         R = N * N - N
-        L = gk.laplacian(gk.induced_digraph(spec, tol=0.0))
+        L = laplacian(gk.induced_digraph(spec, tol=0.0))
         assert np.max(np.abs(S[R:, R:] - L)) < 1e-10 * max(1.0, np.max(np.abs(L)))
 
 
@@ -263,7 +265,7 @@ def test_stationary_vectors_annihilated_by_laplacian():
     for trial in range(500):
         n = int(rng.integers(1, 9))
         g = random_digraph(rng, n, p=float(rng.uniform(0.1, 0.8)))
-        L = gk.laplacian(g)
+        L = laplacian(g)
         vecs = gk.tscc_stationary_vectors(g)
         for v in vecs:
             assert np.max(np.abs(L @ v.rho)) < 1e-9
@@ -279,9 +281,13 @@ def test_stationary_vectors_annihilated_by_laplacian():
 # ---------------------------------------------------------------------------
 
 
+def sink_report(spec) -> gk.SinkReport:
+    return _sink_report(spec, gk.induced_digraph(spec), gk.DEFAULT_TOL)
+
+
 def test_sink_report_menagerie():
     spec = sink_menagerie_spec()
-    rep = gk.sinks_and_singular_2sinks(spec)
+    rep = sink_report(spec)
     assert rep.sinks == (1, 2, 3)
     assert rep.two_sinks == ((4, 5),)
     assert rep.singular_two_sinks == ((4, 5),)
@@ -289,7 +295,7 @@ def test_sink_report_menagerie():
 
 def test_sink_report_superposition():
     # vertex 3 drains into the pair, so the only terminal component is {1,2}
-    rep = gk.sinks_and_singular_2sinks(superposition_decay_spec())
+    rep = sink_report(superposition_decay_spec())
     assert rep.sinks == ()
     assert rep.two_sinks == ((1, 2),)
     assert rep.singular_two_sinks == ((1, 2),)
@@ -298,7 +304,7 @@ def test_sink_report_superposition():
 def test_sink_report_nonsingular_two_cycle():
     # symmetric hopping with a full-rank block: a two-sink, but not singular
     spec = pair_block_spec(2, np.zeros((2, 2)), {(1, 2): np.diag([1.0, 1.0])})
-    rep = gk.sinks_and_singular_2sinks(spec)
+    rep = sink_report(spec)
     assert rep.two_sinks == ((1, 2),)
     assert rep.singular_two_sinks == ()
 
@@ -311,7 +317,7 @@ def test_sink_report_nonsingular_two_cycle():
 def test_to_dot_structure():
     spec = sink_menagerie_spec()
     g = gk.induced_digraph(spec)
-    rep = gk.sinks_and_singular_2sinks(spec)
+    rep = sink_report(spec)
     dot = gk.to_dot(g, rep)
     assert dot.startswith("digraph")
     assert dot.endswith("\n")
@@ -328,6 +334,6 @@ def test_to_dot_structure():
 
 def test_to_dot_weight_labels_round_trip():
     g = digraph_of(2, {(1, 2): 1.0 / 3.0})
-    dot = gk.to_dot(g)
+    dot = gk.to_dot(g, gk.SinkReport(sinks=(2,), two_sinks=(), singular_two_sinks=()))
     # weights are printed with enough digits to round-trip
     assert f"{1.0 / 3.0:.17g}" in dot

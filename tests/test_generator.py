@@ -16,6 +16,7 @@ from helpers import (
     blocks_document,
     dephasing_ladder_spec,
     identity_coupled_spec,
+    lindblad_dissipator,
     pair_block_families,
     pair_block_spec,
     random_hermitian,
@@ -30,6 +31,8 @@ from helpers import (
     reference_validate,
     sink_menagerie_spec,
     superposition_decay_spec,
+    to_gellmann,
+    to_standard,
 )
 
 RT2 = np.sqrt(2.0)
@@ -211,7 +214,7 @@ def test_dissipator_closed_form_on_matrix_units():
                 continue
             for a in range(1, N + 1):
                 for b in range(1, N + 1):
-                    got = gk.lindblad_dissipator(i, j, i, j, gk.matrix_unit(a, b, N))
+                    got = lindblad_dissipator(i, j, i, j, gk.matrix_unit(a, b, N))
                     expected = -( (a == j) + (b == j) ) * gk.matrix_unit(a, b, N)
                     if a == j and b == j:
                         expected = expected + 2.0 * gk.matrix_unit(i, i, N)
@@ -433,7 +436,7 @@ def test_validate_flags_trace_condition():
     C = np.zeros((4, 4), dtype=complex)
     C[0, 0] = 1.0          # PSD traceless part
     C[3, 0] = 1.0          # identity row entry, no matching column entry
-    gamma = gk.operator_basis_change(C, "gellmann", "standard")
+    gamma = to_standard(C)
     spec = gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=gamma)
     report = gk.validate(spec)
     assert report.psd_on_traceless
@@ -450,7 +453,7 @@ def test_validate_tolerates_imaginary_identity_mismatch():
     C[0, 0] = 1.0
     C[3, 0] = -1.0j
     C[0, 3] = 1.0j
-    gamma = gk.operator_basis_change(C, "gellmann", "standard")
+    gamma = to_standard(C)
     spec = gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=gamma)
     assert gk.validate(spec).verdict
 
@@ -486,7 +489,7 @@ def _validation_cases(rng, N):
         "identity-preserving": random_identity_preserving_spec(rng, N),
         "trace mismatch": gk.GeneratorSpec(
             H=np.zeros((N, N)),
-            gamma=gk.operator_basis_change(C, "gellmann", "standard"),
+            gamma=to_standard(C),
         ),
         "pair-block sector coupling": gk.GeneratorSpec(H=np.zeros((N, N)), gamma=coupled),
     }
@@ -801,12 +804,12 @@ def test_canonicalize_hamiltonian_shift_sign_pinned():
     # correction with a definite sign: C[q0, last]=i, C[last, q0]=-i for
     # q0 the first traceless diagonal label gives H_eff = -lam_11 / sqrt(2)
     N = 2
-    q0 = gk.gellmann_position(1, 1, N)
+    q0 = gk.standard_position(1, 1, N)
     last = N * N - 1
     C = np.zeros((4, 4), dtype=complex)
     C[q0, last] = 1.0j
     C[last, q0] = -1.0j
-    gamma = gk.operator_basis_change(C, "gellmann", "standard")
+    gamma = to_standard(C)
     spec = gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=gamma)
     canon = gk.canonicalize(spec)
     expected_H = -gk.gellmann(1, 1, N) / RT2
@@ -836,7 +839,7 @@ def test_canonical_coefficients_annihilate_identity_direction():
     rng = np.random.default_rng(25)
     N = 3
     canon = gk.canonicalize(random_valid_spec(rng, N))
-    C = gk.operator_basis_change(canon.gamma, "standard", "gellmann")
+    C = to_gellmann(canon.gamma)
     assert np.max(np.abs(C[-1, :])) < 1e-12
     assert np.max(np.abs(C[:, -1])) < 1e-12
     # still a valid generator afterwards
@@ -1011,7 +1014,7 @@ def test_gellmann_coefficients_match_conjugation():
     spec = random_valid_spec(rng, N)
     canon = gk.canonicalize(spec)
     gm = gk.standard_to_gellmann(spec)
-    C_direct = gk.operator_basis_change(canon.gamma, "standard", "gellmann")
+    C_direct = to_gellmann(canon.gamma)
     assert np.max(np.abs(gm.C - C_direct[:-1, :-1])) < 1e-12
     assert np.max(np.abs(gm.H - canon.H)) < 1e-12
 

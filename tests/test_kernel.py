@@ -41,29 +41,33 @@ def kernel_matrices(basis: gk.KernelBasis) -> list[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def test_diagonal_kernel_superposition():
-    els = gk.diagonal_kernel(superposition_decay_spec())
+def diagonal_elements(spec) -> list[gk.KernelElement]:
+    return [el for el in gk.full_kernel(spec).elements if el.tag == "diagonal"]
+
+
+def test_diagonal_elements_superposition():
+    els = diagonal_elements(superposition_decay_spec())
     assert len(els) == 1
     el = els[0]
     assert el.tag == "diagonal"
     assert np.allclose(el.matrix, np.diag([0.5, 0.5, 0.0]), atol=1e-12)
 
 
-def test_diagonal_kernel_menagerie_count():
-    els = gk.diagonal_kernel(sink_menagerie_spec())
+def test_diagonal_elements_menagerie_count():
+    els = diagonal_elements(sink_menagerie_spec())
     assert len(els) == 5
     for el in els:
         assert abs(np.trace(el.matrix) - 1.0) < 1e-12
         assert np.max(np.abs(el.matrix - np.diag(np.diag(el.matrix)))) == 0.0
 
 
-def test_diagonal_kernel_accepts_gellmann_spec():
+def test_diagonal_elements_of_a_gellmann_spec():
     # A Gell-Mann document, parsed, gives the converted spec's elements exactly.
     spec = superposition_decay_spec()
     gm = gk.standard_to_gellmann(spec)
-    els_gm = gk.diagonal_kernel(gk.parse_spec_document(gellmann_document(gm)))
-    els_conv = gk.diagonal_kernel(gk.gellmann_to_standard(gm))
-    els_std = gk.diagonal_kernel(spec)
+    els_gm = diagonal_elements(gk.parse_spec_document(gellmann_document(gm)))
+    els_conv = diagonal_elements(gk.gellmann_to_standard(gm))
+    els_std = diagonal_elements(spec)
     assert len(els_gm) == len(els_conv) == len(els_std) == 1
     assert els_gm[0].support == els_conv[0].support
     assert np.array_equal(els_gm[0].matrix, els_conv[0].matrix)
@@ -194,9 +198,15 @@ def test_block_eigenpairs_preconditions():
 # ---------------------------------------------------------------------------
 
 
-def test_block_kernel_sink_pair_menagerie():
+def pair_elements(spec, pair) -> list[gk.KernelElement]:
+    """The elements of ``full_kernel`` supported on the level pair (k, l), k < l."""
+    elements = gk.full_kernel(spec).elements
+    return [el for el in elements if el.tag != "diagonal" and el.support == pair]
+
+
+def test_pair_elements_sink_pair_menagerie():
     spec = sink_menagerie_spec()
-    els = gk.block_kernel(spec, (2, 3))
+    els = pair_elements(spec, (2, 3))
     assert len(els) == 2
     assert {el.tag for el in els} == {"sink-pair"}
     assert {el.support for el in els} == {(2, 3)}
@@ -205,76 +215,50 @@ def test_block_kernel_sink_pair_menagerie():
     assert np.allclose(mats[1], gk.matrix_unit(3, 2, 8))
 
 
-def test_block_kernel_respects_level_splitting():
+def test_pair_elements_respect_level_splitting():
     spec = sink_menagerie_spec()
     # h_1 = 1 differs from h_2 = 2: no coherence survives
-    assert gk.block_kernel(spec, (1, 2)) == []
+    assert pair_elements(spec, (1, 2)) == []
     # closing the gap promotes the pair
     spec_eq = sink_menagerie_spec(equal_h=True)
-    els = gk.block_kernel(spec_eq, (1, 2))
+    els = pair_elements(spec_eq, (1, 2))
     assert len(els) == 2
 
 
-def test_block_kernel_singular_two_sink():
-    els = gk.block_kernel(superposition_decay_spec(), (1, 2))
+def test_pair_elements_singular_two_sink():
+    els = pair_elements(superposition_decay_spec(), (1, 2))
     assert len(els) == 1
     el = els[0]
     assert el.tag == "singular-2-sink"
     expected = (gk.matrix_unit(1, 2, 3) + gk.matrix_unit(2, 1, 3)) / RT2
-    overlap = abs(gk.hs_inner(expected, el.matrix))
+    overlap = abs(np.vdot(expected, el.matrix))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
-def test_block_kernel_menagerie_singular_pair_pinned():
-    els = gk.block_kernel(sink_menagerie_spec(), (4, 5))
+def test_pair_elements_menagerie_singular_pair_pinned():
+    els = pair_elements(sink_menagerie_spec(), (4, 5))
     assert len(els) == 1
     expected = (1 + 1j) * gk.matrix_unit(4, 5, 8) + (1 - 1j) * gk.matrix_unit(5, 4, 8)
     expected = expected / np.linalg.norm(expected)
-    overlap = abs(gk.hs_inner(expected, els[0].matrix))
+    overlap = abs(np.vdot(expected, els[0].matrix))
     assert overlap == pytest.approx(1.0, abs=1e-12)
 
 
-def test_block_kernel_nothing_on_nonsingular_cycle():
+def test_pair_elements_nothing_on_nonsingular_cycle():
     spec = pair_block_spec(2, np.zeros((2, 2)), {(1, 2): np.diag([1.0, 1.0])})
-    assert gk.block_kernel(spec, (1, 2)) == []
+    assert pair_elements(spec, (1, 2)) == []
 
 
-def test_block_kernel_dephasing_mismatch_blocks_element():
+def test_pair_elements_dephasing_mismatch_blocks_element():
     # both levels are sinks, h matches, but unequal dephasing rates on the
     # population sector destroy the coherence
     diag = np.diag([0.7, 0.0]).astype(complex)
     spec = pair_block_spec(2, np.zeros((2, 2)), {}, diag=diag)
-    assert gk.block_kernel(spec, (1, 2)) == []
+    assert pair_elements(spec, (1, 2)) == []
     # with equal dephasing and matching cross terms the coherence survives
     uniform = 0.7 * np.ones((2, 2), dtype=complex)
     spec2 = pair_block_spec(2, np.zeros((2, 2)), {}, diag=uniform)
-    assert len(gk.block_kernel(spec2, (1, 2))) == 2
-
-
-def _pair_elements(elements, pair):
-    return [
-        (el.tag, el.matrix.tobytes())
-        for el in elements
-        if el.support == pair and el.tag != "diagonal"
-    ]
-
-
-@pytest.mark.parametrize("N", range(2, 9))
-def test_block_kernel_matches_full_kernel_on_every_pair(N):
-    rng = np.random.default_rng(600 + N)
-    specs = [random_pbd_spec(rng, N) for _ in range(20)] if N < 8 else []
-    if N == 3:
-        specs += [dephasing_ladder_spec(), superposition_decay_spec()]
-    if N == 8:
-        specs += [sink_menagerie_spec(), sink_menagerie_spec(equal_h=True)]
-    for spec in specs:
-        elements = gk.full_kernel(spec).elements
-        for k in range(1, N + 1):
-            for ell in range(k + 1, N + 1):
-                expected = _pair_elements(elements, (k, ell))
-                for pair in ((k, ell), (ell, k)):
-                    got = _pair_elements(gk.block_kernel(spec, pair), (k, ell))
-                    assert got == expected
+    assert len(pair_elements(spec2, (1, 2))) == 2
 
 
 def test_block_analysis_visits_only_sink_pairs_and_two_sinks(monkeypatch):
@@ -292,8 +276,6 @@ def test_block_analysis_visits_only_sink_pairs_and_two_sinks(monkeypatch):
     # sinks 1, 2, 3; the terminal 2-cycle (4, 5); {6, 7, 8} has no pair.
     assert visited == [(1, 2, False), (1, 3, False), (2, 3, False), (4, 5, True)]
     visited.clear()
-    assert gk.block_kernel(sink_menagerie_spec(), (7, 6)) == []
-    assert visited == []
     gk.full_kernel(dephasing_ladder_spec())  # every level a sink
     assert visited == [(1, 2, False), (1, 3, False), (2, 3, False)]
 
@@ -394,7 +376,7 @@ def test_brute_force_kernel_properties():
     for a, m in enumerate(mats):
         assert np.max(np.abs(gk.apply_generator(spec, m))) < 1e-10
         for b, m2 in enumerate(mats):
-            ip = gk.hs_inner(m, m2)
+            ip = np.vdot(m, m2)
             assert abs(ip - (1.0 if a == b else 0.0)) < 1e-10
     assert all(el.tag == "oracle" for el in oracle.elements)
 

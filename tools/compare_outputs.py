@@ -32,8 +32,10 @@ between the two element sets.  The command still counts as differing.  A
 summary follows: one line per JSON path with its indices collapsed
 (``$.stationary[].rho[]``), giving how many numbers moved there and the
 largest absolute and relative move, how many oracle spans were compared and
-their largest principal angle, and the number of commands whose non-numeric
-content differs.  Exits 0 when every output is byte-identical and 1
+their largest principal angle, the number of commands whose non-numeric
+content differs, and how many commands raised instead of exiting, at the
+base and in the working tree, with each one of the working tree that did.
+Exits 0 when every output is byte-identical and 1
 otherwise.  This is a tool, not a test: the test suite does not run it.
 """
 
@@ -255,6 +257,12 @@ def main(argv=None) -> int:
         jobs_path.write_text(json.dumps(jobs))
         base = _run_tree(_export_src(args.base, tmp / "base"), jobs_path, tmp / "base.json")
         head = _run_tree(ROOT / "src", jobs_path, tmp / "head.json")
+
+        def shown(job: list[str]) -> str:
+            return " ".join(
+                a.replace(f"{tmp}{os.sep}", "").replace(f"{ROOT}{os.sep}", "") for a in job
+            )
+
         differing = reshaped = 0
         moved: dict[str, list] = {}
         spans: list[float] = []
@@ -262,9 +270,7 @@ def main(argv=None) -> int:
             if b == h:
                 continue
             differing += 1
-            print(" ".join(
-                a.replace(f"{tmp}{os.sep}", "").replace(f"{ROOT}{os.sep}", "") for a in job
-            ))
+            print(shown(job))
             if b["code"] != h["code"]:
                 print(f" exit code: {b['code']} -> {h['code']}")
             other = False
@@ -284,7 +290,18 @@ def main(argv=None) -> int:
         largest = max(spans)
         print(f"oracle element spans compared: {len(spans)}, largest principal angle {largest:.3g}")
     print(f"{reshaped} commands differ in non-numeric content")
+    # A traceback is not an exit code: name every command that raised.
+    at_base, at_head = (sum(map(_raised, side)) for side in (base, head))
+    print(f"commands that raised: {at_base} at {args.base}, {at_head} in the working tree")
+    for job, h in zip(jobs, head):
+        if _raised(h):
+            print(f" {h['code']}: {shown(job)}")
     return 1 if differing else 0
+
+
+def _raised(result: dict) -> bool:
+    """Whether the command raised instead of exiting (its code is ``raised <type>``)."""
+    return str(result["code"]).startswith("raised ")
 
 
 if __name__ == "__main__":
