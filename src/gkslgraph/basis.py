@@ -193,10 +193,13 @@ def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | 
     ``max|A - A*| <= _threshold(tol, max|A|)`` and no eigenvalue of
     ``(A + A*)/2`` is below ``-_threshold(tol, max eigenvalue)``; the
     lowest eigenvalue is offending when that test fails, Hermitian or not.
-    Without ``spectrum`` only the Hermitian test is made.  An A with a NaN
-    or infinite entry fails before any arithmetic on it, so with no
-    warning; so does one whose skew overflows.  Neither takes a spectrum.
-    An empty A passes.
+    The eigenvalue test is first made by :func:`_certified_psd`, one
+    shifted Cholesky per block array with no spectrum; only where that
+    does not certify A is the spectrum taken, so an offending eigenvalue
+    always comes from it.  Without ``spectrum`` only the Hermitian test is
+    made.  An A with a NaN or infinite entry fails before any arithmetic
+    on it, so with no warning; so does one whose skew overflows.  Neither
+    takes a spectrum.  An empty A passes.
     """
     if all(b.size == 0 for b in blocks):
         return True, None, 0.0
@@ -209,12 +212,59 @@ def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | 
     ok = skew <= _threshold(tol, magnitude)
     if not spectrum:
         return ok, None, magnitude
-    hermitized = [(b + b.conj().swapaxes(-1, -2)) / 2.0 for b in blocks]
+    hermitized = [(b + b.conj().swapaxes(-1, -2)) / 2.0 for b in blocks if b.size]
+    if _certified_psd(hermitized, tol):
+        return ok, None, magnitude
     evals = np.concatenate([np.linalg.eigvalsh(h).ravel() for h in hermitized])
     lowest = float(evals.min())
     if lowest >= -_threshold(tol, float(evals.max())):
         return ok, None, magnitude
     return False, lowest, magnitude
+
+
+def _certified_psd(hermitized, tol: float) -> bool:
+    """Whether a Cholesky factorization proves that :func:`_psd_test`'s eigenvalue test passes.
+
+    ``hermitized`` are nonempty Hermitian matrices or stacks of them.  With
+    ``d`` their largest diagonal entry, the shift is
+    ``s = _threshold(tol, d) / 2``; since ``d`` is at most the largest
+    eigenvalue, ``2 s`` is at most the test's threshold.  Each array is
+    factored as ``h + s I`` by ``np.linalg.cholesky``, and ``True`` means
+    every factorization succeeded.
+
+    The guard: for an n x n block and unit roundoff ``u = eps / 2``, a
+    computed factor R satisfies ``R* R = h + s I + E`` with
+    ``|E| <= g |R*| |R|``, ``g = (n + 1) u / (1 - (n + 1) u)`` in real
+    arithmetic (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., Thm 10.3); a complex product is accurate to ``sqrt(2) g_2``,
+    not u (Lemma 3.5), which at most triples g.  So
+    ``||E||_2 <= g ||R||_F^2 = g tr(R* R)``, at most about
+    ``3 (n + 1) u tr(h + s I)``, and forming the shift adds at most
+    ``u tr(h + s I)``: together at most ``2 (n + 1) eps tr(h + s I)``.
+    The factorization is taken only where ``4 (n + 1) eps tr(h + s I) <= s``,
+    which holds that error to ``s / 2``.  A success then makes
+    ``h + s I + E = R* R`` PSD, so h has no eigenvalue below ``-3 s / 2``,
+    three quarters of the threshold; the quarter left covers the rounding
+    of the spectrum that the fall-back would take.  At ``tol = 0`` the
+    shift is 0 and no factorization is taken.  ``False`` says nothing of
+    the spectrum.
+    """
+    d = max(float(h.diagonal(axis1=-2, axis2=-1).real.max()) for h in hermitized)
+    s = _threshold(tol, d) / 2.0
+    if not 0.0 < s < math.inf:
+        return False
+    eps = np.finfo(np.float64).eps
+    for h in hermitized:
+        n = h.shape[-1]
+        trace = float(h.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1).max()) + n * s
+        if not 4.0 * (n + 1) * eps * trace <= s:  # a NaN trace fails too
+            return False
+    try:
+        for h in hermitized:
+            np.linalg.cholesky(h + s * np.eye(h.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def is_hermitian(A: np.ndarray, tol: float = DEFAULT_TOL) -> bool:

@@ -14,7 +14,9 @@ argparse conventions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import gc
 import hashlib
 import math
 import os
@@ -345,6 +347,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _collector_paused():
+    """Pause Python's cyclic garbage collector; restore it as it was found on exit."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_collector_paused()
 def _process(command, input_path, args, tol):
     """Load, dispatch and serialize; returns (code, JSON text, dot text or None).
 
@@ -355,6 +370,13 @@ def _process(command, input_path, args, tol):
     superoperator, ``check-state``'s drift) fails like an invalid spec.
     A spec too large for memory (the dense N^2 x N^2 gamma of a large N)
     fails like an invalid one, naming the path.
+
+    The cyclic garbage collector is paused for the whole call (each call
+    gets a fresh pause): decoding a dense spec builds N^4 small
+    ``[re, im]`` lists, which the collector would traverse again and again
+    while it can free none of them, since a JSON tree holds no reference
+    cycle.  It is restored as it was found, on return or on any exception,
+    so ``--batch`` collects between files.
     """
     try:
         data = input_path.read_bytes()

@@ -480,11 +480,16 @@ def validate(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> ValidationReport:
     (``spec._pattern``) and never a dense gamma.  W is block diagonal over
     the same blocks, so C is formed only on its 2x2 pair blocks and its
     N x N diagonal-sector block (its identity row and column are 0 on the
-    pair labels), and the spectrum is taken block by block.  Any other
-    gamma is conjugated whole by the blocks of W, ``O(N^4)``, and B is
-    scanned: its spectrum is taken block by block if it has the pattern
-    (rounding can give it one), else by one dense ``eigvalsh``, ``O(N^6)``.
-    Both routes feed the same entries of C to the same test.  A gamma with
+    pair labels), and B is tested block by block.  Any other gamma is
+    conjugated whole by the blocks of W, ``O(N^4)``, and B is scanned: it
+    is tested block by block if it has the pattern (rounding can give it
+    one), else whole, ``O(N^6)``.  Either way B is first certified PSD by
+    one Cholesky factorization of each block array, shifted by half the
+    threshold, where that shift dominates the factorization's rounding
+    (``basis._certified_psd``; never at ``tol = 0``).  A spectrum, by
+    ``eigvalsh``, about four times the cost, is taken only where the
+    certificate fails, and gives the offending eigenvalue.  Both routes
+    feed the same entries of C to the same test.  A gamma with
     a NaN or infinite entry fails both checks, with no basis change: C is
     not defined.  The report is kept on the spec per ``tol``, so a repeated
     call costs a lookup.

@@ -39,3 +39,21 @@ def svd_dtypes(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "svd", recording)
     return dtypes
+
+
+@pytest.fixture
+def psd_calls(monkeypatch) -> list:
+    """``(name, shape)`` of each ``np.linalg.cholesky`` and ``eigvalsh`` call, in order.
+
+    These are the calls of ``basis._psd_test``: a shifted Cholesky per
+    block array, and the spectrum only where that does not certify.
+    """
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+
+        def recording(a, *args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _fn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return calls

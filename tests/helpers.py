@@ -586,6 +586,49 @@ def pair_block_families() -> dict[str, GeneratorSpec]:
     return specs
 
 
+#: The pair block of :func:`near_threshold_psd_specs` that sets B's scale:
+#: largest diagonal entry 2, eigenvalues 0.5 and 3.5.
+NEAR_THRESHOLD_SCALE_BLOCK = np.array([[2.0, 1.5], [1.5, 2.0]])
+
+
+def lowest_eigenvalue_block(lowest: float) -> np.ndarray:
+    """Real symmetric 2x2 block with eigenvalues ``lowest`` and ``0.5 - lowest``, diagonal 0.25."""
+    return np.array([[0.25, 0.25 - lowest], [0.25 - lowest, 0.25]])
+
+
+def near_threshold_psd_specs() -> dict[str, GeneratorSpec]:
+    """Specs on either side of validate's PSD boundaries, at the default tolerance, by name.
+
+    Built in the Gell-Mann basis, N = 3..6, with the pair-block pattern and
+    no identity row or column.  B's first pair block is
+    :data:`NEAR_THRESHOLD_SCALE_BLOCK`, which holds its largest diagonal
+    entry d = 2 and eigenvalue 3.5: at tolerance 1e-9 the PSD threshold is
+    t = 3.5e-9 and the shift of validate's Cholesky certificate
+    ``s = 1e-9 * d / 2 = 1e-9``.  B's lowest eigenvalue is ``-x * (1 + e)``
+    for x in (t, s) and e in (-1e-3, 1e-3), set by
+    :func:`lowest_eigenvalue_block` in its last pair block (odd N) or in its
+    diagonal-sector block (even N).  Only ``t_outside`` is invalid at 1e-9;
+    ``s_inside`` is the one the certificate passes.  Every other block has
+    diagonal 0.5 and eigenvalues in [0.25, 0.75].
+    """
+    t, s = 3.5e-9, 1e-9
+    specs = {}
+    for N in range(3, 7):
+        R = N * N - N
+        for x_name, x in (("t", t), ("s", s)):
+            for side, e in (("inside", -1e-3), ("outside", 1e-3)):
+                C = np.zeros((N * N, N * N), dtype=complex)
+                for p in range(0, R, 2):
+                    C[p : p + 2, p : p + 2] = [[0.5, 0.25j], [-0.25j, 0.5]]
+                C[0:2, 0:2] = NEAR_THRESHOLD_SCALE_BLOCK
+                C[R:-1, R:-1] = 0.5 * np.eye(N - 1)
+                at = R - 2 if N % 2 else R
+                C[at : at + 2, at : at + 2] = lowest_eigenvalue_block(-x * (1.0 + e))
+                H = np.diag(0.5 * np.arange(N)).astype(complex)
+                specs[f"N{N}_{x_name}_{side}"] = GeneratorSpec(H=H, gamma=to_standard(C))
+    return specs
+
+
 def random_identity_preserving_spec(rng: np.random.Generator, N: int) -> GeneratorSpec:
     """Random identity-preserving spec, built in the orthonormal basis.
 

@@ -8,18 +8,31 @@ import pytest
 
 import gkslgraph as gk
 from gkslgraph.basis import (
+    _certified_psd,
     _conjugate_by_w,
     _diagonal_block,
     _max_off_block,
     _pair_blocks,
     _pair_index,
     _pair_levels,
+    _psd_test,
 )
+from gkslgraph.io import parse_spec_document, spec_to_document
 from helpers import (
+    NEAR_THRESHOLD_SCALE_BLOCK,
     basis_change_matrix,
+    blocks_document,
+    identity_coupled_spec,
+    lowest_eigenvalue_block,
+    near_threshold_psd_specs,
     pair_block,
+    pair_block_families,
+    random_consistent_spec,
     random_hermitian,
+    random_identity_preserving_spec,
     random_pair_block_matrix,
+    random_valid_spec,
+    reference_validate,
     to_gellmann,
     to_standard,
 )
@@ -386,3 +399,155 @@ def test_predicates_hold_at_the_threshold_and_fail_one_float_past_it(tol, scale)
 def test_random_hermitian_helper_sanity():
     rng = np.random.default_rng(8)
     assert gk.is_hermitian(random_hermitian(rng, 5))
+
+
+# ---------------------------------------------------------------------------
+# the Cholesky certificate of the PSD test
+# ---------------------------------------------------------------------------
+
+
+def _every_family() -> dict[str, gk.GeneratorSpec]:
+    """Every spec family of the helpers, by name: pair-block, near-threshold and dense."""
+    rng = np.random.default_rng(97)
+    specs = {**pair_block_families(), **near_threshold_psd_specs()}
+    for N in range(1, 6):
+        specs[f"random_valid_N{N}"] = random_valid_spec(rng, N)
+        specs[f"identity_preserving_N{N}"] = random_identity_preserving_spec(rng, N)
+    for N in range(2, 6):
+        specs[f"identity_coupled_N{N}"] = identity_coupled_spec(rng, N, 0.3 + 0.2j)
+        specs[f"consistent_N{N}"] = random_consistent_spec(rng, N)[0]
+    return specs
+
+
+def _read_back(specs: dict[str, gk.GeneratorSpec]):
+    """Each spec parsed from its dense document and, on the pattern, from its blocks document."""
+    for name, spec in specs.items():
+        yield f"{name}_dense", parse_spec_document(spec_to_document(spec))
+        if spec._on_pair_pattern:
+            yield f"{name}_blocks", parse_spec_document(blocks_document(spec))
+
+
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+def test_validate_matches_the_dense_reference_on_every_family(tol):
+    # Given and canonical forms, read from both document formats.  The
+    # certificate passes only what the spectrum passes, so every verdict is
+    # the dense reference's.
+    verdicts = set()
+    for name, spec in _read_back(_every_family()):
+        forms = [(name, spec)]
+        if gk.validate(spec, tol).verdict:
+            forms.append((f"{name}_canonical", gk.canonicalize(spec, tol)))
+        for form, s in forms:
+            got, ref = gk.validate(s, tol), reference_validate(s, tol)
+            verdicts.add(got.verdict)
+            assert got.psd_on_traceless == ref.psd_on_traceless, form
+            assert got.trace_condition == ref.trace_condition, form
+            assert got.trace_witness == ref.trace_witness, form
+            if ref.offending_eigenvalue is None:
+                assert got.offending_eigenvalue is None, form
+            else:
+                assert got.offending_eigenvalue == pytest.approx(
+                    ref.offending_eigenvalue, rel=1e-12, abs=1e-15
+                ), form
+    assert verdicts == {True, False}
+
+
+def _spectrum_route(monkeypatch):
+    """Make every Cholesky fail, so that _psd_test takes the spectrum."""
+
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("not certified")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing)
+
+
+def _boundary_blocks(lowest: float, stacked: bool) -> list[np.ndarray]:
+    """Hermitian blocks of largest diagonal entry 2, largest eigenvalue 3.5 and lowest ``lowest``.
+
+    As a list of one (P, 2, 2) stack and one dense block, as on the pattern
+    route, or as one dense 6 x 6 matrix whose lowest eigenvalue a random
+    unitary spreads over a dense 4 x 4 block.
+    """
+    if stacked:
+        others = [[[0.5, 0.25j], [-0.25j, 0.5]]] * 3
+        blocks = [NEAR_THRESHOLD_SCALE_BLOCK, lowest_eigenvalue_block(lowest), *others]
+        pairs = np.array(blocks, dtype=complex)
+        return [pairs, 0.5 * np.eye(3, dtype=complex)[None]]
+    rng = np.random.default_rng(98)
+    Q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    h = np.zeros((6, 6), dtype=complex)
+    h[:2, :2] = NEAR_THRESHOLD_SCALE_BLOCK
+    h[2:, 2:] = (Q * [lowest, 0.2, 0.4, 0.6]) @ Q.conj().T
+    return [h]
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["dense", "stack"])
+@pytest.mark.parametrize("tol", [1e-9, 1e-3])
+@pytest.mark.parametrize("side", [-1e-6, 1e-6], ids=["inside", "outside"])
+@pytest.mark.parametrize("boundary", ["t", "s"])
+def test_certificate_agrees_with_the_spectrum_at_both_boundaries(
+    monkeypatch, boundary, side, tol, stacked
+):
+    # t is the PSD threshold tol * 3.5 and s = tol * 2 / 2 the certificate's
+    # shift.  On either side of each, _psd_test's verdict and offending
+    # eigenvalue are those of the spectrum alone, bit for bit.
+    x = tol * 3.5 if boundary == "t" else tol
+    blocks = _boundary_blocks(-x * (1.0 + side), stacked)
+    got = _psd_test(blocks, tol)
+    _spectrum_route(monkeypatch)
+    assert got == _psd_test(blocks, tol)
+    assert got[0] is not (boundary == "t" and side > 0)  # only past t is not PSD
+    if tol == 1e-3:  # far above rounding: the certificate passes just inside its shift
+        hermitized = [(b + b.conj().swapaxes(-1, -2)) / 2.0 for b in blocks]
+        monkeypatch.undo()
+        assert _certified_psd(hermitized, tol) is (boundary == "s" and side < 0)
+
+
+def test_certificate_is_not_taken_where_rounding_could_exceed_the_shift(psd_calls):
+    # A 15 x 15 PD block of diagonal 1: at tol 1e-9 the shift s = 5e-10
+    # dominates the guard's bound on the rounding, 4 (n + 1) eps tr = 2e-13;
+    # at tol 1e-14 (s = 5e-15) it does not, and no Cholesky is taken.
+    h = np.eye(15, dtype=complex) + 0.01 * random_hermitian(np.random.default_rng(7), 15)
+    np.fill_diagonal(h, 1.0)
+    assert _certified_psd([h], 1e-9)
+    assert psd_calls == [("cholesky", (15, 15))]
+    psd_calls.clear()
+    assert not _certified_psd([h], 1e-14)
+    assert psd_calls == []
+    assert _psd_test([h], 1e-14)[:2] == (True, None)  # passed by the spectrum instead
+
+
+def test_no_cholesky_is_taken_at_tolerance_zero(psd_calls):
+    # At tol 0 the shift is 0, so the certificate could not pass: every
+    # verdict comes from the spectrum, N = 1 and N = 2 included.
+    for name, spec in _read_back(_every_family()):
+        gk.validate(spec, 0.0)
+    assert psd_calls and {name for name, _ in psd_calls} == {"eigvalsh"}
+
+
+def test_certificate_at_n_1_and_n_2(psd_calls):
+    # At N = 1 the traceless block is empty (a (0, 2, 2) pair stack and a
+    # 0 x 0 block): nothing is factored.  At N = 2 each block array is
+    # factored once: the dense 3 x 3 block, or on the pattern its one pair
+    # block and its 1 x 1 diagonal-sector block.
+    rng = np.random.default_rng(99)
+    specs = {
+        "N1": random_valid_spec(rng, 1),
+        "N2": random_valid_spec(rng, 2),
+        "N2_pattern": gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=np.diag([1.0, 0.5, 1.0, 1.0])),
+    }
+    expected = {
+        "N1_dense": [],
+        "N1_blocks": [],
+        "N2_dense": [("cholesky", (1, 3, 3))],
+        "N2_pattern_dense": [("cholesky", (1, 2, 2)), ("cholesky", (1, 1, 1))],
+        "N2_pattern_blocks": [("cholesky", (1, 2, 2)), ("cholesky", (1, 1, 1))],
+    }
+    seen = set()
+    for name, spec in _read_back(specs):
+        psd_calls.clear()
+        report = gk.validate(spec)
+        assert psd_calls == expected[name], name
+        assert report.verdict and report == reference_validate(spec), name
+        seen.add(name)
+    assert seen == set(expected)

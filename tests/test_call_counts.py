@@ -170,6 +170,24 @@ def test_kernel_fallback_takes_one_real_svd_of_one_superoperator(
     assert svd_dtypes == [np.float64]
 
 
+def test_valid_dense_kernel_certifies_psd_by_one_cholesky(tmp_path, psd_calls):
+    # The one validation report is certified by a shifted Cholesky of the
+    # whole traceless block: no spectrum is taken.
+    _kernel_falls_back(_dense_spec_path(tmp_path), tmp_path)
+    assert psd_calls == [("cholesky", (1, 15, 15))]
+
+
+def test_non_psd_dense_spec_takes_the_spectrum_once_after_the_cholesky(tmp_path, psd_calls):
+    # The Cholesky fails, so the spectrum is taken once, for the offending
+    # eigenvalue the command reports.
+    spec = random_valid_spec(np.random.default_rng(61), 4)
+    path = tmp_path / "negated.json"
+    negated = gk.GeneratorSpec(H=spec.H, gamma=-spec.gamma)
+    path.write_text(gk.dump_json(gk.spec_to_document(negated)))
+    assert cli.main(["kernel", str(path), "--out", str(tmp_path / "k.json")]) == 1
+    assert psd_calls == [("cholesky", (1, 15, 15)), ("eigvalsh", (1, 15, 15))]
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_gellmann_file_is_converted_once(monkeypatch, tmp_path, capsys, command):
     # The parser converts a Gell-Mann document; no command converts again.

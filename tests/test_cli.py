@@ -1,6 +1,7 @@
 """CLI and JSON I/O tests: envelopes, exit codes, batch mode, golden files."""
 
 import argparse
+import gc
 import hashlib
 import json
 import math
@@ -503,6 +504,65 @@ def test_batch_continues_past_a_spec_too_large_for_memory(
     assert code == 1
     assert err == f"error: {in_dir / 'a.json'}: out of memory ({message})\n"
     assert [p.name for p in out_dir.iterdir()] == ["b.oracle.json"]
+
+
+@pytest.fixture(params=[True, False], ids=["collector_on", "collector_off"])
+def collector_state(request):
+    """The collector's state before the test's command; restored after it."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def _collector_outcomes(tmp_path, golden_dir) -> dict:
+    """Argument list, exit code and stand-in for ``cli.full_kernel`` (or None), by way of ending."""
+    good = golden_dir / "superposition.spec.json"
+    unparseable = tmp_path / "unparseable.json"
+    unparseable.write_text('{"N": 2}')
+    invalid = write_spec(tmp_path / "invalid.json", INDEFINITE)
+    batch = tmp_path / "batch"
+    batch.mkdir()
+    for name, path in (("a", good), ("b", unparseable), ("c", good)):
+        (batch / f"{name}.json").write_bytes(Path(path).read_bytes())
+
+    def exhausted(*args):
+        raise MemoryError
+
+    return {
+        "success": (["kernel", str(good)], 0, None),
+        "spec_parse_error": (["kernel", str(unparseable)], 1, None),
+        "invalid_generator": (["kernel", invalid], 1, None),
+        "memory_error": (["kernel", str(good)], 1, exhausted),
+        "batch_with_a_bad_file": (
+            ["kernel", str(batch), "--batch", "--out", str(tmp_path / "out")], 1, None
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["success", "spec_parse_error", "invalid_generator", "memory_error", "batch_with_a_bad_file"],
+)
+def test_main_leaves_the_collector_as_it_found_it(
+    monkeypatch, tmp_path, capsys, golden_dir, collector_state, case
+):
+    # The collector is paused while a command runs, and its state before
+    # the call is its state after it, however the command ends.
+    argv, expected, kernel = _collector_outcomes(tmp_path, golden_dir)[case]
+    if kernel:
+        monkeypatch.setattr(cli, "full_kernel", kernel)
+    seen = []
+    decode = cli._decode_document
+
+    def spied(data):
+        seen.append(gc.isenabled())
+        return decode(data)
+
+    monkeypatch.setattr(cli, "_decode_document", spied)
+    assert run_cli(argv, capsys)[0] == expected
+    assert gc.isenabled() is collector_state
+    assert seen == [False] * (3 if case == "batch_with_a_bad_file" else 1)
 
 
 def test_parser_is_built_once_per_process(monkeypatch, tmp_path, capsys, golden_dir):

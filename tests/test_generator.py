@@ -513,33 +513,21 @@ def test_validate_matches_dense_reference(N):
                 ), name
 
 
-def _recorded_eigvalsh_shapes(monkeypatch):
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def recording(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
-    return shapes
-
-
-def test_validate_takes_the_spectrum_block_by_block(monkeypatch):
-    shapes = _recorded_eigvalsh_shapes(monkeypatch)
+def test_validate_takes_the_spectrum_block_by_block(psd_calls):
+    # A valid spec is certified PSD by one shifted Cholesky per block
+    # array, with no spectrum: block by block on the pattern, else dense.
     rng = np.random.default_rng(95)
     spec = random_pbd_spec(rng, 4)
     gk.validate(spec)
-    assert shapes == [(6, 2, 2), (1, 3, 3)]
-    shapes.clear()
+    assert psd_calls == [("cholesky", (6, 2, 2)), ("cholesky", (1, 3, 3))]
+    psd_calls.clear()
     gk.validate(random_valid_spec(rng, 4))
-    assert shapes == [(1, 15, 15)]
+    assert psd_calls == [("cholesky", (1, 15, 15))]
 
 
-def test_validate_off_block_entry_forces_the_dense_spectrum(monkeypatch):
+def test_validate_off_block_entry_forces_the_dense_spectrum(psd_calls):
     # One off-block entry of B, however small, leaves the pair-block zero
-    # pattern: the spectrum is then the dense one.
-    shapes = _recorded_eigvalsh_shapes(monkeypatch)
+    # pattern: B is then factored whole.
     N = 3
     R = N * N - N
     C = np.zeros((N * N - 1, N * N - 1), dtype=complex)
@@ -549,20 +537,20 @@ def test_validate_off_block_entry_forces_the_dense_spectrum(monkeypatch):
     C[0, R] = 1e-300
     spec = gk.gellmann_to_standard(gk.GellMannSpec(H=np.zeros((N, N)), C=C))
     report = gk.validate(spec)
-    assert shapes == [(1, 8, 8)]
+    assert psd_calls == [("cholesky", (1, 8, 8))]
     assert report == reference_validate(spec)
     assert report.verdict
 
 
-def test_validate_takes_the_block_route_when_rounding_leaves_gamma_off_the_pattern(monkeypatch):
+def test_validate_takes_the_block_route_when_rounding_leaves_gamma_off_the_pattern(psd_calls):
     # The canonical form carries a 1.4e-17 residue off the pattern in gamma,
     # while B = W gamma W* is exactly on it: validate scans B and stays on
     # the block route.
     spec = gk.canonicalize(identity_coupled_spec(np.random.default_rng(1), 3, 0.3))
     assert not spec._on_pair_pattern and 0.0 < spec._off_block_max < 1e-16
-    shapes = _recorded_eigvalsh_shapes(monkeypatch)
+    psd_calls.clear()
     report = gk.validate(spec)
-    assert shapes == [(3, 2, 2), (1, 2, 2)]
+    assert psd_calls == [("cholesky", (3, 2, 2)), ("cholesky", (1, 2, 2))]
     assert report == reference_validate(spec)
 
 

@@ -14,7 +14,10 @@ seed's first ``kernel_blocks`` spec is also written with the faults of
 ``helpers.malformed_blocks_documents``, and ``validate`` runs on each copy,
 so the parse errors (stderr and exit code) are compared too.  Every
 command also runs on the specs of ``tests/golden/``, where "held narrowly"
-notes, fallback reasons and ``--tol 0`` rejections show up.  Each of these
+notes, fallback reasons and ``--tol 0`` rejections show up.  ``validate``
+and ``kernel`` run on ``helpers.near_threshold_psd_specs``, written in the
+``dense`` and ``blocks`` formats: specs just inside and outside the PSD
+threshold and the shift of ``validate``'s Cholesky certificate.  Each of these
 jobs runs three times: at the default tolerance, with ``--tol 0`` and with
 ``--tol 1e-3``.
 Each tree runs the same argument lists in-process, in one subprocess with
@@ -121,7 +124,14 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
     """Write the workload specs under ``directory``; return the argv of every command."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     import bench_specs
-    from helpers import COMMANDS, command_argv, malformed_blocks_documents
+    from gkslgraph import dump_json, spec_to_document
+    from helpers import (
+        COMMANDS,
+        blocks_document,
+        command_argv,
+        malformed_blocks_documents,
+        near_threshold_psd_specs,
+    )
 
     def commands(spec_path: Path, workdir: Path, N: int) -> list[list[str]]:
         return [
@@ -135,6 +145,13 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
     jobs = []
     for spec_path in sorted((ROOT / "tests" / "golden").glob("*.spec.json")):
         jobs += commands(spec_path, golden, json.loads(spec_path.read_text())["N"])
+    near = directory / "near_threshold"
+    near.mkdir()
+    for name, spec in near_threshold_psd_specs().items():
+        for fmt, doc in (("dense", spec_to_document(spec)), ("blocks", blocks_document(spec))):
+            path = near / f"{name}.{fmt}.json"
+            path.write_text(dump_json(doc) + "\n")
+            jobs += [["validate", str(path)], ["kernel", str(path)]]
     for seed in seeds:
         for name, workload in bench_specs.WORKLOADS.items():
             workdir = directory / f"seed{seed}" / name
