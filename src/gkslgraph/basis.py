@@ -16,10 +16,12 @@ Both orderings are bijections between labels and positions 0..N**2-1, and
 they share the off-diagonal ("O") sector positions, so the unitary
 change-of-basis matrix W, ``W[q, p] = <lam_q, E_p>`` (Gell-Mann rows,
 standard columns), is block diagonal: one 2x2 block per (i, j) pair and
-one N x N block on the diagonal ("D") sector.  Conjugation by W is computed from those
-blocks in O(N^4) time, never as a dense N**2 x N**2 product (O(N^6)); a
-matrix with the pair-block zero pattern keeps it, and only its blocks are
-conjugated, in O(N^3).
+one N x N block on the diagonal ("D") sector.  The layout is defined once,
+by ``_pair_levels``, and W's diagonal block by the closed form of the
+diagonal Gell-Mann matrices (``_diagonal_block``).  Conjugation by W is
+computed from those blocks in O(N^4) time, never as a dense N**2 x N**2
+product (O(N^6)); a matrix with the pair-block zero pattern keeps it, and
+only its blocks are conjugated, in O(N^3).
 
 All public indices are 1-based, matching the usual physics notation for
 matrix units; array positions are 0-based.
@@ -65,13 +67,8 @@ def standard_labels(N: int) -> tuple[tuple[int, int], ...]:
     """
     if N < 1:
         raise ValueError(f"dimension must be positive, got {N}")
-    labels: list[tuple[int, int]] = []
-    for i in range(1, N + 1):
-        for j in range(i + 1, N + 1):
-            labels.append((i, j))
-            labels.append((j, i))
-    labels.extend((n, n) for n in range(1, N + 1))
-    return tuple(labels)
+    i, j = np.divmod(_standard_flat_order(N), N)
+    return tuple(zip((i + 1).tolist(), (j + 1).tolist()))
 
 
 def gellmann_labels(N: int) -> tuple[tuple[int, int], ...]:
@@ -94,21 +91,23 @@ def standard_position(i: int, j: int, N: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _standard_position_array(N: int) -> np.ndarray:
-    """pos[i-1, j-1] = standard position of label (i, j)."""
-    pos = np.empty((N, N), dtype=np.intp)
-    for p, (i, j) in enumerate(standard_labels(N)):
-        pos[i - 1, j - 1] = p
-    pos.setflags(write=False)
-    return pos
+def _pair_levels(N: int) -> np.ndarray:
+    """Read-only (P, 2) array whose row t is the levels (k, l), k < l, of the labels 2t, 2t + 1."""
+    levels = np.stack(np.triu_indices(N, 1), axis=1) + 1
+    levels.setflags(write=False)
+    return levels
 
 
 @lru_cache(maxsize=None)
-def _pair_levels(N: int) -> np.ndarray:
-    """Read-only (P, 2) array whose row t is the levels (k, l), k < l, of the labels 2t, 2t + 1."""
-    levels = np.array(standard_labels(N)[: N * N - N : 2], dtype=np.intp).reshape(-1, 2)
-    levels.setflags(write=False)
-    return levels
+def _standard_position_array(N: int) -> np.ndarray:
+    """Read-only table with pos[i-1, j-1] = standard position of label (i, j)."""
+    k, ell = _pair_levels(N).T - 1
+    t = np.arange(2 * k.size, step=2)
+    pos = np.empty((N, N), dtype=np.intp)
+    pos[k, ell], pos[ell, k] = t, t + 1
+    np.fill_diagonal(pos, np.arange(2 * k.size, N * N))
+    pos.setflags(write=False)
+    return pos
 
 
 def _pair_index(k, ell, N: int):
@@ -116,9 +115,13 @@ def _pair_index(k, ell, N: int):
     return _standard_position_array(N)[k - 1, ell - 1] // 2
 
 
+@lru_cache(maxsize=None)
 def _standard_flat_order(N: int) -> np.ndarray:
-    """Row-major index (i-1)*N + (j-1) of the label at each standard position."""
-    return np.argsort(_standard_position_array(N).ravel())
+    """Read-only row-major index (i-1)*N + (j-1) of the label at each standard position."""
+    order = np.empty(N * N, dtype=np.intp)
+    order[_standard_position_array(N).ravel()] = np.arange(N * N)
+    order.setflags(write=False)
+    return order
 
 
 # ---------------------------------------------------------------------------
@@ -152,19 +155,10 @@ def gellmann(i: int, j: int, N: int) -> np.ndarray:
     if not (1 <= i <= N and 1 <= j <= N):
         raise ValueError(f"Gell-Mann label ({i}, {j}) out of range for N={N}")
     if i < j:
-        out = matrix_unit(i, j, N) + matrix_unit(j, i, N)
-        return out / math.sqrt(2.0)
+        return (matrix_unit(i, j, N) + matrix_unit(j, i, N)) / math.sqrt(2.0)
     if i > j:
-        out = -1j * (matrix_unit(j, i, N) - matrix_unit(i, j, N))
-        return out / math.sqrt(2.0)
-    n = i
-    if n == N:
-        return np.eye(N, dtype=np.complex128) / math.sqrt(N)
-    out = np.zeros((N, N), dtype=np.complex128)
-    for m in range(1, n + 1):
-        out[m - 1, m - 1] = 1.0
-    out[n, n] = -n
-    return out / math.sqrt(n * (n + 1))
+        return -1j * (matrix_unit(j, i, N) - matrix_unit(i, j, N)) / math.sqrt(2.0)
+    return np.diag(_diagonal_block(N)[i - 1].conj())
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +297,16 @@ def from_standard_coordinates(v: np.ndarray, N: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _diagonal_block(N: int) -> np.ndarray:
-    """W's N x N diagonal-sector block ``W[R:, R:]``: row n is conj(diag(lam_nn))."""
-    # A copy of each diagonal, so no N x N matrix is kept: O(N^2) memory, not N^3.
-    D = np.stack([np.diag(gellmann(n, n, N)).copy() for n in range(1, N + 1)]).conj()
+    """W's N x N diagonal-sector block ``W[R:, R:]``: row n is conj(diag(lam_nn)).
+
+    By the closed form (Bertlmann and Krammer, *J. Phys. A* 41, 235303 (2008)),
+    row n < N is ``1/sqrt(n(n+1))`` up to column n, then ``-n/sqrt(n(n+1))``,
+    and row N is ``1/sqrt(N)``.  The division is complex: a real one would move
+    ``-3/sqrt(12)`` in its last bit.
+    """
+    n = np.arange(1, N + 1)
+    norms = np.sqrt(np.where(n < N, n * (n + 1), N).astype(np.float64))
+    D = ((np.tri(N) - np.diag(n[:-1], 1)).astype(np.complex128) / norms[:, None]).conj()
     D.setflags(write=False)
     return D
 

@@ -89,8 +89,8 @@ def _coordinate_stack(basis) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_validate(spec, input_path, args, tol):
-    report = validate(spec, tol)
+def _cmd_validate(spec, input_path, args):
+    report = validate(spec, args.tol)
     payload = {
         "verdict": report.verdict,
         "psd_on_traceless": report.psd_on_traceless,
@@ -103,14 +103,14 @@ def _cmd_validate(spec, input_path, args, tol):
     return (0 if report.verdict else 1), payload, None, []
 
 
-def _cmd_canonicalize(spec, input_path, args, tol):
-    canon = canonicalize(spec, tol)
+def _cmd_canonicalize(spec, input_path, args):
+    canon = canonicalize(spec, args.tol)
     return 0, {"spec": spec_to_document(canon)}, None, []
 
 
-def _cmd_digraph(spec, input_path, args, tol):
-    graph = induced_digraph(spec, tol)
-    report = _sink_report(spec, graph, tol)
+def _cmd_digraph(spec, input_path, args):
+    graph = induced_digraph(spec, args.tol)
+    report = _sink_report(spec, graph, args.tol)
     stationary = tscc_stationary_vectors(graph)
     payload = {
         "vertices": graph.n,
@@ -132,22 +132,22 @@ def _cmd_digraph(spec, input_path, args, tol):
     return 0, payload, to_dot(graph, report), []
 
 
-def _cmd_kernel(spec, input_path, args, tol):
-    _require_valid(spec, tol)
+def _cmd_kernel(spec, input_path, args):
+    _require_valid(spec, args.tol)
     try:
-        basis = full_kernel(spec, tol)
+        basis = full_kernel(spec, args.tol)
         return 0, _kernel_payload(basis), None, list(basis.diagnostics)
     except PreconditionError as exc:
-        basis = brute_force_kernel(spec, tol)
+        basis = brute_force_kernel(spec, args.tol)
         payload = _kernel_payload(basis)
         payload["fallback_reason"] = str(exc)
         return (2 if args.strict else 0), payload, None, []
 
 
-def _cmd_eigen(spec, input_path, args, tol):
-    _require_valid(spec, tol)
+def _cmd_eigen(spec, input_path, args):
+    _require_valid(spec, args.tol)
     try:
-        plus, minus = block_eigenpairs(spec, args.pair, tol)
+        plus, minus = block_eigenpairs(spec, args.pair, args.tol)
     except ValueError as exc:  # a PreconditionError, or no such level pair
         raise _Failure(1, f"{input_path}: {exc}") from exc
     payload = {
@@ -161,13 +161,13 @@ def _cmd_eigen(spec, input_path, args, tol):
     return 0, payload, None, []
 
 
-def _cmd_check_state(spec, input_path, args, tol):
+def _cmd_check_state(spec, input_path, args):
     try:
         state = load_state(args.state)
     except (OSError, SpecParseError) as exc:
         raise _Failure(1, f"{args.state}: {exc}") from exc
     try:
-        invariant = verify_invariant(spec, state, args.times, tol)
+        invariant = verify_invariant(spec, state, args.times, args.tol)
     except InvalidGeneratorError:
         raise  # reported against the spec by _process
     except ValueError as exc:  # the state's shape
@@ -176,16 +176,16 @@ def _cmd_check_state(spec, input_path, args, tol):
     return 0, payload, None, []
 
 
-def _cmd_oracle(spec, input_path, args, tol):
-    basis = brute_force_kernel(spec, tol)
+def _cmd_oracle(spec, input_path, args):
+    basis = brute_force_kernel(spec, args.tol)
     return 0, _kernel_payload(basis), None, []
 
 
-def _cmd_crosscheck(spec, input_path, args, tol):
-    _require_valid(spec, tol)
-    oracle = brute_force_kernel(spec, tol)
+def _cmd_crosscheck(spec, input_path, args):
+    _require_valid(spec, args.tol)
+    oracle = brute_force_kernel(spec, args.tol)
     try:
-        analytic = full_kernel(spec, tol)
+        analytic = full_kernel(spec, args.tol)
     except PreconditionError as exc:
         payload = {
             "analytic_available": False,
@@ -360,7 +360,7 @@ def _collector_paused():
 
 
 @_collector_paused()
-def _process(command, input_path, args, tol):
+def _process(input_path, args):
     """Load, dispatch and serialize; returns (code, JSON text, dot text or None).
 
     The spec file is read once: the envelope's ``spec_sha256`` names the
@@ -385,20 +385,20 @@ def _process(command, input_path, args, tol):
         raise _Failure(1, f"{input_path}: {exc}") from exc
     except MemoryError as exc:
         raise _out_of_memory(input_path, exc) from exc
-    handler = _HANDLERS[command]
+    handler = _HANDLERS[args.command]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            code, payload, dot, diagnostics = handler(spec, input_path, args, tol)
+            code, payload, dot, diagnostics = handler(spec, input_path, args)
         except (InvalidGeneratorError, FloatingPointError) as exc:
             raise _Failure(1, f"{input_path}: {exc}") from exc
         except MemoryError as exc:
             raise _out_of_memory(input_path, exc) from exc
     doc = {
-        "command": command,
+        "command": args.command,
         "input": str(input_path),
         "spec_sha256": hashlib.sha256(data).hexdigest(),
-        "tolerance": float(tol),
+        "tolerance": float(args.tol),
         **payload,
         "diagnostics": [*diagnostics, *(str(w.message) for w in caught)],
     }
@@ -433,12 +433,12 @@ def _write(path: Path, text: str) -> None:
         raise _Failure(1, f"{path}: {exc.strerror or exc}") from exc
 
 
-def _run_single(args, tol, parser) -> int:
+def _run_single(args, parser) -> int:
     if args.command == "digraph" and not args.out:
         parser.error("digraph requires --out for the DOT file")
     input_path = Path(args.input)
     try:
-        code, text, dot = _process(args.command, input_path, args, tol)
+        code, text, dot = _process(input_path, args)
         if args.command == "digraph":
             _write(Path(args.out), dot)
         elif args.out:
@@ -451,7 +451,7 @@ def _run_single(args, tol, parser) -> int:
     return code
 
 
-def _run_batch(args, tol, parser) -> int:
+def _run_batch(args, parser) -> int:
     if not args.out:
         parser.error("--batch requires --out (an output directory)")
     in_dir = Path(args.input)
@@ -468,7 +468,7 @@ def _run_batch(args, tol, parser) -> int:
     for input_path in sorted(in_dir.glob("*.json")):
         stem = input_path.stem
         try:
-            code, text, dot = _process(args.command, input_path, args, tol)
+            code, text, dot = _process(input_path, args)
             _write(out_dir / f"{stem}.{args.command}.json", text)
             if args.command == "digraph":
                 _write(out_dir / f"{stem}.dot", dot)
@@ -484,8 +484,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.batch:
-        return _run_batch(args, args.tol, parser)
-    return _run_single(args, args.tol, parser)
+        return _run_batch(args, parser)
+    return _run_single(args, parser)
 
 
 def app() -> None:

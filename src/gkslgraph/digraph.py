@@ -253,7 +253,7 @@ def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:
 
 
 def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> SinkReport:
-    """The terminal components of size one and two of ``spec``'s induced digraph.
+    """The terminal components of size one and two of ``spec``'s induced digraph, for ``digraph``.
 
     A terminal pair {k, l} is *singular* when its coefficient block is
     symmetric (gamma_kl == gamma_lk) and has vanishing determinant, both

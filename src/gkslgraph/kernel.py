@@ -7,9 +7,9 @@ one per terminal SCC — and independent 2x2 blocks over the off-diagonal
 pairs (E_kl, E_lk).  Only two kinds of pair can carry kernel elements:
 a pair of sinks (up to two elements) and a terminal 2-cycle (up to one),
 both terminal SCCs of the induced digraph.  ``full_kernel`` reads these
-pairs off the digraph of the canonical spec and assembles the exact basis
-this way; ``brute_force_kernel`` computes the same space numerically from
-the superoperator and serves as an independent cross-check.
+pairs directly off the canonical digraph's terminal components, testing a
+2-cycle's block once; ``brute_force_kernel`` computes the same space
+numerically from the superoperator and serves as an independent cross-check.
 gamma's own numbers are read from the spec's pattern data, ``spec._pattern``,
 and L's pair blocks from ``spec._pair_table``; this module never indexes a dense gamma.
 """
@@ -39,7 +39,6 @@ from .basis import (
 )
 from .digraph import (
     InducedDigraph,
-    _sink_report,
     induced_digraph,
     tscc_stationary_vectors,
     undirected_components,
@@ -360,9 +359,9 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
     diagonal with diagonal H (PreconditionError otherwise), and induces
     its digraph once.  The elements are the diagonal stationary elements,
     one per terminal SCC, followed by the elements of each pair of sinks
-    and each terminal 2-cycle, in sorted pair order; no other pair block
-    is visited.  Diagnostics report conditions that held or failed within
-    a decade of the tolerance.
+    and each terminal 2-cycle, read off the terminal components, in sorted
+    pair order; no other pair block is visited.  Diagnostics report
+    conditions that held or failed within a decade of the tolerance.
     """
     prep = _prepared(spec, tol)
     elements = [
@@ -371,9 +370,9 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
     ]
     # The pairs (k, l), k < l, whose block can be singular, each mapped to
     # whether it is a terminal 2-cycle rather than a pair of sinks.
-    report = _sink_report(prep.canon, prep.graph, tol)
-    pairs = dict.fromkeys(combinations(report.sinks, 2), False)
-    pairs.update(dict.fromkeys(report.two_sinks, True))
+    terminal = prep.graph.scc.terminal_components()
+    pairs = dict.fromkeys(combinations([c[0] for c in terminal if len(c) == 1], 2), False)
+    pairs.update(dict.fromkeys((c for c in terminal if len(c) == 2), True))
     diagnostics: list[str] = []
     for (k, ell), two_sink in sorted(pairs.items()):
         els, notes = _block_analysis(prep, k, ell, two_sink)

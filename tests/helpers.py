@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from gkslgraph import (
     standard_position,
     to_standard_coordinates,
 )
-from gkslgraph.basis import _conjugate_by_w, _standard_flat_order
+from gkslgraph.basis import _conjugate_by_w
 
 # ---------------------------------------------------------------------------
 # reference superoperator (third, slowest route)
@@ -77,6 +78,124 @@ def reference_superoperator(spec: GeneratorSpec) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# exact kernel dimension (ground truth, no tolerance)
+# ---------------------------------------------------------------------------
+
+
+def exact_nullity(spec: GeneratorSpec) -> int:
+    """Dimension of ker L, in exact rational arithmetic.
+
+    Every finite float is a dyadic rational, so the generator that the
+    spec's numbers define has an exact kernel.  L's N**2 x N**2 matrix
+    ``A + iB`` over the row-major matrix units is built in
+    ``fractions.Fraction`` by the formula of ``apply_generator``:
+    ``L(E_jl)[a, b] = G[a,j,b,l] - (i H[a,j] + M[a,j]/2) [l = b]
+    + (i H[l,b] - M[l,b]/2) [a = j]``, with ``M[l, j] = sum_i G[i,j,i,l]``.
+    The complex matrix is embedded as the real ``[[A, -B], [B, A]]``, whose
+    nullity, by Gaussian elimination, is twice that of L.
+    """
+    N = spec.N
+    n = N * N
+    pos = reference_position_array(N).tolist()
+    gamma = spec.gamma.tolist()
+
+    def exact(z: complex) -> tuple[Fraction, Fraction]:
+        return Fraction(z.real), Fraction(z.imag)
+
+    def G(i, j, k, ell):
+        return exact(gamma[pos[i][j]][pos[k][ell]])
+
+    H = [[exact(z) for z in row] for row in spec.H.tolist()]
+    M = [[tuple(sum(G(i, j, i, ell)[part] for i in range(N)) for part in (0, 1))
+          for j in range(N)] for ell in range(N)]
+    rows: list[dict[int, Fraction]] = [{} for _ in range(2 * n)]
+    for j, ell, a, b in itertools.product(range(N), repeat=4):
+        re, im = G(a, j, b, ell)
+        if ell == b:  # - i H[a, j] - M[a, j] / 2
+            re, im = re + H[a][j][1] - M[a][j][0] / 2, im - H[a][j][0] - M[a][j][1] / 2
+        if a == j:  # + i H[l, b] - M[l, b] / 2
+            re, im = re - H[ell][b][1] - M[ell][b][0] / 2, im + H[ell][b][0] - M[ell][b][1] / 2
+        row, col = a * N + b, j * N + ell
+        for r, c, value in ((row, col, re), (row, col + n, -im), (row + n, col, im),
+                            (row + n, col + n, re)):
+            if value:
+                rows[r][c] = value
+    return (2 * n - _exact_rank(rows)) // 2
+
+
+def _exact_rank(rows: list[dict[int, Fraction]]) -> int:
+    """Rank of the sparse rational matrix whose rows map columns to nonzero entries."""
+    pivots: dict[int, dict[int, Fraction]] = {}  # leading column -> row, led by 1
+    for row in rows:
+        row = dict(row)
+        while row:
+            lead = min(row)
+            if lead not in pivots:
+                pivots[lead] = {c: v / row[lead] for c, v in row.items()}
+                break
+            factor = row[lead]
+            for c, v in pivots[lead].items():
+                value = row.get(c, 0) - factor * v
+                if value:
+                    row[c] = value
+                else:
+                    row.pop(c, None)
+    return len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# label tables and Gell-Mann matrices, by loops over the labels
+# ---------------------------------------------------------------------------
+
+
+def reference_standard_labels(N: int) -> tuple[tuple[int, int], ...]:
+    """``standard_labels`` by a double loop over the pairs, then the diagonal."""
+    labels = []
+    for i in range(1, N + 1):
+        for j in range(i + 1, N + 1):
+            labels += [(i, j), (j, i)]
+    return tuple(labels + [(n, n) for n in range(1, N + 1)])
+
+
+def reference_position_array(N: int) -> np.ndarray:
+    """``basis._standard_position_array``, one label at a time."""
+    pos = np.empty((N, N), dtype=np.intp)
+    for p, (i, j) in enumerate(reference_standard_labels(N)):
+        pos[i - 1, j - 1] = p
+    return pos
+
+
+def reference_pair_levels(N: int) -> np.ndarray:
+    """``basis._pair_levels``: the first label of each pair, as a (P, 2) array."""
+    return np.array(reference_standard_labels(N)[: N * N - N : 2], dtype=np.intp).reshape(-1, 2)
+
+
+def reference_flat_order(N: int) -> np.ndarray:
+    """``basis._standard_flat_order``, by sorting the positions."""
+    return np.argsort(reference_position_array(N).ravel())
+
+
+def reference_gellmann(i: int, j: int, N: int) -> np.ndarray:
+    """The Gell-Mann matrix lam_ij (see ``gellmann``), from matrix units and a loop."""
+    if i < j:
+        return (matrix_unit(i, j, N) + matrix_unit(j, i, N)) / math.sqrt(2.0)
+    if i > j:
+        return -1j * (matrix_unit(j, i, N) - matrix_unit(i, j, N)) / math.sqrt(2.0)
+    if i == N:
+        return np.eye(N, dtype=np.complex128) / math.sqrt(N)
+    out = np.zeros((N, N), dtype=np.complex128)
+    for m in range(1, i + 1):
+        out[m - 1, m - 1] = 1.0
+    out[i, i] = -i
+    return out / math.sqrt(i * (i + 1))
+
+
+def reference_diagonal_block(N: int) -> np.ndarray:
+    """``basis._diagonal_block``: row n is conj(diag(lam_nn)), from the dense matrices."""
+    return np.stack([np.diag(reference_gellmann(n, n, N)) for n in range(1, N + 1)]).conj()
+
+
+# ---------------------------------------------------------------------------
 # dense basis-change references
 # ---------------------------------------------------------------------------
 
@@ -89,8 +208,8 @@ def basis_change_matrix(N: int) -> np.ndarray:
     row q is conj(lam_q) read in standard order.  The package conjugates by
     W's blocks instead (``basis._conjugate_by_w``).
     """
-    lam = np.stack([gellmann(i, j, N) for (i, j) in gellmann_labels(N)])
-    return lam.reshape(N * N, N * N)[:, _standard_flat_order(N)].conj()
+    lam = np.stack([reference_gellmann(i, j, N) for (i, j) in reference_standard_labels(N)])
+    return lam.reshape(N * N, N * N)[:, reference_flat_order(N)].conj()
 
 
 def to_gellmann(M: np.ndarray) -> np.ndarray:
@@ -153,7 +272,7 @@ def reference_canonicalize(spec: GeneratorSpec, tol: float = 1e-9) -> GeneratorS
     coeffs = (C[-1, :-1] - C[:-1, -1]).imag / (2.0 * math.sqrt(N))
     H_new = spec.H.copy()
     for c, (i, j) in zip(coeffs, gellmann_labels(N)[:-1]):
-        H_new = H_new + c * gellmann(i, j, N)
+        H_new = H_new + c * reference_gellmann(i, j, N)
     H_new = H_new - (np.trace(H_new).real / N) * np.eye(N)
     H_new = (H_new + H_new.conj().T) / 2.0
     C[-1, :] = 0.0

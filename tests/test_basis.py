@@ -16,6 +16,8 @@ from gkslgraph.basis import (
     _pair_index,
     _pair_levels,
     _psd_test,
+    _standard_flat_order,
+    _standard_position_array,
 )
 from gkslgraph.io import parse_spec_document, spec_to_document
 from helpers import (
@@ -32,6 +34,12 @@ from helpers import (
     random_identity_preserving_spec,
     random_pair_block_matrix,
     random_valid_spec,
+    reference_diagonal_block,
+    reference_flat_order,
+    reference_gellmann,
+    reference_pair_levels,
+    reference_position_array,
+    reference_standard_labels,
     reference_validate,
     to_gellmann,
     to_standard,
@@ -221,6 +229,49 @@ def test_basis_change_matrix_is_overlap_table(N):
 def test_diagonal_block_is_the_diagonal_sector_of_w(N):
     R = N * N - N
     assert _diagonal_block(N).tobytes() == basis_change_matrix(N)[R:, R:].tobytes()
+
+
+#: Sizes at which the derived tables are pinned to the loop builders of ``helpers``.
+TABLE_SIZES = [1, 2, 3, 4, 7, 16, 33, 64]
+
+
+@pytest.mark.parametrize("N", TABLE_SIZES)
+def test_label_tables_equal_the_loop_builders_byte_for_byte(N):
+    labels = gk.standard_labels(N)
+    assert labels == reference_standard_labels(N)
+    assert {type(x) for label in labels for x in label} == {int}
+    for table, reference in (
+        (_standard_position_array(N), reference_position_array(N)),
+        (_pair_levels(N), reference_pair_levels(N)),
+        (_standard_flat_order(N), reference_flat_order(N)),
+    ):
+        assert (table.dtype, table.shape) == (reference.dtype, reference.shape)
+        assert table.tobytes() == reference.tobytes()
+        assert not table.flags.writeable
+
+
+@pytest.mark.parametrize("N", TABLE_SIZES)
+def test_diagonal_block_and_diagonal_gellmann_equal_the_dense_builders_byte_for_byte(N):
+    # The closed form divides in complex arithmetic, as the dense builder
+    # does; a real division moves -3/sqrt(12) in its last bit.
+    D = _diagonal_block(N)
+    assert D.tobytes() == reference_diagonal_block(N).tobytes()
+    assert not D.flags.writeable
+    for n in range(1, N + 1):
+        assert gk.gellmann(n, n, N).tobytes() == reference_gellmann(n, n, N).tobytes()
+
+
+def test_flat_order_is_one_cached_table_and_gellmann_a_fresh_matrix():
+    assert _standard_flat_order(5) is _standard_flat_order(5)
+    lam = gk.gellmann(2, 2, 5)
+    lam[0, 0] = 7.0  # a caller's write does not reach W's diagonal block
+    assert _diagonal_block(5).tobytes() == reference_diagonal_block(5).tobytes()
+
+
+@pytest.mark.parametrize("N", [0, -1])
+def test_standard_labels_reject_a_dimension_below_one(N):
+    with pytest.raises(ValueError, match=f"dimension must be positive, got {N}"):
+        gk.standard_labels(N)
 
 
 def test_no_cached_table_grows_past_n_squared():

@@ -20,6 +20,7 @@ from helpers import (
     COMMANDS,
     command_argv,
     gellmann_document,
+    pair_block_families,
     random_hermitian,
     random_identity_preserving_spec,
     random_valid_spec,
@@ -56,6 +57,31 @@ def test_digraph_command_induces_and_decomposes_once(monkeypatch, tmp_path, gold
     spec = golden_dir / "menagerie.spec.json"
     assert cli.main(["digraph", str(spec), "--out", str(tmp_path / "g.dot")]) == 0
     assert counts == {"induced_digraph": 1, "scc_decompose": 1}  # _pair_block_table: 0
+
+
+def _terminal_two_cycles(spec) -> int:
+    graph = digraph.induced_digraph(generator.canonicalize(spec))
+    return sum(len(comp) == 2 for comp in graph.scc.terminal_components())
+
+
+@pytest.mark.parametrize("name, cycles", [("menagerie", 1), ("superposition", 1), ("ladder", 0)])
+def test_kernel_tests_each_terminal_two_cycle_once(monkeypatch, tmp_path, golden_dir, name, cycles):
+    path = golden_dir / f"{name}.spec.json"
+    assert _terminal_two_cycles(gk.parse_spec_document(json.loads(path.read_text()))) == cycles
+    counts = count_calls(monkeypatch, generator._singularity_checks)
+    assert cli.main(["kernel", str(path), "--out", str(tmp_path / "k.json")]) == 0
+    assert counts["_singularity_checks"] == cycles
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, s in pair_block_families().items() if generator.validate(s).verdict)
+)
+def test_full_kernel_tests_each_terminal_two_cycle_once(monkeypatch, name):
+    spec = pair_block_families()[name]
+    cycles = _terminal_two_cycles(spec)
+    counts = count_calls(monkeypatch, generator._singularity_checks)
+    gk.full_kernel(spec)
+    assert counts["_singularity_checks"] == cycles
 
 
 def test_consistency_bound_builds_the_superoperator_once(monkeypatch):

@@ -182,7 +182,7 @@ def test_batch_continues_past_a_non_finite_spec(tmp_path, capsys):
     assert "expected a finite number, got inf" in err
 
 
-def _nan_for_stem_a(spec, input_path, args, tol):
+def _nan_for_stem_a(spec, input_path, args):
     return 0, {"verdict": float("nan") if input_path.stem == "a" else 1.0}, None, []
 
 

@@ -1,5 +1,6 @@
 """Kernel-layer tests: closed-form invariant spaces vs. the numeric oracle."""
 
+import json
 import math
 import re
 import warnings
@@ -13,9 +14,11 @@ from gkslgraph import kernel
 from gkslgraph.basis import _pair_index
 from helpers import (
     dephasing_ladder_spec,
+    exact_nullity,
     gellmann_document,
     identity_coupled_spec,
     max_principal_angle,
+    pair_block_families,
     pair_block_spec,
     random_consistent_spec,
     random_density_matrix,
@@ -813,3 +816,35 @@ def test_identity_coupling_with_imaginary_part_leaves_h_off_diagonal(seed, coupl
     message = "canonicalized Hamiltonian is not diagonal"
     with pytest.raises(gk.PreconditionError, match=message):
         gk.full_kernel(spec)
+
+
+# ---------------------------------------------------------------------------
+# exact ground truth: the nullity of L in rational arithmetic
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(pair_block_families()))
+def test_kernel_dimension_is_the_exact_nullity_on_every_pair_block_family(name):
+    # The analytic route where the spec is valid; the oracle where it is not.
+    spec = pair_block_families()[name]
+    exact = exact_nullity(spec)
+    if gk.validate(spec).verdict:
+        assert gk.full_kernel(spec).dimension == exact
+    else:
+        with pytest.raises(gk.PreconditionError):
+            gk.full_kernel(spec)
+        assert gk.brute_force_kernel(spec).dimension == exact
+
+
+@pytest.mark.parametrize("name, dimension", [("superposition", 2), ("menagerie", 8)])
+def test_golden_kernel_dimension_is_the_exact_nullity(golden_dir, name, dimension):
+    path = golden_dir / f"{name}.spec.json"
+    spec = gk.parse_spec_document(json.loads(path.read_text()))
+    assert exact_nullity(spec) == gk.full_kernel(spec).dimension == dimension
+
+
+def test_random_pair_block_kernel_dimension_is_the_exact_nullity():
+    rng = np.random.default_rng(2024)
+    for _ in range(30):
+        spec = random_pbd_spec(rng, int(rng.integers(1, 6)))
+        assert gk.full_kernel(spec).dimension == exact_nullity(spec)

@@ -19,6 +19,7 @@ UNCALLED = {
     "kernel_containment_check": "ker L inside ker K, the paper's result for any generator",
     "consistency_and_bound": "the paper's component bound on the kernel dimension",
     "load_spec": "read by the benchmark's own tests",
+    "gellmann": "the paper's basis matrices; W's diagonal block is their closed form",
 }
 
 #: Names the surface once had, now gone or moved to ``tests/helpers``.

@@ -17,9 +17,12 @@ command also runs on the specs of ``tests/golden/``, where "held narrowly"
 notes, fallback reasons and ``--tol 0`` rejections show up.  ``validate``
 and ``kernel`` run on ``helpers.near_threshold_psd_specs``, written in the
 ``dense`` and ``blocks`` formats: specs just inside and outside the PSD
-threshold and the shift of ``validate``'s Cholesky certificate.  Each of these
-jobs runs three times: at the default tolerance, with ``--tol 0`` and with
-``--tol 1e-3``.
+threshold and the shift of ``validate``'s Cholesky certificate.  Each seed
+also writes ``helpers.strongly_connected_blocks_document`` at N = 64 and
+128, past the benchmark's sizes, and runs every command on it but the
+oracle's and ``canonicalize`` (whose dense N^4 gamma would take gigabytes).
+Each of these jobs runs three times: at the default tolerance, with
+``--tol 0`` and with ``--tol 1e-3``.
 Each tree runs the same argument lists in-process, in one subprocess with
 that tree's ``src`` first on ``PYTHONPATH``: the base revision's ``src`` is
 exported by ``git archive`` into a temporary directory, removed on exit.
@@ -66,6 +69,11 @@ ROOT = Path(__file__).resolve().parent.parent
 #: Commands that build the dense N^2 x N^2 superoperator and take its SVD.
 ORACLE_COMMANDS = ("oracle", "crosscheck")
 ORACLE_MAX_N = 12
+#: Sizes of the strongly connected ``blocks`` specs, beyond the benchmark's N.
+LARGE_SIZES = (64, 128)
+#: Commands left out at ``LARGE_SIZES``: the oracle's, and ``canonicalize``,
+#: which writes the dense N^4 gamma (gigabytes of JSON lists at N = 64).
+LARGE_SKIPPED = (*ORACLE_COMMANDS, "canonicalize")
 #: Every job runs again with each of these ``--tol`` values.
 TOLERANCES = ("0", "1e-3")
 
@@ -131,6 +139,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
         command_argv,
         malformed_blocks_documents,
         near_threshold_psd_specs,
+        strongly_connected_blocks_document,
     )
 
     def commands(spec_path: Path, workdir: Path, N: int) -> list[list[str]]:
@@ -153,6 +162,13 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
             path.write_text(dump_json(doc) + "\n")
             jobs += [["validate", str(path)], ["kernel", str(path)]]
     for seed in seeds:
+        large = directory / f"seed{seed}" / "strongly_connected"
+        large.mkdir(parents=True)
+        for N in LARGE_SIZES:
+            path = large / f"N{N}.json"
+            doc = strongly_connected_blocks_document(np.random.default_rng(seed), N)
+            path.write_text(dump_json(doc) + "\n")
+            jobs += [command_argv(c, path, large, N) for c in COMMANDS if c not in LARGE_SKIPPED]
         for name, workload in bench_specs.WORKLOADS.items():
             workdir = directory / f"seed{seed}" / name
             cases = bench_specs.generate(workload, seed, workdir)
