@@ -561,10 +561,15 @@ def verify_invariant(
     ``spec._on_pair_pattern``, where a cross block rules a dense gamma out
     with no scan), L is one N x N diagonal-sector block and P 2x2 pair
     blocks, read from the spec's pair-block table: the residual is those
-    blocks applied to rho, ``O(N^2)``, and the evolution one ``expm`` and a
-    closed form, ``O(N^3)`` per time.  Any other spec takes its residual
-    from :func:`apply_generator`, ``O(N^4)``, and is evolved by ``expm(t S)``
-    of the dense N**2 x N**2 superoperator S, ``O(N^6)`` per time.
+    blocks applied to rho, ``O(N^2)``.  From the same products a
+    logarithmic-norm bound on the drift costs ``O(N^2)`` per time (see
+    :func:`_generator_norms`); a time where it is at most
+    ``EVOLUTION_DRIFT_TOL / 2`` is certified with no evolution, and only the
+    others are evolved, by one ``expm`` and a closed form, ``O(N^3)``.  Any
+    other spec takes its residual from :func:`apply_generator`, ``O(N^4)``,
+    and is evolved by ``expm(t S)`` of the dense N**2 x N**2 superoperator
+    S, ``O(N^6)`` per time, at every time: a certificate there would need
+    the trace-norm contraction over all of ``M_N``.
     """
     _require_valid(spec, tol)
     rho = np.asarray(rho, dtype=np.complex128)
@@ -601,12 +606,18 @@ def _finite(norm: float, name: str) -> float:
 
 
 def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
-    """``|L(rho)|_F``, then ``|exp(tL)(rho) - rho|_F`` at each time, computed as read.
+    """``|L(rho)|_F``, then per time ``|exp(tL)(rho) - rho|_F`` or a bound, computed as read.
 
     The one place :func:`verify_invariant` applies L, with the route picked
     once (see there).  On the pair-block route the table's ``laplacian``
     acts on diag(rho) and its ``blocks`` on each (rho_kl, rho_lk); on the
     dense route the superoperator is built only when the first drift is read.
+
+    On the pair-block route a time where :func:`_drift_bounds` bounds the
+    drift by at most ``EVOLUTION_DRIFT_TOL / 2`` (the half covers rounding in
+    the bound) yields that bound, with no evolution; a NaN or infinite bound
+    certifies nothing.  ``scipy.linalg`` is imported, and the blocks split
+    (:func:`_pair_block_split`), once, at the first time that is evolved.
     """
     H = spec.H
     if (H - np.diag(np.diag(H))).any() or not spec._on_pair_pattern:
@@ -622,16 +633,73 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
     k, ell = _pair_levels(spec.N).T - 1
     populations = np.diag(rho)
     coherences = np.stack((rho[k, ell], rho[ell, k]), axis=1)  # over (E_kl, E_lk)
-    yield float(np.linalg.norm(np.concatenate((
-        laplacian @ populations, (pairs @ coherences[:, :, None])[:, :, 0],
-    ), axis=None)))
-    import scipy.linalg  # here, not at module level: its import is most of the CLI's start-up
-    for t in times:
+    images = laplacian @ populations, (pairs @ coherences[:, :, None])[:, :, 0]
+    yield float(np.linalg.norm(np.concatenate(images, axis=None)))
+    bounds = _drift_bounds(laplacian, pairs, images, times)
+    split = None
+    for t, bound in zip(times, bounds):
+        if bound <= EVOLUTION_DRIFT_TOL / 2:  # False for NaN
+            yield bound
+            continue
+        if split is None:
+            import scipy.linalg  # here, not at module level: its import is most of the CLI's start-up
+            split = _pair_block_split(pairs)
         moved = np.concatenate((
             scipy.linalg.expm(t * laplacian) @ populations - populations,
-            (_pair_block_expm(pairs, t) @ coherences[:, :, None])[:, :, 0] - coherences,
+            (_pair_block_expm(split, t) @ coherences[:, :, None])[:, :, 0] - coherences,
         ), axis=None)
         yield float(np.linalg.norm(moved))
+
+
+def _drift_bounds(
+    laplacian: np.ndarray,
+    pairs: np.ndarray,
+    images: tuple[np.ndarray, np.ndarray],
+    times: list[float],
+) -> list[float]:
+    """Per time, a bound on ``|exp(tL)(rho) - rho|_F`` on the pair-block route.
+
+    ``images`` is ``(laplacian @ p, A_kl c_kl)``, L's action on rho's
+    populations p and on its coherences c_kl = (rho_kl, rho_lk), as the
+    residual forms it.  For each sector, with matrix A and part x of rho,
+    ``exp(tA)x - x = ∫_0^t exp(sA) Ax ds``, so by the logarithmic norm
+    (:func:`_log_norm_1`) ``|exp(tA)x - x|_1 <= phi(t, mu_1(A)) |Ax|_1``, with
+    ``phi`` from :func:`_phi`.  This holds for any matrix: no positivity is
+    assumed, and validate's PSD slack or rounding in the rates shows up in
+    ``mu_1`` itself.  The drift is the 2-norm over sectors, so it is at most
+    that of these bounds, ``O(N^2)`` per time.  A sector with ``Ax = 0``
+    exactly adds nothing; huge rates may overflow into a bound that is
+    infinite or NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        sizes = np.concatenate(([np.abs(images[0]).sum()], np.abs(images[1]).sum(axis=1)))
+        mus = np.concatenate((_log_norm_1(laplacian[None]), _log_norm_1(pairs)))
+        moving = sizes != 0.0
+        sizes, mus = sizes[moving], mus[moving]
+        return [math.hypot(*(_phi(t, mus) * sizes)) for t in times]  # hypot: no underflow
+
+
+def _log_norm_1(A: np.ndarray) -> np.ndarray:
+    """An upper bound on ``mu_1`` of each matrix of a (S, n, n) stack.
+
+    ``mu_1(A) = max_j Re A_jj + sum_{i != j} |A_ij|``, the logarithmic norm
+    of the induced 1-norm, plus ``(n + 2) eps sum_i |A_ij|``, more than the
+    rounding of the column's sum, so the computed value is never below A's own.
+    """
+    n = A.shape[1]
+    diagonal = np.arange(n)
+    magnitudes = np.abs(A)
+    rounding = (n + 2) * np.finfo(float).eps * magnitudes.sum(axis=1)
+    magnitudes[:, diagonal, diagonal] = A[:, diagonal, diagonal].real
+    return (magnitudes.sum(axis=1) + rounding).max(axis=1)
+
+
+def _phi(t: float, mu: np.ndarray) -> np.ndarray:
+    """``∫_0^t e^{s mu} ds``: t where ``mu <= 0``, else ``expm1(t mu) / mu``, never below t."""
+    phi = np.full_like(mu, t)
+    growing = mu > 0.0
+    phi[growing] = np.maximum(t, np.expm1(t * mu[growing]) / mu[growing])
+    return phi
 
 
 def _pair_block_split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -644,17 +712,17 @@ def _pair_block_split(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return c, A0, s
 
 
-def _pair_block_expm(A: np.ndarray, t: float) -> np.ndarray:
+def _pair_block_expm(split: tuple[np.ndarray, np.ndarray, np.ndarray], t: float) -> np.ndarray:
     """``exp(t A)`` of every block of a (P, 2, 2) stack, in closed form.
 
-    With ``(c, A0, s)`` from :func:`_pair_block_split`,
-    ``exp(tA) = e^{ct} (cosh(st) I + sinh(st)/s A0)``,
+    ``split`` is ``(c, A0, s)`` from :func:`_pair_block_split`, which does not
+    depend on t; then ``exp(tA) = e^{ct} (cosh(st) I + sinh(st)/s A0)``,
     where ``sinh(st)/s`` is t at s = 0.  Where ``|st| >= 1`` the two
     coefficients are ``(e^{(c+s)t} + e^{(c-s)t}) / 2`` and
     ``(e^{(c+s)t} - e^{(c-s)t}) / (2s)`` instead, so nothing overflows: for a
     valid generator and t >= 0, both exponents have real part <= 0.
     """
-    c, A0, s = _pair_block_split(A)
+    c, A0, s = split
     z = s * t
     even = np.empty_like(c)  # e^{ct} cosh(st)
     odd = np.empty_like(c)  # e^{ct} sinh(st) / s

@@ -247,10 +247,23 @@ print(json.dumps(results))
 """
 
 
+def _evolved_ladder_argv(tmp_path, golden_dir, times="1e6") -> list[str]:
+    """check-state on the ladder golden with a 1e-11 coherence on (1, 3).
+
+    Its residual passes, but at t = 1e6 the drift bound does not certify it,
+    so the state is evolved; the coherence decays, and it is invariant.
+    """
+    rho = np.eye(3, dtype=complex) / 3.0
+    rho[0, 2] = rho[2, 0] = 1e-11
+    state = _write_state(tmp_path / "ladder_coherence.state.json", rho)
+    ladder = str(golden_dir / "ladder.spec.json")
+    return ["check-state", ladder, "--state", state, "--times", times]
+
+
 def test_commands_start_without_scipy(tmp_path, capsys, golden_dir):
     # scipy.linalg is imported only where a state is evolved (check-state,
-    # once the residual passes) or two spans are compared (crosscheck), and
-    # numpy.ma (which np.unique imports) not by the parser.
+    # once a time is not certified) or two spans are compared (crosscheck),
+    # and numpy.ma (which np.unique imports) not by the parser.
     blocks = golden_dir / "superposition.spec.json"
     dense = write_spec(tmp_path / "dense.json", random_valid_spec(np.random.default_rng(7), 3))
     without = [
@@ -259,8 +272,9 @@ def test_commands_start_without_scipy(tmp_path, capsys, golden_dir):
     ]
     without.append(command_argv("kernel", dense, tmp_path, 3))
     without.append(command_argv("check-state", blocks, tmp_path, 3))  # not invariant
+    without.append(command_argv("check-state", golden_dir / "ladder.spec.json", tmp_path, 3))
     with_scipy = [
-        command_argv("check-state", golden_dir / "ladder.spec.json", tmp_path, 3),  # invariant
+        _evolved_ladder_argv(tmp_path, golden_dir),  # invariant, but not certified
         command_argv("crosscheck", blocks, tmp_path, 3),
     ]
     proc = _run_python(["-c", _COLD_START, json.dumps(without + with_scipy)])
@@ -268,9 +282,9 @@ def test_commands_start_without_scipy(tmp_path, capsys, golden_dir):
     child = json.loads(proc.stdout)
     assert [loaded for *_, loaded in child[: len(without)]] == [[]] * len(without)
     assert all("scipy.linalg" in loaded for *_, loaded in child[len(without):])
-    assert "fallback_reason" in json.loads(child[len(without) - 2][1])
-    invariant = [json.loads(child[k][1])["invariant"] for k in (len(without) - 1, len(without))]
-    assert invariant == [False, True]
+    assert "fallback_reason" in json.loads(child[len(without) - 3][1])
+    check_states = child[len(without) - 2 : len(without) + 1]
+    assert [json.loads(out)["invariant"] for _, out, _ in check_states] == [False, True, True]
     in_process = [list(run_cli(argv, capsys)[:2]) for argv in without + with_scipy]
     assert [[code, out] for code, out, _ in child] == in_process
 
@@ -375,15 +389,88 @@ def test_batch_runs_the_cycle_at_rate_1e100(tmp_path, golden_dir):
 
 
 def test_check_state_exits_1_on_a_drift_that_is_not_finite(tmp_path, capsys):
-    # expm of the 1e100 rates is NaN: no verdict, and the error names the
-    # spec and the time, not the state.
-    path = _cycle_spec(tmp_path)
+    # The 1e100 cycle with H coupling levels 1 and 2 takes the dense route,
+    # which has no drift bound, and expm of its rates is NaN: no verdict, and
+    # the error names the spec and the time, not the state.
+    doc = _directed_cycle_document(5, 1e100)
+    doc["H"] = [[[float({i, j} == {0, 1}), 0] for j in range(5)] for i in range(5)]
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(doc))
     state = _write_state(tmp_path / "uniform.json", np.eye(5) / 5.0)
     code, out, err = run_cli(
         ["check-state", str(path), "--state", state, "--times", "0.5,1"], capsys
     )
     assert (code, out) == (1, "")
     assert err == f"error: {path}: the drift |exp(tL)(rho) - rho|_F at t=0.5 is not finite (nan)\n"
+
+
+@pytest.mark.parametrize("rate", [1e8, 1e10, 1e12, 1e20, 1e100])
+def test_check_state_certifies_the_uniform_state_of_a_fast_cycle(tmp_path, capsys, rate):
+    # L(rho) = 0 exactly, so the drift bound is 0 at every time, and no
+    # expm of the huge rates (which loses the verdict from 1e10 and gives NaN
+    # from 1e20) is taken.
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(_directed_cycle_document(5, rate)))
+    state = _write_state(tmp_path / "uniform.json", np.eye(5) / 5.0)
+    code, out, err = run_cli(
+        ["check-state", str(path), "--state", state, "--times", "0.5,1"], capsys
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["invariant"] is True
+
+
+def _check_state_spies(monkeypatch) -> dict[str, int]:
+    """Count the calls of scipy's expm and of the closed-form pair-block evolution."""
+    import scipy.linalg
+
+    from gkslgraph import kernel
+
+    calls = dict.fromkeys(("expm", "_pair_block_split", "_pair_block_expm"), 0)
+    for module, name in (
+        (scipy.linalg, "expm"),
+        (kernel, "_pair_block_split"),
+        (kernel, "_pair_block_expm"),
+    ):
+        def spy(*args, _name=name, _real=getattr(module, name)):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def test_check_state_evolves_no_certified_stationary_state(monkeypatch, tmp_path, capsys):
+    # The benchmark's stationary check-state inputs (pair_block_case specs at
+    # --times 0.5,1,2) are settled by the drift bound: nothing is evolved,
+    # and scipy.linalg is never loaded.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import dataclasses
+
+    import bench_specs
+
+    workload = dataclasses.replace(bench_specs.WORKLOADS["check_state_blocks"], mix={8: 2, 16: 2})
+    cases = [c for c in bench_specs.generate(workload, 3, tmp_path) if c.expect_invariant]
+    assert cases and all(c.argv[-1] == "0.5,1.0,2.0" for c in cases)
+    calls = _check_state_spies(monkeypatch)
+    for case in cases:
+        assert run_cli(case.argv, capsys)[:2] == (0, "")
+        assert json.loads(case.out_path.read_text())["invariant"] is True
+    assert calls == dict.fromkeys(calls, 0)
+    proc = _run_python(["-c", _COLD_START, json.dumps([c.argv for c in cases])])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert [loaded for *_, loaded in json.loads(proc.stdout)] == [[]] * len(cases)
+
+
+def test_check_state_evolves_what_the_bound_cannot_settle(
+    monkeypatch, tmp_path, capsys, golden_dir
+):
+    # A state whose residual passes, at times where the bound exceeds half
+    # the drift tolerance: each time is evolved, and the blocks are split once.
+    calls = _check_state_spies(monkeypatch)
+    code, out, err = run_cli(_evolved_ladder_argv(tmp_path, golden_dir, "1e6,2e6,3e6"), capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["invariant"] is True
+    assert calls == {"expm": 3, "_pair_block_split": 1, "_pair_block_expm": 3}
 
 
 @pytest.mark.parametrize("command", ["kernel", "digraph"])

@@ -604,13 +604,15 @@ def _assert_expm_close(E, A, t):
 )
 def test_pair_block_expm_matches_scipy(block):
     for t in EXPM_TIMES:
-        E = kernel._pair_block_expm(block[None], t)
+        E = kernel._pair_block_expm(kernel._pair_block_split(block[None]), t)
         assert np.isfinite(E).all()
         _assert_expm_close(E, block[None], t)
 
 
 def test_pair_block_expm_of_a_nilpotent_block_is_exact():
-    E = kernel._pair_block_expm(np.array([[[0.0, 3.0], [0.0, 0.0]]], dtype=complex), 50.0)
+    E = kernel._pair_block_expm(
+        kernel._pair_block_split(np.array([[[0.0, 3.0], [0.0, 0.0]]], dtype=complex)), 50.0
+    )
     assert np.array_equal(E[0], [[1.0, 150.0], [0.0, 1.0]])
 
 
@@ -624,8 +626,9 @@ def _pair_block_stack():
 @pytest.mark.parametrize("scale", 10.0 ** np.arange(-8, 9))
 def test_pair_block_expm_at_every_rate_scale(scale):
     A = scale * _pair_block_stack()
+    split = kernel._pair_block_split(A)
     for t in EXPM_TIMES:
-        E = kernel._pair_block_expm(A, t)
+        E = kernel._pair_block_expm(split, t)
         assert np.isfinite(E).all()
         # scipy's scaling and squaring loses digits as |tA| grows (1e-11 at
         # |tA|_1 ~ 1e3 on these blocks, against 60-digit arithmetic), so it is
@@ -634,10 +637,11 @@ def test_pair_block_expm_at_every_rate_scale(scale):
         _assert_expm_close(E[small], A[small], t)
     # Beyond, against the exact exponential of the 2-cycle block a [[-1, 1], [1, -1]]:
     # (I + P)/2 + e^{-2at} (I - P)/2, P = [[0, 1], [1, 0]].
+    split = kernel._pair_block_split(scale * np.array([[[-1.0, 1.0], [1.0, -1.0]]]))
     for t in EXPM_TIMES:
         decay = math.exp(-2.0 * scale * t)
         exact = 0.5 * np.array([[1 + decay, 1 - decay], [1 - decay, 1 + decay]])
-        E = kernel._pair_block_expm(scale * np.array([[[-1.0, 1.0], [1.0, -1.0]]]), t)
+        E = kernel._pair_block_expm(split, t)
         assert np.abs(E[0] - exact).max() <= 1e-12 * np.abs(exact).max()
 
 
@@ -725,6 +729,60 @@ def test_verify_invariant_on_an_identity_coupled_spec_takes_the_dense_route(seed
         assert _dense_verify(spec, perturbed, PARITY_TIMES) is False
     for state in (rho, perturbed):
         _assert_norms_match_dense(spec, state)
+
+
+def _drift_bounds(spec, rho, times):
+    """The pair-block route's drift bounds, from L(rho) read off apply_generator."""
+    image = gk.apply_generator(spec, rho)
+    k, ell = np.triu_indices(spec.N, 1)  # the pairs in basis._pair_levels order
+    images = np.diag(image), np.stack((image[k, ell], image[ell, k]), axis=1)
+    table = spec._pair_table
+    return kernel._drift_bounds(table.laplacian, table.blocks, images, list(times))
+
+
+def _certificate_specs(golden_dir):
+    rng = np.random.default_rng(4960)
+    specs = [random_pbd_spec(rng, N) for N in range(2, 8) for _ in range(4)]
+    specs += [s for s in pair_block_families().values() if gk.validate(s).verdict]
+    for name in ("superposition", "ladder", "menagerie"):
+        path = golden_dir / f"{name}.spec.json"
+        specs.append(gk.parse_spec_document(json.loads(path.read_text())))
+    return specs
+
+
+@pytest.mark.parametrize("scale", [2.0**-20, 1.0, 2.0**20])
+def test_drift_bound_is_at_least_the_drift(golden_dir, scale):
+    # |exp(tL)(rho) - rho|_F, by expm of the dense superoperator, never
+    # exceeds the bound; rates scaled by a power of two keep the exact pattern.
+    rng = np.random.default_rng(4961)
+    times = (0.0, 0.1, 2.0, 50.0)
+    checked = 0
+    for spec in _certificate_specs(golden_dir):
+        spec = gk.GeneratorSpec(H=scale * spec.H, gamma=scale * spec.gamma)
+        assert spec._on_pair_pattern and not (spec.H - np.diag(np.diag(spec.H))).any()
+        for _ in range(2):
+            rho = random_density_matrix(rng, spec.N)
+            bounds = _drift_bounds(spec, rho, times)
+            drifts = _dense_drifts(spec, rho, times)
+            assert bounds[0] == drifts[0] == 0.0
+            assert all(d <= b for d, b in zip(drifts, bounds)), (drifts, bounds)
+            checked += 1
+    assert checked >= 80
+
+
+def test_drift_bound_of_a_growing_sector():
+    # mu_1 = 1 on the diagonal sector and -1 on the one pair block.  A sector
+    # with Ax = 0 adds nothing, even where its phi overflows; a moving one
+    # whose phi overflows (e^1000) gives an infinite bound, with no warning.
+    laplacian = np.array([[1.0 + 0j]])
+    pairs = np.array([[[-1.0, 0.0], [0.0, -1.0]]], dtype=complex)
+    # Bounds near 1e-300, whose squares underflow, stay nonzero.
+    still, moving = np.zeros(1, dtype=complex), np.full(1, 1e-300 + 0j)
+    times = [0.0, 1.0, 1000.0]
+    bounds = kernel._drift_bounds(laplacian, pairs, (still, np.full((1, 2), 1e-300)), times)
+    assert bounds == [0.0, 2e-300, 1000.0 * 2e-300]
+    bounds = kernel._drift_bounds(laplacian, pairs, (moving, np.zeros((1, 2))), times)
+    assert bounds[0] == 0.0 and bounds[1] >= (math.e - 1.0) * 1e-300 and bounds[2] == math.inf
 
 
 # ---------------------------------------------------------------------------

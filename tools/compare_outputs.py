@@ -8,6 +8,8 @@ The specs of the benchmark's workloads are generated once per seed, by
 importing ``perfbench/bench_specs.py``.  Every command of
 ``tests/helpers.COMMANDS`` is run on every spec, with the arguments of
 ``helpers.command_argv``; ``oracle`` and ``crosscheck`` only for N <= 12.
+Where ``full_kernel`` applies, ``check-state`` also runs with the spec's
+first kernel element as the state, at ``--times 0.5,2`` and at ``1e6``.
 So is the command the benchmark times on the spec (``check-state`` with the
 workload's own state, or ``kernel`` writing its ``--out`` file).  Each
 seed's first ``kernel_blocks`` spec is also written with the faults of
@@ -74,6 +76,9 @@ LARGE_SIZES = (64, 128)
 #: Commands left out at ``LARGE_SIZES``: the oracle's, and ``canonicalize``,
 #: which writes the dense N^4 gamma (gigabytes of JSON lists at N = 64).
 LARGE_SKIPPED = (*ORACLE_COMMANDS, "canonicalize")
+#: ``--times`` of the ``check-state`` jobs on a spec's own stationary state:
+#: times the drift bound settles, and a time it leaves to the evolution.
+STATIONARY_TIMES = ("0.5,2", "1e6")
 #: Every job runs again with each of these ``--tol`` values.
 TOLERANCES = ("0", "1e-3")
 
@@ -132,7 +137,14 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
     """Write the workload specs under ``directory``; return the argv of every command."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
     import bench_specs
-    from gkslgraph import dump_json, spec_to_document
+    from gkslgraph import (
+        PreconditionError,
+        dump_json,
+        full_kernel,
+        load_spec,
+        matrix_to_document,
+        spec_to_document,
+    )
     from helpers import (
         COMMANDS,
         blocks_document,
@@ -142,12 +154,23 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
         strongly_connected_blocks_document,
     )
 
+    def stationary(spec_path: Path, workdir: Path) -> list[list[str]]:
+        """``check-state`` on the spec's first analytic kernel element, if it has one."""
+        try:
+            element = full_kernel(load_spec(spec_path)).elements[0].matrix
+        except PreconditionError:
+            return []
+        state = workdir / f"{spec_path.stem}.stationary.state.json"
+        state.write_text(dump_json({"matrix": matrix_to_document(element)}) + "\n")
+        argv = ["check-state", str(spec_path), "--state", str(state), "--times"]
+        return [[*argv, times] for times in STATIONARY_TIMES]
+
     def commands(spec_path: Path, workdir: Path, N: int) -> list[list[str]]:
         return [
             command_argv(command, spec_path, workdir, N)
             for command in COMMANDS
             if command not in ORACLE_COMMANDS or N <= ORACLE_MAX_N
-        ]
+        ] + stationary(spec_path, workdir)
 
     golden = directory / "golden"
     golden.mkdir(parents=True)
@@ -169,6 +192,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
             doc = strongly_connected_blocks_document(np.random.default_rng(seed), N)
             path.write_text(dump_json(doc) + "\n")
             jobs += [command_argv(c, path, large, N) for c in COMMANDS if c not in LARGE_SKIPPED]
+            jobs += stationary(path, large)
         for name, workload in bench_specs.WORKLOADS.items():
             workdir = directory / f"seed{seed}" / name
             cases = bench_specs.generate(workload, seed, workdir)
