@@ -28,8 +28,14 @@ from pathlib import Path
 import numpy as np
 
 from .basis import DEFAULT_TOL, to_standard_coordinates
-from .digraph import _sink_report, induced_digraph, to_dot, tscc_stationary_vectors
-from .generator import InvalidGeneratorError, _require_valid, canonicalize, validate
+from .digraph import _sinks_and_two_cycles, induced_digraph, to_dot, tscc_stationary_vectors
+from .generator import (
+    InvalidGeneratorError,
+    _require_valid,
+    _singularity_checks,
+    canonicalize,
+    validate,
+)
 from .io import (
     SpecParseError,
     _decode_document,
@@ -110,16 +116,20 @@ def _cmd_canonicalize(spec, input_path, args):
 
 def _cmd_digraph(spec, input_path, args):
     graph = induced_digraph(spec, args.tol)
-    report = _sink_report(spec, graph, args.tol)
+    sinks, two_sinks = _sinks_and_two_cycles(graph)
+    singular = [
+        pair for pair in two_sinks
+        if all(value <= bound for value, bound in _singularity_checks(spec, *pair, args.tol))
+    ]
     stationary = tscc_stationary_vectors(graph)
     payload = {
         "vertices": graph.n,
         "edges": [{"src": src, "dst": dst, "weight": w} for src, dst, w in graph.edges()],
         "components": [list(c) for c in graph.scc.components],
         "terminal": list(graph.scc.terminal),
-        "sinks": list(report.sinks),
-        "two_sinks": [list(p) for p in report.two_sinks],
-        "singular_two_sinks": [list(p) for p in report.singular_two_sinks],
+        "sinks": list(sinks),
+        "two_sinks": [list(p) for p in two_sinks],
+        "singular_two_sinks": [list(p) for p in singular],
         "stationary": [
             {
                 "component": list(sv.component),
@@ -129,7 +139,7 @@ def _cmd_digraph(spec, input_path, args):
             for sv in stationary
         ],
     }
-    return 0, payload, to_dot(graph, report), []
+    return 0, payload, to_dot(graph, singular), []
 
 
 def _cmd_kernel(spec, input_path, args):

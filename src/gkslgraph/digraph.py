@@ -22,19 +22,19 @@ so that it cannot overflow.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .basis import DEFAULT_TOL, _pair_levels
-from .generator import GeneratorSpec, _singularity_checks
+from .generator import GeneratorSpec
 
 __all__ = [
     "InducedDigraph",
     "SCCDecomposition",
     "StationaryVector",
-    "SinkReport",
     "induced_digraph",
     "scc_decompose",
     "tscc_stationary_vectors",
@@ -112,19 +112,6 @@ class StationaryVector:
     component: tuple[int, ...]
     rho: np.ndarray
     log_normalization: float
-
-
-@dataclass
-class SinkReport:
-    """Sinks and terminal 2-cycles of the induced digraph.
-
-    ``singular_two_sinks`` lists the terminal two-vertex components whose
-    coefficient pair block is symmetric and singular (rank at most one).
-    """
-
-    sinks: tuple[int, ...]
-    two_sinks: tuple[tuple[int, int], ...]
-    singular_two_sinks: tuple[tuple[int, int], ...]
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +239,18 @@ def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:
 # ---------------------------------------------------------------------------
 
 
-def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> SinkReport:
-    """The terminal components of size one and two of ``spec``'s induced digraph, for ``digraph``.
+def _sinks_and_two_cycles(
+    graph: InducedDigraph,
+) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """The terminal components of size one (as vertices) and of size two.
 
-    A terminal pair {k, l} is *singular* when its coefficient block is
-    symmetric (gamma_kl == gamma_lk) and has vanishing determinant, both
-    within tol scaled by the block magnitude
-    (``generator._singularity_checks``).
+    These are the only terminal components whose off-diagonal pair blocks
+    can carry kernel elements: a pair of sinks, or a terminal 2-cycle.
     """
-    sinks: list[int] = []
-    two: list[tuple[int, int]] = []
-    singular: list[tuple[int, int]] = []
-    for comp in graph.scc.terminal_components():
-        if len(comp) == 1:
-            sinks.append(comp[0])
-        elif len(comp) == 2:
-            two.append(comp)
-            checks = _singularity_checks(spec, *comp, tol)
-            if all(value <= threshold for value, threshold in checks):
-                singular.append(comp)
-    return SinkReport(
-        sinks=tuple(sinks),
-        two_sinks=tuple(two),
-        singular_two_sinks=tuple(singular),
+    terminal = graph.scc.terminal_components()
+    return (
+        tuple(comp[0] for comp in terminal if len(comp) == 1),
+        tuple(comp for comp in terminal if len(comp) == 2),
     )
 
 
@@ -283,19 +259,19 @@ def _sink_report(spec: GeneratorSpec, graph: InducedDigraph, tol: float) -> Sink
 # ---------------------------------------------------------------------------
 
 
-def to_dot(graph: InducedDigraph, sink_report: SinkReport) -> str:
+def to_dot(graph: InducedDigraph, singular_two_sinks: Iterable[tuple[int, int]]) -> str:
     """Render the digraph in DOT format.
 
     Terminal SCCs of size >= 2 become ``cluster`` subgraphs labeled TSCC,
-    the report's sink vertices are marked ``sink="true"`` and drawn as
-    double circles, and the edges of its singular terminal pairs are marked
+    sink vertices are marked ``sink="true"`` and drawn as double circles,
+    and the edges of the terminal pairs in ``singular_two_sinks`` are marked
     ``singular2sink="true"`` and dashed.  Weights are emitted with 17
     significant digits.
     """
     dec = graph.scc
-    sinks = set(sink_report.sinks)
+    sinks = set(_sinks_and_two_cycles(graph)[0])
     singular_edges = set()
-    for k, ell in sink_report.singular_two_sinks:
+    for k, ell in singular_two_sinks:
         singular_edges.add((k, ell))
         singular_edges.add((ell, k))
 

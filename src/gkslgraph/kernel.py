@@ -39,6 +39,7 @@ from .basis import (
 )
 from .digraph import (
     InducedDigraph,
+    _sinks_and_two_cycles,
     induced_digraph,
     tscc_stationary_vectors,
     undirected_components,
@@ -50,7 +51,6 @@ from .generator import (
     PairBlockClassification,
     _require_valid,
     _singularity_checks,
-    apply_generator,
     canonicalize,
     classify_pair_block_diagonal,
     gellmann_to_standard,
@@ -370,9 +370,9 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
     ]
     # The pairs (k, l), k < l, whose block can be singular, each mapped to
     # whether it is a terminal 2-cycle rather than a pair of sinks.
-    terminal = prep.graph.scc.terminal_components()
-    pairs = dict.fromkeys(combinations([c[0] for c in terminal if len(c) == 1], 2), False)
-    pairs.update(dict.fromkeys((c for c in terminal if len(c) == 2), True))
+    sinks, two_cycles = _sinks_and_two_cycles(prep.graph)
+    pairs = dict.fromkeys(combinations(sinks, 2), False)
+    pairs.update(dict.fromkeys(two_cycles, True))
     diagnostics: list[str] = []
     for (k, ell), two_sink in sorted(pairs.items()):
         els, notes = _block_analysis(prep, k, ell, two_sink)
@@ -556,20 +556,21 @@ def verify_invariant(
     A residual or drift that is not finite (``expm`` of huge rates can give
     NaN) is no verdict: FloatingPointError names it, and its time.
 
-    Both come from one operator per route.  When H is diagonal and gamma has
-    the pair-block zero pattern, exactly (H first, ``O(N^2)``, then
+    Both come from one operator per route, through one loop
+    (:func:`_generator_norms`).  When H is diagonal and gamma has the
+    pair-block zero pattern, exactly (H first, ``O(N^2)``, then
     ``spec._on_pair_pattern``, where a cross block rules a dense gamma out
     with no scan), L is one N x N diagonal-sector block and P 2x2 pair
-    blocks, read from the spec's pair-block table: the residual is those
-    blocks applied to rho, ``O(N^2)``.  From the same products a
-    logarithmic-norm bound on the drift costs ``O(N^2)`` per time (see
-    :func:`_generator_norms`); a time where it is at most
-    ``EVOLUTION_DRIFT_TOL / 2`` is certified with no evolution, and only the
-    others are evolved, by one ``expm`` and a closed form, ``O(N^3)``.  Any
-    other spec takes its residual from :func:`apply_generator`, ``O(N^4)``,
-    and is evolved by ``expm(t S)`` of the dense N**2 x N**2 superoperator
-    S, ``O(N^6)`` per time, at every time: a certificate there would need
-    the trace-norm contraction over all of ``M_N``.
+    blocks, read from the spec's pair-block table, and the residual is those
+    blocks applied to rho, ``O(N^2)``.  Any other spec takes the dense
+    route: L is its N**2 x N**2 superoperator S, built once from one gather
+    of gamma, and the residual is S applied to rho's coordinates,
+    ``O(N^4)``.  On both routes the same products give a logarithmic-norm
+    bound on the drift at every time (see :func:`_drift_bounds`); a time
+    where it is at most ``EVOLUTION_DRIFT_TOL / 2`` is certified with no
+    evolution, and only the others are evolved: by one ``expm`` of the
+    Laplacian and a closed form per pair block, ``O(N^3)``, or by ``expm(tS)``,
+    ``O(N^6)``.
     """
     _require_valid(spec, tol)
     rho = np.asarray(rho, dtype=np.complex128)
@@ -609,33 +610,31 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
     """``|L(rho)|_F``, then per time ``|exp(tL)(rho) - rho|_F`` or a bound, computed as read.
 
     The one place :func:`verify_invariant` applies L, with the route picked
-    once (see there).  On the pair-block route the table's ``laplacian``
-    acts on diag(rho) and its ``blocks`` on each (rho_kl, rho_lk); on the
-    dense route the superoperator is built only when the first drift is read.
+    once (see there).  L acts as one square matrix on one part x of rho and
+    as a stack of 2x2 blocks on the pairs (rho_kl, rho_lk): on the pair-block
+    route the table's ``laplacian`` on diag(rho) and its ``blocks`` on every
+    pair, on the dense route the superoperator S on rho's standard
+    coordinates and no block.
 
-    On the pair-block route a time where :func:`_drift_bounds` bounds the
-    drift by at most ``EVOLUTION_DRIFT_TOL / 2`` (the half covers rounding in
-    the bound) yields that bound, with no evolution; a NaN or infinite bound
-    certifies nothing.  ``scipy.linalg`` is imported, and the blocks split
+    A time where :func:`_drift_bounds` bounds the drift by at most
+    ``EVOLUTION_DRIFT_TOL / 2`` (the half covers rounding in the bound)
+    yields that bound, with no evolution; a NaN or infinite bound certifies
+    nothing.  ``scipy.linalg`` is imported, and the blocks split
     (:func:`_pair_block_split`), once, at the first time that is evolved.
     """
     H = spec.H
     if (H - np.diag(np.diag(H))).any() or not spec._on_pair_pattern:
-        yield float(np.linalg.norm(apply_generator(spec, rho)))
-        import scipy.linalg  # here, not at module level: its import is most of the CLI's start-up
-        S = superoperator(spec)
-        v = to_standard_coordinates(rho)
-        for t in times:
-            yield float(np.linalg.norm(scipy.linalg.expm(t * S) @ v - v))
-        return
-    table = spec._pair_table
-    laplacian, pairs = table.laplacian, table.blocks
-    k, ell = _pair_levels(spec.N).T - 1
-    populations = np.diag(rho)
-    coherences = np.stack((rho[k, ell], rho[ell, k]), axis=1)  # over (E_kl, E_lk)
-    images = laplacian @ populations, (pairs @ coherences[:, :, None])[:, :, 0]
+        sector, x = superoperator(spec), to_standard_coordinates(rho)
+        pairs, coherences = np.empty((0, 2, 2), dtype=complex), np.empty((0, 2), dtype=complex)
+    else:
+        table = spec._pair_table
+        sector, pairs = table.laplacian, table.blocks
+        k, ell = _pair_levels(spec.N).T - 1
+        x = np.diag(rho)
+        coherences = np.stack((rho[k, ell], rho[ell, k]), axis=1)  # over (E_kl, E_lk)
+    images = sector @ x, (pairs @ coherences[:, :, None])[:, :, 0]
     yield float(np.linalg.norm(np.concatenate(images, axis=None)))
-    bounds = _drift_bounds(laplacian, pairs, images, times)
+    bounds = _drift_bounds(sector, pairs, images, times)
     split = None
     for t, bound in zip(times, bounds):
         if bound <= EVOLUTION_DRIFT_TOL / 2:  # False for NaN
@@ -645,35 +644,36 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
             import scipy.linalg  # here, not at module level: its import is most of the CLI's start-up
             split = _pair_block_split(pairs)
         moved = np.concatenate((
-            scipy.linalg.expm(t * laplacian) @ populations - populations,
+            scipy.linalg.expm(t * sector) @ x - x,
             (_pair_block_expm(split, t) @ coherences[:, :, None])[:, :, 0] - coherences,
         ), axis=None)
         yield float(np.linalg.norm(moved))
 
 
 def _drift_bounds(
-    laplacian: np.ndarray,
+    sector: np.ndarray,
     pairs: np.ndarray,
     images: tuple[np.ndarray, np.ndarray],
     times: list[float],
 ) -> list[float]:
-    """Per time, a bound on ``|exp(tL)(rho) - rho|_F`` on the pair-block route.
+    """Per time, a bound on ``|exp(tL)(rho) - rho|_F``.
 
-    ``images`` is ``(laplacian @ p, A_kl c_kl)``, L's action on rho's
-    populations p and on its coherences c_kl = (rho_kl, rho_lk), as the
-    residual forms it.  For each sector, with matrix A and part x of rho,
-    ``exp(tA)x - x = ∫_0^t exp(sA) Ax ds``, so by the logarithmic norm
-    (:func:`_log_norm_1`) ``|exp(tA)x - x|_1 <= phi(t, mu_1(A)) |Ax|_1``, with
-    ``phi`` from :func:`_phi`.  This holds for any matrix: no positivity is
-    assumed, and validate's PSD slack or rounding in the rates shows up in
-    ``mu_1`` itself.  The drift is the 2-norm over sectors, so it is at most
-    that of these bounds, ``O(N^2)`` per time.  A sector with ``Ax = 0``
-    exactly adds nothing; huge rates may overflow into a bound that is
-    infinite or NaN.
+    ``images`` is ``(sector @ x, A_kl c_kl)``, L's action on rho's part x
+    and on its pairs c_kl = (rho_kl, rho_lk), as the residual forms it (see
+    :func:`_generator_norms`).  For each of these matrices A and its part x
+    of rho, ``exp(tA)x - x = ∫_0^t exp(sA) Ax ds``, so by the logarithmic
+    norm (:func:`_log_norm_1`) ``|exp(tA)x - x|_1 <= phi(t, mu_1(A)) |Ax|_1``,
+    with ``phi`` from :func:`_phi` (Söderlind, BIT 46, 631 (2006)).  This
+    holds for any matrix: no positivity is assumed, and validate's PSD slack
+    or rounding in the rates shows up in ``mu_1`` itself.  The drift is the
+    2-norm over the parts, so it is at most that of these bounds: one pass
+    over the matrices for their ``mu_1``, then one number per part and time.
+    A part with ``Ax = 0`` exactly adds nothing; huge rates may overflow into
+    a bound that is infinite or NaN.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         sizes = np.concatenate(([np.abs(images[0]).sum()], np.abs(images[1]).sum(axis=1)))
-        mus = np.concatenate((_log_norm_1(laplacian[None]), _log_norm_1(pairs)))
+        mus = np.concatenate((_log_norm_1(sector[None]), _log_norm_1(pairs)))
         moving = sizes != 0.0
         sizes, mus = sizes[moving], mus[moving]
         return [math.hypot(*(_phi(t, mus) * sizes)) for t in times]  # hypot: no underflow

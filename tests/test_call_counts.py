@@ -46,8 +46,8 @@ def count_calls(monkeypatch, *functions) -> Counter:
 
 
 def test_digraph_command_induces_and_decomposes_once(monkeypatch, tmp_path, golden_dir):
-    # induced_digraph reads the rates and _sink_report the pair blocks of
-    # the two terminal 2-cycles from gamma's pattern data: no pair-block table.
+    # induced_digraph reads the rates, and the singularity test the pair
+    # block of the terminal 2-cycle, from gamma's pattern data: no pair-block table.
     counts = count_calls(
         monkeypatch,
         digraph.induced_digraph,
@@ -270,6 +270,8 @@ DENSE_ROUTE_SPECS = {
 
 def _check_dense_state(monkeypatch, tmp_path, case: str, state: np.ndarray) -> tuple[bool, Counter]:
     """check-state on a spec off the pair-block route: verdict and calls."""
+    import scipy.linalg
+
     path = tmp_path / "dense.json"
     path.write_text(gk.dump_json(gk.spec_to_document(DENSE_ROUTE_SPECS[case]())))
     state_path = tmp_path / "state.json"
@@ -277,10 +279,17 @@ def _check_dense_state(monkeypatch, tmp_path, case: str, state: np.ndarray) -> t
     counts = count_calls(
         monkeypatch,
         generator.superoperator,
+        generator._gamma_tensor,
         generator._pair_block_table,
         generator.apply_generator,
         basis._max_off_block,
     )
+
+    def expm(*args, _real=scipy.linalg.expm):
+        counts["expm"] += 1
+        return _real(*args)
+
+    monkeypatch.setattr(scipy.linalg, "expm", expm)
     argv = ["check-state", str(path), "--state", str(state_path), "--times", "0.5,2"]
     assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
     return json.loads((tmp_path / "c.json").read_text())["invariant"], counts
@@ -288,21 +297,23 @@ def _check_dense_state(monkeypatch, tmp_path, case: str, state: np.ndarray) -> t
 
 @pytest.mark.parametrize("case", DENSE_ROUTE_SPECS)
 def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path, case):
-    # I/N is invariant: the residual passes, so the evolution runs.
+    # I/N is invariant: the residual and the drift bound come from one
+    # superoperator, built from one gather of gamma into a tensor, and the
+    # bound settles both times, so nothing is evolved.
     invariant, counts = _check_dense_state(monkeypatch, tmp_path, case, np.eye(3) / 3)
     assert invariant is True
-    assert counts == {"apply_generator": 1, "superoperator": 1, "_max_off_block": 1}
+    assert counts == {"superoperator": 1, "_gamma_tensor": 1, "_max_off_block": 1}  # expm: 0
 
 
 @pytest.mark.parametrize("case", DENSE_ROUTE_SPECS)
 def test_check_state_on_a_dense_spec_stops_at_the_residual(monkeypatch, tmp_path, case):
-    # I/N with a coherence moves: it fails the O(N^4) residual, and the
-    # superoperator is never built.
+    # I/N with a coherence moves: it fails the O(N^4) residual, and nothing
+    # is evolved.
     state = np.eye(3) / 3
     state[0, 1] = state[1, 0] = 1e-3
     invariant, counts = _check_dense_state(monkeypatch, tmp_path, case, state)
     assert invariant is False
-    assert counts == {"apply_generator": 1, "_max_off_block": 1}
+    assert counts == {"superoperator": 1, "_gamma_tensor": 1, "_max_off_block": 1}  # expm: 0
 
 
 def test_every_cached_function_is_keyed_by_n_at_most():

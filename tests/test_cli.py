@@ -388,15 +388,23 @@ def test_batch_runs_the_cycle_at_rate_1e100(tmp_path, golden_dir):
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.kernel.json", "b.kernel.json"]
 
 
+def _h_coupled_cycle_document(N: int, rate: float) -> dict:
+    """The N-cycle at ``rate`` with H coupling levels 1 and 2: it takes the dense route."""
+    doc = _directed_cycle_document(N, rate)
+    doc["H"] = [[[float({i, j} == {0, 1}), 0] for j in range(N)] for i in range(N)]
+    return doc
+
+
 def test_check_state_exits_1_on_a_drift_that_is_not_finite(tmp_path, capsys):
-    # The 1e100 cycle with H coupling levels 1 and 2 takes the dense route,
-    # which has no drift bound, and expm of its rates is NaN: no verdict, and
-    # the error names the spec and the time, not the state.
-    doc = _directed_cycle_document(5, 1e100)
-    doc["H"] = [[[float({i, j} == {0, 1}), 0] for j in range(5)] for i in range(5)]
+    # A coherence of 1e-150 on the H-coupled 1e100 cycle passes the residual,
+    # but its drift bound overflows, so the time is evolved, and expm of the
+    # rates is NaN: no verdict, and the error names the spec and the time,
+    # not the state.
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(doc))
-    state = _write_state(tmp_path / "uniform.json", np.eye(5) / 5.0)
+    path.write_text(json.dumps(_h_coupled_cycle_document(5, 1e100)))
+    rho = np.eye(5) / 5.0
+    rho[2, 3] = rho[3, 2] = 1e-150
+    state = _write_state(tmp_path / "state.json", rho)
     code, out, err = run_cli(
         ["check-state", str(path), "--state", state, "--times", "0.5,1"], capsys
     )
@@ -404,13 +412,14 @@ def test_check_state_exits_1_on_a_drift_that_is_not_finite(tmp_path, capsys):
     assert err == f"error: {path}: the drift |exp(tL)(rho) - rho|_F at t=0.5 is not finite (nan)\n"
 
 
+@pytest.mark.parametrize("document", [_directed_cycle_document, _h_coupled_cycle_document])
 @pytest.mark.parametrize("rate", [1e8, 1e10, 1e12, 1e20, 1e100])
-def test_check_state_certifies_the_uniform_state_of_a_fast_cycle(tmp_path, capsys, rate):
-    # L(rho) = 0 exactly, so the drift bound is 0 at every time, and no
-    # expm of the huge rates (which loses the verdict from 1e10 and gives NaN
-    # from 1e20) is taken.
+def test_check_state_certifies_the_uniform_state_of_a_fast_cycle(tmp_path, capsys, document, rate):
+    # L(rho) = 0 exactly, on the pair-block route and on the dense one, so
+    # the drift bound is 0 at every time, and no expm of the huge rates
+    # (which loses the verdict from 1e10 and gives NaN from 1e20) is taken.
     path = tmp_path / "cycle.json"
-    path.write_text(json.dumps(_directed_cycle_document(5, rate)))
+    path.write_text(json.dumps(document(5, rate)))
     state = _write_state(tmp_path / "uniform.json", np.eye(5) / 5.0)
     code, out, err = run_cli(
         ["check-state", str(path), "--state", state, "--times", "0.5,1"], capsys

@@ -1,5 +1,6 @@
 """Digraph-layer tests: construction, SCCs, matrix-tree weights, DOT output."""
 
+import json
 import math
 
 import networkx as nx
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
-from gkslgraph.digraph import _sink_report
+from gkslgraph import cli
 from helpers import (
     enumerate_in_tree_weight,
     gellmann_document,
@@ -281,32 +282,36 @@ def test_stationary_vectors_annihilated_by_laplacian():
 # ---------------------------------------------------------------------------
 
 
-def sink_report(spec) -> gk.SinkReport:
-    return _sink_report(spec, gk.induced_digraph(spec), gk.DEFAULT_TOL)
+def digraph_command(spec, tmp_path, capsys) -> tuple[dict, str]:
+    """The ``digraph`` command's JSON document and DOT text for ``spec``."""
+    path, dot = tmp_path / "spec.json", tmp_path / "g.dot"
+    path.write_text(gk.dump_json(gk.spec_to_document(spec)))
+    assert cli.main(["digraph", str(path), "--out", str(dot)]) == 0
+    return json.loads(capsys.readouterr().out), dot.read_text()
 
 
-def test_sink_report_menagerie():
-    spec = sink_menagerie_spec()
-    rep = sink_report(spec)
-    assert rep.sinks == (1, 2, 3)
-    assert rep.two_sinks == ((4, 5),)
-    assert rep.singular_two_sinks == ((4, 5),)
+def test_sinks_of_the_menagerie(tmp_path, capsys):
+    doc, _ = digraph_command(sink_menagerie_spec(), tmp_path, capsys)
+    assert doc["sinks"] == [1, 2, 3]
+    assert doc["two_sinks"] == [[4, 5]]
+    assert doc["singular_two_sinks"] == [[4, 5]]
 
 
-def test_sink_report_superposition():
+def test_sinks_of_the_superposition(tmp_path, capsys):
     # vertex 3 drains into the pair, so the only terminal component is {1,2}
-    rep = sink_report(superposition_decay_spec())
-    assert rep.sinks == ()
-    assert rep.two_sinks == ((1, 2),)
-    assert rep.singular_two_sinks == ((1, 2),)
+    doc, _ = digraph_command(superposition_decay_spec(), tmp_path, capsys)
+    assert doc["sinks"] == []
+    assert doc["two_sinks"] == [[1, 2]]
+    assert doc["singular_two_sinks"] == [[1, 2]]
 
 
-def test_sink_report_nonsingular_two_cycle():
+def test_sinks_of_a_nonsingular_two_cycle(tmp_path, capsys):
     # symmetric hopping with a full-rank block: a two-sink, but not singular
     spec = pair_block_spec(2, np.zeros((2, 2)), {(1, 2): np.diag([1.0, 1.0])})
-    rep = sink_report(spec)
-    assert rep.two_sinks == ((1, 2),)
-    assert rep.singular_two_sinks == ()
+    doc, dot = digraph_command(spec, tmp_path, capsys)
+    assert doc["two_sinks"] == [[1, 2]]
+    assert doc["singular_two_sinks"] == []
+    assert "singular2sink" not in dot
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +319,8 @@ def test_sink_report_nonsingular_two_cycle():
 # ---------------------------------------------------------------------------
 
 
-def test_to_dot_structure():
-    spec = sink_menagerie_spec()
-    g = gk.induced_digraph(spec)
-    rep = sink_report(spec)
-    dot = gk.to_dot(g, rep)
+def test_to_dot_structure(tmp_path, capsys):
+    _, dot = digraph_command(sink_menagerie_spec(), tmp_path, capsys)
     assert dot.startswith("digraph")
     assert dot.endswith("\n")
     # terminal multi-vertex classes are clustered
@@ -334,6 +336,8 @@ def test_to_dot_structure():
 
 def test_to_dot_weight_labels_round_trip():
     g = digraph_of(2, {(1, 2): 1.0 / 3.0})
-    dot = gk.to_dot(g, gk.SinkReport(sinks=(2,), two_sinks=(), singular_two_sinks=()))
+    dot = gk.to_dot(g, ())
+    # the sink is read off the graph
+    assert '  2 [sink="true", shape=doublecircle];' in dot
     # weights are printed with enough digits to round-trip
     assert f"{1.0 / 3.0:.17g}" in dot

@@ -465,6 +465,20 @@ def test_validate_scales_with_magnitude():
     assert gk.validate(big).verdict
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 3 (one tolerance rule): W's butterfly overflows before it scales",
+)
+def test_validate_accepts_rates_of_1e308():
+    # gamma = 1e308 * I is PSD, but the conjugation by W forms -2e308, which
+    # overflows; a unit-scale analysis would accept it.
+    doc = gk.spec_to_document(gk.GeneratorSpec(H=np.zeros((2, 2)), gamma=1e308 * np.eye(4)))
+    assert doc["gamma"]["format"] == "dense"
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = gk.validate(gk.parse_spec_document(doc))
+    assert report.psd_on_traceless is True
+
+
 def _validation_cases(rng, N):
     """Valid, invalid and pair-block specs of dimension N, by name."""
     n = N * N

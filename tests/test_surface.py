@@ -33,6 +33,7 @@ REMOVED = (
     "sinks_and_singular_2sinks",
     "diagonal_kernel",
     "block_kernel",
+    "SinkReport",
 )
 
 

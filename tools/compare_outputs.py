@@ -8,8 +8,10 @@ The specs of the benchmark's workloads are generated once per seed, by
 importing ``perfbench/bench_specs.py``.  Every command of
 ``tests/helpers.COMMANDS`` is run on every spec, with the arguments of
 ``helpers.command_argv``; ``oracle`` and ``crosscheck`` only for N <= 12.
-Where ``full_kernel`` applies, ``check-state`` also runs with the spec's
-first kernel element as the state, at ``--times 0.5,2`` and at ``1e6``.
+``check-state`` also runs with the spec's first kernel element as the
+state, at ``--times 0.5,2`` and at ``1e6``: the element of ``full_kernel``
+where it applies, and else the oracle's, for N <= 12, so that the dense
+route is checked too.
 So is the command the benchmark times on the spec (``check-state`` with the
 workload's own state, or ``kernel`` writing its ``--out`` file).  Each
 seed's first ``kernel_blocks`` spec is also written with the faults of
@@ -139,6 +141,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
     import bench_specs
     from gkslgraph import (
         PreconditionError,
+        brute_force_kernel,
         dump_json,
         full_kernel,
         load_spec,
@@ -155,11 +158,19 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
     )
 
     def stationary(spec_path: Path, workdir: Path) -> list[list[str]]:
-        """``check-state`` on the spec's first analytic kernel element, if it has one."""
+        """``check-state`` on the spec's first kernel element, if it has one.
+
+        The element is the analytic one, or the oracle's for a spec off the
+        analytic route with N <= ``ORACLE_MAX_N``.
+        """
+        spec = load_spec(spec_path)
         try:
-            element = full_kernel(load_spec(spec_path)).elements[0].matrix
+            elements = full_kernel(spec).elements
         except PreconditionError:
+            elements = brute_force_kernel(spec).elements if spec.N <= ORACLE_MAX_N else ()
+        if not elements:
             return []
+        element = elements[0].matrix
         state = workdir / f"{spec_path.stem}.stationary.state.json"
         state.write_text(dump_json({"matrix": matrix_to_document(element)}) + "\n")
         argv = ["check-state", str(spec_path), "--state", str(state), "--times"]
