@@ -16,7 +16,8 @@ the symmetrized graph gives the undirected components.  The stationary
 vector of each terminal component comes from the subtraction-free
 elimination of Grassmann, Taksar and Heyman (Oper. Res. 33, 1985) on its
 block of the rate array, with the matrix-tree normalization as a logarithm,
-so that it cannot overflow.
+so that it cannot overflow; where the stationary ratios leave the float
+range, the populations are rescaled by exact powers of two as they are built.
 """
 
 from __future__ import annotations
@@ -201,9 +202,15 @@ def _gth(rates: np.ndarray) -> tuple[np.ndarray, float]:
     left, and m's out-rates are divided by it before they are passed on, so
     no new rate exceeds an old one.  Only sums, products and quotients of
     positive numbers are formed, so nothing cancels.  The pivots' product is
-    the in-tree weight rooted at the first vertex, ``pi`` is normalized from
+    the in-tree weight rooted at the first vertex, ``pi`` is built up from
     ``pi_1 = 1``, and ``w``, the total in-tree weight, is that product times
     ``sum(pi)``.  The diagonal is never read, and the block is overwritten.
+
+    Where the next ``pi_m``, or ``sum(pi)``, would not be finite (the
+    stationary ratios can leave the float range), ``pi`` so far is scaled
+    down by an exact power of two ``2**e`` that brings ``pi_m``, or
+    ``max(pi)``, to at most 1, and ``e log 2`` is added to ``log w``;
+    nothing else changes.
     """
     pivots = np.ones(len(rates))
     for m in range(len(rates) - 1, 0, -1):
@@ -211,10 +218,22 @@ def _gth(rates: np.ndarray) -> tuple[np.ndarray, float]:
         rates[m, :m] /= pivots[m]
         rates[:m, :m] += np.outer(rates[:m, m], rates[m, :m])
     pi = np.ones(len(rates))
-    for m in range(1, len(rates)):
-        pi[m] = pi[:m] @ rates[:m, m] / pivots[m]
-    total = pi.sum()
-    return pi / total, float(np.log(pivots).sum()) + math.log(total)
+    shift = 0  # pi holds the in-tree weights over the pivots' product, times 2**-shift
+    with np.errstate(over="ignore"):
+        for m in range(1, len(rates)):
+            pi[m] = pi[:m] @ rates[:m, m] / pivots[m]
+            if not math.isfinite(pi[m]):  # pi[m] <= m max(pi) max(rate) / pivot <= 2**e
+                e = 1 - math.frexp(pivots[m])[1] + sum(
+                    math.frexp(x)[1] for x in (m, pi[:m].max(), rates[:m, m].max())
+                )
+                pi[:m], shift = np.ldexp(pi[:m], -e), shift + e
+                pi[m] = pi[:m] @ rates[:m, m] / pivots[m]
+        total = pi.sum()
+    if not math.isfinite(total):
+        e = math.frexp(pi.max())[1]
+        pi, shift = np.ldexp(pi, -e), shift + e
+        total = pi.sum()
+    return pi / total, float(np.log(pivots).sum()) + math.log(total) + shift * math.log(2.0)
 
 
 def tscc_stationary_vectors(graph: InducedDigraph) -> list[StationaryVector]:

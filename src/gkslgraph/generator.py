@@ -183,11 +183,6 @@ class GeneratorSpec:
         return _PairPattern(pairs, self.gamma[-N:, -N:])
 
     @cached_property
-    def _pair_table(self) -> _PairBlockTable:
-        """The table of pair-block numbers, built on first use and kept."""
-        return _pair_block_table(self)
-
-    @cached_property
     def _off_block_max(self) -> float:
         """Largest |gamma| off the pair-block pattern, from one N^4 scan made on first use."""
         return _max_off_block(self.gamma, self.N)
@@ -389,9 +384,8 @@ def superoperator(spec: GeneratorSpec) -> np.ndarray:
     return S_vec[np.ix_(perm, perm)]
 
 
-@dataclass(frozen=True)
-class _PairBlockTable:
-    """L's own pair-block numbers, read off gamma and H once, with no threshold.
+def _pair_block_table(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """L's blocks ``(laplacian, blocks)``, in ``O(N^2)`` and with no threshold.
 
     ``laplacian`` is ``Gam - diag(colsum Gam)``, ``Gam[i, j] = gamma[(i,j), (i,j)]``
     (the rate j -> i).  ``blocks[t]`` is L's 2x2 block over (E_kl, E_lk) for
@@ -399,18 +393,8 @@ class _PairBlockTable:
     diagonal, and ``g_kl - i dh - m_kl``, ``g_lk + i dh - m_kl`` on it, with
     ``g_ab = gamma[(a,a), (b,b)]``, ``dh = h_k - h_l`` and ``m_kl`` the mean
     of Gam's column sums k and l.  With the pair-block pattern, L is the
-    direct sum of ``laplacian`` and ``blocks``.  Both arrays are read-only.
-    gamma's own numbers are read from ``spec._pattern``, not from here.
-    """
-
-    laplacian: np.ndarray  # (N, N)
-    blocks: np.ndarray  # (P, 2, 2)
-
-
-def _pair_block_table(spec: GeneratorSpec) -> _PairBlockTable:
-    """``spec``'s :class:`_PairBlockTable`, in ``O(N^2)``; read ``spec._pair_table``.
-
-    Every number comes from the spec's pattern data, ``spec._pattern``, and H.
+    direct sum of ``laplacian`` and ``blocks``, both read-only.  Every
+    number comes from the spec's pattern data, ``spec._pattern``, and H.
     """
     pairs, G = spec._pattern.pairs, spec._pattern.G
     k, ell = _pair_levels(spec.N).T - 1
@@ -427,7 +411,7 @@ def _pair_block_table(spec: GeneratorSpec) -> _PairBlockTable:
     blocks[:, 1, 1] = G[ell, k] - split - mean_m
     for array in (laplacian, blocks):
         array.setflags(write=False)
-    return _PairBlockTable(laplacian, blocks)
+    return laplacian, blocks
 
 
 def _singularity_checks(
@@ -620,7 +604,7 @@ def classify_pair_block_diagonal(
     max_block = spec._off_block_max
     H_off = spec.H - np.diag(np.diag(spec.H))
     max_h = float(np.abs(H_off).max()) if H_off.size else 0.0
-    scale_g = scale_h = 0.0  # the exact rule at tol 0, read with no pair table
+    scale_g = scale_h = 0.0  # the exact rule at tol 0, with no read of the blocks
     if tol:
         # max|gamma| from the scan and the blocks it skips, with no N^4 temporary.
         g_max = np.max([

@@ -11,7 +11,8 @@ pairs directly off the canonical digraph's terminal components, testing a
 2-cycle's block once; ``brute_force_kernel`` computes the same space
 numerically from the superoperator and serves as an independent cross-check.
 gamma's own numbers are read from the spec's pattern data, ``spec._pattern``,
-and L's pair blocks from ``spec._pair_table``; this module never indexes a dense gamma.
+and L's blocks from ``generator._pair_block_table``; this module never indexes
+a dense gamma.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .basis import (
     gellmann_labels,
 )
 from .digraph import (
-    InducedDigraph,
     _sinks_and_two_cycles,
     induced_digraph,
     tscc_stationary_vectors,
@@ -49,6 +49,7 @@ from .generator import (
     GeneratorSpec,
     InvalidGeneratorError,
     PairBlockClassification,
+    _pair_block_table,
     _require_valid,
     _singularity_checks,
     canonicalize,
@@ -162,16 +163,6 @@ class ConsistencyReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Prepared:
-    """A validated canonical spec with what its pair-block analysis reads."""
-
-    canon: GeneratorSpec
-    tol: float
-    cls: PairBlockClassification  # of canon, with its two thresholds
-    graph: InducedDigraph  # induced_digraph(canon, tol)
-
-
 def _require_pair_block_diagonal(
     spec: GeneratorSpec, tol: float, qualifier: str
 ) -> PairBlockClassification:
@@ -191,20 +182,6 @@ def _require_pair_block_diagonal(
             f"(max off-diagonal magnitude {cls.max_h_violation:.3e})"
         )
     return cls
-
-
-def _prepared(spec: GeneratorSpec, tol: float) -> _Prepared:
-    """Validate, canonicalize, and check the block-diagonal hypotheses."""
-    report = validate(spec, tol)
-    if not report.verdict:
-        raise PreconditionError(str(InvalidGeneratorError(report)))
-    canon = canonicalize(spec, tol)
-    return _Prepared(
-        canon=canon,
-        tol=tol,
-        cls=_require_pair_block_diagonal(canon, tol, "canonicalized "),
-        graph=induced_digraph(canon, tol),
-    )
 
 
 def _ordered_pair(pair: tuple[int, int], N: int) -> tuple[int, int]:
@@ -238,11 +215,12 @@ def block_eigenpairs(
     Requires a pair-block-diagonal coefficient matrix and diagonal H
     (PreconditionError otherwise); the spec need not be canonical or even
     valid — the block action is c*I + [[D, p], [q, -D]] regardless, with
-    eigenvalues ``mu = c +- sqrt(D**2 + p*q)`` from L's block in the spec's
-    pair-block table.  ``s`` is the principal root of ``D*D + p*q``, except
-    where it is imaginary up to rounding (``|Re s| <= 4 eps |s|``, an
-    oscillating block): there "plus" is the root with ``Im s >= 0``, so the
-    sign of a rounding-level imaginary part of ``D*D + p*q`` does not pick it.
+    eigenvalues ``mu = c +- sqrt(D**2 + p*q)`` from L's block of the pair,
+    read off :func:`generator._pair_block_table`.  ``s`` is the principal
+    root of ``D*D + p*q``, except where it is imaginary up to rounding
+    (``|Re s| <= 4 eps |s|``, an oscillating block): there "plus" is the
+    root with ``Im s >= 0``, so the sign of a rounding-level imaginary part
+    of ``D*D + p*q`` does not pick it.
 
     Eigenvectors are chosen as the largest of the three algebraically
     equivalent closed forms (p, s - D), (D + s, q), and their sum, which
@@ -253,7 +231,8 @@ def block_eigenpairs(
     _require_pair_block_diagonal(spec, tol, "")
     N = spec.N
     k, ell = _ordered_pair(pair, N)
-    c, A0, _ = _pair_block_split(spec._pair_table.blocks[_pair_index(k, ell, N)][None])
+    _, blocks = _pair_block_table(spec)
+    c, A0, _ = _pair_block_split(blocks[_pair_index(k, ell, N)][None])
     c, D, p, q = c[0], A0[0, 0, 0], A0[0, 0, 1], A0[0, 1, 0]
     s = np.sqrt(complex(D * D + p * q))
     if abs(s.real) <= 4 * np.finfo(float).eps * abs(s) and s.imag < 0:
@@ -297,16 +276,16 @@ def _margin_notes(
 
 
 def _block_analysis(
-    prep: _Prepared, k: int, ell: int, two_sink: bool
+    canon: GeneratorSpec, cls: PairBlockClassification, tol: float, k: int, ell: int, two_sink: bool
 ) -> tuple[list[KernelElement], list[str]]:
     """Kernel contribution of a pair of sinks, or of a terminal 2-cycle.
 
     ``(k, ell)``, ``k < ell``, is one of the pairs that :func:`full_kernel`
     visits; ``two_sink`` says which kind it is.  Every number is read from
     the canonical spec's H and its pattern data, ``canon._pattern``: the
-    pair's block and the block G.
+    pair's block and the block G; ``cls``, canon's classification, holds
+    the thresholds they are held to.
     """
-    canon, tol = prep.canon, prep.tol
     N, H, G = canon.N, canon.H, canon._pattern.G
     a, b = k - 1, ell - 1
     notes: list[str] = []
@@ -315,9 +294,9 @@ def _block_analysis(
     h_ok = _margin_notes(
         notes, f"{where}: level splitting |h_k - h_l|",
         abs(H[a, a].real - H[b, b].real),
-        prep.cls.h_threshold,
+        cls.h_threshold,
     )
-    scale_g = prep.cls.block_threshold
+    scale_g = cls.block_threshold
     g_ok = True
     for label, value in (
         ("dephasing match |g_kk - g_ll|", G[a, a] - G[b, b]),
@@ -363,19 +342,24 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
     pair order; no other pair block is visited.  Diagnostics report
     conditions that held or failed within a decade of the tolerance.
     """
-    prep = _prepared(spec, tol)
+    report = validate(spec, tol)
+    if not report.verdict:
+        raise PreconditionError(str(InvalidGeneratorError(report)))
+    canon = canonicalize(spec, tol)
+    cls = _require_pair_block_diagonal(canon, tol, "canonicalized ")
+    graph = induced_digraph(canon, tol)
     elements = [
         KernelElement(np.diag(sv.rho).astype(np.complex128), "diagonal", sv.component)
-        for sv in tscc_stationary_vectors(prep.graph)
+        for sv in tscc_stationary_vectors(graph)
     ]
     # The pairs (k, l), k < l, whose block can be singular, each mapped to
     # whether it is a terminal 2-cycle rather than a pair of sinks.
-    sinks, two_cycles = _sinks_and_two_cycles(prep.graph)
+    sinks, two_cycles = _sinks_and_two_cycles(graph)
     pairs = dict.fromkeys(combinations(sinks, 2), False)
     pairs.update(dict.fromkeys(two_cycles, True))
     diagnostics: list[str] = []
     for (k, ell), two_sink in sorted(pairs.items()):
-        els, notes = _block_analysis(prep, k, ell, two_sink)
+        els, notes = _block_analysis(canon, cls, tol, k, ell, two_sink)
         elements.extend(els)
         diagnostics.extend(notes)
     return KernelBasis(
@@ -561,8 +545,9 @@ def verify_invariant(
     pair-block zero pattern, exactly (H first, ``O(N^2)``, then
     ``spec._on_pair_pattern``, where a cross block rules a dense gamma out
     with no scan), L is one N x N diagonal-sector block and P 2x2 pair
-    blocks, read from the spec's pair-block table, and the residual is those
-    blocks applied to rho, ``O(N^2)``.  Any other spec takes the dense
+    blocks, built once from the spec's pattern data
+    (:func:`generator._pair_block_table`), and the residual is those blocks
+    applied to rho, ``O(N^2)``.  Any other spec takes the dense
     route: L is its N**2 x N**2 superoperator S, built once from one gather
     of gamma, and the residual is S applied to rho's coordinates,
     ``O(N^4)``.  On both routes the same products give a logarithmic-norm
@@ -612,9 +597,10 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
     The one place :func:`verify_invariant` applies L, with the route picked
     once (see there).  L acts as one square matrix on one part x of rho and
     as a stack of 2x2 blocks on the pairs (rho_kl, rho_lk): on the pair-block
-    route the table's ``laplacian`` on diag(rho) and its ``blocks`` on every
-    pair, on the dense route the superoperator S on rho's standard
-    coordinates and no block.
+    route L's diagonal-sector block on diag(rho) and its 2x2 blocks on every
+    pair, both from one :func:`generator._pair_block_table` call; on the
+    dense route the superoperator S on rho's standard coordinates and no
+    block.
 
     A time where :func:`_drift_bounds` bounds the drift by at most
     ``EVOLUTION_DRIFT_TOL / 2`` (the half covers rounding in the bound)
@@ -627,8 +613,7 @@ def _generator_norms(spec: GeneratorSpec, rho: np.ndarray, times: list[float]):
         sector, x = superoperator(spec), to_standard_coordinates(rho)
         pairs, coherences = np.empty((0, 2, 2), dtype=complex), np.empty((0, 2), dtype=complex)
     else:
-        table = spec._pair_table
-        sector, pairs = table.laplacian, table.blocks
+        sector, pairs = _pair_block_table(spec)
         k, ell = _pair_levels(spec.N).T - 1
         x = np.diag(rho)
         coherences = np.stack((rho[k, ell], rho[ell, k]), axis=1)  # over (E_kl, E_lk)

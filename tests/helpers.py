@@ -419,6 +419,28 @@ def strongly_connected_blocks_document(rng: np.random.Generator, N: int) -> dict
     return {"N": N, "H": matrix_to_document(H), "gamma": gamma}
 
 
+def wide_rate_documents() -> dict[str, dict]:
+    """Valid ``blocks`` spec documents whose stationary ratios leave the float range, by name.
+
+    ``birth_death_N12``: the chain 1 - 2 - ... - 12 at rate 1e22 up and
+    1e-8 down, so that ``pi_{k+1} / pi_k = 1e30``.  ``two_cycle``: two
+    levels, rate 1e301 from 1 to 2 and 1e-8 back, a ratio of 1e309.  Each
+    graph is one terminal component, whose stationary state is concentrated
+    on its top level, and every rate is above the default tolerance.  The
+    pair block of (k, l) holds the rate l -> k, then k -> l, on its diagonal.
+    """
+
+    def document(N: int, up: float, down: float) -> dict:
+        pairs = [
+            {"i": k, "j": k + 1, "block": matrix_to_document(np.diag([down, up]))}
+            for k in range(1, N)
+        ]
+        H = matrix_to_document(np.zeros((N, N)))
+        return {"N": N, "H": H, "gamma": {"format": "blocks", "pairs": pairs}}
+
+    return {"birth_death_N12": document(12, 1e22, 1e-8), "two_cycle": document(2, 1e301, 1e-8)}
+
+
 # ---------------------------------------------------------------------------
 # subspace comparison
 # ---------------------------------------------------------------------------

@@ -138,7 +138,7 @@ def test_kernel_command_induces_the_canonical_digraph_once(monkeypatch, tmp_path
 
 
 def test_eigen_command_builds_the_pair_block_table_once(monkeypatch, tmp_path, golden_dir):
-    # L's block of the pair is read from the spec's one pair-block table.
+    # L's blocks are built once per command, and the pair's block read off them.
     counts = count_calls(monkeypatch, generator._pair_block_table)
     spec = golden_dir / "superposition.spec.json"  # "blocks" gamma format
     assert cli.main(command_argv("eigen", spec, tmp_path, 3)) == 0
@@ -329,14 +329,6 @@ def test_every_cached_function_is_keyed_by_n_at_most():
                 assert list(parameters) in ([], ["N"]), f"{name}.{attr}{inspect.signature(value)}"
                 found.append(f"{name}.{attr}")
     assert {"gkslgraph.basis.standard_labels", "gkslgraph.basis._pair_levels"} <= set(found)
-
-
-def test_pair_block_table_is_built_once_per_spec(monkeypatch):
-    counts = count_calls(monkeypatch, generator._pair_block_table)
-    spec = sink_menagerie_spec()
-    assert spec._pair_table is spec._pair_table
-    gk.block_eigenpairs(spec, (1, 2))
-    assert counts == {"_pair_block_table": 1}
 
 
 def record_opens(monkeypatch) -> list[tuple[Path, int]]:

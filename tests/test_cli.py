@@ -33,6 +33,7 @@ from helpers import (
     sink_menagerie_spec,
     strongly_connected_blocks_document,
     superposition_decay_spec,
+    wide_rate_documents,
 )
 
 
@@ -386,6 +387,43 @@ def test_batch_runs_the_cycle_at_rate_1e100(tmp_path, golden_dir):
     proc = _run_module(["kernel", str(in_dir), "--batch", "--out", str(out_dir)])
     assert (proc.returncode, proc.stderr) == (0, "")
     assert sorted(p.name for p in out_dir.iterdir()) == ["a.kernel.json", "b.kernel.json"]
+
+
+@pytest.mark.parametrize("name", sorted(wide_rate_documents()))
+def test_stationary_ratios_past_the_float_range_run_without_overflow(tmp_path, capsys, name):
+    # In-process, so a RuntimeWarning would fail the test: GTH stays finite
+    # with no warning, and the analytic and oracle kernels agree.
+    doc = wide_rate_documents()[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    results = {}
+    for command in ("kernel", "digraph", "crosscheck"):
+        argv = command_argv(command, path, tmp_path, doc["N"])
+        code, out, err = run_cli(argv, capsys)
+        assert (code, err) == (0, ""), command
+        results[command] = json.loads(out)
+        assert results[command]["diagnostics"] == [], command
+    [sv] = results["digraph"]["stationary"]
+    assert sv["rho"][-1] == 1.0 and math.isfinite(sv["log_normalization"])
+    [element] = results["kernel"]["elements"]
+    matrix = gk.parse_state_document({"matrix": element["matrix"]})
+    assert np.array_equal(matrix, np.diag(sv["rho"]))
+    crosscheck = results["crosscheck"]
+    assert crosscheck["agree"] is True
+    assert crosscheck["analytic_dimension"] == crosscheck["oracle_dimension"] == 1
+
+
+@pytest.mark.parametrize("command", ["kernel", "digraph", "crosscheck"])
+def test_batch_runs_the_specs_past_the_float_range(tmp_path, capsys, command):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for name, doc in wide_rate_documents().items():
+        (in_dir / f"{name}.json").write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    code, _, err = run_cli([command, str(in_dir), "--batch", "--out", str(out_dir)], capsys)
+    assert (code, err) == (0, "")
+    written = {p.name for p in out_dir.iterdir()}
+    assert {f"{name}.{command}.json" for name in wide_rate_documents()} <= written
 
 
 def _h_coupled_cycle_document(N: int, rate: float) -> dict:

@@ -225,6 +225,39 @@ def test_stationary_vector_of_rates_spanning_310_decades():
     assert sv.log_normalization == pytest.approx(math.log(1e300 + 1e290), rel=1e-12)
 
 
+#: Graphs whose stationary ratios leave the float range: edges, then the
+#: exact stationary distribution (rounded) and log of the total in-tree weight.
+FAR_RATIO_GRAPHS = {
+    # pi_{k+1} / pi_k = 1e30, so pi_12 / pi_1 = 1e330; pi_1 underflows to 0.
+    "birth_death_N12": (
+        {**{(k, k + 1): 1e22 for k in range(1, 12)}, **{(k + 1, k): 1e-8 for k in range(1, 12)}},
+        [10.0 ** (-30 * (12 - v)) for v in range(1, 13)],
+        242.0 * math.log(10.0),
+    ),
+    # pi_2 / pi_1 = 1e309.
+    "two_cycle": ({(1, 2): 1e301, (2, 1): 1e-8}, [1e-309, 1.0], 301.0 * math.log(10.0)),
+    # Each of pi_2 and pi_3 is finite, 1e308, but their sum is not.
+    "finite_terms_infinite_sum": (
+        {(1, 2): 1e300, (2, 1): 1e-8, (2, 3): 1.0, (3, 2): 1.0},
+        [5e-309, 0.5, 0.5],
+        math.log(2e300),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_RATIO_GRAPHS))
+def test_stationary_vector_whose_ratios_leave_the_float_range(name):
+    # GTH scales what it has built down by a power of two where the next
+    # population, or the total, would overflow, and adds the shift to the
+    # log: no inf, NaN or warning, and the state sits on the top level.
+    weights, rho, log_weight = FAR_RATIO_GRAPHS[name]
+    n = len(rho)
+    [sv] = gk.tscc_stationary_vectors(digraph_of(n, weights))
+    assert sv.component == tuple(range(1, n + 1))
+    assert np.allclose(sv.rho, rho, rtol=1e-9, atol=0.0)
+    assert sv.log_normalization == pytest.approx(log_weight, rel=1e-14)
+
+
 def test_stationary_vectors_of_a_two_cycle():
     [sv] = gk.tscc_stationary_vectors(digraph_of(2, {(1, 2): 2.0, (2, 1): 3.0}))
     assert np.allclose(tree_weights(sv), [3.0, 2.0], rtol=1e-15, atol=0.0)

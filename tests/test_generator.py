@@ -11,6 +11,7 @@ import pytest
 
 import gkslgraph as gk
 from gkslgraph.basis import _max_off_block
+from gkslgraph.generator import _pair_block_table
 from gkslgraph.kernel import PreconditionError, full_kernel
 from helpers import (
     blocks_document,
@@ -300,8 +301,7 @@ def test_block_superoperator_is_the_block_diagonal_of_the_superoperator(name, sp
     R = N * N - N
     P = R // 2
     t = np.arange(P)
-    table = spec._pair_table
-    laplacian, pairs = table.laplacian, table.blocks
+    laplacian, pairs = _pair_block_table(spec)
     exact = gk.classify_pair_block_diagonal(spec, 0.0)
     assert exact.is_pair_block_diagonal and exact.h_diagonal
     assert laplacian.shape == (N, N) and pairs.shape == (P, 2, 2)
@@ -322,17 +322,15 @@ def test_block_superoperator_is_the_block_diagonal_of_the_superoperator(name, sp
     [*_block_superoperator_cases(), ("dense", random_valid_spec(np.random.default_rng(194), 4))],
 )
 def test_pair_table_reads_the_entries_of_gamma_and_h(name, spec):
-    # Entry by entry, by label, on any spec; every array of the table is read-only.
+    # Entry by entry, by label, on any spec; both arrays are read-only.
     N = spec.N
-    table = spec._pair_table
-    assert list(vars(table)) == ["laplacian", "blocks"]
-    for array in vars(table).values():
-        assert not array.flags.writeable
+    laplacian, blocks = _pair_block_table(spec)
+    assert not (laplacian.flags.writeable or blocks.flags.writeable)
     for i in range(1, N + 1):
         for j in range(1, N + 1):
             if i != j:
                 p = gk.standard_position(i, j, N)
-                assert table.laplacian[i - 1, j - 1] == spec.gamma[p, p]
+                assert laplacian[i - 1, j - 1] == spec.gamma[p, p]
 
 
 def test_traceful_pair_block_spec_is_not_canonical():
@@ -662,9 +660,9 @@ def _kernel_outcome(spec):
 
 
 def _assert_same_tables(spec, reference):
-    expected = vars(reference._pair_table)
-    for field, array in vars(spec._pair_table).items():
-        assert array.tobytes() == expected[field].tobytes(), field
+    expected = _pair_block_table(reference)
+    for field, array, other in zip(("laplacian", "blocks"), _pair_block_table(spec), expected):
+        assert array.tobytes() == other.tobytes(), field
 
 
 @pytest.mark.parametrize("name", sorted(_bit_identity_specs()))

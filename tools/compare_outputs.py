@@ -24,7 +24,9 @@ and ``kernel`` run on ``helpers.near_threshold_psd_specs``, written in the
 threshold and the shift of ``validate``'s Cholesky certificate.  Each seed
 also writes ``helpers.strongly_connected_blocks_document`` at N = 64 and
 128, past the benchmark's sizes, and runs every command on it but the
-oracle's and ``canonicalize`` (whose dense N^4 gamma would take gigabytes).
+oracle's and ``canonicalize`` (whose dense N^4 gamma would take gigabytes),
+and every command on the two specs of ``helpers.wide_rate_documents``, whose
+stationary ratios leave the float range.
 Each of these jobs runs three times: at the default tolerance, with
 ``--tol 0`` and with ``--tol 1e-3``.
 Each tree runs the same argument lists in-process, in one subprocess with
@@ -155,6 +157,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
         malformed_blocks_documents,
         near_threshold_psd_specs,
         strongly_connected_blocks_document,
+        wide_rate_documents,
     )
 
     def stationary(spec_path: Path, workdir: Path) -> list[list[str]]:
@@ -204,6 +207,12 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
             path.write_text(dump_json(doc) + "\n")
             jobs += [command_argv(c, path, large, N) for c in COMMANDS if c not in LARGE_SKIPPED]
             jobs += stationary(path, large)
+        wide = directory / f"seed{seed}" / "wide_rate"
+        wide.mkdir()
+        for name, doc in wide_rate_documents().items():
+            path = wide / f"{name}.json"
+            path.write_text(dump_json(doc) + "\n")
+            jobs += commands(path, wide, doc["N"])
         for name, workload in bench_specs.WORKLOADS.items():
             workdir = directory / f"seed{seed}" / name
             cases = bench_specs.generate(workload, seed, workdir)
