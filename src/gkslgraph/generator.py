@@ -46,7 +46,6 @@ from .basis import (
 
 __all__ = [
     "GeneratorSpec",
-    "GellMannSpec",
     "InvalidGeneratorError",
     "ValidationReport",
     "PairBlockClassification",
@@ -97,22 +96,6 @@ def _checked_hamiltonian(value) -> np.ndarray:
     return H
 
 
-def _store_checked(spec, name: str, dropped: int) -> None:
-    """Check and store ``spec.H`` and the coefficient matrix ``spec.<name>``.
-
-    H must be square, non-empty and Hermitian; the coefficient matrix must
-    be d x d with ``d = N**2 - dropped`` (``dropped`` identity labels).
-    """
-    H = _checked_hamiltonian(spec.H)
-    N = H.shape[0]
-    M = _frozen_array(getattr(spec, name))
-    d = N * N - dropped
-    if M.shape != (d, d):
-        raise ValueError(f"{name} must have shape {(d, d)} for N={N}, got {M.shape}")
-    object.__setattr__(spec, "H", H)
-    object.__setattr__(spec, name, M)
-
-
 @dataclass(frozen=True)
 class _PairPattern:
     """gamma on the pair-block pattern: all that is nonzero in it.
@@ -156,8 +139,14 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if isinstance(self.gamma, _PairPattern):
             _store_pattern(self)
-        else:
-            _store_checked(self, "gamma", 0)
+            return
+        H, gamma = _checked_hamiltonian(self.H), _frozen_array(self.gamma)
+        N = H.shape[0]
+        d = N * N
+        if gamma.shape != (d, d):
+            raise ValueError(f"gamma must have shape {(d, d)} for N={N}, got {gamma.shape}")
+        object.__setattr__(self, "H", H)
+        object.__setattr__(self, "gamma", gamma)
 
     def __getattr__(self, name: str):
         # Reached only when the attribute is missing: the dense gamma of a
@@ -237,35 +226,6 @@ def _pattern_matrix(pattern: _PairPattern, N: int) -> np.ndarray:
     gamma[-N:, -N:] = pattern.G
     gamma.setflags(write=False)
     return gamma
-
-
-@dataclass(frozen=True, eq=False)
-class GellMannSpec:
-    """A canonical generator over the traceless Gell-Mann sector.
-
-    The form that :func:`standard_to_gellmann` returns and the K operator
-    of ``kernel.k_operator`` takes; every analysis routine reads a
-    :class:`GeneratorSpec`, so convert with :func:`gellmann_to_standard`.
-    Specs compare and hash by identity.
-
-    Attributes
-    ----------
-    H : (N, N) complex ndarray
-        Hermitian part.
-    C : (N**2 - 1, N**2 - 1) complex ndarray
-        Coefficient matrix over the traceless Gell-Mann labels (the
-        identity row and column are implicitly zero).
-    """
-
-    H: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self) -> None:
-        _store_checked(self, "C", 1)
-
-    @property
-    def N(self) -> int:
-        return self.H.shape[0]
 
 
 @dataclass(frozen=True)
@@ -671,26 +631,39 @@ def identity_preserving(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> bool:
 
 def standard_to_gellmann(
     spec: GeneratorSpec, tol: float = DEFAULT_TOL
-) -> GellMannSpec:
-    """Canonicalize, then truncate the coefficient matrix to the traceless block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(H, C)``: the canonical H and coefficient matrix over the traceless Gell-Mann labels.
 
-    The truncation is lossless only for canonical generators, so the spec is
-    canonicalized first (raising :class:`InvalidGeneratorError` if it does not
-    validate).
+    C is ``W gamma W*`` of the canonical form without its identity row and
+    column, which are zero.  The truncation is lossless only for canonical
+    generators, so the spec is canonicalized first (raising
+    :class:`InvalidGeneratorError` if it does not validate), and
+    ``gellmann_to_standard(*standard_to_gellmann(spec))`` gives the same
+    generator.
     """
     canon = canonicalize(spec, tol)
     C = _conjugate_by_w(np.array(canon.gamma), inverse=False)
-    return GellMannSpec(H=canon.H, C=C[:-1, :-1])
+    return canon.H, C[:-1, :-1]
 
 
-def gellmann_to_standard(gm: GellMannSpec) -> GeneratorSpec:
-    """Embed the traceless block as a full coefficient matrix over labels."""
-    N = gm.N
+def gellmann_to_standard(H, C) -> GeneratorSpec:
+    """The generator whose coefficient matrix over the traceless Gell-Mann labels is C.
+
+    H must be square, non-empty and Hermitian, and C ``(N**2 - 1) x (N**2 - 1)``;
+    C is embedded with a zero identity row and column and conjugated back
+    to the standard labels.
+    """
+    H = _checked_hamiltonian(H)
+    N = H.shape[0]
+    C = np.asarray(C, dtype=np.complex128)
+    d = N * N - 1
+    if C.shape != (d, d):
+        raise ValueError(f"C must have shape {(d, d)} for N={N}, got {C.shape}")
     C_full = np.zeros((N * N, N * N), dtype=np.complex128)
-    C_full[:-1, :-1] = gm.C
+    C_full[:-1, :-1] = C
     gamma = _conjugate_by_w(C_full, inverse=True)
     gamma.setflags(write=False)  # the spec keeps this array instead of a copy
-    return GeneratorSpec(H=gm.H, gamma=gamma)
+    return GeneratorSpec(H=H, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Complex entries are encoded as two-element ``[re, im]`` arrays throughout.
 A spec document carries the dimension, the basis ordering of the
 coefficient matrix ("standard" or "gellmann"), the Hamiltonian, and the
 coefficient matrix either dense or (standard basis only) as a list of 2x2
-pair blocks plus a diagonal-sector matrix.  A "gellmann" document is
-checked as a :class:`GellMannSpec` and converted to the standard basis as
-it is read, so every parsed spec is a :class:`GeneratorSpec`.  Parsing is
-strict: unknown fields, malformed entries, and duplicate pair blocks are
-rejected with the offending field path in the message.
+pair blocks plus a diagonal-sector matrix.  A "gellmann" document holds
+the coefficient matrix over the traceless Gell-Mann labels, converted to
+the standard basis as it is read (``gellmann_to_standard``), so every
+parsed spec is a :class:`GeneratorSpec`.  Parsing is strict: unknown
+fields, malformed entries, and duplicate pair blocks are rejected with the
+offending field path in the message.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .basis import _pair_index, _pair_levels
-from .generator import (
-    GellMannSpec,
-    GeneratorSpec,
-    _PairPattern,
-    gellmann_to_standard,
-)
+from .generator import GeneratorSpec, _PairPattern, gellmann_to_standard
 
 __all__ = [
     "SpecParseError",
@@ -280,7 +276,7 @@ def parse_spec_document(doc) -> GeneratorSpec:
         if basis == "standard":
             return GeneratorSpec(H=H, gamma=M)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is rejected below
-            spec = gellmann_to_standard(GellMannSpec(H=H, C=M))
+            spec = gellmann_to_standard(H, M)
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
     if not np.isfinite(spec.gamma).all():

@@ -45,7 +45,6 @@ from .digraph import (
     undirected_components,
 )
 from .generator import (
-    GellMannSpec,
     GeneratorSpec,
     InvalidGeneratorError,
     PairBlockClassification,
@@ -130,14 +129,15 @@ class KernelBasis:
 class KOperatorSpec:
     """Diagonal 0/1 coefficient operator bounding the dissipative part below.
 
-    ``kspec`` has H = 0 and C equal to the orthogonal projection onto the
-    Gell-Mann directions outside ker C (a 0/1 diagonal when that kernel is
-    coordinate-aligned); ``epsilon`` is the smallest positive eigenvalue of
+    ``K`` is a coefficient matrix over the traceless Gell-Mann labels, as
+    ``standard_to_gellmann`` gives C: a 0/1 diagonal with a 1 on each label
+    orthogonal to ker C; with a zero H, ``gellmann_to_standard`` turns it
+    into a generator.  ``epsilon`` is the smallest positive eigenvalue of
     the Hermitized C, so that C - epsilon*K >= 0; ``labels`` lists the
     Gell-Mann labels on which K acts as the identity.
     """
 
-    kspec: GellMannSpec
+    K: np.ndarray
     epsilon: float
     labels: tuple[tuple[int, int], ...]
 
@@ -420,7 +420,7 @@ def k_operator(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KOperatorSpec:
     """
     if not identity_preserving(spec, tol):
         raise PreconditionError("generator does not preserve the identity")
-    C = standard_to_gellmann(spec, tol).C
+    _, C = standard_to_gellmann(spec, tol)
     N = spec.N
     Ch = (C + C.conj().T) / 2.0
     w, V = np.linalg.eigh(Ch)
@@ -437,8 +437,7 @@ def k_operator(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KOperatorSpec:
             labels.append(gm[qi])
     positive = w[w > thr]
     epsilon = float(positive.min()) if positive.size else 0.0
-    kspec = GellMannSpec(H=np.zeros((N, N), dtype=np.complex128), C=K)
-    return KOperatorSpec(kspec=kspec, epsilon=epsilon, labels=tuple(labels))
+    return KOperatorSpec(K=K, epsilon=epsilon, labels=tuple(labels))
 
 
 def kernel_containment_check(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -449,7 +448,7 @@ def kernel_containment_check(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> b
     generators.
     """
     kop = k_operator(spec, tol)
-    S_K = superoperator(gellmann_to_standard(kop.kspec))
+    S_K = superoperator(gellmann_to_standard(np.zeros((spec.N, spec.N)), kop.K))
     oracle = brute_force_kernel(spec, tol)
     for element in oracle.elements:
         coords = to_standard_coordinates(element.matrix)

@@ -20,13 +20,13 @@ import numpy as np
 import scipy.linalg
 
 from gkslgraph import (
-    GellMannSpec,
     GeneratorSpec,
     InducedDigraph,
     ValidationReport,
     dump_json,
     gellmann,
     gellmann_labels,
+    gellmann_to_standard,
     matrix_to_document,
     matrix_unit,
     standard_labels,
@@ -94,6 +94,45 @@ def exact_nullity(spec: GeneratorSpec) -> int:
     The complex matrix is embedded as the real ``[[A, -B], [B, A]]``, whose
     nullity, by Gaussian elimination, is twice that of L.
     """
+    rows = _exact_rows(spec)
+    return (len(rows) - len(_echelon(rows))) // 2
+
+
+def exact_null_vectors(spec: GeneratorSpec) -> list[np.ndarray]:
+    """A basis of ker L, from the exact elimination of :func:`exact_nullity`, as N x N matrices.
+
+    The echelon form is reduced, and each free column of the real embedding
+    gives an exact null vector ``(u, v)``, the complex null vector ``u + iv``.
+    The real kernel is closed under ``J: (u, v) -> (-v, u)`` (multiplication
+    by i), so a vector is kept only when it is outside the real span of the
+    kept ones and their images under J; that span test is exact too.  Each
+    kept vector is scaled by its largest entry before it is rounded to floats.
+    """
+    N = spec.N
+    n = N * N
+    pivots = _echelon(_exact_rows(spec))
+    for lead in sorted(pivots, reverse=True):  # back-substitution: reduce the echelon form
+        row = pivots[lead]
+        for c in [c for c in row if c != lead and c in pivots]:
+            _subtract(row, row[c], pivots[c])
+    kept: list[dict[int, Fraction]] = []  # the kept vectors and their images under J
+    vectors = []
+    for free in sorted(set(range(2 * n)) - set(pivots)):
+        x = {free: Fraction(1)}
+        x.update({lead: -row[free] for lead, row in pivots.items() if free in row})
+        if len(_echelon([*kept, x])) == len(kept):
+            continue
+        kept += [x, {(c + n) % (2 * n): -v if c >= n else v for c, v in x.items()}]
+        scale = max(map(abs, x.values()))
+        coords = np.zeros(2 * n)
+        for c, v in x.items():
+            coords[c] = v / scale
+        vectors.append((coords[:n] + 1j * coords[n:]).reshape(N, N))
+    return vectors
+
+
+def _exact_rows(spec: GeneratorSpec) -> list[dict[int, Fraction]]:
+    """The rows of L's real embedding ``[[A, -B], [B, A]]`` (:func:`exact_nullity`), sparse."""
     N = spec.N
     n = N * N
     pos = reference_position_array(N).tolist()
@@ -120,12 +159,16 @@ def exact_nullity(spec: GeneratorSpec) -> int:
                             (row + n, col + n, re)):
             if value:
                 rows[r][c] = value
-    return (2 * n - _exact_rank(rows)) // 2
+    return rows
 
 
-def _exact_rank(rows: list[dict[int, Fraction]]) -> int:
-    """Rank of the sparse rational matrix whose rows map columns to nonzero entries."""
-    pivots: dict[int, dict[int, Fraction]] = {}  # leading column -> row, led by 1
+def _echelon(rows: list[dict[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Row echelon form of the sparse rational matrix whose rows map columns to nonzero entries.
+
+    Maps each pivot's leading column to its row, scaled to lead with 1; the
+    rank is the number of pivots.
+    """
+    pivots: dict[int, dict[int, Fraction]] = {}
     for row in rows:
         row = dict(row)
         while row:
@@ -133,14 +176,18 @@ def _exact_rank(rows: list[dict[int, Fraction]]) -> int:
             if lead not in pivots:
                 pivots[lead] = {c: v / row[lead] for c, v in row.items()}
                 break
-            factor = row[lead]
-            for c, v in pivots[lead].items():
-                value = row.get(c, 0) - factor * v
-                if value:
-                    row[c] = value
-                else:
-                    row.pop(c, None)
-    return len(pivots)
+            _subtract(row, row[lead], pivots[lead])
+    return pivots
+
+
+def _subtract(row: dict[int, Fraction], factor: Fraction, pivot: dict[int, Fraction]) -> None:
+    """``row -= factor * pivot``, in place, dropping the entries that cancel."""
+    for c, v in pivot.items():
+        value = row.get(c, 0) - factor * v
+        if value:
+            row[c] = value
+        else:
+            row.pop(c, None)
 
 
 # ---------------------------------------------------------------------------
@@ -483,13 +530,13 @@ def pair_block_spec(N, H, blocks, diag=None) -> GeneratorSpec:
     return GeneratorSpec(H=np.asarray(H, dtype=complex), gamma=g)
 
 
-def gellmann_document(gm: GellMannSpec) -> dict:
-    """Dense spec document of ``gm`` over the traceless Gell-Mann labels."""
+def gellmann_document(H: np.ndarray, C: np.ndarray) -> dict:
+    """Dense spec document of ``(H, C)``, C over the traceless Gell-Mann labels."""
     return {
-        "N": gm.N,
+        "N": len(H),
         "basis": "gellmann",
-        "H": matrix_to_document(gm.H),
-        "gamma": {"format": "dense", "matrix": matrix_to_document(gm.C)},
+        "H": matrix_to_document(H),
+        "gamma": {"format": "dense", "matrix": matrix_to_document(C)},
     }
 
 
@@ -527,6 +574,8 @@ def malformed_blocks_documents(doc: dict) -> dict[str, dict]:
     fault("pairs_not_a_list")["pairs"] = {}
     fault("pair_not_an_object")["pairs"][0] = [1, 2]
     fault("unknown_field")["pairs"][0]["weight"] = 1.0
+    pair = fault("misspelled_field")["pairs"][0]
+    pair["blk"] = pair.pop("block")
     for name in ("i", "j", "block"):
         del fault(f"missing_{name}")["pairs"][0][name]
     for kind, value in (("bool", True), ("float", 1.0), ("string", "1"), ("beyond_int64", 2**63)):
@@ -781,10 +830,7 @@ def random_identity_preserving_spec(rng: np.random.Generator, N: int) -> Generat
     C = np.zeros((N * N - 1, N * N - 1), dtype=complex)
     C[:R, :R] = np.diag(rng.uniform(0.0, 2.0, size=R))
     C[R:, R:] = random_psd(rng, N - 1)
-    gm = GellMannSpec(H=random_hermitian(rng, N), C=C)
-    from gkslgraph import gellmann_to_standard
-
-    return gellmann_to_standard(gm)
+    return gellmann_to_standard(random_hermitian(rng, N), C)
 
 
 def identity_coupled_spec(

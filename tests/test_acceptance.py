@@ -238,7 +238,7 @@ def test_acceptance_7_containment_sweep(capsys):
             spec = random_identity_preserving_spec(rng, N)
             assert gk.kernel_containment_check(spec)
             res = gk.k_operator(spec)
-            C = gk.standard_to_gellmann(spec).C
+            _, C = gk.standard_to_gellmann(spec)
             if float(np.abs(C).max()) > 1e-9:
                 assert res.epsilon > 0.0
 

@@ -217,11 +217,11 @@ def test_non_psd_dense_spec_takes_the_spectrum_once_after_the_cholesky(tmp_path,
 @pytest.mark.parametrize("command", COMMANDS)
 def test_gellmann_file_is_converted_once(monkeypatch, tmp_path, capsys, command):
     # The parser converts a Gell-Mann document; no command converts again.
-    gm = gk.standard_to_gellmann(sink_menagerie_spec())
+    H, C = gk.standard_to_gellmann(sink_menagerie_spec())
     path = tmp_path / "menagerie.json"
-    path.write_text(gk.dump_json(gellmann_document(gm)) + "\n")
+    path.write_text(gk.dump_json(gellmann_document(H, C)) + "\n")
     counts = count_calls(monkeypatch, generator.gellmann_to_standard)
-    assert cli.main(command_argv(command, path, tmp_path, gm.N)) == 0
+    assert cli.main(command_argv(command, path, tmp_path, len(H))) == 0
     assert counts == {"gellmann_to_standard": 1}
 
 

@@ -587,6 +587,19 @@ def test_pattern_route_commands_on_a_blocks_spec_allocate_no_dense_gamma(
     assert (run_cli(argv, capsys), dot.read_text() if dot.exists() else None) == expected
 
 
+def test_parse_out_of_memory_exits_1_naming_the_path(monkeypatch, capsys, golden_dir):
+    message = "Unable to allocate 64.0 GiB for an array with shape (65536, 65536)"
+
+    def exhausted(doc):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "parse_spec_document", exhausted)
+    path = golden_dir / "superposition.spec.json"
+    code, out, err = run_cli(["kernel", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {path}: out of memory ({message})\n"
+
+
 def test_command_out_of_memory_exits_1_naming_the_path(monkeypatch, capsys, golden_dir):
     def exhausted(*args):
         raise MemoryError
@@ -769,13 +782,13 @@ def test_parse_blocks_rejected_over_gellmann_basis(golden_dir):
 def test_parse_dense_gellmann_size():
     # Over the orthonormal basis the dense matrix drops the identity label;
     # the parser converts it to the standard basis as it reads it.
-    gm = gk.standard_to_gellmann(random_valid_spec(np.random.default_rng(19), 3))
-    doc = json.loads(dump_json(gellmann_document(gm)))
+    H, C = gk.standard_to_gellmann(random_valid_spec(np.random.default_rng(19), 3))
+    doc = json.loads(dump_json(gellmann_document(H, C)))
     assert len(doc["gamma"]["matrix"]) == 8
     spec = parse_spec_document(doc)
     assert type(spec) is gk.GeneratorSpec
     assert spec.gamma.shape == (9, 9)
-    want = gk.gellmann_to_standard(gk.GellMannSpec(H=gm.H, C=gm.C))
+    want = gk.gellmann_to_standard(H, C)
     assert np.array_equal(spec.H, want.H)
     assert np.array_equal(spec.gamma, want.gamma)
     doc["gamma"]["matrix"] = _zero_cmatrix(9)  # the standard size
@@ -823,8 +836,8 @@ def test_gellmann_file_reads_as_its_converted_spec(tmp_path, capsys, command):
     for t, spec in enumerate(specs):
         gm = gk.standard_to_gellmann(spec)
         gm_path = tmp_path / f"s{t}.gellmann.json"
-        gm_path.write_text(dump_json(gellmann_document(gm)) + "\n")
-        std_path = Path(write_spec(tmp_path / f"s{t}.standard.json", gk.gellmann_to_standard(gm)))
+        gm_path.write_text(dump_json(gellmann_document(*gm)) + "\n")
+        std_path = Path(write_spec(tmp_path / f"s{t}.standard.json", gk.gellmann_to_standard(*gm)))
         got = _run_normalized(command, gm_path, tmp_path, spec.N, capsys)
         want = _run_normalized(command, std_path, tmp_path, spec.N, capsys)
         assert got == want, f"spec {t}"
@@ -1377,6 +1390,43 @@ def test_tol_zero_notes_no_check_as_held_narrowly(capsys, golden_dir, command, n
     # Every check that holds at a zero threshold holds exactly, not narrowly.
     _, out, _ = run_cli([command, str(golden_dir / f"{name}.spec.json"), "--tol", "0"], capsys)
     assert json.loads(out)["diagnostics"] == []
+
+
+#: Option values that fail their type check, with the message argparse prints, by name.
+USAGE_ERRORS = {
+    "pair_one_level": (
+        ["eigen", "--pair", "1"], "argument --pair: expected K,L (two comma-separated levels)"
+    ),
+    "pair_three_levels": (
+        ["eigen", "--pair", "1,2,3"],
+        "argument --pair: expected K,L (two comma-separated levels)",
+    ),
+    "pair_not_integers": (
+        ["eigen", "--pair", "1,b"], "argument --pair: pair levels must be integers"
+    ),
+    "times_not_numbers": (
+        ["check-state", "--state", "s.json", "--times", "0.5,soon"],
+        "argument --times: times must be comma-separated numbers",
+    ),
+    "times_empty": (
+        ["check-state", "--state", "s.json", "--times", " , "],
+        "argument --times: at least one time is required",
+    ),
+    "tol_not_a_number": (
+        ["kernel", "--tol", "abc"], "argument --tol: expected a number, got 'abc'"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_ERRORS))
+def test_option_type_error_exits_2_with_its_message(capsys, golden_dir, name):
+    (command, *options), message = USAGE_ERRORS[name]
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, str(golden_dir / "superposition.spec.json"), *options])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"gkslgraph {command}: error: {message}"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400", "-1"])

@@ -105,8 +105,8 @@ def test_induced_digraph_gellmann_route_agrees():
     rng = np.random.default_rng(31)
     spec = random_valid_spec(rng, 3)
     gm = gk.standard_to_gellmann(spec)
-    g_gm = gk.induced_digraph(gk.parse_spec_document(gellmann_document(gm)))
-    g_conv = gk.induced_digraph(gk.gellmann_to_standard(gm))
+    g_gm = gk.induced_digraph(gk.parse_spec_document(gellmann_document(*gm)))
+    g_conv = gk.induced_digraph(gk.gellmann_to_standard(*gm))
     assert g_gm.n == g_conv.n == 3
     assert np.array_equal(g_gm.rates, g_conv.rates)
     g_std = gk.induced_digraph(gk.canonicalize(spec))

@@ -1,11 +1,13 @@
-"""Spec-document parsing: the one-pass read of a ``blocks`` document.
+"""Spec- and state-document parsing: the one-pass read of a ``blocks`` document.
 
 A ``blocks`` document's pairs are checked and written into gamma all at
 once; a fault makes the parser walk the pairs to name the first bad field.
-These tests pin the exact messages, and that the pair-block pattern the
+These tests pin the exact messages, those of the faults at a spec's top
+level and in a state document too, and that the pair-block pattern the
 parser writes is recorded on the spec with no scan of gamma.
 """
 
+import copy
 import json
 
 import numpy as np
@@ -28,6 +30,7 @@ PARSE_ERRORS = {
     "pairs_not_a_list": "gamma.pairs: expected a list",
     "pair_not_an_object": "gamma.pairs[0]: expected an object",
     "unknown_field": "gamma.pairs[0]: unknown field(s) ['weight']",
+    "misspelled_field": "gamma.pairs[0]: unknown field(s) ['blk']",
     "missing_i": "gamma.pairs[0]: missing required field 'i'",
     "missing_j": "gamma.pairs[0]: missing required field 'j'",
     "missing_block": "gamma.pairs[0]: missing required field 'block'",
@@ -64,6 +67,68 @@ def test_blocks_parse_error_names_the_first_bad_field(malformed, name):
     with pytest.raises(gk.SpecParseError) as info:
         gk.parse_spec_document(malformed[name])
     assert str(info.value) == PARSE_ERRORS[name]
+
+
+#: The message of each fault of :func:`_faulty_spec_documents`.
+SPEC_ERRORS = {
+    "not_an_object": "top level: expected an object",
+    "n_zero": "N: must be positive, got 0",
+    "n_negative": "N: must be positive, got -3",
+    "unknown_basis": """basis: expected "standard" or "gellmann", got 'pauli'""",
+    "gamma_not_an_object": "gamma: expected an object",
+    "missing_format": "gamma: missing required field 'format'",
+    "unknown_format": """gamma.format: expected "dense" or "blocks", got 'sparse'""",
+}
+
+
+def _faulty_spec_documents(doc: dict) -> dict[str, object]:
+    """Copies of a valid spec document, each with one fault outside the pairs, by name."""
+    documents = {"not_an_object": [copy.deepcopy(doc)]}
+
+    def fault(name: str) -> dict:
+        documents[name] = copy.deepcopy(doc)
+        return documents[name]
+
+    fault("n_zero")["N"] = 0
+    fault("n_negative")["N"] = -3
+    fault("unknown_basis")["basis"] = "pauli"
+    fault("gamma_not_an_object")["gamma"] = [doc["gamma"]]
+    del fault("missing_format")["gamma"]["format"]
+    fault("unknown_format")["gamma"]["format"] = "sparse"
+    return documents
+
+
+@pytest.fixture
+def faulty(golden_dir) -> dict[str, object]:
+    return _faulty_spec_documents(json.loads((golden_dir / "superposition.spec.json").read_text()))
+
+
+def test_every_spec_fault_has_a_pinned_message(faulty):
+    assert set(faulty) == set(SPEC_ERRORS)
+
+
+@pytest.mark.parametrize("name", sorted(SPEC_ERRORS))
+def test_spec_parse_error_names_the_bad_field(faulty, name):
+    with pytest.raises(gk.SpecParseError) as info:
+        gk.parse_spec_document(faulty[name])
+    assert str(info.value) == SPEC_ERRORS[name]
+
+
+#: Faulty state documents and their messages, by name.
+STATE_ERRORS = {
+    "not_an_object": ([[[1, 0]]], "top level: expected an object"),
+    "missing_matrix": ({}, "top level: missing required field 'matrix'"),
+    "empty_matrix": ({"matrix": []}, "matrix: expected a non-empty list of rows"),
+    "matrix_not_a_list": ({"matrix": "I"}, "matrix: expected a non-empty list of rows"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_ERRORS))
+def test_state_parse_error_names_the_bad_field(name):
+    doc, message = STATE_ERRORS[name]
+    with pytest.raises(gk.SpecParseError) as info:
+        gk.parse_state_document(doc)
+    assert str(info.value) == message
 
 
 def _complex(entries) -> np.ndarray:

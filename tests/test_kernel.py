@@ -17,6 +17,7 @@ from gkslgraph.basis import _pair_index, _pair_levels
 from gkslgraph.generator import _PairPattern, _pair_block_table
 from helpers import (
     dephasing_ladder_spec,
+    exact_null_vectors,
     exact_nullity,
     gellmann_document,
     identity_coupled_spec,
@@ -73,8 +74,8 @@ def test_diagonal_elements_of_a_gellmann_spec():
     # A Gell-Mann document, parsed, gives the converted spec's elements exactly.
     spec = superposition_decay_spec()
     gm = gk.standard_to_gellmann(spec)
-    els_gm = diagonal_elements(gk.parse_spec_document(gellmann_document(gm)))
-    els_conv = diagonal_elements(gk.gellmann_to_standard(gm))
+    els_gm = diagonal_elements(gk.parse_spec_document(gellmann_document(*gm)))
+    els_conv = diagonal_elements(gk.gellmann_to_standard(*gm))
     els_std = diagonal_elements(spec)
     assert len(els_gm) == len(els_conv) == len(els_std) == 1
     assert els_gm[0].support == els_conv[0].support
@@ -359,7 +360,7 @@ def test_full_kernel_degenerate_antisymmetric_block_vs_oracle():
 
 def test_full_kernel_gellmann_round_trip_same_span():
     spec = superposition_decay_spec()
-    round_tripped = gk.gellmann_to_standard(gk.standard_to_gellmann(spec))
+    round_tripped = gk.gellmann_to_standard(*gk.standard_to_gellmann(spec))
     a = gk.full_kernel(spec)
     b = gk.full_kernel(round_tripped)
     assert a.dimension == b.dimension
@@ -437,15 +438,14 @@ def test_k_operator_zero_coefficients():
     spec = gk.GeneratorSpec(H=np.diag([1.0, -1.0]).astype(complex), gamma=np.zeros((4, 4)))
     res = gk.k_operator(spec)
     assert res.epsilon == 0.0
-    assert np.max(np.abs(res.kspec.C)) == 0.0
+    assert np.max(np.abs(res.K)) == 0.0
     assert res.labels == ()  # K marks directions outside ker C; here none
 
 
 def test_k_operator_full_rank_pinned():
-    gm = gk.GellMannSpec(H=np.zeros((2, 2)), C=np.eye(3, dtype=complex))
-    spec = gk.gellmann_to_standard(gm)
+    spec = gk.gellmann_to_standard(np.zeros((2, 2)), np.eye(3, dtype=complex))
     res = gk.k_operator(spec)
-    assert np.allclose(res.kspec.C, np.eye(3), atol=1e-12)
+    assert np.allclose(res.K, np.eye(3), atol=1e-12)
     assert res.epsilon == pytest.approx(1.0, abs=1e-9)
     assert res.labels == gk.gellmann_labels(2)[:-1]
 
@@ -453,9 +453,9 @@ def test_k_operator_full_rank_pinned():
 def test_k_operator_rank_one_pinned():
     C = np.zeros((3, 3), dtype=complex)
     C[0, 0] = 2.0
-    spec = gk.gellmann_to_standard(gk.GellMannSpec(H=np.zeros((2, 2)), C=C))
+    spec = gk.gellmann_to_standard(np.zeros((2, 2)), C)
     res = gk.k_operator(spec)
-    assert np.allclose(res.kspec.C, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+    assert np.allclose(res.K, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
     assert res.epsilon == pytest.approx(2.0, abs=1e-9)
 
 
@@ -471,8 +471,8 @@ def test_k_operator_dominated_by_coefficients():
         N = int(rng.integers(2, 5))
         spec = random_identity_preserving_spec(rng, N)
         res = gk.k_operator(spec)
-        C = gk.standard_to_gellmann(spec).C
-        diff = (C + C.conj().T) / 2.0 - res.epsilon * res.kspec.C
+        _, C = gk.standard_to_gellmann(spec)
+        diff = (C + C.conj().T) / 2.0 - res.epsilon * res.K
         evals = np.linalg.eigvalsh(diff)
         assert evals.min() > -1e-8 * max(1.0, float(evals.max()))
         assert res.epsilon >= 0.0
@@ -491,6 +491,17 @@ def test_kernel_containment_random_identity_preserving():
 def test_kernel_containment_requires_identity_preservation():
     with pytest.raises(gk.PreconditionError):
         gk.kernel_containment_check(superposition_decay_spec())
+
+
+def test_kernel_containment_is_false_for_an_oracle_element_outside_ker_k(monkeypatch):
+    # The guard against an implementation fault: with C = I, K = I on the
+    # traceless sector, so the traceless sigma_x is not in ker K.
+    spec = gk.gellmann_to_standard(np.zeros((2, 2)), np.eye(3))
+    assert gk.kernel_containment_check(spec)
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+    fault = gk.KernelBasis(elements=(gk.KernelElement(sigma_x, "oracle"),), method="oracle")
+    monkeypatch.setattr(kernel, "brute_force_kernel", lambda spec, tol: fault)
+    assert not gk.kernel_containment_check(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +537,20 @@ def test_consistency_block_hamiltonian_ok():
     assert rep.lower_bound == 2
     assert rep.lower_bound <= rep.nullity
     assert rep.projection_check
+
+
+def test_consistency_bound_above_the_oracle_nullity_raises(monkeypatch):
+    # The guard against an implementation fault: an oracle that loses a
+    # kernel direction puts the two components above its nullity.
+    spec = gk.GeneratorSpec(H=np.diag([0.3, -0.7]).astype(complex), gamma=np.zeros((4, 4)))
+    null_space = kernel._null_space
+    monkeypatch.setattr(kernel, "_null_space", lambda S, tol: null_space(S, tol)[1:])
+    message = (
+        "consistency bound violated: 2 components but oracle nullity 1; the "
+        "implementation asserts lower_bound <= nullity for valid generators"
+    )
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        gk.consistency_and_bound(spec)
 
 
 def test_consistency_requires_valid_spec():
@@ -928,6 +953,32 @@ def test_kernel_dimension_of_the_superposition_scaled_by_2_to_the_minus_34():
     scaled = gk.GeneratorSpec(H=2.0**-34 * spec.H, gamma=2.0**-34 * spec.gamma)
     assert exact_nullity(scaled) == gk.brute_force_kernel(scaled).dimension == 2
     assert gk.full_kernel(scaled).dimension == 2
+
+
+#: The valid pair-block families with N <= 6.
+EXACT_BASIS_FAMILIES = sorted(
+    name
+    for name, spec in pair_block_families().items()
+    if spec.N <= 6 and gk.validate(spec).verdict
+)
+
+
+def _assert_kernel_spans_the_exact_null_vectors(spec):
+    exact = exact_null_vectors(spec)
+    elements = kernel_matrices(gk.full_kernel(spec))
+    assert len(elements) == len(exact) == exact_nullity(spec)
+    assert max_principal_angle(elements, exact) <= 1e-10
+
+
+@pytest.mark.parametrize("name", EXACT_BASIS_FAMILIES)
+def test_kernel_elements_span_the_exact_null_vectors(name):
+    _assert_kernel_spans_the_exact_null_vectors(pair_block_families()[name])
+
+
+@pytest.mark.parametrize("name", ["ladder", "menagerie", "superposition"])
+def test_golden_kernel_elements_span_the_exact_null_vectors(golden_dir, name):
+    doc = json.loads((golden_dir / f"{name}.spec.json").read_text())
+    _assert_kernel_spans_the_exact_null_vectors(gk.parse_spec_document(doc))
 
 
 def test_random_pair_block_kernel_dimension_is_the_exact_nullity():

@@ -34,6 +34,7 @@ REMOVED = (
     "diagonal_kernel",
     "block_kernel",
     "SinkReport",
+    "GellMannSpec",
 )
 
 

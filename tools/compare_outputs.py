@@ -26,7 +26,11 @@ also writes ``helpers.strongly_connected_blocks_document`` at N = 64 and
 128, past the benchmark's sizes, and runs every command on it but the
 oracle's and ``canonicalize`` (whose dense N^4 gamma would take gigabytes),
 and every command on the two specs of ``helpers.wide_rate_documents``, whose
-stationary ratios leave the float range.
+stationary ratios leave the float range.  Each golden spec, and each seed's
+first spec of each workload, is also written as a ``"basis": "gellmann"``
+document (``helpers.gellmann_document`` of ``standard_to_gellmann``), and
+every command runs on it, so the parser's Gell-Mann conversion is compared
+too.
 Each of these jobs runs three times: at the default tolerance, with
 ``--tol 0`` and with ``--tol 1e-3``.
 Each tree runs the same argument lists in-process, in one subprocess with
@@ -149,11 +153,13 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
         load_spec,
         matrix_to_document,
         spec_to_document,
+        standard_to_gellmann,
     )
     from helpers import (
         COMMANDS,
         blocks_document,
         command_argv,
+        gellmann_document,
         malformed_blocks_documents,
         near_threshold_psd_specs,
         strongly_connected_blocks_document,
@@ -186,11 +192,19 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
             if command not in ORACLE_COMMANDS or N <= ORACLE_MAX_N
         ] + stationary(spec_path, workdir)
 
+    def gellmann(spec_path: Path, workdir: Path) -> list[list[str]]:
+        """Every command on the spec, written as a Gell-Mann document under ``workdir``."""
+        H, C = standard_to_gellmann(load_spec(spec_path))
+        path = workdir / f"{spec_path.stem}.gellmann.json"
+        path.write_text(dump_json(gellmann_document(H, C)) + "\n")
+        return commands(path, workdir, len(H))
+
     golden = directory / "golden"
     golden.mkdir(parents=True)
     jobs = []
     for spec_path in sorted((ROOT / "tests" / "golden").glob("*.spec.json")):
         jobs += commands(spec_path, golden, json.loads(spec_path.read_text())["N"])
+        jobs += gellmann(spec_path, golden)
     near = directory / "near_threshold"
     near.mkdir()
     for name, spec in near_threshold_psd_specs().items():
@@ -219,6 +233,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
             for case in cases:
                 jobs.append(case.argv)
                 jobs += commands(case.spec_path, workdir / "out", case.N)
+            jobs += gellmann(cases[0].spec_path, workdir / "out")
             if name == "kernel_blocks":
                 doc = json.loads(cases[0].spec_path.read_text())
                 (workdir / "malformed").mkdir()
