@@ -170,11 +170,11 @@ def _threshold(tol: float, magnitude: float) -> float:
     """``tol * max(1, magnitude)``: the package's one tolerance rule (README, "Tolerances").
 
     A value held to ``magnitude`` passes when it is at most this; the sites
-    are listed in the README, among them ``kernel._null_space``, whose SVD
+    are listed in the README, among them ``kernel._nullity``, whose SVD
     is real when ``max|Im A|`` passes held to ``max|A|``.  Other rules, to
     be merged into this one: absolute ``tol``
     (``digraph.induced_digraph``'s ``w > tol``, ``kernel.k_operator``'s
-    overlap, ``superposition_block``), ``tol * s[0]`` (``kernel._null_space``'s rank)
+    overlap, ``superposition_block``), ``tol * s[0]`` (``kernel._nullity``'s rank)
     and ``max(tol, 1e-9)`` (``kernel.verify_invariant``'s unit-trace test).
     """
     return tol * max(1.0, magnitude)

@@ -328,20 +328,35 @@ def superoperator(spec: GeneratorSpec) -> np.ndarray:
     the standard basis is Hilbert-Schmidt orthonormal, operator norms of
     functions of this matrix equal the corresponding norms on the space of
     matrices.
+
+    Over row-major vec order, L's matrix is
+    ``-i(H x I - I x H^T) + T - (M x I + I x M^T)/2``, with
+    ``T[(i,k), (j,l)] = gamma_{ijkl}`` and ``M[l,j] = sum_i gamma_{ijil}``.
+    T is one gather of gamma, straight into that order; the H and M terms
+    are added in place on its two diagonal views ``k = l`` and ``i = j``,
+    ``O(N^3)``, and where the views meet (``i = j``, ``k = l``) in the
+    order of the expression above, so every entry equals that of the sum
+    of the four Kronecker products.  One permutation takes it to the
+    standard ordering.
     """
     N = spec.N
-    G = _gamma_tensor(spec)
-    M = np.einsum("ijil->lj", G)
+    pos = _standard_position_array(N)
+    T = spec.gamma[pos[:, None, :, None], pos[None, :, None, :]]  # T[i, k, j, l]
+    M = np.einsum("iijl->lj", T)
     H = spec.H
-    eye = np.eye(N, dtype=np.complex128)
-    T = G.transpose(0, 2, 1, 3).reshape(N * N, N * N)
-    S_vec = (
-        -1j * (np.kron(H, eye) - np.kron(eye, H.T))
-        + T
-        - 0.5 * (np.kron(M, eye) + np.kron(eye, M.T))
+    both = np.einsum("ikik->ik", T).copy()
+    rows = np.einsum("ikjk->ikj", T)  # k = l: H[i, j] and M[i, j]
+    rows += -1j * H[:, None, :]
+    rows -= 0.5 * M[:, None, :]
+    cols = np.einsum("ikil->ikl", T)  # i = j: H[l, k] and M[l, k]
+    cols += 1j * H.T
+    cols -= 0.5 * M.T
+    h, m = np.diagonal(H), np.diagonal(M)
+    np.einsum("ikik->ik", T)[...] = (
+        -1j * (h[:, None] - h) + both - 0.5 * (m[:, None] + m)
     )
     perm = _standard_flat_order(N)
-    return S_vec[np.ix_(perm, perm)]
+    return T.reshape(N * N, N * N)[np.ix_(perm, perm)]
 
 
 def _pair_block_table(spec: GeneratorSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -368,14 +368,18 @@ def full_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
 
 
 def brute_force_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelBasis:
-    """Kernel basis from an SVD of the superoperator (the numeric oracle).
+    """Kernel basis from the singular values of the superoperator (the numeric oracle).
 
-    The SVD is of L's matrix over the Gell-Mann basis, real when L
-    preserves Hermiticity (:func:`_null_space`).  Each null vector v, in
-    Gell-Mann coordinates, is the element ``sum_q v_q lam_q``, whose
-    standard coordinates ``W* v`` come from :func:`basis._times_w`.  The
-    elements are HS-orthonormal, Hermitian when the SVD is real, and carry
-    no structural tags.
+    The nullity is that of L's matrix over the Gell-Mann basis, real when L
+    preserves Hermiticity, by the oracle's rank rule, and the null vectors
+    come from one bordered solve, or from a full SVD where that solve is
+    not accurate (:func:`_null_space`).  Each null vector v, in Gell-Mann
+    coordinates, is the element ``sum_q v_q lam_q``, whose standard
+    coordinates ``W* v`` come from :func:`basis._times_w`.  The elements are
+    HS-orthonormal, Hermitian when the SVD is real, and carry no structural
+    tags; the first has a positive trace, unless the full SVD gave it, so a
+    one-dimensional kernel of a valid generator is its stationary state
+    scaled to unit HS norm.
     """
     rows = _times_w(_null_space(superoperator(spec), tol).astype(np.complex128), adjoint=False)
     elements = tuple(
@@ -385,24 +389,93 @@ def brute_force_kernel(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KernelB
     return KernelBasis(elements=elements, method="oracle")
 
 
-def _null_space(S: np.ndarray, tol: float) -> np.ndarray:
-    """Rows ``v^H``, v over an orthonormal basis of ker L in Gell-Mann coordinates.
+#: A bordered solve's null vectors Q are accepted when
+#: ``|A Q|_F <= _NULL_RESIDUAL_FACTOR * n * eps * s[0] * sqrt(d)``.
+_NULL_RESIDUAL_FACTOR = 10.0
+
+
+def _nullity(
+    S: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, int, np.ndarray | None]:
+    """``(A, s, d, vh)``: L's matrix over the Gell-Mann basis, its singular values and nullity.
 
     S is L's writable matrix in the standard ordering.  It is overwritten
     with ``A = W S W*``, L's matrix over the Hermitian Gell-Mann basis,
     which is real when L maps Hermitian matrices to Hermitian matrices, as
-    every GKSL generator does.  The SVD is of ``A.real`` when
-    ``max|Im A| <= _threshold(tol, max|A|)`` and of A otherwise.  W is
-    unitary, so the singular values are S's; the rank counts those above
-    ``tol * s[0]``.  FloatingPointError if ``max|A|`` is not finite, as when
-    a huge gamma overflows S: there is no SVD to take.
+    every GKSL generator does.  A is ``A.real`` when
+    ``max|Im A| <= _threshold(tol, max|A|)``.  s are A's singular values,
+    descending; W is unitary, so they are S's.  The nullity d is the count
+    of them at most ``tol * s[0]``.  They come from a values-only SVD, and
+    vh is None; at tol 0 from a full SVD, whose right singular vectors are
+    vh.  The rule then counts exact zeros, which the values-only algorithm
+    finds in a block-structured A (a pair-block spec's) where the full SVD
+    leaves values of rounding size, so the full SVD keeps the rank that
+    tol 0 has always given.
+    FloatingPointError if ``max|A|`` is not finite, as when a huge gamma
+    overflows S: there is no SVD to take.
     """
     A = _conjugate_by_w(S, inverse=False)
     magnitude = _finite(float(np.abs(A).max()), "the largest entry of the superoperator")
     if float(np.abs(A.imag).max()) <= _threshold(tol, magnitude):
         A = A.real
-    _, s, vh = np.linalg.svd(A)
-    return vh[np.count_nonzero(s > tol * s[0]) :]
+    if tol:
+        s, vh = np.linalg.svd(A, compute_uv=False), None
+    else:
+        _, s, vh = np.linalg.svd(A)
+    return A, s, s.size - int(np.count_nonzero(s > tol * s[0])), vh
+
+
+def _null_space(S: np.ndarray, tol: float) -> np.ndarray:
+    """Rows ``v^H``, v over an orthonormal basis of ker L in Gell-Mann coordinates.
+
+    S is overwritten as by :func:`_nullity`, which gives A, its singular
+    values s and the nullity d.  At tol 0 the rows are the last d right
+    singular vectors of its full SVD; otherwise d = 0 takes nothing more,
+    and the null vectors come from one solve of the bordered system
+    ``[[A, U], [U^T, 0]] [X; Y] = [0; I_d]``, whose d border vectors U are
+    ``e_I``, the identity label, then d - 1 fixed-seed Gaussian vectors.
+    Row I of A is zero, as L preserves the trace, and a stationary state
+    has a nonzero trace, so for generic border vectors the system is
+    nonsingular, Y = 0, X spans ker A and row I of X is ``(1, 0, ..., 0)``
+    (Govaerts, *Numerical Methods for Bifurcations of Dynamical Equilibria*,
+    SIAM 2000).  For d = 1 this is the stationary vector with one equation
+    replaced by the normalisation (Stewart, *Introduction to the Numerical
+    Solution of Markov Chains*, 1994).  A QR with a positive diagonal R
+    orthonormalises X, so the first vector has a positive component along
+    the identity.  The result is accepted when it is finite and
+    ``|A Q|_F <= _NULL_RESIDUAL_FACTOR * n * eps * s[0] * sqrt(d)``.  No
+    orthonormal Q does better than ``|s[n-d:]|``, so when that is above the
+    bound no solve is tried.  Otherwise, or when the check fails or the
+    solve raises, the rows are the last d right singular vectors of a full
+    SVD of A.
+    """
+    A, s, d, vh = _nullity(S, tol)
+    n = s.size
+    if vh is not None:
+        return vh[n - d :]
+    if d == 0:
+        return np.empty((0, n), dtype=A.dtype)
+    bound = _NULL_RESIDUAL_FACTOR * n * np.finfo(float).eps * s[0] * math.sqrt(d)
+    if float(np.linalg.norm(s[n - d :])) <= bound:
+        border = np.zeros((n, d))
+        border[-1, 0] = 1.0  # e_I: the identity label is the last one
+        border[:, 1:] = np.random.default_rng(0).standard_normal((n, d - 1))  # fixed: deterministic
+        bordered = np.zeros((n + d, n + d), dtype=A.dtype)
+        bordered[:n, :n] = A
+        bordered[:n, n:] = border
+        bordered[n:, :n] = border.T
+        rhs = np.zeros((n + d, d))
+        rhs[n:] = np.eye(d)
+        try:
+            Q, R = np.linalg.qr(np.linalg.solve(bordered, rhs)[:n])
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            diagonal = np.diagonal(R)
+            Q *= diagonal / np.abs(diagonal)
+            if np.isfinite(Q).all() and float(np.linalg.norm(A @ Q)) <= bound:
+                return Q.conj().T
+    return np.linalg.svd(A)[2][n - d :]
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +568,7 @@ def consistency_and_bound(
         col_sums = np.abs(S[-N:][[i - 1 for i in comp]].sum(axis=0))
         if float(col_sums.max()) > scale_s:
             projection_check = False
-    nullity = len(_null_space(S, tol))  # overwrites S
+    nullity = _nullity(S, tol)[2]  # overwrites S
 
     lower_bound: int | None = None
     if consistent:

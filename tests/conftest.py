@@ -28,17 +28,17 @@ def golden_dir() -> Path:
 
 
 @pytest.fixture
-def svd_dtypes(monkeypatch) -> list:
-    """The dtype of the array of each ``np.linalg.svd`` call the test makes."""
-    dtypes = []
+def svd_calls(monkeypatch) -> list:
+    """``(dtype, compute_uv)`` of each ``np.linalg.svd`` call the test makes."""
+    calls = []
     svd = np.linalg.svd
 
-    def recording(a, *args, **kwargs):
-        dtypes.append(np.asarray(a).dtype)
-        return svd(a, *args, **kwargs)
+    def recording(a, full_matrices=True, compute_uv=True, hermitian=False):
+        calls.append((np.asarray(a).dtype, compute_uv))
+        return svd(a, full_matrices, compute_uv, hermitian)
 
     monkeypatch.setattr(np.linalg, "svd", recording)
-    return dtypes
+    return calls
 
 
 @pytest.fixture

@@ -900,6 +900,15 @@ def random_consistent_spec(
     return GeneratorSpec(H=H, gamma=gamma), parts
 
 
+#: The random spec families of the oracle's tests, each ``(rng, N) -> GeneratorSpec``.
+ORACLE_FAMILIES = {
+    "valid": random_valid_spec,
+    "consistent": lambda rng, N: random_consistent_spec(rng, N)[0],
+    "pair_block": random_pbd_spec,
+    "identity_coupled": lambda rng, N: identity_coupled_spec(rng, N, 0.3 - 0.2j),
+}
+
+
 def haar_state_vector(rng: np.random.Generator, n: int) -> np.ndarray:
     v = rng.normal(size=n) + 1j * rng.normal(size=n)
     return v / np.linalg.norm(v)

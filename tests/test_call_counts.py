@@ -184,16 +184,26 @@ def test_kernel_command_on_a_dense_spec_validates_once_and_scans_the_canonical_s
 
 
 def test_kernel_fallback_takes_one_real_svd_of_one_superoperator(
-    monkeypatch, tmp_path, svd_dtypes
+    monkeypatch, tmp_path, svd_calls
 ):
     # The oracle conjugates the superoperator in place rather than building
     # a second N^4 operator, and a valid spec's L preserves Hermiticity, so
-    # its one SVD is of a real array.
+    # its one SVD is of a real array.  It takes the singular values alone:
+    # the null vectors come from one bordered solve, and no full SVD is
+    # taken.  The superoperator is one gather of gamma, with no Kronecker
+    # product.
     path = _dense_spec_path(tmp_path)
     counts = count_calls(monkeypatch, generator.superoperator)
+    for module, name in ((np, "kron"), (np.linalg, "solve"), (np.linalg, "qr")):
+
+        def recording(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recording)
     _kernel_falls_back(path, tmp_path)
-    assert counts == {"superoperator": 1}
-    assert svd_dtypes == [np.float64]
+    assert counts == {"superoperator": 1, "solve": 1, "qr": 1}  # kron: 0
+    assert svd_calls == [(np.float64, False)]
 
 
 def test_valid_dense_kernel_certifies_psd_by_one_cholesky(tmp_path, psd_calls):
@@ -298,11 +308,12 @@ def _check_dense_state(monkeypatch, tmp_path, case: str, state: np.ndarray) -> t
 @pytest.mark.parametrize("case", DENSE_ROUTE_SPECS)
 def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path, case):
     # I/N is invariant: the residual and the drift bound come from one
-    # superoperator, built from one gather of gamma into a tensor, and the
-    # bound settles both times, so nothing is evolved.
+    # superoperator, built from one gather of gamma straight into its vec
+    # order (no 4-tensor), and the bound settles both times, so nothing is
+    # evolved.
     invariant, counts = _check_dense_state(monkeypatch, tmp_path, case, np.eye(3) / 3)
     assert invariant is True
-    assert counts == {"superoperator": 1, "_gamma_tensor": 1, "_max_off_block": 1}  # expm: 0
+    assert counts == {"superoperator": 1, "_max_off_block": 1}  # _gamma_tensor, expm: 0
 
 
 @pytest.mark.parametrize("case", DENSE_ROUTE_SPECS)
@@ -313,7 +324,7 @@ def test_check_state_on_a_dense_spec_stops_at_the_residual(monkeypatch, tmp_path
     state[0, 1] = state[1, 0] = 1e-3
     invariant, counts = _check_dense_state(monkeypatch, tmp_path, case, state)
     assert invariant is False
-    assert counts == {"superoperator": 1, "_gamma_tensor": 1, "_max_off_block": 1}  # expm: 0
+    assert counts == {"superoperator": 1, "_max_off_block": 1}  # _gamma_tensor, expm: 0
 
 
 def test_every_cached_function_is_keyed_by_n_at_most():

@@ -14,6 +14,7 @@ from gkslgraph.basis import _max_off_block
 from gkslgraph.generator import _pair_block_table
 from gkslgraph.kernel import PreconditionError, full_kernel
 from helpers import (
+    ORACLE_FAMILIES,
     blocks_document,
     dephasing_ladder_spec,
     identity_coupled_spec,
@@ -240,17 +241,38 @@ def test_apply_generator_rejects_wrong_shape():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("N", [2, 3])
-def test_superoperator_matches_reference_route(N):
-    rng = np.random.default_rng(100 + N)
-    for _ in range(5):
-        # arbitrary complex coefficient matrix -- not even valid; the matrix
-        # representation must agree regardless
-        gamma = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
-        spec = gk.GeneratorSpec(H=random_hermitian(rng, N), gamma=gamma)
-        S = gk.superoperator(spec)
+def _complex_gamma_spec(rng: np.random.Generator, N: int) -> gk.GeneratorSpec:
+    """An arbitrary complex coefficient matrix, not even valid."""
+    gamma = rng.normal(size=(N * N, N * N)) + 1j * rng.normal(size=(N * N, N * N))
+    return gk.GeneratorSpec(H=random_hermitian(rng, N), gamma=gamma)
+
+
+#: Every random spec family, each ``(rng, N) -> GeneratorSpec``.
+SPEC_FAMILIES = {
+    "complex_gamma": _complex_gamma_spec,
+    **ORACLE_FAMILIES,
+    "identity_preserving": random_identity_preserving_spec,
+}
+
+
+@pytest.mark.parametrize(
+    ("family", "N"),
+    [(family, N) for family in SPEC_FAMILIES for N in range(2, 7)]
+    + [(name, spec.N) for name, spec in sorted(pair_block_families().items()) if spec.N <= 6],
+)
+def test_superoperator_matches_reference_route(family, N):
+    # The gather and the in-place diagonal terms against the sum of
+    # elementary dissipators, column by column; the matrix representation
+    # must agree whether or not gamma is valid.
+    if family in SPEC_FAMILIES:
+        rng = np.random.default_rng(100 + N)
+        # Five draws where the dense reference is cheap, one at N >= 4.
+        specs = [SPEC_FAMILIES[family](rng, N) for _ in range(5 if N <= 3 else 1)]
+    else:
+        specs = [pair_block_families()[family]]
+    for spec in specs:
         S_ref = reference_superoperator(spec)
-        assert np.max(np.abs(S - S_ref)) < 1e-12 * max(1.0, np.max(np.abs(S_ref)))
+        assert np.abs(gk.superoperator(spec) - S_ref).max() <= 1e-14 * max(1.0, np.abs(S_ref).max())
 
 
 def test_superoperator_columns_are_generator_applications():
