@@ -200,7 +200,8 @@ def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | 
     magnitude = max(float(np.abs(b).max()) for b in blocks)
     if not math.isfinite(magnitude):
         return False, None, magnitude
-    skew = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b in blocks)
+    with np.errstate(over="ignore", invalid="ignore"):  # a skew that overflows fails below
+        skew = max(float(np.abs(b - b.conj().swapaxes(-1, -2)).max()) for b in blocks)
     if not math.isfinite(skew):
         return False, None, magnitude
     ok = skew <= _threshold(tol, magnitude)

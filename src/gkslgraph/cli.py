@@ -66,10 +66,6 @@ class _Failure(Exception):
         self.message = message
 
 
-def _complex_doc(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _kernel_payload(basis) -> dict:
     return {
         "method": basis.method,
@@ -162,11 +158,8 @@ def _cmd_eigen(spec, input_path, args):
         raise _Failure(1, f"{input_path}: {exc}") from exc
     payload = {
         "pair": list(args.pair),
-        "plus": {"mu": _complex_doc(plus.mu), "matrix": matrix_to_document(plus.matrix)},
-        "minus": {
-            "mu": _complex_doc(minus.mu),
-            "matrix": matrix_to_document(minus.matrix),
-        },
+        "plus": {"mu": matrix_to_document(plus.mu), "matrix": matrix_to_document(plus.matrix)},
+        "minus": {"mu": matrix_to_document(minus.mu), "matrix": matrix_to_document(minus.matrix)},
     }
     return 0, payload, None, []
 
@@ -443,59 +436,68 @@ def _write(path: Path, text: str) -> None:
         raise _Failure(1, f"{path}: {exc.strerror or exc}") from exc
 
 
-def _run_single(args, parser) -> int:
-    if args.command == "digraph" and not args.out:
-        parser.error("digraph requires --out for the DOT file")
-    input_path = Path(args.input)
-    try:
-        code, text, dot = _process(input_path, args)
-        if args.command == "digraph":
-            _write(Path(args.out), dot)
-        elif args.out:
-            _write(Path(args.out), text)
-    except _Failure as failure:
-        print(f"error: {failure.message}", file=sys.stderr)
-        return failure.code
-    if args.command == "digraph" or not args.out:
-        sys.stdout.write(text)
-    return code
+def _jobs(args, parser) -> list[tuple[Path, Path | None, Path | None]]:
+    """``(input, JSON path or None for stdout, DOT path or None)`` of each file to run.
 
-
-def _run_batch(args, parser) -> int:
-    if not args.out:
+    A single input is a batch of one.  ``--batch`` runs every ``*.json`` of
+    the input directory, in name order, into the ``--out`` directory, which
+    is made first; a failure to make it, or an input that is not a
+    directory, raises :class:`_Failure`.
+    """
+    digraph = args.command == "digraph"
+    out = Path(args.out) if args.out else None
+    if not args.batch:
+        if digraph and out is None:
+            parser.error("digraph requires --out for the DOT file")
+        return [(Path(args.input), None, out) if digraph else (Path(args.input), out, None)]
+    if out is None:
         parser.error("--batch requires --out (an output directory)")
     in_dir = Path(args.input)
     if not in_dir.is_dir():
-        print(f"error: {in_dir}: not a directory", file=sys.stderr)
-        return 1
-    out_dir = Path(args.out)
+        raise _Failure(1, f"{in_dir}: not a directory")
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        print(f"error: {out_dir}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+        raise _Failure(1, f"{out}: {exc.strerror or exc}") from exc
+    return [
+        (
+            path,
+            out / f"{path.stem}.{args.command}.json",
+            out / f"{path.stem}.dot" if digraph else None,
+        )
+        for path in sorted(in_dir.glob("*.json"))
+    ]
+
+
+def main(argv=None) -> int:
+    """Run the command on each input; exit with the worst code.
+
+    A failing input prints one ``error:`` line and the run goes on to the
+    next.  A result's files are written before its JSON goes to stdout.
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    try:
+        jobs = _jobs(args, parser)
+    except _Failure as failure:
+        print(f"error: {failure.message}", file=sys.stderr)
+        return failure.code
     worst = 0
-    for input_path in sorted(in_dir.glob("*.json")):
-        stem = input_path.stem
+    for input_path, json_path, dot_path in jobs:
         try:
             code, text, dot = _process(input_path, args)
-            _write(out_dir / f"{stem}.{args.command}.json", text)
-            if args.command == "digraph":
-                _write(out_dir / f"{stem}.dot", dot)
+            if json_path is not None:
+                _write(json_path, text)
+            if dot_path is not None:
+                _write(dot_path, dot)
         except _Failure as failure:
             print(f"error: {failure.message}", file=sys.stderr)
             worst = max(worst, failure.code)
             continue
+        if json_path is None:
+            sys.stdout.write(text)
         worst = max(worst, code)
     return worst
-
-
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.batch:
-        return _run_batch(args, parser)
-    return _run_single(args, parser)
 
 
 def app() -> None:

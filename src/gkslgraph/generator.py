@@ -42,6 +42,7 @@ from .basis import (
     from_standard_coordinates,
     gellmann_labels,
     is_hermitian,
+    to_standard_coordinates,
 )
 
 __all__ = [
@@ -126,7 +127,7 @@ class GeneratorSpec:
     pattern) stores only that pattern data, ``O(N^2)`` numbers, and has the
     pair-block pattern by construction.  Its dense ``gamma`` is built from
     the pattern data on first read, once, read-only; only the dense
-    readers (:func:`apply_generator`, :func:`superoperator` and so the
+    readers (:func:`superoperator` and so :func:`apply_generator` and the
     oracle, dense output) read it.  Every
     reader on the pattern route reads :attr:`_pattern` instead, which a
     spec with a dense ``gamma`` takes from it on first use.  Specs compare
@@ -292,33 +293,17 @@ class PairBlockClassification:
 # ---------------------------------------------------------------------------
 
 
-def _gamma_tensor(spec: GeneratorSpec) -> np.ndarray:
-    """gamma re-indexed as a 4-tensor G[i-1, j-1, k-1, l-1] = gamma_{ijkl}."""
-    pos = _standard_position_array(spec.N)
-    return spec.gamma[pos[:, :, None, None], pos[None, None, :, :]]
-
-
 def apply_generator(spec: GeneratorSpec, rho: np.ndarray) -> np.ndarray:
-    """Evaluate L(rho).
+    """Evaluate L(rho): :func:`superoperator` applied to rho's standard coordinates.
 
-    The dissipative part is contracted in one pass: with
-    ``G[i,j,k,l] = gamma_{ijkl}``,
-
-    * the jump term is ``J[i,k] = sum_{jl} G[i,j,k,l] rho[j,l]``;
-    * the anticommutator uses ``M[l,j] = sum_i G[i,j,i,l]``,
-
-    giving ``L(rho) = -i[H, rho] + J - (M rho + rho M)/2``.  The result is
-    traceless for every input, by construction of the parametrization.
+    The result is traceless for every input, by construction of the
+    parametrization.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     N = spec.N
     if rho.shape != (N, N):
         raise ValueError(f"rho must have shape {(N, N)}, got {rho.shape}")
-    G = _gamma_tensor(spec)
-    J = np.einsum("ijkl,jl->ik", G, rho)
-    M = np.einsum("ijil->lj", G)
-    H = spec.H
-    return -1j * (H @ rho - rho @ H) + J - 0.5 * (M @ rho + rho @ M)
+    return from_standard_coordinates(superoperator(spec) @ to_standard_coordinates(rho), N)
 
 
 def superoperator(spec: GeneratorSpec) -> np.ndarray:

@@ -332,7 +332,7 @@ def load_state(path: str | Path) -> np.ndarray:
 
 
 def matrix_to_document(M: np.ndarray) -> list:
-    """Nested [re, im] lists for a complex matrix."""
+    """Nested [re, im] lists for a complex matrix; one [re, im] pair for a number."""
     M = np.asarray(M, dtype=np.complex128)
     return np.stack((M.real, M.imag), axis=-1).tolist()
 

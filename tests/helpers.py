@@ -88,7 +88,7 @@ def exact_nullity(spec: GeneratorSpec) -> int:
     Every finite float is a dyadic rational, so the generator that the
     spec's numbers define has an exact kernel.  L's N**2 x N**2 matrix
     ``A + iB`` over the row-major matrix units is built in
-    ``fractions.Fraction`` by the formula of ``apply_generator``:
+    ``fractions.Fraction`` by the formula of ``superoperator``:
     ``L(E_jl)[a, b] = G[a,j,b,l] - (i H[a,j] + M[a,j]/2) [l = b]
     + (i H[l,b] - M[l,b]/2) [a = j]``, with ``M[l, j] = sum_i G[i,j,i,l]``.
     The complex matrix is embedded as the real ``[[A, -B], [B, A]]``, whose

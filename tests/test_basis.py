@@ -141,6 +141,14 @@ def test_matrix_unit_entries():
     assert np.array_equal(E, expected)
 
 
+@pytest.mark.parametrize("i, j", [(0, 1), (1, 0), (3, 1), (1, 3)])
+def test_matrix_units_and_gellmann_matrices_reject_labels_out_of_range(i, j):
+    with pytest.raises(ValueError, match=rf"matrix unit \({i}, {j}\) out of range for N=2"):
+        gk.matrix_unit(i, j, 2)
+    with pytest.raises(ValueError, match=rf"Gell-Mann label \({i}, {j}\) out of range for N=2"):
+        gk.gellmann(i, j, 2)
+
+
 def test_gellmann_qubit_pinned():
     assert np.allclose(gk.gellmann(1, 2, 2), np.array([[0, 1], [1, 0]]) / RT2)
     assert np.allclose(gk.gellmann(2, 1, 2), np.array([[0, -1j], [1j, 0]]) / RT2)
@@ -205,6 +213,13 @@ def test_coordinates_round_trip():
             M = rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N))
             v = gk.to_standard_coordinates(M)
             assert np.max(np.abs(gk.from_standard_coordinates(v, N) - M)) < 1e-14
+
+
+def test_coordinates_reject_wrong_shapes():
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        gk.to_standard_coordinates(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"expected a vector of length 4, got \(5,\)"):
+        gk.from_standard_coordinates(np.zeros(5), 2)
 
 
 @pytest.mark.parametrize("N", [2, 3, 4, 6])
@@ -422,11 +437,20 @@ def test_predicates_reject_a_non_finite_entry(bad):
     assert not gk.is_psd(A)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_predicates_reject_a_non_finite_diagonal_with_no_warning(bad):
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.diag([1.0, np.nan]),
+        np.diag([1.0, np.inf]),
+        np.diag([1.0, -np.inf]),
+        np.array([[0.0, 1e308], [-1e308, 0.0]]),
+    ],
+    ids=["nan", "inf", "-inf", "overflowing_skew"],
+)
+def test_predicates_reject_a_non_finite_diagonal_or_skew_with_no_warning(A):
     # The skew of an infinite diagonal entry is inf - inf, which numpy warns
-    # of: the entry fails before the skew is formed.
-    A = np.diag([1.0, bad])
+    # of: the entry fails before the skew is formed.  Finite entries whose
+    # skew overflows fail on that skew, which is taken with no warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert not gk.is_hermitian(A)

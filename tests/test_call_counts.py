@@ -250,13 +250,12 @@ def test_check_state_on_a_blocks_spec_builds_no_superoperator(monkeypatch, tmp_p
         generator._pair_block_table,
         basis._max_off_block,
         basis._conjugate_by_w,
-        generator._gamma_tensor,
         generator.apply_generator,
     )
     argv = ["check-state", str(spec), "--state", str(state), "--times", "0.5,1,2"]
     assert cli.main(argv + ["--out", str(tmp_path / "c.json")]) == 0
     assert json.loads((tmp_path / "c.json").read_text())["invariant"] is True
-    # _max_off_block, _conjugate_by_w, _gamma_tensor, apply_generator: 0
+    # _max_off_block, _conjugate_by_w, apply_generator: 0
     assert counts == {"_pair_block_table": 1}
 
 
@@ -289,7 +288,6 @@ def _check_dense_state(monkeypatch, tmp_path, case: str, state: np.ndarray) -> t
     counts = count_calls(
         monkeypatch,
         generator.superoperator,
-        generator._gamma_tensor,
         generator._pair_block_table,
         generator.apply_generator,
         basis._max_off_block,
@@ -309,11 +307,10 @@ def _check_dense_state(monkeypatch, tmp_path, case: str, state: np.ndarray) -> t
 def test_check_state_on_a_dense_spec_builds_the_superoperator_once(monkeypatch, tmp_path, case):
     # I/N is invariant: the residual and the drift bound come from one
     # superoperator, built from one gather of gamma straight into its vec
-    # order (no 4-tensor), and the bound settles both times, so nothing is
-    # evolved.
+    # order, and the bound settles both times, so nothing is evolved.
     invariant, counts = _check_dense_state(monkeypatch, tmp_path, case, np.eye(3) / 3)
     assert invariant is True
-    assert counts == {"superoperator": 1, "_max_off_block": 1}  # _gamma_tensor, expm: 0
+    assert counts == {"superoperator": 1, "_max_off_block": 1}  # expm: 0
 
 
 @pytest.mark.parametrize("case", DENSE_ROUTE_SPECS)
@@ -324,7 +321,7 @@ def test_check_state_on_a_dense_spec_stops_at_the_residual(monkeypatch, tmp_path
     state[0, 1] = state[1, 0] = 1e-3
     invariant, counts = _check_dense_state(monkeypatch, tmp_path, case, state)
     assert invariant is False
-    assert counts == {"superoperator": 1, "_max_off_block": 1}  # _gamma_tensor, expm: 0
+    assert counts == {"superoperator": 1, "_max_off_block": 1}  # expm: 0
 
 
 def test_every_cached_function_is_keyed_by_n_at_most():

@@ -1333,6 +1333,30 @@ def test_oracle_exits_1_on_a_superoperator_that_is_not_finite(tmp_path, capsys):
     assert err == f"error: {path}: the largest entry of the superoperator is not finite (nan)\n"
 
 
+def test_oracle_with_no_singular_value_below_the_tolerance_finds_no_kernel(tmp_path, capsys):
+    # At tol 1e-17 no singular value of this valid spec counts as zero: d = 0.
+    path = write_spec(tmp_path / "dense.json", random_valid_spec(np.random.default_rng(61), 3))
+    code, out, _ = run_cli(["oracle", path, "--tol", "1e-17"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["dimension"], doc["elements"]) == (0, [])
+
+
+def test_validate_reports_an_overflowing_skew_of_h_in_one_line(tmp_path):
+    # H's skew H - H* overflows; the spec is parsed outside the command's
+    # warning capture, so a warning would reach stderr.
+    doc = {
+        "N": 2,
+        "H": [[[0, 0], [1e308, 0]], [[-1e308, 0], [0, 0]]],
+        "gamma": {"format": "blocks", "pairs": []},
+    }
+    path = tmp_path / "skew.json"
+    path.write_text(json.dumps(doc))
+    proc = _run_module(["validate", str(path)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"error: {path}: H must be Hermitian\n"
+
+
 def test_oracle_skips_validity_gate(tmp_path, capsys):
     path = write_spec(tmp_path / "bad.json", INDEFINITE)
     code, out, _ = run_cli(["oracle", path], capsys)

@@ -16,7 +16,12 @@ So is the command the benchmark times on the spec (``check-state`` with the
 workload's own state, or ``kernel`` writing its ``--out`` file).  Each
 seed's first ``kernel_blocks`` spec is also written with the faults of
 ``helpers.malformed_blocks_documents``, and ``validate`` runs on each copy,
-so the parse errors (stderr and exit code) are compared too.  Every
+so the parse errors (stderr and exit code) are compared too.  ``kernel
+--batch`` and ``digraph --batch`` run on a directory holding the seed's first
+``kernel_blocks`` spec, its ``two_faults`` copy and the first
+``kernel_dense_fallback`` spec, in that order, so a failure in the middle
+of a batch is compared as well; a batch's ``--out`` directory is read as
+its files, each compared by name.  Every
 command also runs on the specs of ``tests/golden/``, where "held narrowly"
 notes, fallback reasons and ``--tol 0`` rejections show up.  ``validate``
 and ``kernel`` run on ``helpers.near_threshold_psd_specs``, written in the
@@ -64,6 +69,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -109,9 +115,13 @@ def _run_jobs(jobs_path: str, results_path: str) -> None:
         out = None
         if "--out" in argv:
             path = Path(argv[argv.index("--out") + 1])
-            if path.exists():
+            # Removed once read, so the next tree cannot read this tree's files.
+            if path.is_dir():  # a --batch output directory
+                out = [(file.name, file.read_text()) for file in sorted(path.iterdir())]
+                shutil.rmtree(path)
+            elif path.exists():
                 out = path.read_text()
-                path.unlink()  # so the next tree cannot read this tree's file
+                path.unlink()
         results.append({
             "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "code": code, "out": out
         })
@@ -213,6 +223,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
             path.write_text(dump_json(doc) + "\n")
             jobs += [["validate", str(path)], ["kernel", str(path)]]
     for seed in seeds:
+        firsts = {}  # each workload's first spec
         large = directory / f"seed{seed}" / "strongly_connected"
         large.mkdir(parents=True)
         for N in LARGE_SIZES:
@@ -234,6 +245,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
                 jobs.append(case.argv)
                 jobs += commands(case.spec_path, workdir / "out", case.N)
             jobs += gellmann(cases[0].spec_path, workdir / "out")
+            firsts[name] = cases[0].spec_path
             if name == "kernel_blocks":
                 doc = json.loads(cases[0].spec_path.read_text())
                 (workdir / "malformed").mkdir()
@@ -241,6 +253,16 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
                     path = workdir / "malformed" / f"{fault}.json"
                     path.write_text(json.dumps(malformed))  # NaN and Infinity as JSON extensions
                     jobs.append(["validate", str(path)])
+        # Run in name order, so the malformed copy fails in the middle of the batch.
+        batch = directory / f"seed{seed}" / "batch"
+        batch.mkdir()
+        fault = directory / f"seed{seed}" / "kernel_blocks" / "malformed" / "two_faults.json"
+        sources = (firsts["kernel_blocks"], fault, firsts["kernel_dense_fallback"])
+        for i, source in enumerate(sources, 1):
+            (batch / f"{i}_{source.name}").write_bytes(source.read_bytes())
+        for command in ("kernel", "digraph"):
+            out = directory / f"seed{seed}" / f"batch.{command}"
+            jobs.append([command, "--batch", str(batch), "--out", str(out)])
     return [job + tol for job in jobs for tol in ([], *(["--tol", t] for t in TOLERANCES))]
 
 
@@ -366,10 +388,12 @@ def main(argv=None) -> int:
             if b["code"] != h["code"]:
                 print(f" exit code: {b['code']} -> {h['code']}")
             other = False
-            for channel in ("stdout", "stderr", "out"):
-                if b[channel] != h[channel]:
+            outputs_b, outputs_h = _outputs(b), _outputs(h)
+            for channel in dict.fromkeys([*outputs_b, *outputs_h]):
+                x, y = outputs_b.get(channel), outputs_h.get(channel)
+                if x != y:
                     print(f" {channel}:")
-                    lines, changed = _describe(b[channel] or "", h[channel] or "", moved, spans)
+                    lines, changed = _describe(x or "", y or "", moved, spans)
                     other |= changed
                     for line in lines:
                         print(f"  {line}")
@@ -389,6 +413,13 @@ def main(argv=None) -> int:
         if _raised(h):
             print(f" {h['code']}: {shown(job)}")
     return 1 if differing else 0
+
+
+def _outputs(result: dict) -> dict:
+    """A result's texts by channel: stdout, stderr, and ``out``, or each file of a batch's."""
+    out = result["out"]
+    files = {f"out {name}": text for name, text in out} if isinstance(out, list) else {"out": out}
+    return {"stdout": result["stdout"], "stderr": result["stderr"], **files}
 
 
 def _raised(result: dict) -> bool:
