@@ -193,7 +193,8 @@ def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | 
     always comes from it.  Without ``spectrum`` only the Hermitian test is
     made.  An A with a NaN or infinite entry fails before any arithmetic
     on it, so with no warning; so does one whose skew overflows.  Neither
-    takes a spectrum.  An empty A passes.
+    takes a spectrum.  An A whose entries reach the largest float is tested
+    with no warning too (:func:`_hermitian_part`).  An empty A passes.
     """
     if all(b.size == 0 for b in blocks):
         return True, None, 0.0
@@ -207,7 +208,7 @@ def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | 
     ok = skew <= _threshold(tol, magnitude)
     if not spectrum:
         return ok, None, magnitude
-    hermitized = [(b + b.conj().swapaxes(-1, -2)) / 2.0 for b in blocks if b.size]
+    hermitized = [_hermitian_part(b, magnitude) for b in blocks if b.size]
     if _certified_psd(hermitized, tol):
         return ok, None, magnitude
     evals = np.concatenate([np.linalg.eigvalsh(h).ravel() for h in hermitized])
@@ -215,6 +216,20 @@ def _psd_test(blocks, tol: float, spectrum: bool = True) -> tuple[bool, float | 
     if lowest >= -_threshold(tol, float(evals.max())):
         return ok, None, magnitude
     return False, lowest, magnitude
+
+
+def _hermitian_part(b, magnitude: float):
+    """``(b + b*) / 2`` of a square matrix or stack b with no entry above ``magnitude`` in modulus.
+
+    Each part of ``b + b*`` is at most ``2 magnitude``, so the sum is taken
+    first wherever that is finite, which keeps subnormal entries exact.
+    Above half the largest float it would overflow, so each term is halved
+    first; what that rounds away is below the rounding of the largest entry.
+    """
+    bh = b.conj().swapaxes(-1, -2)
+    if magnitude <= np.finfo(np.float64).max / 2.0:
+        return (b + bh) / 2.0
+    return b / 2.0 + bh / 2.0
 
 
 def _certified_psd(hermitized, tol: float) -> bool:
@@ -236,7 +251,8 @@ def _certified_psd(hermitized, tol: float) -> bool:
     ``||E||_2 <= g ||R||_F^2 = g tr(R* R)``, at most about
     ``3 (n + 1) u tr(h + s I)``, and forming the shift adds at most
     ``u tr(h + s I)``: together at most ``2 (n + 1) eps tr(h + s I)``.
-    The factorization is taken only where ``4 (n + 1) eps tr(h + s I) <= s``,
+    The factorization is taken only where ``4 (n + 1) eps tr(h + s I) <= s``
+    (never where the trace overflows),
     which holds that error to ``s / 2``.  A success then makes
     ``h + s I + E = R* R`` PSD, so h has no eigenvalue below ``-3 s / 2``,
     three quarters of the threshold; the quarter left covers the rounding
@@ -251,7 +267,8 @@ def _certified_psd(hermitized, tol: float) -> bool:
     eps = np.finfo(np.float64).eps
     for h in hermitized:
         n = h.shape[-1]
-        trace = float(h.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1).max()) + n * s
+        with np.errstate(over="ignore"):  # a trace that overflows fails below
+            trace = float(h.diagonal(axis1=-2, axis2=-1).real.sum(axis=-1).max()) + n * s
         if not 4.0 * (n + 1) * eps * trace <= s:  # a NaN trace fails too
             return False
     try:

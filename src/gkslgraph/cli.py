@@ -375,11 +375,14 @@ def _process(input_path, args):
     fails like an invalid one, naming the path.
 
     The cyclic garbage collector is paused for the whole call (each call
-    gets a fresh pause): decoding a dense spec builds N^4 small
-    ``[re, im]`` lists, which the collector would traverse again and again
-    while it can free none of them, since a JSON tree holds no reference
-    cycle.  It is restored as it was found, on return or on any exception,
-    so ``--batch`` collects between files.
+    gets a fresh pause).  The decoder reads each matrix flat, but a
+    ``blocks`` spec's ``pairs`` list is still decoded into small lists,
+    and so is every matrix of a document that takes json's plain route (an
+    indented matrix, or the second decode of a document json rejects): at
+    most N^4 ``[re, im]`` lists, which the collector would traverse again
+    and again while it can free none of them, since a JSON tree holds no
+    reference cycle.  It is restored as it was found, on return or on any
+    exception, so ``--batch`` collects between files.
     """
     try:
         data = input_path.read_bytes()

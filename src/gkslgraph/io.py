@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -80,13 +81,18 @@ def _parse_complex(value, where: str) -> complex:
 def _numeric_array(value, shape: tuple[int, ...]) -> np.ndarray | None:
     """The complex array of ``shape`` nested in ``value``, or None if malformed.
 
-    ``value`` nests lists to the depth of ``shape``, with [re, im] pairs
-    innermost.  Types and lengths are checked exactly, level by level
-    (lists, numbers that are int or float, never bool or str), before numpy
+    ``value`` is either a complex ndarray, which :class:`_MatrixScanner`
+    read flat, and which is returned when its shape is ``shape``; or lists
+    nested to the depth of ``shape``, with [re, im] pairs innermost.  Types
+    and lengths of the lists are checked exactly, level by level (lists,
+    numbers that are int or float, never bool or str), before numpy
     converts the numbers at once; numpy alone would accept numeric strings
-    and booleans.  Non-finite numbers (JSON's ``NaN`` and ``Infinity``)
-    also give None.
+    and booleans.  Non-finite numbers (JSON's ``NaN`` and ``Infinity``,
+    and a float literal beyond the float range) also give None.
     """
+    if type(value) is np.ndarray:
+        ok = value.dtype == np.complex128 and value.shape == shape and np.isfinite(value).all()
+        return value if ok else None
     if type(value) is not list or len(value) != shape[0]:
         return None
     items = value
@@ -115,6 +121,8 @@ def _parse_cmatrix(value, rows: int, cols: int, where: str) -> np.ndarray:
     if fast is not None:
         return fast
     # Walk the entries to name the first bad field in the error.
+    if type(value) is np.ndarray:  # read flat: walk it as the lists json would give
+        value = matrix_to_document(value)
     if not isinstance(value, list) or len(value) != rows:
         raise SpecParseError(f"{where}: expected {rows} rows")
     out = np.zeros((rows, cols), dtype=np.complex128)
@@ -215,17 +223,21 @@ def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
 def parse_spec_document(doc) -> GeneratorSpec:
     """Parse a spec document into a generator over the standard basis.
 
-    Each matrix, and a ``blocks`` document's whole list of pairs, is read
-    in one vectorized pass: the types, lengths and ranges of every entry
-    are checked at once, numpy converts the numbers, and the pair blocks
-    are written into a (P, 2, 2) array by one indexed assignment.  Only
-    when a check fails are the entries walked one by one, to name the first
-    bad field in document order.  A spec read from a ``blocks`` document
-    stores only its pair blocks and diagonal-sector block, ``O(N^2)``
-    numbers, and has the pair-block pattern by construction; its dense
-    gamma is built only if a dense reader asks (see ``GeneratorSpec``).  A
-    ``dense`` one is scanned for the pattern on first use.  A ``gellmann``
-    document whose standard-basis gamma overflows is rejected.
+    A matrix field may hold an ndarray that :func:`_decode_document`
+    read flat (``H``, ``gamma.matrix``, ``gamma.diag``), which is taken as
+    it is when its shape is right.  Every other matrix, and a ``blocks``
+    document's whole list of pairs, is read in one vectorized pass: the
+    types, lengths and ranges of every entry are checked at once, numpy
+    converts the numbers, and the pair blocks are written into a (P, 2, 2)
+    array by one indexed assignment.  Only when a check fails are the
+    entries walked one by one, to name the first bad field in document
+    order, with the message a document of lists would give.  A spec read
+    from a ``blocks`` document stores only its pair blocks and
+    diagonal-sector block, ``O(N^2)`` numbers, and has the pair-block
+    pattern by construction; its dense gamma is built only if a dense
+    reader asks (see ``GeneratorSpec``).  A ``dense`` one is scanned for
+    the pattern on first use.  A ``gellmann`` document whose
+    standard-basis gamma overflows is rejected.
     """
     if not isinstance(doc, dict):
         raise SpecParseError("top level: expected an object")
@@ -285,31 +297,121 @@ def parse_spec_document(doc) -> GeneratorSpec:
 
 
 def parse_state_document(doc) -> np.ndarray:
-    """Parse a state document ({"matrix": N x N of [re, im]})."""
+    """Parse a state document ({"matrix": N x N of [re, im]}), its matrix read flat or not."""
     if not isinstance(doc, dict):
         raise SpecParseError("top level: expected an object")
     _reject_unknown(doc, {"matrix"}, "top level")
     if "matrix" not in doc:
         raise SpecParseError("top level: missing required field 'matrix'")
     value = doc["matrix"]
-    if not isinstance(value, list) or not value:
+    if not isinstance(value, (list, np.ndarray)) or len(value) == 0:
         raise SpecParseError("matrix: expected a non-empty list of rows")
     n = len(value)
     return _parse_cmatrix(value, n, n, "matrix")
 
 
+#: The bytes that the skeleton of a flat-read matrix leaves out: those of
+#: JSON numbers, and JSON whitespace.
+_NUMBER_BYTES = b"0123456789+-.eE \t\n\r"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
+#: The text before a value that :class:`_MatrixScanner` reads flat: a key
+#: whose value the parser reads as a matrix, or rejects by its name.
+_MATRIX_KEY = re.compile(rb'[{,][ \t\n\r]*"(?:H|diag|matrix)"[ \t\n\r]*:[ \t\n\r]*\Z')
+
+
+class _MatrixScanner:
+    """json's ``scan_once`` for the text of ``data``, except that it reads matrices in one flat pass.
+
+    ``data`` is the ASCII text that is decoded, so that the scanner's
+    offsets into the text are offsets into it.  The value of an ``H``,
+    ``diag`` or ``matrix`` key that is an R x C matrix of ``[re, im]``
+    pairs of numbers becomes a read-only complex (R, C) ndarray
+    (:meth:`_read_matrix`), which the parser checks for finite entries.
+    An object is read by json's pure-Python ``JSONObject``, which hands
+    each of its values back to this scanner; every other value by
+    ``scan_once``, json's own scanner, so as ``json.loads`` reads it.  The
+    scanner holds no reference to itself, so it leaves no garbage cycle.
+    """
+
+    def __init__(self, data: bytes, scan_once):
+        self._data = data
+        self._scan_once = scan_once
+        self._memo: dict[str, str] = {}  # JSONObject's: one str per distinct key
+
+    def __call__(self, string: str, idx: int):
+        if string.startswith("{", idx):
+            return json.decoder.JSONObject((string, idx + 1), True, self, None, None, self._memo)
+        read = self._read_matrix(idx)
+        return read if read is not None else self._scan_once(string, idx)
+
+    def _read_matrix(self, start: int) -> tuple[np.ndarray, int] | None:
+        """The matrix whose "[" is at ``start``, and the offset past its "]"; None if not taken.
+
+        Only an array that starts with ``[[[`` right after a matrix key
+        (looked for in the 32 bytes before it) is taken.  It ends at the
+        last "]" before the next '"' or "}", which no matrix holds.  The
+        bracket skeleton left when the number bytes are deleted must be
+        that of an R x C matrix of pairs, C read from the first row, so
+        the array is exactly that matrix.  One ``json.loads`` of the
+        numbers, with the inner brackets blanked, then reads them by json's
+        grammar (``-0`` is the int 0; ``01``, ``+1``, ``.5`` and ``1.``
+        are invalid and raise).  None, for json's scanner to read the
+        array, when the skeleton is another or an int does not fit a float.
+        """
+        data = self._data
+        if not data.startswith(b"[[[", start) or not _MATRIX_KEY.search(
+            data, max(0, start - 32), start
+        ):
+            return None
+        bound = len(data)
+        for char in (b'"', b"}"):
+            found = data.find(char, start, bound)
+            if found >= 0:
+                bound = found
+        stop = data.rfind(b"]", start, bound) + 1
+        span = bytearray(memoryview(data)[start:stop])
+        skeleton = span.translate(None, _NUMBER_BYTES)
+        cols = skeleton.find(b"]]") // 4
+        row = b"[" + b",".join([b"[,]"] * cols) + b"]"
+        rows, rest = divmod(len(skeleton) - 1, len(row) + 1)
+        if cols < 1 or rest or skeleton != b"[" + b",".join([row] * rows) + b"]":
+            return None
+        numbers = span.translate(_BRACKETS_TO_SPACES)  # faster than deleting them
+        numbers[0], numbers[-1] = span[0], span[-1]  # the outer brackets
+        del span, skeleton  # not held while json reads the numbers
+        try:
+            flat = np.fromiter(json.loads(numbers), dtype=np.float64, count=2 * rows * cols)
+        except OverflowError:  # an int beyond float range
+            return None
+        flat.setflags(write=False)  # a spec keeps the view instead of a copy
+        return flat.view(np.complex128).reshape(rows, cols), stop
+
+
 def _decode_document(data: bytes):
     """The JSON document in ``data``; SpecParseError if the decoder cannot build it.
 
+    An ASCII document is decoded by :class:`_MatrixScanner`, so each of
+    its matrices is an ndarray, read in one flat pass, not a list per
+    entry.  On any error, and for any other text, it is decoded by
+    ``json.loads``, so a value is built, and an error worded, as json does.
     Besides malformed text, the decoder refuses nesting deeper than the
     interpreter's recursion limit (RecursionError) and an integer literal
     longer than ``sys.get_int_max_str_digits()`` (ValueError); both are
     invalid JSON here.
     """
     try:
-        return json.loads(data.decode("utf-8"))
-    except UnicodeDecodeError as exc:  # a ValueError, so caught first
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
         raise SpecParseError(f"not UTF-8 text ({exc})") from exc
+    if data.isascii():
+        decoder = json.JSONDecoder()
+        decoder.scan_once = _MatrixScanner(data, decoder.scan_once)
+        try:
+            return decoder.decode(text)
+        except (ValueError, RecursionError):
+            pass  # invalid: decoded again below, so that json words the error
+    try:
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise SpecParseError(f"invalid JSON ({exc})") from exc
 

@@ -457,6 +457,25 @@ def test_predicates_reject_a_non_finite_diagonal_or_skew_with_no_warning(A):
         assert not gk.is_psd(A)
 
 
+@pytest.mark.parametrize(
+    "A, psd",
+    [
+        (np.full((2, 2), 1e308), True),
+        (np.diag([1e308, 1e308]), True),
+        (np.array([[1e308, 1e308], [1e308, -1e308]]), False),
+        (np.array([[1e308, 1e308j], [-1e308j, 1e-300]]), False),
+    ],
+    ids=["rank_one", "overflowing_trace", "indefinite", "complex"],
+)
+def test_psd_test_of_entries_near_the_largest_float_gives_no_warning(A, psd):
+    # (A + A*) / 2 of these entries would overflow if summed first, and the
+    # trace of the first two overflows; both are taken with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert gk.is_hermitian(A)
+        assert gk.is_psd(A) is psd
+
+
 @pytest.mark.parametrize("scale", [1.0, 4.0])
 @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
 def test_predicates_hold_at_the_threshold_and_fail_one_float_past_it(tol, scale):

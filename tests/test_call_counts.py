@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import gkslgraph as gk
-from gkslgraph import basis, cli, digraph, generator
+from gkslgraph import basis, cli, digraph, generator, io
 from helpers import (
     COMMANDS,
     command_argv,
@@ -156,6 +156,47 @@ def _dense_spec_path(tmp_path) -> Path:
 def _kernel_falls_back(path: Path, tmp_path) -> None:
     assert cli.main(["kernel", str(path), "--out", str(tmp_path / "k.json")]) == 0
     assert "fallback_reason" in json.loads((tmp_path / "k.json").read_text())
+
+
+def _arguments(monkeypatch, fn) -> list:
+    """The argument tuples of each call of ``io``'s function ``fn`` from now on."""
+    calls = []
+
+    def recording(*args, _fn=fn):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(io, fn.__name__, recording)
+    return calls
+
+
+def test_dense_gamma_reaches_the_parser_as_one_array(monkeypatch, tmp_path):
+    # The decoder reads H and gamma.matrix flat, so the parser takes each
+    # as an ndarray of the right shape, with no list per [re, im] entry.
+    arrays = _arguments(monkeypatch, io._numeric_array)
+    _kernel_falls_back(_dense_spec_path(tmp_path), tmp_path)
+    assert [(type(value), shape) for value, shape in arrays] == [
+        (np.ndarray, (4, 4)),
+        (np.ndarray, (16, 16)),
+    ]
+
+
+def test_blocks_pairs_reach_the_parser_as_lists(monkeypatch, tmp_path, golden_dir):
+    # json's scanner reads the pairs list, each block as its nested lists,
+    # and the parser checks all of them at once; the diag is read flat.
+    pairs = _arguments(monkeypatch, io._numeric_pairs)
+    arrays = _arguments(monkeypatch, io._numeric_array)
+    assert cli.main(["validate", str(golden_dir / "ladder.spec.json")]) == 0
+    assert cli.main(["validate", str(golden_dir / "menagerie.spec.json")]) == 0
+    assert [type(p) for p, _ in pairs] == [list, list]
+    assert [type(b["block"]) for b in pairs[1][0]] == [list] * 4
+    assert [(type(value), shape) for value, shape in arrays] == [
+        (np.ndarray, (3, 3)),  # ladder: H
+        (list, (0, 2, 2)),  # ladder: the blocks of no pairs
+        (np.ndarray, (3, 3)),  # ladder: diag
+        (np.ndarray, (8, 8)),  # menagerie: H
+        (list, (4, 2, 2)),  # menagerie: the blocks of four pairs; no diag
+    ]
 
 
 def test_kernel_command_on_a_dense_spec_validates_once_and_scans_the_canonical_spec(

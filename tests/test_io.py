@@ -1,26 +1,33 @@
-"""Spec- and state-document parsing: the one-pass read of a ``blocks`` document.
+"""Spec- and state-document parsing: the one-pass reads of matrices and of a ``blocks`` document.
 
 A ``blocks`` document's pairs are checked and written into gamma all at
 once; a fault makes the parser walk the pairs to name the first bad field.
 These tests pin the exact messages, those of the faults at a spec's top
 level and in a state document too, and that the pair-block pattern the
-parser writes is recorded on the spec with no scan of gamma.
+parser writes is recorded on the spec with no scan of gamma.  Each matrix
+of a document is decoded by one flat read of its numbers; files read so
+give the arrays and messages of ``json.loads``, bit for bit.
 """
 
 import copy
+import gc
 import json
+import sys
 
 import numpy as np
 import pytest
 
 import gkslgraph as gk
-from gkslgraph import generator
+from gkslgraph import generator, io
 from gkslgraph.basis import _max_off_block
 from helpers import (
     blocks_document,
+    gellmann_document,
     malformed_blocks_documents,
     pair_block,
     pair_block_families,
+    random_density_matrix,
+    random_valid_spec,
     reference_max_off_block,
 )
 
@@ -172,3 +179,178 @@ def test_blocks_document_records_the_pattern_with_no_scan(monkeypatch):
         assert dense._on_pair_pattern and dense._off_block_max == 0.0, name
         assert scans == [spec.N], name
         scans.clear()
+
+
+#: The layouts each document is written in: ``dump_json``'s, ``json.dumps``'
+#: default (the same text) with no space after a separator, and indented,
+#: whose matrices json's scanner reads.
+LAYOUTS = {
+    "compact": {"separators": (",", ":")},
+    "default": {},
+    "indent": {"indent": 2},
+}
+#: A number written into each test document, replaced by each token below.
+SENTINEL = 0.123456789
+#: Number tokens that json reads, in forms a matrix of its own never has.
+VALID_TOKENS = ["7", "-0", "-0.0", "1e-05", "1E+5", str(2**53 + 1), str(-(2**60)), "1.5e300"]
+#: Tokens that are not finite JSON numbers, or not JSON.
+INVALID_TOKENS = [
+    str(10**309),  # an int beyond float range
+    "1e999",
+    "NaN",
+    "-Infinity",
+    "1" * (sys.get_int_max_str_digits() + 1),
+    "true",
+    '"1"',
+    "01",
+    "+1",
+    ".5",
+    "1.",
+    "1 2",
+    "",
+    "[1]",
+]
+
+
+def _valid_documents(golden_dir) -> dict[str, tuple[dict, str]]:
+    """Spec and state documents by name, each with the kind of file it is."""
+    docs = {}
+    for path in sorted(golden_dir.glob("*.spec.json")):
+        docs[f"golden_{path.name}"] = json.loads(path.read_text()), "spec"
+    for name, spec in pair_block_families().items():
+        docs[f"{name}_blocks"] = blocks_document(spec), "spec"
+        docs[f"{name}_dense"] = gk.spec_to_document(spec), "spec"
+    for N in (1, 2, 3, 5):
+        spec = random_valid_spec(np.random.default_rng(70 + N), N)
+        docs[f"random_N{N}_dense"] = gk.spec_to_document(spec), "spec"
+        docs[f"random_N{N}_gellmann"] = gellmann_document(*gk.standard_to_gellmann(spec)), "spec"
+        state = random_density_matrix(np.random.default_rng(80 + N), N)
+        docs[f"state_N{N}"] = {"matrix": gk.matrix_to_document(state)}, "state"
+    return docs
+
+
+def _variants() -> dict[str, tuple[dict, str]]:
+    """Documents with ``SENTINEL`` in each matrix field, and with faults of shape or field."""
+    rng = np.random.default_rng(90)
+    dense = gk.spec_to_document(random_valid_spec(rng, 2))
+    dense["H"][0][0][0] = dense["gamma"]["matrix"][3][2][1] = SENTINEL
+    blocks = blocks_document(pair_block_families()["superposition"])
+    blocks["gamma"]["diag"][2][1][0] = blocks["gamma"]["pairs"][0]["block"][1][0][1] = SENTINEL
+    gellmann = gellmann_document(*gk.standard_to_gellmann(random_valid_spec(rng, 2)))
+    gellmann["gamma"]["matrix"][2][0][1] = SENTINEL
+    state = {"matrix": gk.matrix_to_document(random_density_matrix(rng, 3))}
+    state["matrix"][2][1][1] = SENTINEL
+    docs = {"dense": (dense, "spec"), "blocks": (blocks, "spec"), "gellmann": (gellmann, "spec")}
+    docs["state"] = state, "state"
+
+    def fault(name: str, doc: dict, kind: str = "spec") -> dict:
+        docs[name] = copy.deepcopy(doc), kind
+        return docs[name][0]
+
+    fault("ragged_h", dense)["H"][1].pop()
+    fault("ragged_gamma", dense)["gamma"]["matrix"][2].pop()
+    fault("ragged_state", state, "state")["matrix"][0].pop()
+    fault("triple_h", dense)["H"][1][1].append(0.0)
+    fault("single_h", dense)["H"][1][1].pop()
+    uneven = fault("triple_then_single_h", dense)["H"][1]  # as many numbers as a 2 x 2 matrix
+    uneven[0].append(0.0)
+    uneven[1].pop()
+    fault("true_in_gamma", dense)["gamma"]["matrix"][1][1][0] = True
+    fault("extra_row_h", dense)["H"].append(dense["H"][0])
+    fault("extra_column_diag", blocks)["gamma"]["diag"][0].append([0.0, 0.0])
+    fault("non_square_state", state, "state")["matrix"].pop()
+    fault("matrix_as_n", dense)["N"] = dense["H"]
+    fault("matrix_as_basis", dense)["basis"] = dense["H"]
+    fault("matrix_as_format", dense)["gamma"]["format"] = dense["H"]
+    fault("matrix_as_pairs", blocks)["gamma"]["pairs"] = blocks["H"]
+    fault("matrix_in_unknown_field", dense)["gamma"]["diag"] = dense["H"]
+    fault("state_in_an_array", state, "state")["matrix"] = [state["matrix"]]
+    docs["top_level_matrix"] = state["matrix"], "state"
+    return docs
+
+
+def _outcome(path, kind: str):
+    """What ``load_spec`` or ``load_state`` reads from ``path``: its arrays' bytes, or its error."""
+    try:
+        if kind == "state":
+            arrays = [gk.load_state(path)]
+        else:
+            spec = gk.load_spec(path)
+            arrays = [spec.H, spec.gamma]
+    except gk.SpecParseError as exc:
+        return str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+def _written(tmp_path, docs: dict[str, tuple[dict, str]], tokens=(None,)) -> dict:
+    """Each document in each layout, ``SENTINEL`` replaced by each token: path -> kind."""
+    files = {}
+    for name, (doc, kind) in docs.items():
+        for layout, options in LAYOUTS.items():
+            text = json.dumps(doc, **options)
+            for t, token in enumerate(tokens):
+                path = tmp_path / f"{name}.{layout}.{t}.json"
+                path.write_text(text if token is None else text.replace(repr(SENTINEL), token))
+                files[path] = kind
+    return files
+
+
+def _assert_same_as_json_loads(monkeypatch, files: dict) -> dict:
+    flat = {path: _outcome(path, kind) for path, kind in files.items()}
+    # json's own scanner alone: the route of json.loads
+    monkeypatch.setattr(io, "_MatrixScanner", lambda data, scan_once: scan_once)
+    for path, kind in files.items():
+        assert _outcome(path, kind) == flat[path], path.name
+    return flat
+
+
+def _matrix_fields(doc) -> list:
+    """The non-empty values of the matrix fields of a decoded spec or state document."""
+    fields = [doc.get("H"), doc.get("matrix"), *map(doc.get("gamma", {}).get, ("matrix", "diag"))]
+    return [f for f in fields if f is not None and len(f)]
+
+
+def test_flat_matrix_reads_give_the_arrays_of_json_loads(monkeypatch, tmp_path, golden_dir):
+    files = _written(tmp_path, _valid_documents(golden_dir))
+    for path in files:  # json's scanner reads the indented matrices
+        fields = _matrix_fields(io._decode_document(path.read_bytes()))
+        flat = ".indent." not in path.name
+        assert fields and {type(f) is np.ndarray for f in fields} == {flat}, path.name
+    outcomes = _assert_same_as_json_loads(monkeypatch, files)
+    assert not any(isinstance(o, str) for o in outcomes.values())
+
+
+#: The documents of :func:`_variants` that hold ``SENTINEL``.
+VARIANT_KINDS = ("dense", "blocks", "gellmann", "state")
+
+
+@pytest.mark.parametrize("token", VALID_TOKENS + INVALID_TOKENS)
+def test_flat_matrix_reads_of_every_number_form_match_json_loads(monkeypatch, tmp_path, token):
+    docs = {name: doc for name, doc in _variants().items() if name in VARIANT_KINDS}
+    files = _written(tmp_path, docs, [token])
+    outcomes = _assert_same_as_json_loads(monkeypatch, files)
+    assert {isinstance(o, str) for o in outcomes.values()} == {token in INVALID_TOKENS}
+
+
+def test_flat_matrix_reads_of_malformed_documents_match_json_loads(monkeypatch, tmp_path):
+    docs = {n: d for n, d in _variants().items() if n not in VARIANT_KINDS}
+    outcomes = _assert_same_as_json_loads(monkeypatch, _written(tmp_path, docs))
+    assert all(isinstance(o, str) for o in outcomes.values())
+
+
+@pytest.mark.parametrize("fmt", ["blocks", "dense"])
+def test_decoding_leaves_no_garbage_cycle(fmt):
+    # A cycle through the scanner would keep the document's bytes until the
+    # collector ran, which the CLI pauses while it decodes.
+    spec = pair_block_families()["menagerie"]
+    doc = blocks_document(spec) if fmt == "blocks" else gk.spec_to_document(spec)
+    data = gk.dump_json(doc).encode()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert type(io._decode_document(data)["H"]) is np.ndarray
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

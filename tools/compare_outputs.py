@@ -35,7 +35,9 @@ stationary ratios leave the float range.  Each golden spec, and each seed's
 first spec of each workload, is also written as a ``"basis": "gellmann"``
 document (``helpers.gellmann_document`` of ``standard_to_gellmann``), and
 every command runs on it, so the parser's Gell-Mann conversion is compared
-too.
+too.  The same specs are also written with ``indent=2``, whose matrices
+json's own scanner reads instead of the parser's flat read, and every
+command runs on them, so both decode routes are compared.
 Each of these jobs runs three times: at the default tolerance, with
 ``--tol 0`` and with ``--tol 1e-3``.
 Each tree runs the same argument lists in-process, in one subprocess with
@@ -202,6 +204,17 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
             if command not in ORACLE_COMMANDS or N <= ORACLE_MAX_N
         ] + stationary(spec_path, workdir)
 
+    def indented(spec_path: Path, workdir: Path) -> list[list[str]]:
+        """Every command on the spec, written with ``indent=2`` under ``workdir``.
+
+        json's own scanner reads an indented document's matrices, so the
+        parser's list route is compared as well as the flat read.
+        """
+        doc = json.loads(spec_path.read_text())
+        path = workdir / f"{spec_path.stem}.indent.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        return commands(path, workdir, doc["N"])
+
     def gellmann(spec_path: Path, workdir: Path) -> list[list[str]]:
         """Every command on the spec, written as a Gell-Mann document under ``workdir``."""
         H, C = standard_to_gellmann(load_spec(spec_path))
@@ -215,6 +228,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
     for spec_path in sorted((ROOT / "tests" / "golden").glob("*.spec.json")):
         jobs += commands(spec_path, golden, json.loads(spec_path.read_text())["N"])
         jobs += gellmann(spec_path, golden)
+        jobs += indented(spec_path, golden)
     near = directory / "near_threshold"
     near.mkdir()
     for name, spec in near_threshold_psd_specs().items():
@@ -245,6 +259,7 @@ def _jobs(seeds: list[int], directory: Path) -> list[list[str]]:
                 jobs.append(case.argv)
                 jobs += commands(case.spec_path, workdir / "out", case.N)
             jobs += gellmann(cases[0].spec_path, workdir / "out")
+            jobs += indented(cases[0].spec_path, workdir / "out")
             firsts[name] = cases[0].spec_path
             if name == "kernel_blocks":
                 doc = json.loads(cases[0].spec_path.read_text())
