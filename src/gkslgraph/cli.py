@@ -218,15 +218,16 @@ def _cmd_crosscheck(spec, input_path, args):
     return (0 if agree else 1), payload, None, list(analytic.diagnostics)
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "canonicalize": _cmd_canonicalize,
-    "digraph": _cmd_digraph,
-    "kernel": _cmd_kernel,
-    "eigen": _cmd_eigen,
-    "check-state": _cmd_check_state,
-    "oracle": _cmd_oracle,
-    "crosscheck": _cmd_crosscheck,
+#: Each command's handler and help line, in the order ``--help`` lists them.
+_COMMANDS = {
+    "validate": (_cmd_validate, "check GKSL structure"),
+    "canonicalize": (_cmd_canonicalize, "emit the equivalent traceless-sector form"),
+    "digraph": (_cmd_digraph, "induced digraph: DOT to --out, summary JSON to stdout"),
+    "kernel": (_cmd_kernel, "exact kernel basis (oracle fallback)"),
+    "eigen": (_cmd_eigen, "eigenpairs of one off-diagonal pair block"),
+    "check-state": (_cmd_check_state, "verify a state is invariant"),
+    "oracle": (_cmd_oracle, "numeric kernel basis from the superoperator"),
+    "crosscheck": (_cmd_crosscheck, "compare analytic kernel to the oracle"),
 }
 
 
@@ -299,53 +300,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "induced digraph.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", parents=[common], help="check GKSL structure")
-    sub.add_parser(
-        "canonicalize",
-        parents=[common],
-        help="emit the equivalent traceless-sector form",
+    commands = {
+        name: sub.add_parser(name, parents=[common], help=text)
+        for name, (_, text) in _COMMANDS.items()
+    }
+    commands["kernel"].add_argument(
+        "--strict", action="store_true", help="exit 2 instead of falling back to the oracle"
     )
-    sub.add_parser(
-        "digraph",
-        parents=[common],
-        help="induced digraph: DOT to --out, summary JSON to stdout",
-    )
-    p_kernel = sub.add_parser(
-        "kernel", parents=[common], help="exact kernel basis (oracle fallback)"
-    )
-    p_kernel.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 2 instead of falling back to the oracle",
-    )
-    p_eigen = sub.add_parser(
-        "eigen", parents=[common], help="eigenpairs of one off-diagonal pair block"
-    )
-    p_eigen.add_argument(
+    commands["eigen"].add_argument(
         "--pair", type=_pair_arg, required=True, metavar="K,L", help="level pair"
     )
-    p_check = sub.add_parser(
-        "check-state", parents=[common], help="verify a state is invariant"
-    )
-    p_check.add_argument("--state", required=True, help="state JSON file")
-    p_check.add_argument(
-        "--times",
-        type=_times_arg,
-        required=True,
-        metavar="T1,T2,...",
+    commands["check-state"].add_argument("--state", required=True, help="state JSON file")
+    commands["check-state"].add_argument(
+        "--times", type=_times_arg, required=True, metavar="T1,T2,...",
         help="evolution times to test",
     )
-    sub.add_parser(
-        "oracle", parents=[common], help="numeric kernel basis from the superoperator"
-    )
-    p_cross = sub.add_parser(
-        "crosscheck", parents=[common], help="compare analytic kernel to the oracle"
-    )
-    p_cross.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 2 when the analytic preconditions fail",
+    commands["crosscheck"].add_argument(
+        "--strict", action="store_true", help="exit 2 when the analytic preconditions fail"
     )
     return parser
 
@@ -391,7 +362,7 @@ def _process(input_path, args):
         raise _Failure(1, f"{input_path}: {exc}") from exc
     except MemoryError as exc:
         raise _out_of_memory(input_path, exc) from exc
-    handler = _HANDLERS[args.command]
+    handler = _COMMANDS[args.command][0]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:

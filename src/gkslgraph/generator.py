@@ -138,15 +138,27 @@ class GeneratorSpec:
     gamma: np.ndarray = field(repr=False)  # a repr that read it would build it
 
     def __post_init__(self) -> None:
-        if isinstance(self.gamma, _PairPattern):
-            _store_pattern(self)
-            return
-        H, gamma = _checked_hamiltonian(self.H), _frozen_array(self.gamma)
+        H = _checked_hamiltonian(self.H)
         N = H.shape[0]
+        object.__setattr__(self, "H", H)
+        if isinstance(self.gamma, _PairPattern):
+            # Kept alone: no gamma until one is read, and the exact pattern, with no scan.
+            pairs, G = _frozen_array(self.gamma.pairs), _frozen_array(self.gamma.G)
+            P = len(_pair_levels(N))
+            if pairs.shape != (P, 2, 2) or G.shape != (N, N):
+                raise ValueError(
+                    f"gamma's pair blocks and diagonal-sector block must have shapes "
+                    f"{(P, 2, 2)} and {(N, N)} for N={N}, got {pairs.shape} and {G.shape}"
+                )
+            del self.__dict__["gamma"]
+            self.__dict__.update(
+                _pattern=_PairPattern(pairs, G), _on_pair_pattern=True, _off_block_max=0.0
+            )
+            return
+        gamma = _frozen_array(self.gamma)
         d = N * N
         if gamma.shape != (d, d):
             raise ValueError(f"gamma must have shape {(d, d)} for N={N}, got {gamma.shape}")
-        object.__setattr__(self, "H", H)
         object.__setattr__(self, "gamma", gamma)
 
     def __getattr__(self, name: str):
@@ -195,29 +207,6 @@ class GeneratorSpec:
         R = self.N * self.N - self.N
         G = self.gamma
         return not (G[:R, R:].any() or G[R:, :R].any()) and self._off_block_max == 0.0
-
-
-def _store_pattern(spec: GeneratorSpec) -> None:
-    """Check and store ``spec.H`` and the :class:`_PairPattern` passed as ``spec.gamma``.
-
-    The spec keeps no ``gamma`` until one is read; it is recorded as having
-    the exact pattern, with no scan.
-    """
-    pattern = spec.gamma
-    H = _checked_hamiltonian(spec.H)
-    N = H.shape[0]
-    pairs, G = _frozen_array(pattern.pairs), _frozen_array(pattern.G)
-    P = len(_pair_levels(N))
-    if pairs.shape != (P, 2, 2) or G.shape != (N, N):
-        raise ValueError(
-            f"gamma's pair blocks and diagonal-sector block must have shapes "
-            f"{(P, 2, 2)} and {(N, N)} for N={N}, got {pairs.shape} and {G.shape}"
-        )
-    object.__setattr__(spec, "H", H)
-    del spec.__dict__["gamma"]
-    spec.__dict__.update(
-        _pattern=_PairPattern(pairs, G), _on_pair_pattern=True, _off_block_max=0.0
-    )
 
 
 def _pattern_matrix(pattern: _PairPattern, N: int) -> np.ndarray:

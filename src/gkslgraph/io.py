@@ -192,14 +192,7 @@ def _walk_pairs(pairs, N: int, out: np.ndarray) -> None:
     seen: set[tuple[int, int]] = set()
     for t, pdoc in enumerate(pairs):
         where = f"gamma.pairs[{t}]"
-        if not isinstance(pdoc, dict):
-            raise SpecParseError(f"{where}: expected an object")
-        _reject_unknown(pdoc, {"i", "j", "block"}, where)
-        for name in ("i", "j", "block"):
-            if name not in pdoc:
-                raise SpecParseError(
-                    f"{where}: missing required field {name!r}"
-                )
+        _require_fields(pdoc, where, {"i", "j", "block"}, ("i", "j", "block"))
         i = _require_int(pdoc["i"], f"{where}.i")
         j = _require_int(pdoc["j"], f"{where}.j")
         if not (1 <= i < j <= N):
@@ -214,10 +207,17 @@ def _walk_pairs(pairs, N: int, out: np.ndarray) -> None:
         )
 
 
-def _reject_unknown(doc: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(doc) - allowed)
+def _require_fields(doc, where: str, allowed: set[str] | None = None, required=()) -> None:
+    """Reject ``doc`` unless it is an object with no field outside ``allowed``
+    (None: any field) and every field of ``required``, checked in that order."""
+    if not isinstance(doc, dict):
+        raise SpecParseError(f"{where}: expected an object")
+    unknown = sorted(set(doc) - allowed) if allowed is not None else []
     if unknown:
         raise SpecParseError(f"{where}: unknown field(s) {unknown}")
+    for name in required:
+        if name not in doc:
+            raise SpecParseError(f"{where}: missing required field {name!r}")
 
 
 def parse_spec_document(doc) -> GeneratorSpec:
@@ -239,12 +239,7 @@ def parse_spec_document(doc) -> GeneratorSpec:
     the pattern on first use.  A ``gellmann`` document whose
     standard-basis gamma overflows is rejected.
     """
-    if not isinstance(doc, dict):
-        raise SpecParseError("top level: expected an object")
-    _reject_unknown(doc, {"N", "basis", "H", "gamma"}, "top level")
-    for name in ("N", "H", "gamma"):
-        if name not in doc:
-            raise SpecParseError(f"top level: missing required field {name!r}")
+    _require_fields(doc, "top level", {"N", "basis", "H", "gamma"}, ("N", "H", "gamma"))
     N = _require_int(doc["N"], "N")
     if N < 1:
         raise SpecParseError(f"N: must be positive, got {N}")
@@ -254,16 +249,13 @@ def parse_spec_document(doc) -> GeneratorSpec:
     H = _parse_cmatrix(doc["H"], N, N, "H")
 
     gamma_doc = doc["gamma"]
-    if not isinstance(gamma_doc, dict):
-        raise SpecParseError("gamma: expected an object")
+    _require_fields(gamma_doc, "gamma")
     fmt = gamma_doc.get("format")
-    if fmt is None:
+    if fmt is None:  # a null format is missing too
         raise SpecParseError("gamma: missing required field 'format'")
 
     if fmt == "dense":
-        _reject_unknown(gamma_doc, {"format", "matrix"}, "gamma")
-        if "matrix" not in gamma_doc:
-            raise SpecParseError("gamma: missing required field 'matrix'")
+        _require_fields(gamma_doc, "gamma", {"format", "matrix"}, ("matrix",))
         size = N * N if basis == "standard" else N * N - 1
         M = _parse_cmatrix(gamma_doc["matrix"], size, size, "gamma.matrix")
     elif fmt == "blocks":
@@ -272,7 +264,7 @@ def parse_spec_document(doc) -> GeneratorSpec:
                 "gamma.format: the blocks form is only defined over the "
                 "standard basis"
             )
-        _reject_unknown(gamma_doc, {"format", "pairs", "diag"}, "gamma")
+        _require_fields(gamma_doc, "gamma", {"format", "pairs", "diag"})
         pairs = _parse_pairs(gamma_doc.get("pairs", []), N)
         if "diag" in gamma_doc:
             G = _parse_cmatrix(gamma_doc["diag"], N, N, "gamma.diag")
@@ -298,11 +290,7 @@ def parse_spec_document(doc) -> GeneratorSpec:
 
 def parse_state_document(doc) -> np.ndarray:
     """Parse a state document ({"matrix": N x N of [re, im]}), its matrix read flat or not."""
-    if not isinstance(doc, dict):
-        raise SpecParseError("top level: expected an object")
-    _reject_unknown(doc, {"matrix"}, "top level")
-    if "matrix" not in doc:
-        raise SpecParseError("top level: missing required field 'matrix'")
+    _require_fields(doc, "top level", {"matrix"}, ("matrix",))
     value = doc["matrix"]
     if not isinstance(value, (list, np.ndarray)) or len(value) == 0:
         raise SpecParseError("matrix: expected a non-empty list of rows")

@@ -21,7 +21,7 @@ import math
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -498,19 +498,12 @@ def k_operator(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> KOperatorSpec:
     Ch = (C + C.conj().T) / 2.0
     w, V = np.linalg.eigh(Ch)
     thr = _threshold(tol, float(w.max()) if w.size else 0.0)
-    ker_cols = V[:, w <= thr]
-    labels = []
-    d = N * N - 1
-    K = np.zeros((d, d), dtype=np.complex128)
-    gm = gellmann_labels(N)
-    for qi in range(d):
-        overlap = float(np.linalg.norm(ker_cols[qi, :])) if ker_cols.size else 0.0
-        if overlap <= tol:
-            K[qi, qi] = 1.0
-            labels.append(gm[qi])
+    outside = np.linalg.norm(V[:, w <= thr], axis=1) <= tol  # the labels orthogonal to ker C
+    K = np.diag(outside.astype(np.complex128))
+    labels = tuple(compress(gellmann_labels(N), outside))
     positive = w[w > thr]
     epsilon = float(positive.min()) if positive.size else 0.0
-    return KOperatorSpec(K=K, epsilon=epsilon, labels=tuple(labels))
+    return KOperatorSpec(K=K, epsilon=epsilon, labels=labels)
 
 
 def kernel_containment_check(spec: GeneratorSpec, tol: float = DEFAULT_TOL) -> bool:
@@ -552,22 +545,16 @@ def consistency_and_bound(
     N = spec.N
     graph = induced_digraph(spec, tol)
     comps = undirected_components(graph)
+    membership = np.zeros((len(comps), N), dtype=bool)  # [k, n]: level n + 1 in component k
+    for k, comp in enumerate(comps):
+        membership[k, np.subtract(comp, 1)] = True
+    apart = ~(membership.T @ membership)  # level pairs in different components
     scale_h = _threshold(tol, float(np.abs(spec.H).max()))
-    consistent = True
-    for a_i, comp_a in enumerate(comps):
-        for comp_b in comps[a_i + 1 :]:
-            rows = [v - 1 for v in comp_a]
-            cols = [v - 1 for v in comp_b]
-            if float(np.abs(spec.H[np.ix_(rows, cols)]).max()) > scale_h:
-                consistent = False
+    consistent = not (np.abs(spec.H[apart]) > scale_h).any()
 
     S = superoperator(spec)
     scale_s = _threshold(tol, float(np.abs(S).max()))
-    projection_check = True
-    for comp in comps:
-        col_sums = np.abs(S[-N:][[i - 1 for i in comp]].sum(axis=0))
-        if float(col_sums.max()) > scale_s:
-            projection_check = False
+    projection_check = not (np.abs(membership @ S[-N:]) > scale_s).any()
     nullity = _nullity(S, tol)[2]  # overwrites S
 
     lower_bound: int | None = None

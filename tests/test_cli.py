@@ -188,7 +188,7 @@ def _nan_for_stem_a(spec, input_path, args):
 
 
 def test_non_finite_result_exits_1(monkeypatch, tmp_path, capsys):
-    monkeypatch.setitem(cli._HANDLERS, "validate", _nan_for_stem_a)
+    monkeypatch.setitem(cli._COMMANDS, "validate", (_nan_for_stem_a, cli._COMMANDS["validate"][1]))
     path = Path(write_spec(tmp_path / "a.json", superposition_decay_spec()))
     code, out, err = run_cli(["validate", str(path)], capsys)
     assert (code, out) == (1, "")
@@ -197,7 +197,7 @@ def test_non_finite_result_exits_1(monkeypatch, tmp_path, capsys):
 
 
 def test_batch_continues_past_a_non_finite_result(monkeypatch, tmp_path, capsys):
-    monkeypatch.setitem(cli._HANDLERS, "validate", _nan_for_stem_a)
+    monkeypatch.setitem(cli._COMMANDS, "validate", (_nan_for_stem_a, cli._COMMANDS["validate"][1]))
     in_dir = tmp_path / "in"
     in_dir.mkdir()
     for stem in "ab":
@@ -366,13 +366,13 @@ def test_rank_one_two_cycle_at_rate_1_keeps_its_coherence(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "kernel"])
 def test_warnings_of_any_command_become_diagnostics(monkeypatch, tmp_path, capsys, golden_dir, command):
-    handler = cli._HANDLERS[command]
+    handler, text = cli._COMMANDS[command]
 
     def warning_handler(*args):
         warnings.warn("overflow encountered in det", RuntimeWarning)
         return handler(*args)
 
-    monkeypatch.setitem(cli._HANDLERS, command, warning_handler)
+    monkeypatch.setitem(cli._COMMANDS, command, (warning_handler, text))
     code, out, err = run_cli([command, str(golden_dir / "superposition.spec.json")], capsys)
     assert (code, err) == (0, "")
     assert json.loads(out)["diagnostics"][-1] == "overflow encountered in det"
@@ -1587,6 +1587,49 @@ def test_installed_entry_point(golden_dir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+#: The help line of each command, in the order ``--help`` lists them.
+HELP_LINES = {
+    "validate": "check GKSL structure",
+    "canonicalize": "emit the equivalent traceless-sector form",
+    "digraph": "induced digraph: DOT to --out, summary JSON to stdout",
+    "kernel": "exact kernel basis (oracle fallback)",
+    "eigen": "eigenpairs of one off-diagonal pair block",
+    "check-state": "verify a state is invariant",
+    "oracle": "numeric kernel basis from the superoperator",
+    "crosscheck": "compare analytic kernel to the oracle",
+}
+
+#: The options of each command besides those all of them take.
+OWN_OPTIONS = {
+    "kernel": {"--strict"},
+    "eigen": {"--pair"},
+    "check-state": {"--state", "--times"},
+    "crosscheck": {"--strict"},
+}
+
+
+def _help(argv, monkeypatch, capsys) -> str:
+    monkeypatch.setenv("COLUMNS", "200")  # one line per entry
+    with pytest.raises(SystemExit) as info:
+        cli_main([*argv, "--help"])
+    assert info.value.code == 0
+    return capsys.readouterr().out
+
+
+def test_help_lists_every_command_with_its_help_line(monkeypatch, capsys):
+    out = _help([], monkeypatch, capsys)
+    assert list(HELP_LINES) == list(COMMANDS)
+    assert re.findall(r"^    (\S+) +(\S.*)$", out, re.M) == list(HELP_LINES.items())
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_shows_its_options(monkeypatch, capsys, command):
+    out = _help([command], monkeypatch, capsys)
+    assert out.startswith(f"usage: gkslgraph {command} [-h]")
+    options = set(re.findall(r"^  (--[a-z]+)", out, re.M))
+    assert options == {"--out", "--batch", "--tol"} | OWN_OPTIONS.get(command, set())
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 A ``blocks`` document's pairs are checked and written into gamma all at
 once; a fault makes the parser walk the pairs to name the first bad field.
 These tests pin the exact messages, those of the faults at a spec's top
-level and in a state document too, and that the pair-block pattern the
-parser writes is recorded on the spec with no scan of gamma.  Each matrix
+level and in a state document too, which check comes first in an object
+with several faults, and that the pair-block pattern the parser writes is
+recorded on the spec with no scan of gamma.  Each matrix
 of a document is decoded by one flat read of its numbers; files read so
 give the arrays and messages of ``json.loads``, bit for bit.
 """
@@ -135,6 +136,61 @@ def test_state_parse_error_names_the_bad_field(name):
     doc, message = STATE_ERRORS[name]
     with pytest.raises(gk.SpecParseError) as info:
         gk.parse_state_document(doc)
+    assert str(info.value) == message
+
+
+def _two_level(gamma, **fields) -> dict:
+    return {"N": 2, "H": [[[0, 0]] * 2] * 2, "gamma": gamma, **fields}
+
+
+SPEC, STATE = gk.parse_spec_document, gk.parse_state_document
+
+#: Documents with an object that holds more than one fault: the parser, the
+#: document and the message of the check that comes first.  An object is
+#: checked to be one (``*_ERRORS`` pin that check at each site), then for
+#: unknown fields, then for missing ones; ``gamma``'s format comes before
+#: its fields (a null format is missing), and so does the refusal of a
+#: Gell-Mann ``blocks`` document.
+CHECK_ORDER = {
+    "top_level_unknown_and_missing": (
+        SPEC, {"N": 2, "extra": 1}, "top level: unknown field(s) ['extra']"
+    ),
+    "gamma_unknown_without_format": (
+        SPEC, _two_level({"x": 1}), "gamma: missing required field 'format'"
+    ),
+    "gamma_null_format": (
+        SPEC, _two_level({"format": None}), "gamma: missing required field 'format'"
+    ),
+    "gamma_unknown_format_and_field": (
+        SPEC,
+        _two_level({"format": "sparse", "x": 1}),
+        """gamma.format: expected "dense" or "blocks", got 'sparse'""",
+    ),
+    "dense_unknown_and_missing": (
+        SPEC, _two_level({"format": "dense", "x": 1}), "gamma: unknown field(s) ['x']"
+    ),
+    "blocks_unknown": (
+        SPEC, _two_level({"format": "blocks", "x": 1}), "gamma: unknown field(s) ['x']"
+    ),
+    "gellmann_blocks_unknown": (
+        SPEC,
+        _two_level({"format": "blocks", "x": 1}, basis="gellmann"),
+        "gamma.format: the blocks form is only defined over the standard basis",
+    ),
+    "pair_unknown_and_missing": (
+        SPEC,
+        _two_level({"format": "blocks", "pairs": [{"i": 1, "x": 2}]}),
+        "gamma.pairs[0]: unknown field(s) ['x']",
+    ),
+    "state_unknown_and_missing": (STATE, {"x": 1}, "top level: unknown field(s) ['x']"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_ORDER))
+def test_parse_checks_run_in_order(name):
+    parse, doc, message = CHECK_ORDER[name]
+    with pytest.raises(gk.SpecParseError) as info:
+        parse(doc)
     assert str(info.value) == message
 
 

@@ -671,6 +671,19 @@ def test_consistency_block_hamiltonian_ok():
     assert rep.projection_check
 
 
+@pytest.mark.parametrize("coupled, consistent", [((1, 3), True), ((3, 4), False), ((1, 2), False)])
+def test_consistency_over_interleaved_components(coupled, consistent):
+    # Components {1, 3}, {2} and {4}, which no contiguous split of the levels gives.
+    H = np.diag([0.3, -0.7, 0.1, 0.9]).astype(complex)
+    k, ell = coupled
+    H[k - 1, ell - 1] = H[ell - 1, k - 1] = 0.4
+    spec = pair_block_spec(4, H, {(1, 3): np.diag([1.0, 0.5])})
+    rep = gk.consistency_and_bound(spec)
+    assert rep.components == ((1, 3), (2,), (4,))
+    assert (rep.consistent, rep.projection_check) == (consistent, consistent)
+    assert rep.lower_bound == (3 if consistent else None)
+
+
 def test_consistency_bound_above_the_oracle_nullity_raises(monkeypatch):
     # The guard against an implementation fault: an oracle that loses a
     # kernel direction puts the two components above its nullity.

@@ -41,8 +41,9 @@ command runs on them, so both decode routes are compared.
 Each of these jobs runs three times: at the default tolerance, with
 ``--tol 0`` and with ``--tol 1e-3``.
 Each tree runs the same argument lists in-process, in one subprocess with
-that tree's ``src`` first on ``PYTHONPATH``: the base revision's ``src`` is
-exported by ``git archive`` into a temporary directory, removed on exit.
+that tree's ``src`` first on ``PYTHONPATH``: the base revision is exported
+by ``bench_pairs.export`` (``git archive``) into a temporary directory,
+removed on exit.
 
 Each differing stdout, stderr, exit code and ``--out`` file is reported.
 Where both sides are JSON, every differing number is listed with the
@@ -76,11 +77,12 @@ import subprocess
 import sys
 import tempfile
 import traceback
-import zipfile
 from pathlib import Path
 
 import numpy as np
 import scipy.linalg
+
+from bench_pairs import export
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -128,18 +130,6 @@ def _run_jobs(jobs_path: str, results_path: str) -> None:
             "stdout": stdout.getvalue(), "stderr": stderr.getvalue(), "code": code, "out": out
         })
     Path(results_path).write_text(json.dumps(results))
-
-
-def _export_src(rev: str, directory: Path) -> Path:
-    """Write the ``src`` tree of ``rev`` under ``directory``; return its path."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=zip", rev, "src"],
-        check=True,
-        capture_output=True,
-    ).stdout
-    with zipfile.ZipFile(io.BytesIO(archive)) as zipped:
-        zipped.extractall(directory)
-    return directory / "src"
 
 
 def _run_tree(src: Path, jobs_path: Path, results_path: Path) -> list[dict]:
@@ -384,7 +374,7 @@ def main(argv=None) -> int:
         jobs = _jobs(args.seeds, tmp / "specs")
         jobs_path = tmp / "jobs.json"
         jobs_path.write_text(json.dumps(jobs))
-        base = _run_tree(_export_src(args.base, tmp / "base"), jobs_path, tmp / "base.json")
+        base = _run_tree(export(args.base, tmp / "base") / "src", jobs_path, tmp / "base.json")
         head = _run_tree(ROOT / "src", jobs_path, tmp / "head.json")
 
         def shown(job: list[str]) -> str:
